@@ -15,6 +15,8 @@ from fractions import Fraction
 from .errors import InternalInconsistencyError, ValidationError
 from .linalg import Eliminator, Mat, Vec
 from .superalgebra import (
+    LEFT,
+    RIGHT,
     Degree,
     SuperAlgebra,
     ValidationReport,
@@ -38,7 +40,6 @@ class FrobeniusStructure:
     def form_vec(self, u: Vec, v: Vec) -> Fraction:
         out = Fraction(0)
         for i, a in u.items():
-            col = {}
             for j, b in v.items():
                 out += a * b * self.gram.entry(i, j)
         return out
@@ -66,7 +67,8 @@ def check_frobenius(
     """Build and verify a Frobenius structure; raises on failure.
 
     Checks: the trace is supported in bidegree ``(delta, sigma)``, the Gram
-    matrix is invertible, and ``(ab, c) == (a, bc)`` on basis triples.
+    matrix is invertible, and ``(ab, c) == (a, bc)`` on every basis triple,
+    evaluated row-sparse by ``check_form_invariance``.
     """
     sigma &= 1
     trace = {i: Fraction(c) for i, c in trace.items() if c}
@@ -91,24 +93,45 @@ def check_frobenius(
     if el.rank != alg.dim:
         raise ValidationError("not Frobenius for this trace")
     if check_invariance:
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                pij = alg.basis_product(i, j)
-                for k in range(alg.dim):
-                    lhs = Fraction(0)
-                    for t, c in pij.items():
-                        g = gram.entry(t, k)
-                        if g:
-                            lhs += c * g
-                    rhs = Fraction(0)
-                    for t, c in alg.basis_product(j, k).items():
-                        g = gram.entry(i, t)
-                        if g:
-                            rhs += c * g
-                    if lhs != rhs:
-                        raise ValidationError(f"form not invariant at triple ({i},{j},{k})")
+        check_form_invariance(alg, gram)
     psi = nakayama_matrix(alg, gram)
     return FrobeniusStructure(alg, trace, delta, sigma, gram, psi)
+
+
+def _transposed_products(alg: SuperAlgebra, side: str) -> list[Mat]:
+    """The transposed multiplication matrices: ``out[j].entry(k, t)`` is the
+    coefficient of ``e_t`` in ``e_j e_k`` (in ``e_k e_j`` for ``RIGHT``)."""
+    out = [Mat(alg.dim, alg.dim) for _ in range(alg.dim)]
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            a, k = (i, j) if side == LEFT else (j, i)
+            for t, c in alg.basis_product(i, j).items():
+                out[a].cols.setdefault(t, {})[k] = c
+    return out
+
+
+def _differences(u: Vec, v: Vec) -> list[int]:
+    """Ascending indices where two sparse vectors (no stored zeros) differ."""
+    return sorted(k for k in u.keys() | v.keys() if u.get(k) != v.get(k))
+
+
+def check_form_invariance(alg: SuperAlgebra, gram: Mat) -> None:
+    """Exhaustive audit of ``(e_i e_j, e_k) == (e_i, e_j e_k)`` over basis triples.
+
+    Evaluated row-sparse: for each ``(i, j)`` in lexicographic order both
+    sides are sparse vectors over ``k``, read through the Gram rows and the
+    transposed left multiplications.  Raises on the first failing triple.
+    """
+    rows = gram.transpose()  # rows.cols[t] == {k: (e_t, e_k)}
+    left = _transposed_products(alg, LEFT)
+    for i in range(alg.dim):
+        row_i = rows.cols.get(i, {})
+        for j in range(alg.dim):
+            lhs = rows.apply(alg.basis_product(i, j))
+            rhs = left[j].apply(row_i)
+            if lhs != rhs:
+                k = _differences(lhs, rhs)[0]
+                raise ValidationError(f"form not invariant at triple ({i},{j},{k})")
 
 
 def nakayama_matrix(alg: SuperAlgebra, gram: Mat) -> Mat:
@@ -181,68 +204,44 @@ def check_dual_iso(frob: FrobeniusStructure) -> ValidationReport:
     left modules, and composing with the right action must match
     multiplication through the nakayama automorphism:
     ``phi(b) . a == phi(b psi(a))`` evaluated against every basis element.
+    Every basis pair and triple is covered, evaluated row-sparse: ``phi(b)``
+    is read off Gram column ``b`` and both sides of each identity are
+    accumulated through transposed multiplication tables.
     """
     alg = frob.algebra
     bad: list[tuple[str, tuple]] = []
     dim = alg.dim
-
-    def phi(bvec: Vec) -> Vec:
-        # functional coordinates: phi(b)(e_a)
-        out: Vec = {}
-        for a in range(dim):
-            pa = alg.degrees[a].par
-            val = Fraction(0)
-            for b, c in bvec.items():
-                g = frob.gram.entry(a, b)
-                if g:
-                    val += -c * g if (pa and alg.degrees[b].par) else c * g
-            if val:
-                out[a] = val
-        return out
+    par = [deg.par for deg in alg.degrees]
+    # functional coordinates: phi.cols[b][a] == phi(e_b)(e_a), ascending in a
+    phi = Mat(dim, dim, {b: {a: -g if (par[a] and par[b]) else g for a, g in sorted(col.items())}
+                         for b, col in frob.gram.cols.items()})
 
     # degree-zero into the shifted dual: phi(b) nonzero on e_a only when
     # deg(a) + deg(b) == (delta, sigma)
     target = Degree(frob.delta, frob.sigma)
     for b in range(dim):
-        f = phi({b: Fraction(1)})
-        for a in f:
+        for a in phi.cols.get(b, {}):
             if alg.degrees[a] + alg.degrees[b] != target:
                 bad.append(("degree zero", (b, a)))
 
-    # left-module map: phi(c b) == (-1)**(par(c) par(phi(b))) phi(b) o rho^r_c
+    # left-module map: phi(c b) == (-1)**(par(c) par(phi(b))) phi(b) o rho^r_c, where
+    # (c . f)(e_a) = (-1)^(pc*pf + pc*par(a)) f(e_a c) and phi(b) has b's parity
+    right = _transposed_products(alg, RIGHT)
     for c in range(dim):
-        pc = alg.degrees[c].par
         for b in range(dim):
-            lhs = phi(alg.basis_product(c, b))
-            f = phi({b: Fraction(1)})
-            pf = alg.degrees[b].par  # phi(b) sits in the dual with b's parity
-            rhs: Vec = {}
-            for a in range(dim):
-                # (c . f)(e_a) = (-1)^(pc*pf) f(rho^r_c e_a)
-                #             = (-1)^(pc*pf + pc*par(a)) f(e_a c)
-                val = Fraction(0)
-                for k, co in alg.basis_product(a, c).items():
-                    fk = f.get(k)
-                    if fk:
-                        val += co * fk
-                if val:
-                    sign = -1 if (pc and ((pf + alg.degrees[a].par) & 1)) else 1
-                    rhs[a] = sign * val
+            lhs = phi.apply(alg.basis_product(c, b))
+            rhs = right[c].apply(phi.cols.get(b, {}))
+            if par[c]:
+                rhs = {a: -v if (par[b] + par[a]) & 1 else v for a, v in rhs.items()}
             if lhs != rhs:
                 bad.append(("left module map", (c, b)))
 
-    # right action versus nakayama twist: (phi(b) . a)(x) == phi(b psi(a))(x)
+    # right action versus nakayama twist: (phi(b) . a)(e_x) = phi(b)(a e_x) == phi(b psi(a))(e_x)
+    left = _transposed_products(alg, LEFT)
     for b in range(dim):
-        f = phi({b: Fraction(1)})
         for a in range(dim):
-            twisted = phi(alg.product_vec({b: Fraction(1)}, frob.nakayama.col(a)))
-            for x in range(dim):
-                # (f . a)(e_x) = f(a e_x)
-                val = Fraction(0)
-                for k, co in alg.basis_product(a, x).items():
-                    fk = f.get(k)
-                    if fk:
-                        val += co * fk
-                if val != twisted.get(x, Fraction(0)):
-                    bad.append(("nakayama compatibility", (b, a, x)))
+            acted = left[a].apply(phi.cols.get(b, {}))
+            twisted = phi.apply(alg.product_vec({b: Fraction(1)}, frob.nakayama.col(a)))
+            for x in _differences(acted, twisted):
+                bad.append(("nakayama compatibility", (b, a, x)))
     return ValidationReport(f"dual bimodule iso for {alg.name}", bad)

@@ -367,7 +367,7 @@ def nilcoxeter_frobenius(alg: SuperAlgebra, basis: SignedPermBasis) -> Frobenius
     ell = basis.lengths[w0]
     trace = {basis.index[w0]: Fraction(1)}
     return check_frobenius(alg, trace, basis.d * ell, (basis.eps * ell) & 1,
-                           check_invariance=(basis.n <= 5))
+                           check_invariance=(basis.n <= 6))
 
 
 # -- wreath product algebras -----------------------------------------------------

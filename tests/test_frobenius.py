@@ -1,5 +1,7 @@
 """Trace forms, Gram matrices, Nakayama maps, tensor structures, dual identification."""
 
+import dataclasses
+import random
 from fractions import Fraction
 from math import comb
 
@@ -8,17 +10,20 @@ import pytest
 from supertower.errors import ValidationError
 from supertower.frobenius import (
     check_dual_iso,
+    check_form_invariance,
     check_frobenius,
     frobenius_tensor,
     nakayama,
     tensor_nakayama_matrix,
 )
 from supertower.linalg import Mat
-from supertower.superalgebra import tensor_algebra
+from supertower.superalgebra import Degree, tensor_algebra
 from supertower.towers import (
+    apply_s,
     build_nilcoxeter,
     build_wreath,
     clifford_base,
+    identity_perm,
     longest_element,
     nilcoxeter_frobenius,
     nilcoxeter_nakayama_closed_form,
@@ -182,8 +187,150 @@ class TestDualIso:
     def test_identity_replacement_fails(self):
         alg, basis = build_nilcoxeter(3, 1, 0)
         frob = nilcoxeter_frobenius(alg, basis)
-        import dataclasses
         tampered = dataclasses.replace(frob, nakayama=Mat.identity(alg.dim))
         rep = check_dual_iso(tampered)
         assert not rep.ok
         assert any(kind == "nakayama compatibility" for kind, _ in rep.violations)
+
+
+# -- dense oracles for the row-sparse audits --------------------------------------
+
+
+def dense_form_invariance(alg, gram):
+    """The all-triples loop: ``(e_i e_j, e_k) == (e_i, e_j e_k)`` one triple at a time."""
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            pij = alg.basis_product(i, j)
+            for k in range(alg.dim):
+                lhs = sum((c * gram.entry(t, k) for t, c in pij.items()), Fraction(0))
+                rhs = sum((c * gram.entry(i, t) for t, c in alg.basis_product(j, k).items()),
+                          Fraction(0))
+                if lhs != rhs:
+                    raise ValidationError(f"form not invariant at triple ({i},{j},{k})")
+
+
+def dense_dual_iso(frob):
+    """The dense dual-bimodule audit, evaluating every functional at every basis element."""
+    alg = frob.algebra
+    dim = alg.dim
+    bad = []
+
+    def phi(bvec):
+        out = {}
+        for a in range(dim):
+            pa = alg.degrees[a].par
+            val = Fraction(0)
+            for b, c in bvec.items():
+                g = frob.gram.entry(a, b)
+                if g:
+                    val += -c * g if (pa and alg.degrees[b].par) else c * g
+            if val:
+                out[a] = val
+        return out
+
+    target = Degree(frob.delta, frob.sigma)
+    for b in range(dim):
+        for a in phi({b: Fraction(1)}):
+            if alg.degrees[a] + alg.degrees[b] != target:
+                bad.append(("degree zero", (b, a)))
+    for c in range(dim):
+        pc = alg.degrees[c].par
+        for b in range(dim):
+            lhs = phi(alg.basis_product(c, b))
+            f = phi({b: Fraction(1)})
+            rhs = {}
+            for a in range(dim):
+                val = sum((co * f.get(k, 0) for k, co in alg.basis_product(a, c).items()), Fraction(0))
+                if val:
+                    sign = -1 if (pc and ((alg.degrees[b].par + alg.degrees[a].par) & 1)) else 1
+                    rhs[a] = sign * val
+            if lhs != rhs:
+                bad.append(("left module map", (c, b)))
+    for b in range(dim):
+        f = phi({b: Fraction(1)})
+        for a in range(dim):
+            twisted = phi(alg.product_vec({b: Fraction(1)}, frob.nakayama.col(a)))
+            for x in range(dim):
+                val = sum((co * f.get(k, 0) for k, co in alg.basis_product(a, x).items()), Fraction(0))
+                if val != twisted.get(x, Fraction(0)):
+                    bad.append(("nakayama compatibility", (b, a, x)))
+    return bad
+
+
+def _invariance_outcome(audit, alg, gram):
+    try:
+        audit(alg, gram)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _fresh_structure(family, n):
+    """A newly built algebra with its Frobenius structure, safe to corrupt in place."""
+    if family == "nilcoxeter":
+        alg, basis = build_nilcoxeter(n, 1, 1)
+        return nilcoxeter_frobenius(alg, basis)
+    return build_wreath(clifford_base(), n)[1]
+
+
+def _corrupt_entry(mat, rng):
+    """A copy of ``mat`` with one stored entry shifted by a nonzero rational."""
+    j = rng.choice(sorted(mat.cols))
+    i = rng.choice(sorted(mat.cols[j]))
+    out = Mat(mat.nrows, mat.ncols, mat.cols)
+    out.add_entry(i, j, Fraction(rng.choice([-2, -1, 1, 3])))
+    return out
+
+
+def _corrupt_product(alg, rng):
+    """Shift one structure constant of ``e_i e_j`` in place, after filling the table."""
+    alg.struct_consts()
+    i, j = rng.randrange(alg.dim), rng.randrange(alg.dim)
+    prod = dict(alg.basis_product(i, j))
+    t = rng.randrange(alg.dim)
+    prod[t] = prod.get(t, Fraction(0)) + rng.choice([-1, 1, 2])
+    alg._products[(i, j)] = {k: c for k, c in prod.items() if c}
+
+
+STRUCTURES = [("nilcoxeter", n) for n in (1, 2, 3, 4)] + [("sergeev", n) for n in (1, 2, 3)]
+CORRUPTIONS = ["gram", "nakayama", "product"]
+
+
+class TestSparseAuditsMatchDenseOracles:
+    @pytest.mark.parametrize("family,n", STRUCTURES)
+    def test_builtin_structures(self, family, n):
+        frob = _fresh_structure(family, n)
+        assert _invariance_outcome(check_form_invariance, frob.algebra, frob.gram) is None
+        assert _invariance_outcome(dense_form_invariance, frob.algebra, frob.gram) is None
+        assert check_dual_iso(frob).violations == dense_dual_iso(frob) == []
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    @pytest.mark.parametrize("family,n", [("nilcoxeter", 3), ("nilcoxeter", 4), ("sergeev", 2)])
+    def test_seeded_corruptions(self, family, n, kind):
+        for seed in range(6):
+            rng = random.Random(f"{family}{n}{kind}{seed}")
+            frob = _fresh_structure(family, n)
+            if kind == "gram":
+                frob = dataclasses.replace(frob, gram=_corrupt_entry(frob.gram, rng))
+            elif kind == "nakayama":
+                frob = dataclasses.replace(frob, nakayama=_corrupt_entry(frob.nakayama, rng))
+            else:
+                _corrupt_product(frob.algebra, rng)
+            sparse = _invariance_outcome(check_form_invariance, frob.algebra, frob.gram)
+            assert sparse == _invariance_outcome(dense_form_invariance, frob.algebra, frob.gram)
+            # the invariance audit reads the form and the products, not the nakayama map
+            assert (sparse is None) == (kind == "nakayama")
+            violations = check_dual_iso(frob).violations
+            assert violations == dense_dual_iso(frob)
+            assert violations
+
+
+class TestInvarianceMutation:
+    def test_corrupted_structure_constant_caught_at_level5(self):
+        alg, basis = build_nilcoxeter(5, 1, 1)
+        s1, s2 = (basis.index[apply_s(identity_perm(5), i, side="right")] for i in (0, 1))
+        alg.struct_consts()
+        # u_1 u_2 is a basis element of length 2, so the Gram matrix does not read it
+        alg._products[(s1, s2)] = {k: -c for k, c in alg.basis_product(s1, s2).items()}
+        with pytest.raises(ValidationError, match="form not invariant at triple"):
+            nilcoxeter_frobenius(alg, basis)
