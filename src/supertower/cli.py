@@ -4,23 +4,25 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 an
 internal-inconsistency error fired (a guaranteed identity broke), 64 usage
 or input-validation error.
 
-JSON reports are byte-identical across runs and across parallelism degrees:
-records are sorted by (suite, check, indices), keys are emitted in a fixed
-order, and timing is reported only in the text format.
+JSON reports are byte-identical across runs: records are sorted by (suite,
+check, indices), keys are emitted in a fixed order, and timing is reported
+only in the text format.  Suites run one after another in one thread;
+``--jobs`` is accepted and has no effect, because running suites in threads
+measured slower than running them in one (the work is pure Python).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import InternalInconsistencyError, SupertowerError, ValidationError
-from .frobenius import check_dual_iso
+from .frobenius import check_dual_iso, check_frobenius
 from .grothendieck import (
     G_SIDE,
     K_SIDE,
@@ -38,7 +40,7 @@ from .heisenberg import (
     weyl_check,
 )
 from .reporting import CheckRecord
-from .superalgebra import algebra_from_dict, algebra_to_dict
+from .superalgebra import algebra_from_dict, algebra_to_dict, validate_algebra
 from .towers import (
     TowerSpec,
     build_nilcoxeter_tower,
@@ -50,7 +52,6 @@ from .towers import (
     check_wr_commutation,
     clifford_base,
 )
-from .frobenius import check_frobenius
 
 USAGE_ERROR = 64
 OUTPUT_DIR_ENV = "SUPERTOWER_OUT"
@@ -82,7 +83,7 @@ class RunConfig:
     n_max: int | None = None
     d_override: int | None = None
     eps_override: int | None = None
-    jobs: int = 1
+    jobs: int = 1                  # accepted, no effect: suites run in one thread
     fmt: str = "text"
     out: str | None = None
     general_shift: bool = False
@@ -150,14 +151,12 @@ def build_tower(cfg: RunConfig) -> TowerSpec:
         with open(base, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
         alg = algebra_from_dict(spec["algebra"], name=spec.get("name", "base"))
-        from .superalgebra import validate_algebra
-
         report = validate_algebra(alg)
         if not report.ok:
             kind, idx = report.violations[0]
             raise ValidationError(f"base algebra invalid: {kind} at {idx}")
         fr = spec["frobenius"]
-        trace = {i: __import__("fractions").Fraction(p[0], p[1])
+        trace = {i: Fraction(p[0], p[1])
                  for i, p in enumerate(fr["trace"]) if p[0]}
         base_frob = check_frobenius(alg, trace, int(fr["delta"]), int(fr["sigma"]))
     return build_wreath_tower(base_frob, int(body["n_max"]))
@@ -290,25 +289,14 @@ def run_suites(cfg: RunConfig) -> Report:
     tower = build_tower(cfg)
     layer = GrothLayer(tower)
     report = Report()
-
-    def run_one(name: str):
+    for name in cfg.suites:
         t0 = time.monotonic()
         recs = SUITE_RUNNERS[name](tower, layer, cfg)
+        report.elapsed[name] = time.monotonic() - t0
         for r in recs:
             r.check = f"{name}:{r.check}"
-        return name, recs, time.monotonic() - t0
-
-    names = list(cfg.suites)
-    if cfg.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run_one, names))
-    else:
-        results = [run_one(n) for n in names]
-    results.sort(key=lambda t: names.index(t[0]))
-    for name, recs, dt in results:
         recs.sort(key=lambda r: (r.check, repr(r.indices)))
         report.records.extend(recs)
-        report.elapsed[name] = dt
     return report
 
 
@@ -366,7 +354,8 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("--suites", action="append", default=None,
                           help="comma-separated suite names (repeatable); default: all")
     p_verify.add_argument("--n-max", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="accepted and ignored; suites run in one thread")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--general-shift", action="store_true",

@@ -16,7 +16,6 @@ positive multiplicity series read off the head degrees.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from .errors import ExactDivisionError, SupertowerError, TruncationError, ValidationError
@@ -25,7 +24,6 @@ from .linalg import Eliminator, Mat
 from .reporting import CheckRecord
 from .superalgebra import (
     SuperModule,
-    graded_dim,
     hom_graded_dim,
     outer_tensor,
     restrict_module,
@@ -117,14 +115,13 @@ def tensor_repr(a: GrothTensor) -> str:
 class GrothLayer:
     """Product, coproduct, pairing and their caches over one tower.
 
-    The layer is read-only after construction; memoized basis computations
-    are idempotent, so a lock only guards dictionary updates.
+    Basis computations are memoized on the layer without a lock, so one
+    layer is used from one thread.
     """
 
     def __init__(self, tower: TowerSpec):
         self.tower = tower
         self.mode = COLLAPSED if tower.collapsed else FULL
-        self._lock = threading.Lock()
         self._norms: dict[BasisKey, GroundElem] = {}
         self._nabla: dict = {}
         self._delta: dict = {}
@@ -177,9 +174,7 @@ class GrothLayer:
         if key not in self._norms:
             proj = self.tower.declared_projectives(level)[i]
             simp = self.tower.declared_simples(level)[i]
-            val = self._ring(hom_graded_dim(proj.module, simp.module))
-            with self._lock:
-                self._norms[key] = val
+            self._norms[key] = self._ring(hom_graded_dim(proj.module, simp.module))
         return self._norms[key]
 
     def pairing_table(self, level: int) -> list[list[GroundElem]]:
@@ -297,8 +292,7 @@ class GrothLayer:
                 q = self.tower.declared_projectives(lb)[ib].module
                 ind = induce_module(rho, outer_tensor(p, q, pair))
                 out = self.class_in_K(ind, la + lb)
-        with self._lock:
-            self._nabla[cache_key] = out
+        self._nabla[cache_key] = out
         return out
 
     def nabla(self, u: GrothVector, v: GrothVector) -> GrothVector:
@@ -331,8 +325,7 @@ class GrothLayer:
             part = (self.class_in_pair_K(res, a, b) if side == K_SIDE
                     else self.class_in_pair_G(res, a, b))
             out = tensor_add(out, part)
-        with self._lock:
-            self._delta[cache_key] = out
+        self._delta[cache_key] = out
         return out
 
     def delta(self, u: GrothVector) -> GrothTensor:
@@ -378,9 +371,7 @@ class GrothLayer:
         for key, c in k.entries.items():
             if key not in self._g_class_of_proj:
                 proj = self.tower.declared_projectives(key[0])[key[1]]
-                val = self.class_in_G(proj.module, key[0])
-                with self._lock:
-                    self._g_class_of_proj[key] = val
+                self._g_class_of_proj[key] = self.class_in_G(proj.module, key[0])
             out = out.add(self._g_class_of_proj[key].scale(c.bar()))
         return out
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import InternalInconsistencyError, ValidationError
 from .ground import FULL, GroundElem
 from .linalg import Eliminator, Mat, Vec, vec_axpy
 
@@ -307,10 +307,15 @@ class SuperModule:
         return got
 
     def act_vec(self, v: Vec) -> Mat:
-        out = Mat.zero(self.dim, self.dim)
+        out = Mat(self.dim, self.dim)
         for i, c in v.items():
-            if c:
-                out = out.add(self.act(i).scale(c))
+            if not c:
+                continue
+            for j, col in self.act(i).cols.items():
+                target = out.cols.setdefault(j, {})
+                vec_axpy(target, c, col)
+                if not target:
+                    del out.cols[j]
         return out
 
     def apply(self, v: Vec, m: Vec) -> Vec:
@@ -377,10 +382,10 @@ def validate_module(mod: SuperModule, on_generators: bool = True) -> ValidationR
     return ValidationReport(mod.name, bad)
 
 
-def graded_dim(mod: SuperModule) -> GroundElem:
-    """The bigraded dimension as a full-mode ground element."""
+def graded_dim(space: SuperModule | SuperAlgebra) -> GroundElem:
+    """The bigraded dimension of a module or an algebra, as a full-mode ground element."""
     terms: dict[tuple[int, int], int] = {}
-    for d in mod.degrees:
+    for d in space.degrees:
         key = (d.z, d.par)
         terms[key] = terms.get(key, 0) + 1
     return GroundElem(terms, FULL)
@@ -534,18 +539,15 @@ class Subspace:
     def __init__(self, spanning: Iterable[Vec], ambient_dim: int):
         self.ambient_dim = ambient_dim
         self.basis: list[Vec] = []
-        self._el = Eliminator()       # augmented with coordinate tracking
-        self._rank_el = Eliminator()  # plain copy for independence tests
+        # rows (v | e_k): every pivot lies in an ambient column, so a vector
+        # is in the span iff it reduces to the coordinate columns alone
+        self._el = Eliminator()
         for v in spanning:
-            if self._rank_el.add_row(dict(v)):
-                self._track_add(v)
-
-    def _track_add(self, v: Vec) -> None:
-        idx = len(self.basis)
-        aug = dict(v)
-        aug[self.ambient_dim + idx] = Fraction(1)
-        self._el.add_row(aug)
-        self.basis.append(dict(v))
+            if self.coords(v) is None:
+                aug = dict(v)
+                aug[ambient_dim + len(self.basis)] = Fraction(1)
+                self._el.add_row(aug)
+                self.basis.append(dict(v))
 
     @property
     def dim(self) -> int:
@@ -560,6 +562,14 @@ class Subspace:
                 return None
             coords[k - self.ambient_dim] = -c
         return coords
+
+
+def homogeneous_degree(v: Vec, degrees: Sequence[Degree]) -> Degree:
+    """The one degree shared by the support of a corner basis vector."""
+    degs = {degrees[i] for i in v}
+    if len(degs) != 1:
+        raise InternalInconsistencyError("inhomogeneous corner basis vector")
+    return degs.pop()
 
 
 def restrict_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperModule:
@@ -581,12 +591,7 @@ def restrict_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperM
     spanning = [emat.col(j) for j in range(mod.dim) if emat.cols.get(j)]
     sub = Subspace(spanning, mod.dim)
 
-    def hom_degree(v: Vec) -> Degree:
-        degs = {mod.degrees[i] for i in v}
-        assert len(degs) == 1, "inhomogeneous corner basis vector"
-        return degs.pop()
-
-    degrees = [hom_degree(v) for v in sub.basis]
+    degrees = [homogeneous_degree(v, mod.degrees) for v in sub.basis]
 
     def action(b: int) -> Mat:
         bmat = mod.act_vec(phi.images[b])
@@ -633,12 +638,7 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
         sub = Subspace([v for v in rm_e if v], target.dim)
         corner_dim = sub.dim
 
-        def hom_degree(v: Vec) -> Degree:
-            degs = {target.degrees[i] for i in v}
-            assert len(degs) == 1
-            return degs.pop()
-
-        corner_degrees = [hom_degree(v) for v in sub.basis]
+        corner_degrees = [homogeneous_degree(v, target.degrees) for v in sub.basis]
 
         def corner_vec(i: int) -> Vec:
             return dict(sub.basis[i])

@@ -36,6 +36,8 @@ from .superalgebra import (
     Degree,
     SuperAlgebra,
     SuperModule,
+    graded_dim,
+    hom_graded_dim,
     regular_module,
     tensor_algebra,
 )
@@ -85,16 +87,7 @@ def left_descents(a: Perm) -> list[int]:
 
 def canonical_word(a: Perm) -> tuple[int, ...]:
     """The lexicographically minimal reduced word (smallest left descent first)."""
-    word = []
-    cur = a
-    while True:
-        ds = left_descents(cur)
-        if not ds:
-            break
-        i = ds[0]
-        word.append(i)
-        cur = apply_s(cur, i, side="left")
-    return tuple(word)
+    return perm_tables(len(a))[2][a]
 
 
 _PERM_TABLES: dict[int, tuple] = {}
@@ -211,6 +204,14 @@ def block_perm(a, b, n: int, m: int) -> Perm:
     return tuple(list(a) + [v + n for v in b])
 
 
+def extend_perm(w: Perm, offset: int, total: int) -> Perm:
+    """``w`` acting on the slots from ``offset`` of ``total`` strands, fixing the rest."""
+    ext = list(range(total))
+    for p, v in enumerate(w):
+        ext[offset + p] = v + offset
+    return tuple(ext)
+
+
 # -- nilCoxeter straightening ---------------------------------------------------
 
 
@@ -303,6 +304,14 @@ class SignedPermBasis:
             s, cur = step
             sign *= s
         return sign, cur
+
+    def perm_element(self, w: Perm) -> int:
+        """The basis index of the permutation element ``u_w``."""
+        return self.index[w]
+
+    def embed(self, inner: "SignedPermBasis", i: int, offset: int) -> int:
+        """Basis element ``i`` of a smaller level, placed on the strands from ``offset``."""
+        return self.index[extend_perm(inner.perms[i], offset, self.n)]
 
 
 def build_nilcoxeter(n: int, d: int, eps: int) -> tuple[SuperAlgebra, SignedPermBasis]:
@@ -413,6 +422,53 @@ def tensor_tuple_product(base: SuperAlgebra, xs: tuple[int, ...], ys: tuple[int,
     yield from terms
 
 
+class WreathBasis:
+    """The (tensor tuple, permutation) basis of one wreath level.
+
+    Index ``tuple_rank * n! + perm_rank``: tuples of base basis indices in
+    lexicographic order, permutations in ``all_perms`` order.  Embeddings of
+    smaller levels fill the free slots with the base unit, which must then
+    be a single basis vector.
+    """
+
+    def __init__(self, base: SuperAlgebra, n: int):
+        self.base = base
+        self.n = n
+        self.tuples = list(itertools.product(range(base.dim), repeat=n))
+        self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
+        self.perms, self.perm_index, self.words, self.lengths = perm_tables(n)
+        unit = list(base.unit.items())
+        self.unit_b = unit[0][0] if len(unit) == 1 and unit[0][1] == 1 else None
+
+    def index(self, t: tuple[int, ...], w: Perm) -> int:
+        return self.tuple_index[t] * len(self.perms) + self.perm_index[w]
+
+    def unindex(self, i: int) -> tuple[tuple[int, ...], Perm]:
+        ti, pi = divmod(i, len(self.perms))
+        return self.tuples[ti], self.perms[pi]
+
+    def superperm_apply(self, v: Perm, t: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """Move the tensor factors of ``t`` by ``v``; returns (Koszul sign, moved tuple)."""
+        vinv = perm_inverse(v)
+        permuted = tuple(t[vinv[i]] for i in range(self.n))
+        pars = tuple(self.base.degrees[b].par for b in t)
+        return superperm_sign(v, pars), permuted
+
+    def _unit_padded(self, t: tuple[int, ...], offset: int) -> tuple[int, ...]:
+        if len(t) < self.n and self.unit_b is None:
+            raise ValidationError("wreath embeddings need a base algebra whose unit is one basis vector")
+        return (self.unit_b,) * offset + t + (self.unit_b,) * (self.n - offset - len(t))
+
+    def perm_element(self, w: Perm) -> int:
+        """The basis index of the permutation ``w`` over the unit tensor."""
+        return self.index(self._unit_padded((), 0), w)
+
+    def embed(self, inner: "WreathBasis", i: int, offset: int) -> int:
+        """Basis element ``i`` of a smaller level, placed on the slots from ``offset``."""
+        t, w = inner.unindex(i)
+        return self.index(self._unit_padded(t, offset), extend_perm(w, offset, self.n))
+
+
 def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, FrobeniusStructure]:
     """The wreath product of a Frobenius base with the symmetric group on n letters.
 
@@ -424,36 +480,20 @@ def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, F
     if n < 1:
         raise ValueError("wreath towers start at one factor")
     base = base_frob.algebra
-    tuples = list(itertools.product(range(base.dim), repeat=n))
-    tuple_index = {t: i for i, t in enumerate(tuples)}
-    perms = all_perms(n)
-    perm_index = {p: i for i, p in enumerate(perms)}
-    np_ = len(perms)
-
-    def idx(t: tuple[int, ...], w: Perm) -> int:
-        return tuple_index[t] * np_ + perm_index[w]
-
-    def unidx(i: int) -> tuple[tuple[int, ...], Perm]:
-        ti, pi = divmod(i, np_)
-        return tuples[ti], perms[pi]
+    basis = WreathBasis(base, n)
+    idx, unidx, superperm_apply = basis.index, basis.unindex, basis.superperm_apply
 
     labels = []
     degrees = []
-    for t in tuples:
+    for t in basis.tuples:
         deg = Degree(0, 0)
         for b in t:
             deg = deg + base.degrees[b]
         tlabel = "(" + ",".join(base.labels[b] for b in t) + ")"
-        for p in perms:
-            plabel = "".join(f"s{i+1}" for i in canonical_word(p)) or "e"
+        for p in basis.perms:
+            plabel = "".join(f"s{i+1}" for i in basis.words[p]) or "e"
             labels.append(f"{tlabel}{plabel}")
             degrees.append(deg)
-
-    def superperm_apply(v: Perm, t: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        vinv = perm_inverse(v)
-        permuted = tuple(t[vinv[i]] for i in range(n))
-        pars = tuple(base.degrees[b].par for b in t)
-        return superperm_sign(v, pars), permuted
 
     def product(x: int, y: int) -> Vec:
         (tx, vx) = unidx(x)
@@ -468,7 +508,7 @@ def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, F
                 del out[key]
         return out
 
-    unit_b = _single_basis_unit(base)
+    unit_b = basis.unit_b
     gens = None
     e = identity_perm(n)
     if unit_b is not None and base.generators is not None:
@@ -478,8 +518,7 @@ def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, F
                 t = tuple(g if s == slot else unit_b for s in range(n))
                 gens.append(idx(t, e))
         for i in range(n - 1):
-            t = tuple(unit_b for _ in range(n))
-            gens.append(idx(t, apply_s(e, i, side="right")))
+            gens.append(basis.perm_element(apply_s(e, i, side="right")))
 
     unit: Vec = {}
     for combo in itertools.product(*[list(base.unit.items())] * n):
@@ -496,7 +535,7 @@ def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, F
 
     w0 = longest_element(n)
     trace: Vec = {}
-    for t in tuples:
+    for t in basis.tuples:
         val = Fraction(1)
         for b in t:
             tb = base_frob.trace.get(b)
@@ -513,14 +552,6 @@ def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, F
     return alg, frob
 
 
-def _single_basis_unit(alg: SuperAlgebra) -> int | None:
-    if len(alg.unit) == 1:
-        (i, c), = alg.unit.items()
-        if c == 1:
-            return i
-    return None
-
-
 def wreath_nakayama_closed_form(base_frob: FrobeniusStructure, n: int, alg: SuperAlgebra) -> Mat:
     """The reversal form of the wreath Nakayama automorphism.
 
@@ -530,16 +561,12 @@ def wreath_nakayama_closed_form(base_frob: FrobeniusStructure, n: int, alg: Supe
     longest element times the sign of the length.
     """
     base = base_frob.algebra
-    tuples = list(itertools.product(range(base.dim), repeat=n))
-    tuple_index = {t: i for i, t in enumerate(tuples)}
-    perms = all_perms(n)
-    perm_index = {p: i for i, p in enumerate(perms)}
-    np_ = len(perms)
+    basis = WreathBasis(base, n)
     w0 = longest_element(n)
     sigma = base_frob.sigma & 1
 
     out = Mat(alg.dim, alg.dim)
-    for t in tuples:
+    for t in basis.tuples:
         # sign: the full reversal of the odd entries of t
         odd = sum(1 for b in t if base.degrees[b].par)
         sign = -1 if (odd * (odd - 1) // 2) & 1 else 1
@@ -550,14 +577,12 @@ def wreath_nakayama_closed_form(base_frob: FrobeniusStructure, n: int, alg: Supe
             expansions = [
                 (prefix + (k,), c * ck) for prefix, c in expansions for k, ck in col.items()
             ]
-        for p in perms:
-            ell = perm_length(p)
-            psign = -1 if (sigma * ell) & 1 else 1
+        for p in basis.perms:
+            psign = -1 if (sigma * basis.lengths[p]) & 1 else 1
             target_perm = perm_mult(perm_mult(w0, p), w0)
-            src = tuple_index[t] * np_ + perm_index[p]
+            src = basis.index(t, p)
             for tt, c in expansions:
-                dst = tuple_index[tt] * np_ + perm_index[target_perm]
-                out.add_entry(dst, src, c * psign)
+                out.add_entry(basis.index(tt, target_perm), src, c * psign)
     return out
 
 
@@ -645,7 +670,7 @@ class TowerSpec:
     simples: dict[int, list[DeclaredModule]] = field(default_factory=dict)
     projectives: dict[int, list[DeclaredModule]] = field(default_factory=dict)
     collapsed: bool = False
-    perm_bases: dict[int, SignedPermBasis] = field(default_factory=dict)
+    bases: list[SignedPermBasis | WreathBasis] = field(default_factory=list)
     base_frob: FrobeniusStructure | None = None
     _pair_algebras: dict = field(default_factory=dict)
     _rho: dict = field(default_factory=dict)
@@ -682,59 +707,11 @@ class TowerSpec:
 
     def shift_basis_index(self, inner_level: int, idx: int, offset: int, total_level: int) -> int:
         """Embed a basis element of a level algebra into a larger level at a slot offset."""
-        if inner_level == 0:
-            return self._identity_index(total_level)
-        if self.kind == "nilcoxeter":
-            b_in = self.perm_bases[inner_level]
-            b_out = self.perm_bases[total_level]
-            w = b_in.perms[idx]
-            ext = list(range(total_level))
-            for p in range(inner_level):
-                ext[offset + p] = w[p] + offset
-            return b_out.index[tuple(ext)]
-        return self._wreath_shift(inner_level, idx, offset, total_level)
-
-    def _wreath_shift(self, inner_level: int, idx: int, offset: int, total_level: int) -> int:
-        base = self.base_frob.algebra
-        unit_b = _single_basis_unit(base)
-        assert unit_b is not None, "wreath embeddings need a basis unit"
-        perms_in = all_perms(inner_level)
-        np_in = len(perms_in)
-        ti, pi = divmod(idx, np_in)
-        tuples_in = list(itertools.product(range(base.dim), repeat=inner_level))
-        t = tuples_in[ti]
-        w = perms_in[pi]
-        full_t = tuple(
-            t[p - offset] if offset <= p < offset + inner_level else unit_b
-            for p in range(total_level)
-        )
-        ext = list(range(total_level))
-        for p in range(inner_level):
-            ext[offset + p] = w[p] + offset
-        perms_out = all_perms(total_level)
-        perm_index = {pp: i for i, pp in enumerate(perms_out)}
-        tuples_out = list(itertools.product(range(base.dim), repeat=total_level))
-        tuple_index = {tt: i for i, tt in enumerate(tuples_out)}
-        return tuple_index[full_t] * len(perms_out) + perm_index[tuple(ext)]
-
-    def _identity_index(self, total_level: int) -> int:
-        alg = self.level(total_level)
-        assert len(alg.unit) == 1
-        return next(iter(alg.unit))
+        return self.bases[total_level].embed(self.bases[inner_level], idx, offset)
 
     def perm_element_index(self, level: int, w: Perm) -> int:
         """The basis index of the (signless) permutation element at a level."""
-        if level == 0:
-            return self._identity_index(0)
-        if self.kind == "nilcoxeter":
-            return self.perm_bases[level].index[w]
-        base = self.base_frob.algebra
-        unit_b = _single_basis_unit(base)
-        perms = all_perms(level)
-        perm_index = {p: i for i, p in enumerate(perms)}
-        tuples = list(itertools.product(range(base.dim), repeat=level))
-        tuple_index = {t: i for i, t in enumerate(tuples)}
-        return tuple_index[tuple(unit_b for _ in range(level))] * len(perms) + perm_index[w]
+        return self.bases[level].perm_element(w)
 
     def step_hom(self, n: int) -> AlgebraHom:
         """The one-step embedding of level n into level n+1."""
@@ -789,11 +766,11 @@ def build_nilcoxeter_tower(n_max: int, d: int, eps: int, frobenius_cap: int = 6)
     frob: list[FrobeniusStructure | None] = [
         check_frobenius(algebras[0], {0: Fraction(1)}, 0, 0)
     ]
-    perm_bases: dict[int, SignedPermBasis] = {}
+    bases: list[SignedPermBasis | WreathBasis] = [SignedPermBasis(0, d, eps)]
     for n in range(1, n_max + 1):
         alg, basis = build_nilcoxeter(n, d, eps)
         algebras.append(alg)
-        perm_bases[n] = basis
+        bases.append(basis)
         frob.append(nilcoxeter_frobenius(alg, basis) if n <= frobenius_cap else None)
     shifts = [(d * comb(n, 2), (eps * comb(n, 2)) & 1) for n in range(n_max + 1)]
     psi = [f.nakayama if f else None for f in frob]
@@ -810,7 +787,7 @@ def build_nilcoxeter_tower(n_max: int, d: int, eps: int, frobenius_cap: int = 6)
         shifts=shifts,
         psi=psi,
         collapsed=False,
-        perm_bases=perm_bases,
+        bases=bases,
     )
     s0, p0 = _trivial_declared(algebras[0])
     tower.simples[0] = s0
@@ -833,31 +810,24 @@ def _is_rank1_clifford(frob: FrobeniusStructure) -> bool:
     )
 
 
-def _sergeev_level2_simple(alg: SuperAlgebra, base: SuperAlgebra) -> SuperModule:
+def _sergeev_level2_simple(alg: SuperAlgebra, basis: WreathBasis) -> SuperModule:
     """The four-dimensional simple of the level-2 wreath over the Clifford base.
 
     The underlying space is the two-fold Clifford tensor square; the tensor
     subalgebra acts by left multiplication and the transposition acts by the
     superswap automorphism.
     """
-    tuples = list(itertools.product(range(base.dim), repeat=2))
-    tuple_index = {t: i for i, t in enumerate(tuples)}
-    perms = all_perms(2)
-    np_ = len(perms)
+    base, tuples = basis.base, basis.tuples
     degrees = [base.degrees[a] + base.degrees[b] for a, b in tuples]
 
     def action(x: int) -> Mat:
-        ti, pi = divmod(x, np_)
-        beta = tuples[ti]
-        w = perms[pi]
+        beta, w = basis.unindex(x)
         out = Mat(len(tuples), len(tuples))
         for j, v in enumerate(tuples):
             # superswap action of w, then left multiplication by beta
-            vinv = perm_inverse(w)
-            moved = tuple(v[vinv[i]] for i in range(2))
-            sgn = superperm_sign(w, tuple(base.degrees[b].par for b in v))
+            sgn, moved = basis.superperm_apply(w, v)
             for t, c in tensor_tuple_product(base, beta, moved):
-                out.add_entry(tuple_index[t], j, sgn * c)
+                out.add_entry(basis.tuple_index[t], j, sgn * c)
         return out
 
     return SuperModule(alg, degrees, action_fn=action, side=LEFT, name="V2")
@@ -880,6 +850,7 @@ def build_wreath_tower(base_frob: FrobeniusStructure, n_max: int) -> TowerSpec:
         alg, f = build_wreath(base_frob, n)
         algebras.append(alg)
         frob.append(f)
+    bases = [WreathBasis(base_frob.algebra, n) for n in range(n_max + 1)]
     shifts = [(n * base_frob.delta, (n * base_frob.sigma) & 1) for n in range(n_max + 1)]
     psi = [f.nakayama if f else None for f in frob]
     clifford = _is_rank1_clifford(base_frob)
@@ -896,6 +867,7 @@ def build_wreath_tower(base_frob: FrobeniusStructure, n_max: int) -> TowerSpec:
         shifts=shifts,
         psi=psi,
         collapsed=clifford,
+        bases=bases,
         base_frob=base_frob,
     )
     s0, p0 = _trivial_declared(algebras[0])
@@ -906,21 +878,13 @@ def build_wreath_tower(base_frob: FrobeniusStructure, n_max: int) -> TowerSpec:
         tower.simples[1] = [DeclaredModule("V1", v1, "Q")]
         tower.projectives[1] = [DeclaredModule("P1", regular_module(algebras[1], name="P1"), "Q")]
         if n_max >= 2:
-            v2 = _sergeev_level2_simple(algebras[2], base_frob.algebra)
+            v2 = _sergeev_level2_simple(algebras[2], bases[2])
             tower.simples[2] = [DeclaredModule("V2", v2, "Q")]
             tower.projectives[2] = [DeclaredModule("P2", v2, "Q")]
     return tower
 
 
 # -- tower-level checks ------------------------------------------------------------
-
-
-def algebra_graded_dim(alg: SuperAlgebra) -> GroundElem:
-    terms: dict[tuple[int, int], int] = {}
-    for dg in alg.degrees:
-        key = (dg.z, dg.par)
-        terms[key] = terms.get(key, 0) + 1
-    return GroundElem(terms, FULL)
 
 
 def coset_degree_genfn(tower: TowerSpec, total: int, left: int) -> GroundElem:
@@ -1043,8 +1007,6 @@ def _ground_det(entries: list[list[GroundElem]]) -> GroundElem:
 
 def tower_pairing_entry(tower: TowerSpec, proj: DeclaredModule, simple: DeclaredModule) -> GroundElem:
     """One entry of the level pairing table, in the tower's coefficient ring."""
-    from .superalgebra import hom_graded_dim
-
     value = hom_graded_dim(proj.module, simple.module)
     return value.collapse() if tower.collapsed else value
 
@@ -1153,7 +1115,7 @@ def check_S2_dimensions(tower: TowerSpec, n: int, m: int, k: int, l: int) -> lis
     if n + m != k + l:
         raise ValueError("splittings must partition the same total")
     total = n + m
-    lhs = algebra_graded_dim(tower.level(total))
+    lhs = graded_dim(tower.level(total))
     d, eps = tower.twist.d, tower.twist.eps
     rhs = GroundElem.zero(FULL)
     division_ok = True
@@ -1162,17 +1124,17 @@ def check_S2_dimensions(tower: TowerSpec, n: int, m: int, k: int, l: int) -> lis
         gen_left = coset_degree_genfn(tower, k, r)
         gen_right = coset_degree_genfn(tower, l, n - r)
         summand = gen_left * gen_right \
-            * algebra_graded_dim(tower.level(n)) * algebra_graded_dim(tower.level(m)) * shift
+            * graded_dim(tower.level(n)) * graded_dim(tower.level(m)) * shift
         rhs = rhs + summand
         four = (
-            algebra_graded_dim(tower.level(r))
-            * algebra_graded_dim(tower.level(n - r))
-            * algebra_graded_dim(tower.level(k - r))
-            * algebra_graded_dim(tower.level(l + r - n))
+            graded_dim(tower.level(r))
+            * graded_dim(tower.level(n - r))
+            * graded_dim(tower.level(k - r))
+            * graded_dim(tower.level(l + r - n))
         )
         numerator = (
-            algebra_graded_dim(tower.level(k)) * algebra_graded_dim(tower.level(l))
-            * algebra_graded_dim(tower.level(n)) * algebra_graded_dim(tower.level(m)) * shift
+            graded_dim(tower.level(k)) * graded_dim(tower.level(l))
+            * graded_dim(tower.level(n)) * graded_dim(tower.level(m)) * shift
         )
         if summand * four != numerator:
             division_ok = False
@@ -1196,7 +1158,7 @@ def check_nakayama_closed_form(tower: TowerSpec, level: int) -> CheckRecord:
     if level == 0:
         expected = Mat.identity(1)
     elif tower.kind == "nilcoxeter":
-        expected = nilcoxeter_nakayama_closed_form(tower.level(level), tower.perm_bases[level])
+        expected = nilcoxeter_nakayama_closed_form(tower.level(level), tower.bases[level])
     else:
         expected = wreath_nakayama_closed_form(tower.base_frob, level, tower.level(level))
     ok = frob.nakayama == expected

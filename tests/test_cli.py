@@ -192,6 +192,27 @@ def test_parity_mismatch_in_base_file_rejected(tmp_path):
         build_tower(cfg)
 
 
+def test_wreath_base_with_split_unit_is_usage_error(tmp_path, capsys):
+    # k x k with unit e0 + e1: the wreath levels build, but embedding a level
+    # into a larger one needs the unit on the free slots as one basis vector
+    spec = {"algebra": {"labels": ["e0", "e1"], "degrees": [[0, 0], [0, 0]],
+                        "unit": [[1, 1], [1, 1]],
+                        "structure": [[0, 0, 0, 1, 1], [1, 1, 1, 1, 1]]},
+            "frobenius": {"trace": [[1, 1], [1, 1]], "delta": 0, "sigma": 0}}
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(spec))
+    desc = json.dumps({"wreath": {"base": str(path), "n_max": 2}})
+    assert main(["verify", desc, "--suites", "axioms"]) == 64
+    err = capsys.readouterr().err
+    assert err == "error: wreath embeddings need a base algebra whose unit is one basis vector\n"
+    # the same exit without asserts, which python -O strips
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "supertower.cli", "verify", desc,
+                           "--suites", "axioms"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 64, proc.stderr
+
+
 def test_empty_report_text():
     from supertower.cli import Report
     text = emit_report(Report(), "text")

@@ -3,14 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from supertower.ground import FULL, GroundElem, TwistScalar, bar_involution, qpi_binomial, qpi_factorial
-from supertower.linalg import Mat
+from supertower.linalg import Eliminator, Mat
 from supertower.superalgebra import (
     AlgebraHom,
     Degree,
     SuperAlgebra,
     SuperModule,
+    Subspace,
     algebra_from_dict,
     algebra_to_dict,
     dual_module,
@@ -391,3 +394,79 @@ def test_restriction_of_simple_is_trivial_pair_module():
     assert graded_dim(res) == GroundElem.one()
     for g in tower.pair_algebra(1, 1).generating_set():
         assert res.act(g).is_zero() or tower.pair_algebra(1, 1).unit.get(g)
+
+
+class TwoEliminatorSubspace:
+    """Oracle: a plain eliminator decides independence, an augmented one solves."""
+
+    def __init__(self, spanning, ambient_dim):
+        self.ambient_dim = ambient_dim
+        self.basis = []
+        self._el = Eliminator()
+        rank_el = Eliminator()
+        for v in spanning:
+            if rank_el.add_row(dict(v)):
+                aug = dict(v)
+                aug[ambient_dim + len(self.basis)] = Fraction(1)
+                self._el.add_row(aug)
+                self.basis.append(dict(v))
+
+    def coords(self, w):
+        coords = {}
+        for k, c in self._el.reduce(dict(w)).items():
+            if k < self.ambient_dim:
+                return None
+            coords[k - self.ambient_dim] = -c
+        return coords
+
+
+AMBIENT = 6
+rationals = hst.builds(Fraction, hst.integers(-3, 3).filter(bool), hst.integers(1, 3))
+sparse_vecs = hst.dictionaries(hst.integers(0, AMBIENT - 1), rationals, max_size=4)
+
+
+class TestSubspaceOneEliminator:
+    @settings(max_examples=150, deadline=None)
+    @given(hst.lists(sparse_vecs, max_size=8), hst.lists(sparse_vecs, max_size=4),
+           hst.lists(hst.lists(rationals, min_size=8, max_size=8), max_size=3))
+    def test_matches_two_eliminator_version(self, spanning, probes, combos):
+        new = Subspace(spanning, AMBIENT)
+        old = TwoEliminatorSubspace(spanning, AMBIENT)
+        assert new.basis == old.basis
+        # vectors inside the span, as combinations of the spanning vectors
+        inside = []
+        for coeffs in combos:
+            w = {}
+            for c, v in zip(coeffs, spanning):
+                for k, x in v.items():
+                    w[k] = w.get(k, Fraction(0)) + c * x
+            inside.append({k: x for k, x in w.items() if x})
+        for w in probes + inside + spanning:
+            assert new.coords(w) == old.coords(w)
+
+
+def _act_vec_by_matrix_sums(mod, v):
+    """Oracle: the earlier fold of whole scaled matrices."""
+    out = Mat.zero(mod.dim, mod.dim)
+    for i, c in v.items():
+        if c:
+            out = out.add(mod.act(i).scale(c))
+    return out
+
+
+NC3_REGULAR = regular_module(build_nilcoxeter(3, 1, 1)[0])
+
+
+class TestActVec:
+    @settings(max_examples=80, deadline=None)
+    @given(hst.dictionaries(hst.integers(0, NC3_REGULAR.algebra.dim - 1), rationals, max_size=6))
+    def test_matches_matrix_fold(self, v):
+        # compared column by column, so a stored empty column would show
+        assert NC3_REGULAR.act_vec(v).cols == _act_vec_by_matrix_sums(NC3_REGULAR, v).cols
+
+    def test_cancelling_terms_leave_no_empty_column(self, clifford):
+        # both basis elements act by the identity, so 1 - c acts by zero
+        mod = SuperModule(clifford, [Degree(0, 0), Degree(0, 1)],
+                          action={0: Mat.identity(2), 1: Mat.identity(2)})
+        v = {0: Fraction(1), 1: Fraction(-1)}
+        assert mod.act_vec(v).cols == _act_vec_by_matrix_sums(mod, v).cols == {}

@@ -1,5 +1,6 @@
 """Tower builders, permutation combinatorics, and the tower-level verifications."""
 
+import itertools
 from fractions import Fraction
 from math import comb, factorial
 
@@ -9,8 +10,10 @@ from supertower.errors import ValidationError
 from supertower.ground import GroundElem, TwistScalar, qpi_binomial, qpi_factorial
 from supertower.reporting import all_passed, failures
 from supertower.superalgebra import regular_module, graded_dim, validate_algebra
+from supertower.frobenius import check_frobenius
 from supertower.towers import (
     SignedPermBasis,
+    WreathBasis,
     all_perms,
     apply_s,
     block_perm,
@@ -30,10 +33,12 @@ from supertower.towers import (
     double_coset_wr,
     enumerate_double_coset,
     identity_perm,
+    left_descents,
     perm_inverse,
     perm_length,
     perm_mult,
     superperm_sign,
+    trivial_level_algebra,
 )
 
 
@@ -274,3 +279,136 @@ class TestGenericWreathBase:
             assert all_passed(check_S2_dimensions(tower, n, m, k, l))
         assert all_passed(check_wr_commutation(tower, 1, 1, 1, 1, 0))
         assert check_nakayama_closed_form(tower, 2).passed
+
+
+# -- the per-family basis objects against the index logic they replaced --------
+
+
+def _oracle_wreath_shift(base, inner_level, idx, offset, total_level):
+    """Embedding by enumerating tuples and permutations from scratch."""
+    unit_b = next(iter(base.unit))
+    perms_in = all_perms(inner_level)
+    ti, pi = divmod(idx, len(perms_in))
+    t = list(itertools.product(range(base.dim), repeat=inner_level))[ti]
+    w = perms_in[pi]
+    full_t = tuple(
+        t[p - offset] if offset <= p < offset + inner_level else unit_b
+        for p in range(total_level)
+    )
+    ext = list(range(total_level))
+    for p in range(inner_level):
+        ext[offset + p] = w[p] + offset
+    perms_out = all_perms(total_level)
+    tuples_out = list(itertools.product(range(base.dim), repeat=total_level))
+    return tuples_out.index(full_t) * len(perms_out) + perms_out.index(tuple(ext))
+
+
+def _oracle_wreath_perm_element(base, level, w):
+    unit_b = next(iter(base.unit))
+    perms = all_perms(level)
+    tuples = list(itertools.product(range(base.dim), repeat=level))
+    return tuples.index(tuple(unit_b for _ in range(level))) * len(perms) + perms.index(w)
+
+
+def _oracle_nilcoxeter_shift(inner_level, idx, offset, total_level):
+    w = all_perms(inner_level)[idx]
+    ext = list(range(total_level))
+    for p in range(inner_level):
+        ext[offset + p] = w[p] + offset
+    return all_perms(total_level).index(tuple(ext))
+
+
+def _oracle_canonical_word(a):
+    """Strip the smallest left descent until none is left."""
+    word = []
+    while True:
+        ds = left_descents(a)
+        if not ds:
+            return tuple(word)
+        word.append(ds[0])
+        a = apply_s(a, ds[0], side="left")
+
+
+def _embedding_cases(max_total):
+    for total in range(max_total + 1):
+        for inner in range(total + 1):
+            for offset in range(total - inner + 1):
+                yield inner, offset, total
+
+
+def _trivial_base():
+    return check_frobenius(trivial_level_algebra(), {0: Fraction(1)}, 0, 0)
+
+
+class TestBasisObjects:
+    @pytest.mark.parametrize("make_base", [clifford_base, _trivial_base])
+    def test_wreath_indices_match_enumeration(self, make_base):
+        base_frob = make_base()
+        tower = build_wreath_tower(base_frob, 3)
+        base = base_frob.algebra
+        for inner, offset, total in _embedding_cases(3):
+            for idx in range(tower.level(inner).dim):
+                got = tower.shift_basis_index(inner, idx, offset, total)
+                if inner == 0:
+                    assert got == next(iter(tower.level(total).unit))
+                else:
+                    assert got == _oracle_wreath_shift(base, inner, idx, offset, total)
+        for level in range(1, 4):
+            for w in all_perms(level):
+                assert tower.perm_element_index(level, w) == \
+                    _oracle_wreath_perm_element(base, level, w)
+        assert tower.perm_element_index(0, ()) == 0
+
+    def test_nilcoxeter_indices_match_enumeration(self, nc4_11):
+        for inner, offset, total in _embedding_cases(4):
+            for idx in range(nc4_11.level(inner).dim):
+                got = nc4_11.shift_basis_index(inner, idx, offset, total)
+                if inner == 0:
+                    assert got == next(iter(nc4_11.level(total).unit))
+                else:
+                    assert got == _oracle_nilcoxeter_shift(inner, idx, offset, total)
+        for level in range(5):
+            for w in all_perms(level):
+                assert nc4_11.perm_element_index(level, w) == all_perms(level).index(w)
+
+    def test_wreath_unindex_inverts_index(self):
+        for n in range(4):
+            basis = WreathBasis(clifford_base().algebra, n)
+            for t in basis.tuples:
+                for w in basis.perms:
+                    assert basis.unindex(basis.index(t, w)) == (t, w)
+            assert [basis.index(*basis.unindex(i)) for i in range(2 ** n * factorial(n))] == \
+                list(range(2 ** n * factorial(n)))
+
+    def test_word_table_matches_descent_stripping(self):
+        for n in range(6):
+            for w in all_perms(n):
+                assert canonical_word(w) == _oracle_canonical_word(w)
+
+    def test_wreath_labels_match_old_formula(self):
+        cl = clifford_base()
+        base = cl.algebra
+        for n in (1, 2, 3):
+            alg, _ = build_wreath(cl, n)
+            expected = []
+            for t in itertools.product(range(base.dim), repeat=n):
+                tlabel = "(" + ",".join(base.labels[b] for b in t) + ")"
+                for p in all_perms(n):
+                    plabel = "".join(f"s{i+1}" for i in _oracle_canonical_word(p)) or "e"
+                    expected.append(f"{tlabel}{plabel}")
+            assert alg.labels == expected
+
+    def test_wreath_embedding_needs_single_basis_unit(self):
+        from supertower.superalgebra import Degree, SuperAlgebra
+        split = SuperAlgebra(
+            labels=["e0", "e1"], degrees=[Degree(0, 0), Degree(0, 0)],
+            unit={0: Fraction(1), 1: Fraction(1)},
+            products={(0, 0): {0: Fraction(1)}, (1, 1): {1: Fraction(1)}},
+        )
+        basis = WreathBasis(split, 2)
+        with pytest.raises(ValidationError, match="unit is one basis vector"):
+            basis.perm_element((1, 0))
+        with pytest.raises(ValidationError, match="unit is one basis vector"):
+            basis.embed(WreathBasis(split, 1), 0, 1)
+        # an embedding that fills no slot needs no unit
+        assert basis.embed(basis, 3, 0) == 3
