@@ -123,9 +123,20 @@ def load_spec(source: str) -> dict:
     return data
 
 
+def _check_body(kind: str, body: dict) -> None:
+    """Integer fields must be integers and ``n_max`` at least one."""
+    for key in ("n_max", "d", "eps", "frobenius_cap"):
+        if key in body and type(body[key]) is not int:  # bool is no integer here
+            raise ValidationError(f"{kind} field {key!r} must be an integer")
+    if body["n_max"] < 1:
+        raise ValidationError(f"{kind} field 'n_max' must be at least 1")
+
+
 def build_tower(cfg: RunConfig) -> TowerSpec:
     data = dict(cfg.descriptor)
     kind = next(iter(data))
+    if not isinstance(data[kind], dict):
+        raise ValidationError(f"{kind} descriptor must be an object")
     body = dict(data[kind])
     if cfg.n_max is not None:
         body["n_max"] = cfg.n_max
@@ -137,11 +148,13 @@ def build_tower(cfg: RunConfig) -> TowerSpec:
         for key in ("n_max", "d", "eps"):
             if key not in body:
                 raise ValidationError(f"nilcoxeter descriptor missing field {key!r}")
-        n_max = int(body["n_max"])
-        cap = int(body.get("frobenius_cap", min(n_max, 6)))
-        return build_nilcoxeter_tower(n_max, int(body["d"]), int(body["eps"]), frobenius_cap=cap)
+        _check_body(kind, body)
+        n_max = body["n_max"]
+        cap = body.get("frobenius_cap", min(n_max, 6))
+        return build_nilcoxeter_tower(n_max, body["d"], body["eps"], frobenius_cap=cap)
     if "n_max" not in body or "base" not in body:
         raise ValidationError("wreath descriptor needs fields base and n_max")
+    _check_body(kind, body)
     base = body["base"]
     if base == "clifford":
         base_frob = clifford_base()
@@ -159,7 +172,7 @@ def build_tower(cfg: RunConfig) -> TowerSpec:
         trace = {i: Fraction(p[0], p[1])
                  for i, p in enumerate(fr["trace"]) if p[0]}
         base_frob = check_frobenius(alg, trace, int(fr["delta"]), int(fr["sigma"]))
-    return build_wreath_tower(base_frob, int(body["n_max"]))
+    return build_wreath_tower(base_frob, body["n_max"])
 
 
 # -- suites ---------------------------------------------------------------------

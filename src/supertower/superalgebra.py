@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
 from .ground import FULL, GroundElem
-from .linalg import Eliminator, Mat, Vec, vec_axpy
+from .linalg import Eliminator, Mat, Vec, rank_of_rows, vec_axpy
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,16 @@ class SuperAlgebra:
             return list(self.generators)
         return list(range(self.dim))
 
+    def leading_factors(self) -> list[int]:
+        """Generators and unit terms: the left factors every validator checks.
+
+        Multiplicativity or associativity checked for these times every basis
+        element holds for all pairs, by induction on the word length of the
+        left factor, provided products of generators starting from the unit
+        span the algebra (which ``validate_algebra`` checks).
+        """
+        return sorted(set(self.generating_set()) | set(self.unit))
+
     def struct_consts(self) -> dict[tuple[int, int], Vec]:
         """Force and return the full structure-constant table."""
         for i in range(self.dim):
@@ -147,14 +157,30 @@ class ValidationReport:
         return f"ValidationReport({self.subject}: {state})"
 
 
-def validate_algebra(alg: SuperAlgebra, check_associativity: bool = True) -> ValidationReport:
-    """Exhaustively check unit laws, degree additivity and associativity."""
+def generated_dim(alg: SuperAlgebra) -> int:
+    """The dimension spanned by products of generators applied to the unit."""
+    el = Eliminator()
+    frontier = [alg.unit] if el.add_row(alg.unit) else []
+    while frontier and el.rank < alg.dim:
+        v = frontier.pop()
+        for g in alg.generating_set():
+            w = alg.product_vec({g: Fraction(1)}, v)
+            if el.add_row(w):
+                frontier.append(w)
+    return el.rank
+
+
+def validate_algebra(alg: SuperAlgebra) -> ValidationReport:
+    """Check unit laws, and degree additivity and associativity on leading triples.
+
+    The premise of the leading-factor rule, that the declared generators
+    span, is checked first.
+    """
     bad: list[tuple[str, tuple]] = []
     dim = alg.dim
-    unit_deg_ok = all(
-        alg.degrees[i] == Degree(0, 0) for i in alg.unit
-    )
-    if not unit_deg_ok:
+    if alg.generators is not None and generated_dim(alg) != dim:
+        bad.append(("generators do not span", ()))
+    if any(alg.degrees[i] != Degree(0, 0) for i in alg.unit):
         bad.append(("unit degree", ()))
     for j in range(dim):
         ej = {j: Fraction(1)}
@@ -162,31 +188,28 @@ def validate_algebra(alg: SuperAlgebra, check_associativity: bool = True) -> Val
             bad.append(("left unit law", (j,)))
         if alg.product_vec(ej, alg.unit) != ej:
             bad.append(("right unit law", (j,)))
-    for i in range(dim):
-        di = alg.degrees[i]
-        for j in range(dim):
-            dj = alg.degrees[j]
-            for k, c in alg.basis_product(i, j).items():
+    for a in alg.leading_factors():
+        da = alg.degrees[a]
+        for i in range(dim):
+            di = alg.degrees[i]
+            pai = alg.basis_product(a, i)
+            for k, c in pai.items():
                 if not c:
                     continue
                 dk = alg.degrees[k]
-                if dk.z != di.z + dj.z:
-                    bad.append(("degree additivity", (i, j, k)))
-                if dk.par != (di.par + dj.par) & 1:
-                    bad.append(("parity additivity", (i, j, k)))
-    if check_associativity:
-        for i in range(dim):
+                if dk.z != da.z + di.z:
+                    bad.append(("degree additivity", (a, i, k)))
+                if dk.par != (da.par + di.par) & 1:
+                    bad.append(("parity additivity", (a, i, k)))
             for j in range(dim):
-                pij = alg.basis_product(i, j)
-                for k in range(dim):
-                    lhs: Vec = {}
-                    for t, c in pij.items():
-                        vec_axpy(lhs, c, alg.basis_product(t, k))
-                    rhs: Vec = {}
-                    for t, c in alg.basis_product(j, k).items():
-                        vec_axpy(rhs, c, alg.basis_product(i, t))
-                    if lhs != rhs:
-                        bad.append(("associativity", (i, j, k)))
+                lhs: Vec = {}
+                for t, c in pai.items():
+                    vec_axpy(lhs, c, alg.basis_product(t, j))
+                rhs: Vec = {}
+                for t, c in alg.basis_product(i, j).items():
+                    vec_axpy(rhs, c, alg.basis_product(a, t))
+                if lhs != rhs:
+                    bad.append(("associativity", (a, i, j)))
     return ValidationReport(alg.name, bad)
 
 
@@ -212,10 +235,11 @@ def tensor_algebra(a: SuperAlgebra, b: SuperAlgebra, name: str = "") -> SuperAlg
     for ia, ca in a.unit.items():
         for ib, cb in b.unit.items():
             unit[ia * dim_b + ib] = ca * cb
+    # g (x) 1 and 1 (x) h are basis vectors only when both units are
     gens = None
-    if a.generators is not None and b.generators is not None:
-        ua = next(iter(a.unit))  # unit is a basis vector for all built-ins
-        ub = next(iter(b.unit))
+    if a.generators is not None and b.generators is not None and \
+            list(a.unit.values()) == list(b.unit.values()) == [1]:
+        (ua,), (ub,) = a.unit, b.unit
         gens = [g * dim_b + ub for g in a.generators] + [ua * dim_b + g for g in b.generators]
     return SuperAlgebra(
         labels, degrees, unit, product_fn=product, generators=gens,
@@ -227,7 +251,8 @@ class AlgebraHom:
     """A graded homomorphism given by the image of every source basis element.
 
     The unit need not map to the target unit; its image must be an even
-    degree-zero idempotent.
+    degree-zero idempotent.  ``validate`` checks leading factors times every
+    basis element; the unit rows make that sound for non-unital maps.
     """
 
     def __init__(self, source: SuperAlgebra, target: SuperAlgebra, images: Sequence[Vec], name: str = ""):
@@ -253,12 +278,12 @@ class AlgebraHom:
             for k, c in self.images[i].items():
                 if c and self.target.degrees[k] != di:
                     bad.append(("degree preservation", (i, k)))
-        for i in range(self.source.dim):
-            for j in range(self.source.dim):
-                lhs = self.apply_vec(self.source.basis_product(i, j))
-                rhs = self.target.product_vec(self.images[i], self.images[j])
+        for a in self.source.leading_factors():
+            for b in range(self.source.dim):
+                lhs = self.apply_vec(self.source.basis_product(a, b))
+                rhs = self.target.product_vec(self.images[a], self.images[b])
                 if lhs != rhs:
-                    bad.append(("multiplicativity", (i, j)))
+                    bad.append(("multiplicativity", (a, b)))
         e = self.unit_image()
         if self.target.product_vec(e, e) != e:
             bad.append(("unit image idempotent", ()))
@@ -355,13 +380,17 @@ def regular_module(alg: SuperAlgebra, name: str = "") -> SuperModule:
 
 
 def validate_module(mod: SuperModule, on_generators: bool = True) -> ValidationReport:
-    """Check the action respects structure constants, unit and homogeneity."""
+    """Check the unit action, homogeneity, and ``act(ab)`` against ``act(a) act(b)``.
+
+    ``a`` runs over leading factors (every basis element if ``on_generators``
+    is false), ``b`` over the basis; right modules reverse the product.
+    """
     alg = mod.algebra
     bad: list[tuple[str, tuple]] = []
-    gens = alg.generating_set() if on_generators else list(range(alg.dim))
+    leading = alg.leading_factors() if on_generators else range(alg.dim)
     if mod.act_vec(alg.unit) != Mat.identity(mod.dim):
         bad.append(("unit action", ()))
-    for a in gens:
+    for a in leading:
         da = alg.degrees[a]
         mat = mod.act(a)
         for j, col in mat.cols.items():
@@ -369,10 +398,8 @@ def validate_module(mod: SuperModule, on_generators: bool = True) -> ValidationR
             for i, c in col.items():
                 if c and mod.degrees[i] != dj + da:
                     bad.append(("homogeneity", (a, i, j)))
-    for a in gens:
-        for b in gens:
-            ab = alg.basis_product(a, b)
-            expected = mod.act_vec(ab)
+        for b in range(alg.dim):
+            expected = mod.act_vec(alg.basis_product(a, b))
             if mod.side == LEFT:
                 got = mod.act(a).mul(mod.act(b))
             else:
@@ -473,7 +500,8 @@ def hom_graded_dim(src: SuperModule, dst: SuperModule) -> GroundElem:
                 row = {k2: v for k2, v in row.items() if v}
                 if row:
                     block_keys = {bidegree(k2 // src.dim, k2 % src.dim) for k2 in row}
-                    assert len(block_keys) == 1, "inhomogeneous constraint row"
+                    if len(block_keys) != 1:
+                        raise InternalInconsistencyError("inhomogeneous constraint row")
                     rows_by_block.setdefault(block_keys.pop(), []).append(row)
 
     total = GroundElem.zero(FULL)
@@ -599,7 +627,8 @@ def restrict_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperM
         for j, base in enumerate(sub.basis):
             img = bmat.apply(base)
             coords = sub.coords(img)
-            assert coords is not None, "corner not stable under restricted action"
+            if coords is None:
+                raise InternalInconsistencyError("corner not stable under restricted action")
             if coords:
                 out.cols[j] = coords
         return out
@@ -645,7 +674,8 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
 
         def corner_coords(w: Vec) -> Vec:
             got = sub.coords(w)
-            assert got is not None, "product left the corner"
+            if got is None:
+                raise InternalInconsistencyError("product left the corner")
             return got
 
         def corner_left_mult(a: int, c: int) -> Vec:
@@ -814,33 +844,17 @@ def dual_module(mod: SuperModule, name: str = "") -> SuperModule:
 def validate_automorphism(alg: SuperAlgebra, tau: Mat) -> ValidationReport:
     """Check that ``tau`` is a degree-preserving invertible algebra map.
 
-    Multiplicativity is checked on generator-times-basis pairs when the
-    algebra declares a generating set (which implies it on all pairs, by
-    induction over products of generators), and on all pairs otherwise.
+    ``AlgebraHom.validate`` checks degrees and multiplicativity; rank and
+    unit preservation are checked here.
     """
-    bad: list[tuple[str, tuple]] = []
-    for j in range(alg.dim):
-        dj = alg.degrees[j]
-        for i, c in tau.cols.get(j, {}).items():
-            if c and alg.degrees[i] != dj:
-                bad.append(("degree preservation", (i, j)))
-    el = Eliminator()
-    for j in range(alg.dim):
-        if tau.cols.get(j):
-            el.add_row(dict(tau.cols[j]))
-    if el.rank != alg.dim:
+    name = f"automorphism of {alg.name}"
+    images = [tau.col(j) for j in range(alg.dim)]
+    bad = AlgebraHom(alg, alg, images, name=name).validate().violations
+    if rank_of_rows(images) != alg.dim:
         bad.append(("invertibility", ()))
     if tau.apply(alg.unit) != alg.unit:
         bad.append(("unit preservation", ()))
-    left_factors = alg.generators if alg.generators is not None else range(alg.dim)
-    for i in left_factors:
-        ti = tau.col(i)
-        for j in range(alg.dim):
-            lhs = tau.apply(alg.basis_product(i, j))
-            rhs = alg.product_vec(ti, tau.col(j))
-            if lhs != rhs:
-                bad.append(("multiplicativity", (i, j)))
-    return ValidationReport(f"automorphism of {alg.name}", bad)
+    return ValidationReport(name, bad)
 
 
 def twist_module(mod: SuperModule, tau: Mat, validate: bool = True, name: str = "") -> SuperModule:
@@ -901,9 +915,12 @@ def algebra_from_dict(data: dict, name: str = "") -> SuperAlgebra:
         for i in range(len(labels))
         for j in range(len(labels))
     }
+    generators = data.get("generators")
+    if generators is not None and not all(0 <= g < len(labels) for g in generators):
+        raise ValidationError(f"generators {generators} out of range")
     return SuperAlgebra(
         labels, degrees, unit, products=full,
-        generators=data.get("generators"), name=name or "loaded",
+        generators=generators, name=name or "loaded",
     )
 
 

@@ -8,7 +8,7 @@ minimal one, and the sign relating any other reduced word to the canonical
 product is found by a deterministic rewriting through commutation and braid
 moves (commutations contribute the parity sign, braids none).  Consistency
 of those signs is not assumed: the builder re-checks the defining relations
-and `validate_algebra` audits associativity exhaustively.
+and `validate_algebra` audits associativity on every generator-led triple.
 
 The wreath family: a Frobenius base algebra tensored n-fold, extended by
 the symmetric group acting by superpermutations.

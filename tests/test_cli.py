@@ -213,6 +213,50 @@ def test_wreath_base_with_split_unit_is_usage_error(tmp_path, capsys):
     assert proc.returncode == 64, proc.stderr
 
 
+@pytest.mark.parametrize("desc,message", [
+    ('{"nilcoxeter": {"n_max": 0, "d": 1, "eps": 1}}', "nilcoxeter field 'n_max' must be at least 1"),
+    ('{"nilcoxeter": {"n_max": "x", "d": 1, "eps": 1}}', "nilcoxeter field 'n_max' must be an integer"),
+    ('{"nilcoxeter": {"n_max": 2, "d": 1, "eps": 1, "frobenius_cap": "a"}}',
+     "nilcoxeter field 'frobenius_cap' must be an integer"),
+    ('{"nilcoxeter": {"n_max": 2, "d": true, "eps": 1}}', "nilcoxeter field 'd' must be an integer"),
+    ('{"nilcoxeter": 5}', "nilcoxeter descriptor must be an object"),
+    ('{"wreath": {"base": "clifford", "n_max": 0}}', "wreath field 'n_max' must be at least 1"),
+])
+def test_malformed_descriptor_is_usage_error(desc, message, capsys):
+    assert main(["verify", desc, "--suites", "axioms"]) == 64
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("generators,message", [
+    ([], "base algebra invalid: generators do not span at ()"),
+    ([1, 2], "generators [1, 2] out of range"),
+])
+def test_base_with_bad_generators_is_usage_error(generators, message, tmp_path, capsys):
+    from supertower.superalgebra import algebra_to_dict
+    from supertower.towers import clifford_base
+    algebra = dict(algebra_to_dict(clifford_base().algebra), generators=generators)
+    spec = {"algebra": algebra, "frobenius": {"trace": [[0, 1], [1, 1]], "delta": 0, "sigma": 1}}
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(spec))
+    desc = json.dumps({"wreath": {"base": str(path), "n_max": 2}})
+    assert main(["verify", desc, "--suites", "axioms"]) == 64
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("desc", [NC3, '{"wreath": {"base": "clifford", "n_max": 2}}'])
+def test_json_report_unchanged_under_optimize(desc):
+    # python -O strips asserts; no invariant may depend on one
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "supertower.cli", "verify", desc,
+                               "--format", "json"], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_empty_report_text():
     from supertower.cli import Report
     text = emit_report(Report(), "text")

@@ -1,5 +1,10 @@
 """Supermodule sign calculus: tensors, homs, shifts, duals, induction, restriction."""
 
+import inspect
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,9 +35,10 @@ from supertower.superalgebra import (
     tensor_algebra,
     twist_module,
     validate_algebra,
+    validate_automorphism,
     validate_module,
 )
-from supertower.towers import build_nilcoxeter, clifford_base, trivial_level_algebra
+from supertower.towers import build_nilcoxeter, build_wreath, clifford_base, trivial_level_algebra
 
 
 def hom_dim_by_full_basis(src, dst):
@@ -322,6 +328,12 @@ class TestTwist:
         with pytest.raises(ValidationError):
             twist_module(regular_module(n3), bad)
 
+    def test_augmentation_is_not_an_automorphism(self, n3):
+        # killing every u_w but the unit is a unital homomorphism of rank one
+        (e,) = n3.unit
+        augmentation = Mat(n3.dim, n3.dim, {e: {e: Fraction(1)}})
+        assert validate_automorphism(n3, augmentation).violations == [("invertibility", ())]
+
 
 class TestSerialization:
     def test_algebra_roundtrip(self, clifford):
@@ -470,3 +482,155 @@ class TestActVec:
                           action={0: Mat.identity(2), 1: Mat.identity(2)})
         v = {0: Fraction(1), 1: Fraction(-1)}
         assert mod.act_vec(v).cols == _act_vec_by_matrix_sums(mod, v).cols == {}
+
+
+# -- generator-led validation against the dense loops it replaced ---------------
+
+
+def _dense_algebra_violations(alg):
+    """Oracle: unit laws, additivity on every pair, associativity on every triple."""
+    bad = []
+    dim = alg.dim
+    if any(alg.degrees[i] != Degree(0, 0) for i in alg.unit):
+        bad.append(("unit degree", ()))
+    for j in range(dim):
+        ej = {j: Fraction(1)}
+        if alg.product_vec(alg.unit, ej) != ej or alg.product_vec(ej, alg.unit) != ej:
+            bad.append(("unit law", (j,)))
+    for i in range(dim):
+        for j in range(dim):
+            for k, c in alg.basis_product(i, j).items():
+                if c and alg.degrees[k] != alg.degrees[i] + alg.degrees[j]:
+                    bad.append(("additivity", (i, j, k)))
+    for i in range(dim):
+        for j in range(dim):
+            pij = alg.basis_product(i, j)
+            for k in range(dim):
+                lhs = alg.product_vec(pij, {k: Fraction(1)})
+                rhs = alg.product_vec({i: Fraction(1)}, alg.basis_product(j, k))
+                if lhs != rhs:
+                    bad.append(("associativity", (i, j, k)))
+    return bad
+
+
+def _small_algebras():
+    clifford = clifford_base()
+    yield from (build_nilcoxeter(n, 1, eps)[0] for n in range(1, 5) for eps in (0, 1))
+    yield from (build_wreath(clifford, n)[0] for n in (1, 2, 3))
+    yield tensor_algebra(build_nilcoxeter(2, 1, 1)[0], build_wreath(clifford, 2)[0])
+
+
+def _split_unit_algebra(generators):
+    """k x k: two orthogonal idempotents whose sum is the unit."""
+    return SuperAlgebra(
+        labels=["e0", "e1"], degrees=[Degree(0, 0), Degree(0, 0)],
+        unit={0: Fraction(1), 1: Fraction(1)},
+        products={(0, 0): {0: Fraction(1)}, (1, 1): {1: Fraction(1)}},
+        generators=generators,
+    )
+
+
+class TestGeneratorLedAlgebra:
+    def test_builtins_agree_with_dense_oracle(self):
+        for alg in _small_algebras():
+            assert validate_algebra(alg).ok, alg.name
+            assert _dense_algebra_violations(alg) == [], alg.name
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_corrupted_structure_constant_agrees(self, seed):
+        rng = random.Random(seed)
+        for alg in (build_nilcoxeter(3, 1, 1)[0], build_nilcoxeter(4, 1, 0)[0],
+                    build_wreath(clifford_base(), 2)[0]):
+            table = alg.struct_consts()
+            key = rng.choice(sorted(k for k, v in table.items() if v))
+            k = rng.choice(sorted(table[key]))
+            table[key] = {**table[key], k: 2 * table[key][k]}
+            assert not validate_algebra(alg).ok
+            assert _dense_algebra_violations(alg)
+
+    def test_split_unit_factor_declares_no_generators(self):
+        split = _split_unit_algebra([0])
+        assert validate_algebra(split).ok
+        clifford = clifford_base().algebra
+        for ab in (tensor_algebra(split, clifford), tensor_algebra(clifford, split)):
+            # padding with one unit term gave generators spanning 3 of 4
+            assert ab.generators is None
+            assert validate_algebra(ab).ok
+        assert tensor_algebra(clifford, clifford).generators == [2, 1]
+
+
+class TestGeneratorLedModule:
+    def test_scaled_longest_element_is_rejected(self, n3):
+        # generator-times-generator pairs never reach u_{w0}, so scaling its
+        # action matrix went unnoticed
+        reg = regular_module(n3)
+        w0 = max(range(n3.dim), key=lambda i: n3.degrees[i].z)
+        action = {i: reg.act(i) for i in range(n3.dim)}
+        assert validate_module(SuperModule(n3, reg.degrees, action=action)).ok
+        action[w0] = action[w0].scale(2)
+        assert not validate_module(SuperModule(n3, reg.degrees, action=action)).ok
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_corrupted_action_agrees_with_all_pairs(self, seed):
+        rng = random.Random(seed)
+        for alg in (build_nilcoxeter(4, 1, 1)[0], build_wreath(clifford_base(), 2)[0]):
+            reg = regular_module(alg)
+            action = {i: reg.act(i) for i in range(alg.dim)}
+            b = rng.choice([i for i in range(alg.dim) if i not in alg.leading_factors()])
+            action[b] = action[b].scale(2)
+            mod = SuperModule(alg, reg.degrees, action=action)
+            assert not validate_module(mod).ok
+            assert not validate_module(mod, on_generators=False).ok
+
+
+def _corner_leaving_maps():
+    """Two maps from the dual numbers (1, x) to upper-triangular 2x2 matrices.
+
+    Both send x to E12.  The first sends 1 to E22, and E12 E22 = E12 leaves
+    the corner E22 tri; the second sends 1 to E11, and E11 E12 = E12 leaves
+    tri E11.
+    """
+    one = Fraction(1)
+    tri = SuperAlgebra(["E11", "E12", "E22"], [Degree(0, 0)] * 3, {0: one, 2: one},
+                       products={(0, 0): {0: one}, (0, 1): {1: one}, (1, 2): {1: one},
+                                 (2, 2): {2: one}})
+    dual = SuperAlgebra(["1", "x"], [Degree(0, 0)] * 2, {0: one},
+                        products={(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}},
+                        generators=[1])
+    return AlgebraHom(dual, tri, [{2: one}, {1: one}]), AlgebraHom(dual, tri, [{0: one}, {1: one}])
+
+
+def test_unit_rows_catch_an_image_outside_the_corner():
+    # every product led by x agrees; only 1 * x shows E12 outside E22 tri
+    phi, _ = _corner_leaving_maps()
+    assert phi.validate().violations == [("multiplicativity", (0, 1))]
+
+
+# restriction and induction along those maps hit the corner checks, which
+# must survive ``python -O``
+NON_STABLE_CORNER = "\n".join([
+    "from fractions import Fraction",
+    "from supertower.errors import InternalInconsistencyError",
+    "from supertower.superalgebra import (",
+    "    AlgebraHom, Degree, SuperAlgebra, induce_module, regular_module, restrict_module)",
+    inspect.getsource(_corner_leaving_maps),
+    "restrict_map, induce_map = _corner_leaving_maps()",
+    "try:",
+    "    restrict_module(restrict_map, regular_module(restrict_map.target)).act(1)",
+    "except InternalInconsistencyError as exc:",
+    "    print(exc)",
+    "try:",
+    "    induce_module(induce_map, regular_module(induce_map.source))",
+    "except InternalInconsistencyError as exc:",
+    "    print(exc)",
+])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_non_stable_corner_raises(flags):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *flags, "-c", NON_STABLE_CORNER],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "corner not stable under restricted action\nproduct left the corner\n"

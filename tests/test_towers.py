@@ -1,6 +1,7 @@
 """Tower builders, permutation combinatorics, and the tower-level verifications."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -8,8 +9,17 @@ import pytest
 
 from supertower.errors import ValidationError
 from supertower.ground import GroundElem, TwistScalar, qpi_binomial, qpi_factorial
+from supertower.linalg import Mat, rank_of_rows
 from supertower.reporting import all_passed, failures
-from supertower.superalgebra import regular_module, graded_dim, validate_algebra
+from supertower.superalgebra import (
+    AlgebraHom,
+    Degree,
+    generated_dim,
+    graded_dim,
+    regular_module,
+    validate_algebra,
+    validate_automorphism,
+)
 from supertower.frobenius import check_frobenius
 from supertower.towers import (
     SignedPermBasis,
@@ -412,3 +422,117 @@ class TestBasisObjects:
             basis.embed(WreathBasis(split, 1), 0, 1)
         # an embedding that fills no slot needs no unit
         assert basis.embed(basis, 3, 0) == 3
+
+
+# -- generator-led validation against the all-pairs loops it replaced ----------
+
+
+def _all_pairs_hom_violations(phi):
+    """Oracle: the homomorphism check on every source basis pair."""
+    src, tgt = phi.source, phi.target
+    bad = []
+    for i in range(src.dim):
+        for k, c in phi.images[i].items():
+            if c and tgt.degrees[k] != src.degrees[i]:
+                bad.append(("degree preservation", (i, k)))
+    for i in range(src.dim):
+        for j in range(src.dim):
+            if phi.apply_vec(src.basis_product(i, j)) != \
+                    tgt.product_vec(phi.images[i], phi.images[j]):
+                bad.append(("multiplicativity", (i, j)))
+    e = phi.unit_image()
+    if tgt.product_vec(e, e) != e:
+        bad.append(("unit image idempotent", ()))
+    if any(c and tgt.degrees[k] != Degree(0, 0) for k, c in e.items()):
+        bad.append(("unit image degree", ()))
+    return bad
+
+
+def _old_automorphism_violations(alg, tau):
+    """Oracle: the automorphism check with its own generator-times-basis loop."""
+    bad = []
+    for j in range(alg.dim):
+        for i, c in tau.cols.get(j, {}).items():
+            if c and alg.degrees[i] != alg.degrees[j]:
+                bad.append(("degree preservation", (i, j)))
+    if rank_of_rows(tau.col(j) for j in range(alg.dim)) != alg.dim:
+        bad.append(("invertibility", ()))
+    if tau.apply(alg.unit) != alg.unit:
+        bad.append(("unit preservation", ()))
+    left_factors = alg.generators if alg.generators is not None else range(alg.dim)
+    for i in left_factors:
+        for j in range(alg.dim):
+            if tau.apply(alg.basis_product(i, j)) != alg.product_vec(tau.col(i), tau.col(j)):
+                bad.append(("multiplicativity", (i, j)))
+    return bad
+
+
+def _tower_homs(tower):
+    for n in range(tower.n_max + 1):
+        for m in range(tower.n_max + 1 - n):
+            yield tower.rho(n, m)
+    for n in range(tower.n_max):
+        yield tower.step_hom(n)
+
+
+def _corrupt_image(phi, rng):
+    """A copy of ``phi`` with one image coefficient doubled."""
+    images = [dict(v) for v in phi.images]
+    t = rng.choice([t for t, v in enumerate(images) if v])
+    k = rng.choice(sorted(images[t]))
+    images[t][k] *= 2
+    return AlgebraHom(phi.source, phi.target, images, name=f"{phi.name}*")
+
+
+class TestGeneratorLedValidation:
+    @pytest.mark.parametrize("tower_name", ["nc4_11", "sergeev3"])
+    def test_homs_agree_with_all_pairs(self, tower_name, request):
+        tower = request.getfixturevalue(tower_name)
+        for phi in _tower_homs(tower):
+            assert phi.validate().ok
+            assert _all_pairs_hom_violations(phi) == []
+
+    @pytest.mark.parametrize("tower_name", ["nc4_11", "sergeev3"])
+    def test_corrupted_rho_agrees_with_all_pairs(self, tower_name, request):
+        tower = request.getfixturevalue(tower_name)
+        rng = random.Random(11)
+        verdicts = []
+        for n in range(tower.n_max + 1):
+            for m in range(tower.n_max + 1 - n):
+                for _ in range(3):
+                    bad = _corrupt_image(tower.rho(n, m), rng)
+                    verdicts.append(bad.validate().ok)
+                    assert verdicts[-1] == (not _all_pairs_hom_violations(bad))
+        # doubling the image of a nilpotent element can leave a homomorphism;
+        # most corruptions are not
+        assert verdicts.count(False) > 2 * verdicts.count(True)
+
+    @pytest.mark.parametrize("tower_name", ["nc4_11", "sergeev3"])
+    def test_nakayama_maps_agree_with_old_loop(self, tower_name, request):
+        tower = request.getfixturevalue(tower_name)
+        rng = random.Random(5)
+        for frob in tower.frobenius:
+            if frob is None:
+                continue
+            alg, psi = frob.algebra, frob.nakayama
+            assert validate_automorphism(alg, psi).ok
+            assert _old_automorphism_violations(alg, psi) == []
+            # double one entry of the map
+            bad = Mat(psi.nrows, psi.ncols, psi.cols)
+            j = rng.choice(sorted(bad.cols))
+            i = rng.choice(sorted(bad.cols[j]))
+            bad.cols[j][i] *= 2
+            assert not validate_automorphism(alg, bad).ok
+            assert _old_automorphism_violations(alg, bad)
+
+    def test_declared_generators_span(self, nc4_11, sergeev3):
+        for n in range(1, 6):
+            alg, _ = build_nilcoxeter(n, 1, 1)
+            assert generated_dim(alg) == alg.dim
+        for tower in (nc4_11, sergeev3):
+            for n in range(tower.n_max + 1):
+                assert generated_dim(tower.level(n)) == tower.level(n).dim
+                for m in range(tower.n_max + 1 - n):
+                    pair = tower.pair_algebra(n, m)
+                    assert pair.generators is not None
+                    assert generated_dim(pair) == pair.dim
