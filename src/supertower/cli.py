@@ -1,8 +1,8 @@
 """Batch driver: build towers, run verification suites, emit reports.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 an
-internal-inconsistency error fired (a guaranteed identity broke), 64 usage
-or input-validation error.
+internal-inconsistency error fired (a guaranteed identity broke) or any
+other unexpected exception escaped, 64 usage or input-validation error.
 
 JSON reports are byte-identical across runs: records are sorted by (suite,
 check, indices), keys are emitted in a fixed order, and timing is reported
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InternalInconsistencyError, SupertowerError, ValidationError
-from .frobenius import check_dual_iso, check_frobenius
+from .frobenius import FrobeniusStructure, check_dual_iso, check_frobenius
 from .grothendieck import (
     G_SIDE,
     K_SIDE,
@@ -123,11 +123,22 @@ def load_spec(source: str) -> dict:
     return data
 
 
+BODY_FIELDS = {
+    "nilcoxeter": ("n_max", "d", "eps", "frobenius_cap"),
+    "wreath": ("base", "n_max"),
+}
+
+
 def _check_body(kind: str, body: dict) -> None:
-    """Integer fields must be integers and ``n_max`` at least one."""
+    """Only known fields, integer fields integers and ``n_max`` at least one."""
+    unknown = sorted(set(body) - set(BODY_FIELDS[kind]))
+    if unknown:
+        raise ValidationError(f"{kind} descriptor has unknown field {unknown[0]!r}")
     for key in ("n_max", "d", "eps", "frobenius_cap"):
         if key in body and type(body[key]) is not int:  # bool is no integer here
             raise ValidationError(f"{kind} field {key!r} must be an integer")
+    if "base" in body and not isinstance(body["base"], str):
+        raise ValidationError(f"{kind} field 'base' must be a string")
     if body["n_max"] < 1:
         raise ValidationError(f"{kind} field 'n_max' must be at least 1")
 
@@ -161,18 +172,37 @@ def build_tower(cfg: RunConfig) -> TowerSpec:
     else:
         if not os.path.exists(base):
             raise ValidationError(f"base algebra file not found: {base}")
-        with open(base, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        alg = algebra_from_dict(spec["algebra"], name=spec.get("name", "base"))
-        report = validate_algebra(alg)
-        if not report.ok:
-            kind, idx = report.violations[0]
-            raise ValidationError(f"base algebra invalid: {kind} at {idx}")
-        fr = spec["frobenius"]
-        trace = {i: Fraction(p[0], p[1])
-                 for i, p in enumerate(fr["trace"]) if p[0]}
-        base_frob = check_frobenius(alg, trace, int(fr["delta"]), int(fr["sigma"]))
+        base_frob = _load_base(base)
     return build_wreath_tower(base_frob, body["n_max"])
+
+
+def _load_base(path: str) -> FrobeniusStructure:
+    """A Frobenius base algebra from a file written like ``build --dump`` output."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"base algebra file is not valid JSON: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ValidationError("base algebra file must be an object")
+    for key in ("algebra", "frobenius"):
+        if not isinstance(spec.get(key), dict):
+            raise ValidationError(f"base algebra file needs an object {key!r}")
+    fr = spec["frobenius"]
+    for key in ("trace", "delta", "sigma"):
+        if key not in fr:
+            raise ValidationError(f"base frobenius data missing field {key!r}")
+    try:
+        alg = algebra_from_dict(spec["algebra"], name=spec.get("name", "base"))
+        trace = {i: Fraction(p[0], p[1]) for i, p in enumerate(fr["trace"]) if p[0]}
+        delta, sigma = int(fr["delta"]), int(fr["sigma"])
+    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+        raise ValidationError(f"malformed base algebra file: {type(exc).__name__}: {exc}") from exc
+    report = validate_algebra(alg)
+    if not report.ok:
+        kind, idx = report.violations[0]
+        raise ValidationError(f"base algebra invalid: {kind} at {idx}")
+    return check_frobenius(alg, trace, delta, sigma)
 
 
 # -- suites ---------------------------------------------------------------------
@@ -452,9 +482,12 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInconsistencyError as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return 2
-    except (ValidationError, SupertowerError) as exc:
+    except (SupertowerError, OSError) as exc:  # bad input, or an unusable path
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
+    except Exception as exc:  # a broken guarantee, not bad input
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

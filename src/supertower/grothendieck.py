@@ -18,7 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ExactDivisionError, SupertowerError, TruncationError, ValidationError
+from .errors import (
+    ExactDivisionError,
+    InternalInconsistencyError,
+    SupertowerError,
+    TruncationError,
+    ValidationError,
+)
 from .ground import COLLAPSED, FULL, GroundElem, divide_exact
 from .linalg import Eliminator, Mat
 from .reporting import CheckRecord
@@ -405,7 +411,8 @@ def module_head_genfn(mod: SuperModule) -> GroundElem:
             if not col:
                 continue
             degs = {(mod.degrees[i].z, mod.degrees[i].par) for i in col}
-            assert len(degs) == 1
+            if len(degs) != 1:
+                raise InternalInconsistencyError("inhomogeneous generator action column")
             dkey = degs.pop()
             by_degree.setdefault(dkey, Eliminator()).add_row(dict(col))
     total = GroundElem.zero(FULL)

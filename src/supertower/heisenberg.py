@@ -112,6 +112,7 @@ class HeisenbergDouble:
         self.twist = twist if twist is not None else TwistDataSet.for_tower(layer.tower)
         if not self.twist.compatible:
             raise ValidationError("incompatible twist data: chi' must equal -gamma'")
+        self._products: dict[tuple, dict[tuple[BasisKey, BasisKey], GroundElem]] = {}
 
     # -- constructors -----------------------------------------------------------
 
@@ -151,48 +152,63 @@ class HeisenbergDouble:
     def smash_multiply(self, h1: HeisenbergElem, h2: HeisenbergElem) -> HeisenbergElem:
         """Bilinear extension of the commutation-and-contract product.
 
-        For monomials ``a # x`` and ``b # y``: sum over the coproducts of
-        ``x`` and ``b`` of the twist power
-        ``gamma''(|b|, |x2|) + xi''(|b| - |x1|, |x2|) + gamma'(|b1|, |b2|)``
-        times ``<x1, b2>  a b1 # x2 y``.
+        Each pair of terms contributes ``c1 * c2`` times the product of
+        their unit-coefficient monomials, which ``_monomial_product`` keeps.
         """
-        layer = self.layer
-        g1, g2 = self.twist.gamma
-        xi2 = self.twist.xi[1]
-        out = HeisenbergElem()
+        out: dict[tuple[BasisKey, BasisKey], GroundElem] = {}
         for (ka, kx), c1 in h1.terms.items():
-            dx = layer.basis_delta(K_SIDE, kx)
             for (kb, ky), c2 in h2.terms.items():
                 base = c1 * c2
                 if base.is_zero():
                     continue
-                db = layer.basis_delta(G_SIDE, kb)
-                for (kx1, kx2), cx in dx.items():
-                    for (kb1, kb2), cbb in db.items():
-                        p = layer.pairing(
-                            layer.basis_vector(K_SIDE, *kx1),
-                            layer.basis_vector(G_SIDE, *kb2),
-                        )
-                        if p.is_zero():
+                for key, c in self._monomial_product(ka, kx, kb, ky).items():
+                    term = base * c
+                    out[key] = out[key] + term if key in out else term
+        return HeisenbergElem(out).cleaned()
+
+    def _monomial_product(self, ka: BasisKey, kx: BasisKey,
+                          kb: BasisKey, ky: BasisKey) -> dict[tuple[BasisKey, BasisKey], GroundElem]:
+        """``(a # x)(b # y)`` for basis classes, memoised per double.
+
+        Sum over the coproducts of ``x`` and ``b`` of the twist power
+        ``gamma''(|b|, |x2|) + xi''(|b| - |x1|, |x2|) + gamma'(|b1|, |b2|)``
+        times ``<x1, b2>  a b1 # x2 y``.  The memo lives on the double, not
+        on the layer, because doubles over one layer may differ in twist.
+        """
+        memo_key = (ka, kx, kb, ky)
+        got = self._products.get(memo_key)
+        if got is not None:
+            return got
+        layer = self.layer
+        g1, g2 = self.twist.gamma
+        xi2 = self.twist.xi[1]
+        out: dict[tuple[BasisKey, BasisKey], GroundElem] = {}
+        db = layer.basis_delta(G_SIDE, kb)
+        for (kx1, kx2), cx in layer.basis_delta(K_SIDE, kx).items():
+            for (kb1, kb2), cbb in db.items():
+                p = layer.pairing(
+                    layer.basis_vector(K_SIDE, *kx1),
+                    layer.basis_vector(G_SIDE, *kb2),
+                )
+                if p.is_zero():
+                    continue
+                exp = (
+                    g2 * kb[0] * kx2[0]
+                    + xi2 * (kb[0] - kx1[0]) * kx2[0]
+                    + g1 * kb1[0] * kb2[0]
+                )
+                coeff = cx * cbb * p * self._scalar(exp)
+                left = layer.basis_nabla(G_SIDE, ka, kb1)
+                right = layer.basis_nabla(K_SIDE, kx2, ky)
+                for kg, cg in left.entries.items():
+                    for kk, ck in right.entries.items():
+                        term = coeff * cg * ck
+                        if term.is_zero():
                             continue
-                        exp = (
-                            g2 * kb[0] * kx2[0]
-                            + xi2 * (kb[0] - kx1[0]) * kx2[0]
-                            + g1 * kb1[0] * kb2[0]
-                        )
-                        coeff = base * cx * cbb * p * self._scalar(exp)
-                        left = layer.basis_nabla(G_SIDE, ka, kb1)
-                        right = layer.basis_nabla(K_SIDE, kx2, ky)
-                        for kg, cg in left.entries.items():
-                            for kk, ck in right.entries.items():
-                                term = coeff * cg * ck
-                                if term.is_zero():
-                                    continue
-                                key = (kg, kk)
-                                out.terms[key] = (
-                                    out.terms[key] + term if key in out.terms else term
-                                )
-        return out.cleaned()
+                        key = (kg, kk)
+                        out[key] = out[key] + term if key in out else term
+        got = self._products[memo_key] = {k: c for k, c in out.items() if not c.is_zero()}
+        return got
 
     # -- the Fock space --------------------------------------------------------------
 

@@ -4,6 +4,12 @@ Vectors are dicts ``index -> Fraction`` with no stored zeros; matrices are
 column-major dicts of such vectors.  Everything here is artifact plumbing:
 row reduction uses deterministic first-nonzero-column pivoting so quotient
 bases and report output are reproducible.
+
+``Eliminator`` keeps its rows in echelon form only: rank, membership and
+the canonical remainder on non-pivot columns need nothing more.  The
+reduced row echelon form that ``solve``, ``invert`` and ``nullspace`` read
+is computed on demand by back-substitution; it is unique, so it does not
+depend on how the echelon rows were reached.
 """
 
 from __future__ import annotations
@@ -151,12 +157,16 @@ class Eliminator:
     """Online Gaussian elimination with first-nonzero-column pivoting.
 
     Rows are fed one at a time; each is reduced against the pivots found so
-    far.  Supports rank, membership tests and canonical reduction of new
-    vectors modulo the accumulated row space.
+    far and, when independent, stored normalized in echelon form (leading
+    entry one, no entries left of it).  Supports rank, membership tests and
+    canonical reduction of new vectors modulo the accumulated row space.
+    ``rref()`` gives the fully reduced pivot rows, computed once and again
+    only after a later ``add_row``.
     """
 
     def __init__(self):
-        self.pivots: dict[int, Vec] = {}  # pivot column -> normalized row
+        self.pivots: dict[int, Vec] = {}  # pivot column -> normalized echelon row
+        self._rref: dict[int, Vec] | None = None
 
     def reduce(self, row: Vec) -> Vec:
         """Fully reduce a row: eliminate every pivot-column entry."""
@@ -177,13 +187,28 @@ class Eliminator:
         if not red:
             return False
         j = min(red)
-        red = vec_scale(red, 1 / red[j])
-        # keep earlier pivot rows fully reduced against the new one
-        for pj, prow in self.pivots.items():
-            if j in prow:
-                vec_axpy(prow, -prow[j], red)
-        self.pivots[j] = red
+        self.pivots[j] = vec_scale(red, 1 / red[j])
+        self._rref = None
         return True
+
+    def rref(self) -> dict[int, Vec]:
+        """Pivot column -> reduced row echelon row, in pivot insertion order.
+
+        Back-substitution from the rightmost pivot: each echelon row has
+        entries only right of its pivot, so subtracting the already reduced
+        rows of the pivot columns it meets clears every other pivot column.
+        """
+        if self._rref is None:
+            done: dict[int, Vec] = {}
+            for j in sorted(self.pivots, reverse=True):
+                prow = self.pivots[j]
+                row = dict(prow)
+                for k, c in prow.items():
+                    if k != j and k in done:
+                        vec_axpy(row, -c, done[k])
+                done[j] = row
+            self._rref = {j: done[j] for j in self.pivots}
+        return self._rref
 
     @property
     def rank(self) -> int:
@@ -206,13 +231,13 @@ def nullspace(rows: Iterable[Vec], ncols: int, col_order: list[int] | None = Non
     for r in rows:
         el.add_row(r)
     order = col_order if col_order is not None else list(range(ncols))
-    pivot_cols = set(el.pivots)
+    rref = el.rref()
     basis = []
     for j in order:
-        if j in pivot_cols:
+        if j in rref:
             continue
         v: Vec = {j: Fraction(1)}
-        for pj, prow in el.pivots.items():
+        for pj, prow in rref.items():
             if j in prow:
                 v[pj] = -prow[j]
         basis.append(v)
@@ -238,7 +263,7 @@ def solve(mat: Mat, rhs: Vec) -> Vec | None:
     if marker in el.pivots:
         return None
     x: Vec = {}
-    for pj, prow in el.pivots.items():
+    for pj, prow in el.rref().items():
         b = prow.get(marker, Fraction(0))
         if b:
             x[pj] = b
@@ -263,7 +288,7 @@ def invert(mat: Mat) -> Mat | None:
     if set(el.pivots) != set(range(n)):
         return None
     out = Mat(n, n)
-    for pj, prow in el.pivots.items():
+    for pj, prow in el.rref().items():
         for k, c in prow.items():
             if k >= n:
                 out.add_entry(pj, k - n, c)

@@ -265,7 +265,8 @@ class SignedPermBasis:
         k = min(left_descents(w))
         sign, word2 = self._rewrite_front(word, k)
         sub_sign, sub_perm = self._normalize(word2[1:])
-        assert apply_s(sub_perm, k, side="left") == w
+        if apply_s(sub_perm, k, side="left") != w:
+            raise CocycleError(f"straightening of {word} does not reach {w}")
         return sign * sub_sign, w
 
     def rmult(self, w: Perm, i: int) -> tuple[int, Perm] | None:
@@ -281,7 +282,8 @@ class SignedPermBasis:
             out = (1, ws)
         else:
             sign, tgt = self._normalize(self.words[w] + (i,))
-            assert tgt == ws
+            if tgt != ws:
+                raise CocycleError(f"u_w u_{i} straightens to {tgt}, not {ws}")
             out = (sign, ws)
         self._rmult[key] = out
         return out

@@ -16,6 +16,8 @@ from supertower.cli import (
     run_suites,
 )
 from supertower.errors import ValidationError
+from supertower.superalgebra import algebra_to_dict
+from supertower.towers import clifford_base
 
 NC2 = '{"nilcoxeter": {"n_max": 2, "d": 1, "eps": 0}}'
 NC3 = '{"nilcoxeter": {"n_max": 3, "d": 1, "eps": 1}}'
@@ -41,8 +43,6 @@ class TestLoadSpec:
 
     def test_wreath_base_from_file(self, tmp_path):
         # dump the clifford base with its trace data, then rebuild from disk
-        from supertower.superalgebra import algebra_to_dict
-        from supertower.towers import clifford_base
         cl = clifford_base()
         trace = [[0, 1], [1, 1]]
         spec = {"algebra": algebra_to_dict(cl.algebra),
@@ -221,10 +221,75 @@ def test_wreath_base_with_split_unit_is_usage_error(tmp_path, capsys):
     ('{"nilcoxeter": {"n_max": 2, "d": true, "eps": 1}}', "nilcoxeter field 'd' must be an integer"),
     ('{"nilcoxeter": 5}', "nilcoxeter descriptor must be an object"),
     ('{"wreath": {"base": "clifford", "n_max": 0}}', "wreath field 'n_max' must be at least 1"),
+    ('{"nilcoxeter": {"n_max": 2, "d": 1, "eps": 1, "frobenius_capp": 0}}',
+     "nilcoxeter descriptor has unknown field 'frobenius_capp'"),
+    ('{"nilcoxeter": {"n_max": 2, "d": 1, "eps": 1, "base": "clifford"}}',
+     "nilcoxeter descriptor has unknown field 'base'"),
+    ('{"wreath": {"base": "clifford", "n_max": 2, "d": 1}}', "wreath descriptor has unknown field 'd'"),
+    ('{"wreath": {"base": "clifford", "n_max": 2, "frobenius_cap": 0}}',
+     "wreath descriptor has unknown field 'frobenius_cap'"),
+    ('{"wreath": {"base": 5, "n_max": 2}}', "wreath field 'base' must be a string"),
 ])
 def test_malformed_descriptor_is_usage_error(desc, message, capsys):
     assert main(["verify", desc, "--suites", "axioms"]) == 64
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+CLIFFORD_ALGEBRA = algebra_to_dict(clifford_base().algebra)
+CLIFFORD_FROBENIUS = {"trace": [[0, 1], [1, 1]], "delta": 0, "sigma": 1}
+
+
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize("spec,message", [
+    ([1, 2], "base algebra file must be an object"),
+    ({"algebra": {}}, "base algebra file needs an object 'frobenius'"),
+    ({"frobenius": CLIFFORD_FROBENIUS}, "base algebra file needs an object 'algebra'"),
+    ({"algebra": "clifford", "frobenius": CLIFFORD_FROBENIUS},
+     "base algebra file needs an object 'algebra'"),
+    ({"algebra": CLIFFORD_ALGEBRA, "frobenius": [0, 1]}, "base algebra file needs an object 'frobenius'"),
+    ({"algebra": {}, "frobenius": CLIFFORD_FROBENIUS}, "malformed base algebra file: KeyError: 'labels'"),
+    ({"algebra": _without(CLIFFORD_ALGEBRA, "structure"), "frobenius": CLIFFORD_FROBENIUS},
+     "malformed base algebra file: KeyError: 'structure'"),
+    *[({"algebra": CLIFFORD_ALGEBRA, "frobenius": _without(CLIFFORD_FROBENIUS, key)},
+       f"base frobenius data missing field {key!r}") for key in ("trace", "delta", "sigma")],
+    ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, trace=[0, 1])},
+     "malformed base algebra file: TypeError: 'int' object is not subscriptable"),
+    ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, delta="one")},
+     "malformed base algebra file: ValueError: invalid literal for int() with base 10: 'one'"),
+])
+def test_malformed_base_file_is_usage_error(spec, message, tmp_path, capsys):
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(spec))
+    desc = json.dumps({"wreath": {"base": str(path), "n_max": 2}})
+    assert main(["verify", desc, "--suites", "axioms"]) == 64
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unreadable_base_file_is_usage_error(tmp_path, capsys):
+    bad_json = tmp_path / "base.json"
+    bad_json.write_text("{nope")
+    desc = json.dumps({"wreath": {"base": str(bad_json), "n_max": 2}})
+    assert main(["verify", desc, "--suites", "axioms"]) == 64
+    assert capsys.readouterr().err.startswith("error: base algebra file is not valid JSON")
+    desc = json.dumps({"wreath": {"base": str(tmp_path), "n_max": 2}})  # a directory
+    assert main(["verify", desc, "--suites", "axioms"]) == 64
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("exc", [KeyError("level"), AssertionError("broken"), ZeroDivisionError("x")])
+def test_unexpected_exception_exits_two(exc, capsys, monkeypatch):
+    import supertower.cli as cli
+
+    def crashing_suite(tower, layer, cfg):
+        raise exc
+
+    monkeypatch.setitem(cli.SUITE_RUNNERS, "axioms", crashing_suite)
+    assert main(["verify", NC2, "--suites", "axioms"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 @pytest.mark.parametrize("generators,message", [
@@ -232,8 +297,6 @@ def test_malformed_descriptor_is_usage_error(desc, message, capsys):
     ([1, 2], "generators [1, 2] out of range"),
 ])
 def test_base_with_bad_generators_is_usage_error(generators, message, tmp_path, capsys):
-    from supertower.superalgebra import algebra_to_dict
-    from supertower.towers import clifford_base
     algebra = dict(algebra_to_dict(clifford_base().algebra), generators=generators)
     spec = {"algebra": algebra, "frobenius": {"trace": [[0, 1], [1, 1]], "delta": 0, "sigma": 1}}
     path = tmp_path / "base.json"

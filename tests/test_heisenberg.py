@@ -1,6 +1,8 @@
 """The smash product, Fock action, Weyl relation and truncation-wide checks."""
 
 import dataclasses
+import itertools
+import random
 
 import pytest
 
@@ -214,3 +216,89 @@ def test_heisenberg_elem_serialization(dbl11):
         "minus_level": 2, "minus_label": "P2",
         "coeff": [[1, 0, 2]],
     }]
+
+
+# -- the unmemoised smash product, kept as an oracle for the memoised one ------
+
+
+def unmemoised_smash(double, h1, h2):
+    """Oracle: the commutation-and-contract sum, rebuilt for every term pair."""
+    layer = double.layer
+    g1, g2 = double.twist.gamma
+    xi2 = double.twist.xi[1]
+    out = HeisenbergElem()
+    for (ka, kx), c1 in h1.terms.items():
+        dx = layer.basis_delta(K_SIDE, kx)
+        for (kb, ky), c2 in h2.terms.items():
+            base = c1 * c2
+            if base.is_zero():
+                continue
+            db = layer.basis_delta(G_SIDE, kb)
+            for (kx1, kx2), cx in dx.items():
+                for (kb1, kb2), cbb in db.items():
+                    p = layer.pairing(layer.basis_vector(K_SIDE, *kx1),
+                                      layer.basis_vector(G_SIDE, *kb2))
+                    if p.is_zero():
+                        continue
+                    exp = (g2 * kb[0] * kx2[0] + xi2 * (kb[0] - kx1[0]) * kx2[0]
+                           + g1 * kb1[0] * kb2[0])
+                    coeff = base * cx * cbb * p * layer.scalar(exp)
+                    left = layer.basis_nabla(G_SIDE, ka, kb1)
+                    right = layer.basis_nabla(K_SIDE, kx2, ky)
+                    for kg, cg in left.entries.items():
+                        for kk, ck in right.entries.items():
+                            term = coeff * cg * ck
+                            if not term.is_zero():
+                                key = (kg, kk)
+                                out.terms[key] = out.terms[key] + term if key in out.terms else term
+    return out.cleaned()
+
+
+def _monomials(layer, max_level):
+    return [(ka, kx) for ka in layer.basis_keys(G_SIDE, max_level)
+            for kx in layer.basis_keys(K_SIDE, max_level)]
+
+
+def _random_elem(double, rng, max_level):
+    mode = double.layer.one().mode
+    terms = {}
+    for key in rng.sample(_monomials(double.layer, max_level), 3):
+        coeff = GroundElem.zero(mode)
+        for _ in range(rng.randint(1, 3)):
+            coeff = coeff + GroundElem.monomial(rng.randint(-2, 2), rng.randint(0, 1),
+                                                rng.choice([-2, -1, 1, 3]), mode)
+        terms[key] = coeff
+    return HeisenbergElem(terms)
+
+
+class TestMemoisedSmash:
+    @pytest.mark.parametrize("layer_name", ["layer6_10", "layer6_11"])
+    def test_every_monomial_pair_to_level_three(self, layer_name, request):
+        layer = request.getfixturevalue(layer_name)
+        double = HeisenbergDouble(layer)  # one fresh memo shared by every pair
+        monos = [double.monomial(ka, kx) for ka, kx in _monomials(layer, 3)]
+        for h1, h2 in itertools.product(monos, repeat=2):
+            assert double.smash_multiply(h1, h2) == unmemoised_smash(double, h1, h2)
+
+    @pytest.mark.parametrize("layer_name", ["layer6_10", "layer6_11"])
+    def test_seeded_general_elements(self, layer_name, request):
+        layer = request.getfixturevalue(layer_name)
+        double = HeisenbergDouble(layer)
+        rng = random.Random(5)
+        for _ in range(6):
+            h1, h2 = _random_elem(double, rng, 2), _random_elem(double, rng, 2)
+            got = double.smash_multiply(h1, h2)
+            assert got == unmemoised_smash(double, h1, h2)
+            # and again, now answered from the memo
+            assert double.smash_multiply(h1, h2) == got
+
+    def test_memo_is_per_double(self, layer6_10):
+        # a double with another twist on the same layer keeps its own products
+        good = HeisenbergDouble(layer6_10)
+        twist = TwistDataSet.for_tower(layer6_10.tower)
+        object.__setattr__(twist, "xi", (twist.xi[0], twist.xi[1] + 1))
+        bad = HeisenbergDouble(layer6_10, twist)
+        h1, h2 = good.minus_elem((1, 0)), good.plus_elem((2, 0))
+        assert good.smash_multiply(h1, h2) == unmemoised_smash(good, h1, h2)
+        assert bad.smash_multiply(h1, h2) == unmemoised_smash(bad, h1, h2)
+        assert good.smash_multiply(h1, h2) != bad.smash_multiply(h1, h2)

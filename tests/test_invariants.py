@@ -1,6 +1,11 @@
 """Cross-module invariants at the bounds the per-module contracts state."""
 
+import os
+import subprocess
+import sys
 import time
+
+import pytest
 
 from supertower.ground import GroundElem, TwistScalar, qpi_factorial
 from supertower.grothendieck import G_SIDE, K_SIDE
@@ -91,3 +96,49 @@ def test_power_invariance_to_level_eight():
     basis = PowerBasis(dbl)
     for n in range(1, 9):
         assert basis.lower_op({n: dbl.layer.one()}) is not None
+
+
+# each snippet breaks one invariant on purpose; the guard must raise
+# InternalInconsistencyError with and without ``python -O``
+FORCED_INVARIANTS = "\n".join([
+    "from fractions import Fraction",
+    "from supertower.errors import InternalInconsistencyError",
+    "from supertower.grothendieck import module_head_genfn",
+    "from supertower.linalg import Mat",
+    "from supertower.superalgebra import Degree, SuperModule",
+    "from supertower.towers import SignedPermBasis, build_nilcoxeter, identity_perm",
+    "def forced(label, fn):",
+    "    try:",
+    "        fn()",
+    "    except InternalInconsistencyError as exc:",
+    "        print(label, type(exc).__name__)",
+    "    else:",
+    "        print(label, 'not raised')",
+    # a rewrite that never moves the descent to the front: s2 s0 straightens to s0
+    "basis = SignedPermBasis(4, 1, 1)",
+    "basis._rewrite_front = lambda word, k: (1, word)",
+    "forced('normalize', lambda: basis._normalize((2, 0)))",
+    # a straightening that lands on the identity: u_(s1 s0) u_1 misses s0 s1 s0
+    "basis = SignedPermBasis(3, 1, 1)",
+    "basis._normalize = lambda word: (1, identity_perm(3))",
+    "forced('rmult', lambda: basis.rmult((2, 0, 1), 1))",
+    # u_0 sends the degree-zero vector into two different degrees
+    "alg, _ = build_nilcoxeter(2, 1, 1)",
+    "gen = alg.generating_set()[0]",
+    "unit = next(iter(alg.unit))",
+    "degrees = [Degree(0, 0), Degree(1, 1), Degree(1, 0)]",
+    "action = {unit: Mat.identity(3), gen: Mat.from_entries(3, 3, [(1, 0, 1), (2, 0, 1)])}",
+    "mod = SuperModule(alg, degrees, action=action)",
+    "forced('head', lambda: module_head_genfn(mod))",
+])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_forced_invariants_raise(flags):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *flags, "-c", FORCED_INVARIANTS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("normalize CocycleError\nrmult CocycleError\n"
+                           "head InternalInconsistencyError\n")

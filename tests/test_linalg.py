@@ -3,7 +3,19 @@
 import random
 from fractions import Fraction
 
-from supertower.linalg import Eliminator, Mat, invert, nullspace, rank_of_rows, solve
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from supertower.linalg import (
+    Eliminator,
+    Mat,
+    invert,
+    nullspace,
+    rank_of_rows,
+    solve,
+    vec_axpy,
+    vec_scale,
+)
 
 
 def dense_rank_oracle(rows, ncols):
@@ -106,3 +118,145 @@ def test_matrix_algebra():
     assert ab.entry(1, 0) == 3
     assert a.transpose().transpose() == a
     assert a.add(a.scale(-1)).is_zero()
+
+
+# -- the eager-RREF eliminator, kept as an oracle for the echelon-first one ----
+
+
+class EagerEliminator:
+    """Oracle: every insert sweeps the earlier pivot rows, keeping full RREF."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def reduce(self, row):
+        out = {}
+        row = dict(row)
+        while row:
+            j = min(row)
+            piv = self.pivots.get(j)
+            if piv is None:
+                out[j] = row.pop(j)
+            else:
+                vec_axpy(row, -row[j], piv)
+        return out
+
+    def add_row(self, row):
+        red = self.reduce(row)
+        if not red:
+            return False
+        j = min(red)
+        red = vec_scale(red, 1 / red[j])
+        for prow in self.pivots.values():
+            if j in prow:
+                vec_axpy(prow, -prow[j], red)
+        self.pivots[j] = red
+        return True
+
+
+def _rows_of(mat):
+    rows = {}
+    for j, col in mat.cols.items():
+        for i, c in col.items():
+            rows.setdefault(i, {})[j] = c
+    return rows
+
+
+def eager_nullspace(rows, ncols):
+    el = EagerEliminator()
+    for r in rows:
+        el.add_row(r)
+    basis = []
+    for j in range(ncols):
+        if j in el.pivots:
+            continue
+        v = {j: Fraction(1)}
+        for pj, prow in el.pivots.items():
+            if j in prow:
+                v[pj] = -prow[j]
+        basis.append(v)
+    return basis
+
+
+def eager_solve(mat, rhs):
+    marker = mat.ncols
+    rows = _rows_of(mat)
+    for i, b in rhs.items():
+        if b:
+            rows.setdefault(i, {})[marker] = b
+    el = EagerEliminator()
+    for i in sorted(rows):
+        el.add_row(rows[i])
+    if marker in el.pivots:
+        return None
+    x = {pj: prow[marker] for pj, prow in el.pivots.items() if prow.get(marker)}
+    return x if mat.apply(x) == {i: c for i, c in rhs.items() if c} else None
+
+
+def eager_invert(mat):
+    n = mat.ncols
+    rows = _rows_of(mat)
+    el = EagerEliminator()
+    for i in range(n):
+        row = dict(rows.get(i, {}))
+        row[n + i] = Fraction(1)
+        el.add_row(row)
+    if set(el.pivots) != set(range(n)):
+        return None
+    out = Mat(n, n)
+    for pj, prow in el.pivots.items():
+        for k, c in prow.items():
+            if k >= n:
+                out.add_entry(pj, k - n, c)
+    return out
+
+
+NCOLS = 7
+rationals = hst.builds(Fraction, hst.integers(-4, 4).filter(bool), hst.integers(1, 3))
+sparse_rows = hst.dictionaries(hst.integers(0, NCOLS - 1), rationals, max_size=4)
+
+
+def square_mats(n):
+    entries = hst.lists(hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1), rationals),
+                        max_size=n * n)
+    return entries.map(lambda es: Mat.from_entries(n, n, es))
+
+
+class TestEchelonFirstAgainstEagerRREF:
+    @settings(max_examples=200, deadline=None)
+    @given(hst.lists(hst.tuples(sparse_rows, hst.booleans()), max_size=10),
+           hst.lists(sparse_rows, max_size=4))
+    def test_same_pivots_remainders_and_rref(self, steps, probes):
+        new, old = Eliminator(), EagerEliminator()
+        for row, read_rref in steps:
+            assert new.add_row(row) == old.add_row(row)
+            assert list(new.pivots) == list(old.pivots)  # same columns, same order
+            assert new.rank == len(old.pivots)
+            if read_rref:  # later rows must refresh what was read here
+                assert list(new.rref().items()) == list(old.pivots.items())
+            for v in probes + [row]:
+                # the remainder on non-pivot columns, key order included
+                assert list(new.reduce(v).items()) == list(old.reduce(v).items())
+                assert new.contains(v) == (not old.reduce(v))
+        assert list(new.rref().items()) == list(old.pivots.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.lists(sparse_rows, max_size=8))
+    def test_nullspace_matches(self, rows):
+        assert nullspace(rows, NCOLS) == eager_nullspace(rows, NCOLS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.integers(1, 5).flatmap(lambda n: hst.tuples(
+        square_mats(n), hst.dictionaries(hst.integers(0, n - 1), rationals, max_size=n))))
+    def test_solve_and_invert_match(self, case):
+        mat, rhs = case
+        assert solve(mat, rhs) == eager_solve(mat, rhs)
+        assert invert(mat) == eager_invert(mat)
+
+
+def test_rref_refreshed_after_a_later_row():
+    el = Eliminator()
+    el.add_row({0: Fraction(1), 1: Fraction(1), 2: Fraction(1)})
+    assert el.rref() == {0: {0: 1, 1: 1, 2: 1}}
+    el.add_row({1: Fraction(1)})
+    assert el.rref() == {0: {0: 1, 2: 1}, 1: {1: 1}}
