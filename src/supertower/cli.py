@@ -42,6 +42,7 @@ from .heisenberg import (
 from .reporting import CheckRecord
 from .superalgebra import algebra_from_dict, algebra_to_dict, validate_algebra
 from .towers import (
+    SPLIT_UNIT_ERROR,
     TowerSpec,
     build_nilcoxeter_tower,
     build_wreath_tower,
@@ -51,6 +52,7 @@ from .towers import (
     check_tower_axioms,
     check_wr_commutation,
     clifford_base,
+    unit_basis_index,
 )
 
 USAGE_ERROR = 64
@@ -202,6 +204,8 @@ def _load_base(path: str) -> FrobeniusStructure:
     if not report.ok:
         kind, idx = report.violations[0]
         raise ValidationError(f"base algebra invalid: {kind} at {idx}")
+    if unit_basis_index(alg) is None:
+        raise ValidationError(SPLIT_UNIT_ERROR)
     return check_frobenius(alg, trace, delta, sigma)
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .errors import InternalInconsistencyError, ValidationError
-from .linalg import Eliminator, Mat, Vec
+from .linalg import Eliminator, Mat, Vec, solve
 from .superalgebra import (
     LEFT,
     RIGHT,
@@ -63,25 +64,38 @@ def check_frobenius(
     delta: int,
     sigma: int,
     check_invariance: bool = True,
+    partners: Callable[[int], Iterable[int]] | None = None,
 ) -> FrobeniusStructure:
     """Build and verify a Frobenius structure; raises on failure.
 
     Checks: the trace is supported in bidegree ``(delta, sigma)``, the Gram
     matrix is invertible, and ``(ab, c) == (a, bc)`` on every basis triple,
     evaluated row-sparse by ``check_form_invariance``.
+
+    ``partners(i)`` lists, ascending, every ``j`` for which ``e_i e_j`` can
+    reach the trace; only those pairs enter the Gram matrix.  A family whose
+    basis knows where products land (the permutation bases put the trace on
+    ``w0``) supplies it; otherwise each pair is screened by
+    ``product_support``.  Since ``tr(e_j) == (1, e_j)``, every trace key
+    must be a partner of the unit, or the supplied rule is wrong.
     """
     sigma &= 1
     trace = {i: Fraction(c) for i, c in trace.items() if c}
     for i in trace:
         if alg.degrees[i] != Degree(delta, sigma):
             raise ValidationError("trace not graded")
+    if partners is None:
+        trace_support = frozenset(trace)
+
+        def partners(i: int) -> list[int]:
+            return [j for j in range(alg.dim) if alg.product_support(i, j) & trace_support]
+    else:
+        reach = {j for u in alg.unit for j in partners(u)}
+        if not reach.issuperset(trace):
+            raise InternalInconsistencyError("trace support lies outside the unit's Gram partners")
     gram = Mat(alg.dim, alg.dim)
-    trace_support = frozenset(trace)
     for i in range(alg.dim):
-        for j in range(alg.dim):
-            # skip products whose support provably misses the trace
-            if not (alg.product_support(i, j) & trace_support):
-                continue
+        for j in partners(i):
             val = _trace_of_vec(trace, alg.basis_product(i, j))
             if val:
                 gram.cols.setdefault(j, {})[i] = val
@@ -135,27 +149,21 @@ def check_form_invariance(alg: SuperAlgebra, gram: Mat) -> None:
 
 
 def nakayama_matrix(alg: SuperAlgebra, gram: Mat) -> Mat:
-    """Solve for the automorphism column by column and verify it.
+    """Solve for the automorphism and verify it.
 
-    ``(b, psi(a)) == (-1)**(par(a) par(b)) * (a, b)`` for all basis ``b``.
-    A non-multiplicative solution means the supplied data was inconsistent
-    and raises an internal-inconsistency error.
+    ``(b, psi(a)) == (-1)**(par(a) par(b)) * (a, b)`` for all basis ``b``:
+    column ``a`` of the right-hand side is Gram row ``a`` with those signs,
+    and one ``solve`` carries all the columns.  A non-multiplicative
+    solution means the supplied data was inconsistent and raises an
+    internal-inconsistency error.
     """
-    from .linalg import solve
-
-    psi = Mat(alg.dim, alg.dim)
-    for a in range(alg.dim):
-        pa = alg.degrees[a].par
-        rhs: Vec = {}
-        for b in range(alg.dim):
-            g = gram.entry(a, b)
-            if g:
-                rhs[b] = -g if (pa and alg.degrees[b].par) else g
-        col = solve(gram, rhs)
-        if col is None:
-            raise InternalInconsistencyError("gram system for the nakayama map is inconsistent")
-        if col:
-            psi.cols[a] = col
+    par = [deg.par for deg in alg.degrees]
+    rhs = Mat(alg.dim, alg.dim)
+    for a, row in gram.transpose().cols.items():
+        rhs.cols[a] = {b: -g if (par[a] and par[b]) else g for b, g in row.items()}
+    psi = solve(gram, rhs)
+    if psi is None:
+        raise InternalInconsistencyError("gram system for the nakayama map is inconsistent")
     report = validate_automorphism(alg, psi)
     if not report.ok:
         raise InternalInconsistencyError(

@@ -393,6 +393,7 @@ def check_action_compat(double: HeisenbergDouble, max_level: int) -> list[CheckR
     ))
     ok_module = True
     first = None
+    inner: dict[tuple[int, int, int], GrothVector] = {}  # (a2, x2, m) -> h2 . v
     for a1 in range(max_level + 1):
         for a2 in range(max_level + 1 - a1):
             for m in range(max_level + 1 - a1 - a2):
@@ -402,7 +403,10 @@ def check_action_compat(double: HeisenbergDouble, max_level: int) -> list[CheckR
                         h2 = double.monomial(_single_key(a2), _single_key(x2))
                         v = layer.basis_vector(G_SIDE, m, 0)
                         lhs = double.fock_act(double.smash_multiply(h1, h2), v)
-                        rhs = double.fock_act(h1, double.fock_act(h2, v))
+                        acted = inner.get((a2, x2, m))
+                        if acted is None:
+                            acted = inner[(a2, x2, m)] = double.fock_act(h2, v)
+                        rhs = double.fock_act(h1, acted)
                         if lhs != rhs:
                             ok_module = False
                             if first is None:

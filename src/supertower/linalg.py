@@ -7,9 +7,13 @@ bases and report output are reproducible.
 
 ``Eliminator`` keeps its rows in echelon form only: rank, membership and
 the canonical remainder on non-pivot columns need nothing more.  The
-reduced row echelon form that ``solve``, ``invert`` and ``nullspace`` read
-is computed on demand by back-substitution; it is unique, so it does not
-depend on how the echelon rows were reached.
+reduced row echelon form that ``solve`` and ``nullspace`` read is computed
+on demand by back-substitution; it is unique, so it does not depend on how
+the echelon rows were reached.
+
+``solve`` is the one linear-system kernel: its right-hand side is a matrix,
+and every column rides through a single elimination of ``[mat | rhs]``.
+``invert`` is ``solve`` against the identity.
 """
 
 from __future__ import annotations
@@ -103,7 +107,8 @@ class Mat:
         return out
 
     def mul(self, other: "Mat") -> "Mat":
-        assert self.ncols == other.nrows, "shape mismatch"
+        if self.ncols != other.nrows:
+            raise ValueError(f"shape mismatch: {self!r} times {other!r}")
         out = Mat(self.nrows, other.ncols)
         for j, col in other.cols.items():
             image = self.apply(col)
@@ -112,7 +117,8 @@ class Mat:
         return out
 
     def add(self, other: "Mat") -> "Mat":
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"shape mismatch: {self!r} plus {other!r}")
         out = Mat(self.nrows, self.ncols, self.cols)
         for j, col in other.cols.items():
             target = out.cols.setdefault(j, {})
@@ -244,52 +250,45 @@ def nullspace(rows: Iterable[Vec], ncols: int, col_order: list[int] | None = Non
     return basis
 
 
-def solve(mat: Mat, rhs: Vec) -> Vec | None:
-    """One solution of ``mat @ x == rhs``, or None if inconsistent.
+def solve(mat: Mat, rhs: Mat) -> Mat | None:
+    """One solution ``x`` of ``mat @ x == rhs``, or None if any column is inconsistent.
 
-    Free unknowns are set to zero, so the answer is deterministic.
+    Right-hand column ``k`` rides along as augmented column ``mat.ncols + k``
+    of one elimination over the rows of ``[mat | rhs]``; a pivot there means
+    some column has no solution.  Free unknowns are set to zero, so the
+    answer is deterministic and each column equals the solution of its own
+    system.
     """
-    marker = mat.ncols  # augmented column carrying the right-hand side
+    if rhs.nrows != mat.nrows:
+        raise ValueError(f"shape mismatch: {mat!r} against right-hand side {rhs!r}")
+    n = mat.ncols
     rows: dict[int, Vec] = {}
     for j, col in mat.cols.items():
         for i, c in col.items():
             rows.setdefault(i, {})[j] = c
-    for i, b in rhs.items():
-        if b:
-            rows.setdefault(i, {})[marker] = b
+    for k, col in rhs.cols.items():
+        for i, b in col.items():
+            rows.setdefault(i, {})[n + k] = b
     el = Eliminator()
     for i in sorted(rows):
         el.add_row(rows[i])
-    if marker in el.pivots:
+    if any(j >= n for j in el.pivots):
         return None
-    x: Vec = {}
+    cols: dict[int, Vec] = {}
     for pj, prow in el.rref().items():
-        b = prow.get(marker, Fraction(0))
-        if b:
-            x[pj] = b
-    clean_rhs = {i: c for i, c in rhs.items() if c}
-    return x if mat.apply(x) == clean_rhs else None
+        for k, c in prow.items():
+            if k >= n:
+                cols.setdefault(k - n, {})[pj] = c
+    x = Mat(n, rhs.ncols)
+    x.cols = {k: cols[k] for k in sorted(cols)}
+    for k in range(rhs.ncols):
+        if mat.apply(x.cols.get(k, {})) != rhs.cols.get(k, {}):
+            return None
+    return x
 
 
 def invert(mat: Mat) -> Mat | None:
     """Exact inverse of a square matrix, or None if singular."""
-    assert mat.nrows == mat.ncols
-    n = mat.ncols
-    # eliminate rows of [A | I]; pivots land in the A block iff A is invertible
-    rows: dict[int, Vec] = {}
-    for j, col in mat.cols.items():
-        for i, c in col.items():
-            rows.setdefault(i, {})[j] = c
-    el = Eliminator()
-    for i in range(n):
-        row = dict(rows.get(i, {}))
-        row[n + i] = Fraction(1)
-        el.add_row(row)
-    if set(el.pivots) != set(range(n)):
-        return None
-    out = Mat(n, n)
-    for pj, prow in el.rref().items():
-        for k, c in prow.items():
-            if k >= n:
-                out.add_entry(pj, k - n, c)
-    return out
+    if mat.nrows != mat.ncols:
+        raise ValueError(f"only a square matrix has an inverse, not {mat!r}")
+    return solve(mat, Mat.identity(mat.ncols))

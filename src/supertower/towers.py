@@ -311,6 +311,15 @@ class SignedPermBasis:
         """The basis index of the permutation element ``u_w``."""
         return self.index[w]
 
+    def gram_partners(self, i: int) -> tuple[int]:
+        """The one ``j`` with ``u_i u_j`` on ``u_w0``, where the trace lives.
+
+        The product of ``u_v`` and ``u_w`` is zero or signed ``u_(vw)``, so
+        ``j`` carries the permutation ``v^-1 w0``.
+        """
+        v = self.perms[i]
+        return (self.index[perm_mult(perm_inverse(v), longest_element(self.n))],)
+
     def embed(self, inner: "SignedPermBasis", i: int, offset: int) -> int:
         """Basis element ``i`` of a smaller level, placed on the strands from ``offset``."""
         return self.index[extend_perm(inner.perms[i], offset, self.n)]
@@ -378,7 +387,7 @@ def nilcoxeter_frobenius(alg: SuperAlgebra, basis: SignedPermBasis) -> Frobenius
     ell = basis.lengths[w0]
     trace = {basis.index[w0]: Fraction(1)}
     return check_frobenius(alg, trace, basis.d * ell, (basis.eps * ell) & 1,
-                           check_invariance=(basis.n <= 6))
+                           check_invariance=(basis.n <= 6), partners=basis.gram_partners)
 
 
 # -- wreath product algebras -----------------------------------------------------
@@ -424,6 +433,15 @@ def tensor_tuple_product(base: SuperAlgebra, xs: tuple[int, ...], ys: tuple[int,
     yield from terms
 
 
+SPLIT_UNIT_ERROR = "wreath embeddings need a base algebra whose unit is one basis vector"
+
+
+def unit_basis_index(alg: SuperAlgebra) -> int | None:
+    """The unit's basis index when it is one basis vector with coefficient 1, else None."""
+    unit = list(alg.unit.items())
+    return unit[0][0] if len(unit) == 1 and unit[0][1] == 1 else None
+
+
 class WreathBasis:
     """The (tensor tuple, permutation) basis of one wreath level.
 
@@ -439,8 +457,7 @@ class WreathBasis:
         self.tuples = list(itertools.product(range(base.dim), repeat=n))
         self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
         self.perms, self.perm_index, self.words, self.lengths = perm_tables(n)
-        unit = list(base.unit.items())
-        self.unit_b = unit[0][0] if len(unit) == 1 and unit[0][1] == 1 else None
+        self.unit_b = unit_basis_index(base)
 
     def index(self, t: tuple[int, ...], w: Perm) -> int:
         return self.tuple_index[t] * len(self.perms) + self.perm_index[w]
@@ -458,12 +475,24 @@ class WreathBasis:
 
     def _unit_padded(self, t: tuple[int, ...], offset: int) -> tuple[int, ...]:
         if len(t) < self.n and self.unit_b is None:
-            raise ValidationError("wreath embeddings need a base algebra whose unit is one basis vector")
+            raise ValidationError(SPLIT_UNIT_ERROR)
         return (self.unit_b,) * offset + t + (self.unit_b,) * (self.n - offset - len(t))
 
     def perm_element(self, w: Perm) -> int:
         """The basis index of the permutation ``w`` over the unit tensor."""
         return self.index(self._unit_padded((), 0), w)
+
+    def gram_partners(self, i: int) -> range:
+        """Every ``j`` whose product with ``e_i`` can reach the trace on ``w0``.
+
+        A product's permutation is the product of its factors' permutations,
+        so ``j`` carries ``v^-1 w0`` for ``e_i`` at ``v``, over every tuple,
+        in ascending index order.
+        """
+        _, v = self.unindex(i)
+        step = len(self.perms)
+        p = self.perm_index[perm_mult(perm_inverse(v), longest_element(self.n))]
+        return range(p, len(self.tuples) * step, step)
 
     def embed(self, inner: "WreathBasis", i: int, offset: int) -> int:
         """Basis element ``i`` of a smaller level, placed on the slots from ``offset``."""
@@ -549,7 +578,7 @@ def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, F
             trace[idx(t, w0)] = val
     frob = check_frobenius(
         alg, trace, n * base_frob.delta, (n * base_frob.sigma) & 1,
-        check_invariance=(alg.dim <= 64),
+        check_invariance=(alg.dim <= 64), partners=basis.gram_partners,
     )
     return alg, frob
 

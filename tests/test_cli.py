@@ -202,15 +202,17 @@ def test_wreath_base_with_split_unit_is_usage_error(tmp_path, capsys):
     path = tmp_path / "split.json"
     path.write_text(json.dumps(spec))
     desc = json.dumps({"wreath": {"base": str(path), "n_max": 2}})
-    assert main(["verify", desc, "--suites", "axioms"]) == 64
-    err = capsys.readouterr().err
-    assert err == "error: wreath embeddings need a base algebra whose unit is one basis vector\n"
-    # the same exit without asserts, which python -O strips
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-m", "supertower.cli", "verify", desc,
-                           "--suites", "axioms"], capture_output=True, text=True, env=env)
-    assert proc.returncode == 64, proc.stderr
+    # rejected while the base is loaded, also for suites that never embed a level
+    for suites in ("axioms", "frobenius,bialgebra,psi"):
+        assert main(["verify", desc, "--suites", suites]) == 64
+        err = capsys.readouterr().err
+        assert err == "error: wreath embeddings need a base algebra whose unit is one basis vector\n"
+        # the same exit without asserts, which python -O strips
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-m", "supertower.cli", "verify", desc,
+                               "--suites", suites], capture_output=True, text=True, env=env)
+        assert proc.returncode == 64, proc.stderr
 
 
 @pytest.mark.parametrize("desc,message", [

@@ -1,13 +1,15 @@
 """Trace forms, Gram matrices, Nakayama maps, tensor structures, dual identification."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from supertower.errors import ValidationError
+from supertower.cli import RunConfig, build_tower
+from supertower.errors import InternalInconsistencyError, ValidationError
 from supertower.frobenius import (
     check_dual_iso,
     check_form_invariance,
@@ -16,9 +18,10 @@ from supertower.frobenius import (
     nakayama,
     tensor_nakayama_matrix,
 )
-from supertower.linalg import Mat
+from supertower.linalg import Mat, solve
 from supertower.superalgebra import Degree, tensor_algebra
 from supertower.towers import (
+    WreathBasis,
     apply_s,
     build_nilcoxeter,
     build_wreath,
@@ -334,3 +337,101 @@ class TestInvarianceMutation:
         alg._products[(s1, s2)] = {k: -c for k, c in alg.basis_product(s1, s2).items()}
         with pytest.raises(ValidationError, match="form not invariant at triple"):
             nilcoxeter_frobenius(alg, basis)
+
+
+# -- the dim^2 Gram loop and the per-column Nakayama solve, kept as oracles -------
+
+
+def dense_gram(alg, trace):
+    """Oracle: every basis pair, screened by ``product_support``."""
+    gram = Mat(alg.dim, alg.dim)
+    trace_support = frozenset(trace)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            if not (alg.product_support(i, j) & trace_support):
+                continue
+            val = sum((c * trace.get(k, 0) for k, c in alg.basis_product(i, j).items()), Fraction(0))
+            if val:
+                gram.cols.setdefault(j, {})[i] = val
+    return gram
+
+
+def column_nakayama(alg, gram):
+    """Oracle: one solve per column, right-hand side read entry by entry."""
+    psi = Mat(alg.dim, alg.dim)
+    for a in range(alg.dim):
+        pa = alg.degrees[a].par
+        rhs = {}
+        for b in range(alg.dim):
+            g = gram.entry(a, b)
+            if g:
+                rhs[b] = -g if (pa and alg.degrees[b].par) else g
+        col = solve(gram, Mat(alg.dim, 1, {0: rhs}))
+        assert col is not None
+        if col.cols:
+            psi.cols[a] = col.col(0)
+    return psi
+
+
+def _same_layout(got, want):
+    """Equal matrices with the same column order and the same entry order per column."""
+    assert list(got.cols) == list(want.cols)
+    for j, col in want.cols.items():
+        assert list(got.cols[j].items()) == list(col.items())
+
+
+# the exterior superalgebra on two odd generators, trace on x y, written as a base file
+EXTERIOR_BASE = {
+    "algebra": {
+        "labels": ["1", "x", "y", "xy"], "degrees": [[0, 0], [1, 1], [1, 1], [2, 0]],
+        "unit": [[1, 1], [0, 1], [0, 1], [0, 1]], "generators": [1, 2],
+        "structure": [[0, a, a, 1, 1] for a in range(4)] + [[a, 0, a, 1, 1] for a in (1, 2, 3)]
+        + [[1, 2, 3, 1, 1], [2, 1, 3, -1, 1]],
+    },
+    "frobenius": {"trace": [[0, 1], [0, 1], [0, 1], [1, 1]], "delta": 2, "sigma": 0},
+}
+
+
+PARTNER_CASES = ([("nilcoxeter", n, eps) for n in (1, 2, 3, 4, 5) for eps in (0, 1)]
+                 + [("sergeev", n, None) for n in (1, 2, 3)])
+
+
+class TestGramPartnersMatchDenseOracles:
+    @pytest.mark.parametrize("family,n,eps", PARTNER_CASES)
+    def test_builtin_families(self, family, n, eps):
+        if family == "nilcoxeter":
+            alg, basis = build_nilcoxeter(n, 1, eps)
+            frob = nilcoxeter_frobenius(alg, basis)
+        else:
+            alg, frob = build_wreath(clifford_base(), n)
+        _same_layout(frob.gram, dense_gram(alg, frob.trace))
+        _same_layout(frob.nakayama, column_nakayama(alg, frob.gram))
+
+    def test_base_file_wreath_tower(self, tmp_path):
+        path = tmp_path / "exterior.json"
+        path.write_text(json.dumps(EXTERIOR_BASE))
+        tower = build_tower(RunConfig(descriptor={"wreath": {"base": str(path), "n_max": 2}},
+                                      suites=["axioms"]))
+        for lv in (1, 2):
+            frob = tower.frobenius[lv]
+            _same_layout(frob.gram, dense_gram(frob.algebra, frob.trace))
+            _same_layout(frob.nakayama, column_nakayama(frob.algebra, frob.gram))
+
+    def test_nilcoxeter_partner_is_the_complement_to_w0(self):
+        alg, basis = build_nilcoxeter(4, 1, 1)
+        w0 = basis.index[longest_element(4)]
+        for i in range(alg.dim):
+            (j,) = basis.gram_partners(i)
+            assert alg.basis_product(i, j).keys() == {w0}
+
+    def test_trace_off_w0_is_inconsistent(self, clifford):
+        # wreath degrees ignore the permutation, so a trace moved to the identity
+        # permutation is still graded, but it is no partner of the unit
+        alg, frob = build_wreath(clifford, 2)
+        basis = WreathBasis(clifford.algebra, 2)
+        moved = {basis.index(basis.unindex(k)[0], identity_perm(2)): c for k, c in frob.trace.items()}
+        with pytest.raises(InternalInconsistencyError, match="Gram partners"):
+            check_frobenius(alg, moved, frob.delta, frob.sigma, partners=basis.gram_partners)
+        # it is the group-algebra trace there, a Frobenius form the generic loop finds
+        generic = check_frobenius(alg, moved, frob.delta, frob.sigma)
+        _same_layout(generic.gram, dense_gram(alg, moved))

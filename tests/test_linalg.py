@@ -1,8 +1,12 @@
 """Exact sparse linear algebra plumbing."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -39,6 +43,12 @@ def dense_rank_oracle(rows, ncols):
         rank += 1
         col += 1
     return rank
+
+
+def solve_column(mat, rhs):
+    """``solve`` on one right-hand vector, wrapped as a one-column matrix."""
+    got = solve(mat, Mat(mat.nrows, 1, {0: rhs}))
+    return None if got is None else got.col(0)
 
 
 def random_rows(rng, nrows, ncols, density=0.4):
@@ -84,7 +94,7 @@ def test_solve_and_invert():
         x_true = {j: Fraction(rng.randint(-3, 3)) for j in range(n)}
         x_true = {j: v for j, v in x_true.items() if v}
         rhs = mat.apply(x_true)
-        got = solve(mat, rhs)
+        got = solve_column(mat, rhs)
         assert got is not None
         assert mat.apply(got) == rhs
         inv = invert(mat)
@@ -99,7 +109,7 @@ def test_solve_and_invert():
 
 def test_solve_inconsistent():
     mat = Mat.from_entries(2, 1, [(0, 0, 1), (1, 0, 2)])
-    assert solve(mat, {0: Fraction(1), 1: Fraction(1)}) is None
+    assert solve_column(mat, {0: Fraction(1), 1: Fraction(1)}) is None
 
 
 def test_eliminator_membership():
@@ -250,7 +260,7 @@ class TestEchelonFirstAgainstEagerRREF:
         square_mats(n), hst.dictionaries(hst.integers(0, n - 1), rationals, max_size=n))))
     def test_solve_and_invert_match(self, case):
         mat, rhs = case
-        assert solve(mat, rhs) == eager_solve(mat, rhs)
+        assert solve_column(mat, rhs) == eager_solve(mat, rhs)
         assert invert(mat) == eager_invert(mat)
 
 
@@ -260,3 +270,86 @@ def test_rref_refreshed_after_a_later_row():
     assert el.rref() == {0: {0: 1, 1: 1, 2: 1}}
     el.add_row({1: Fraction(1)})
     assert el.rref() == {0: {0: 1, 2: 1}, 1: {1: 1}}
+
+
+# -- the per-column vector solve, kept as an oracle for the matrix-RHS one ----
+
+
+def vector_solve(mat, rhs):
+    """Oracle: one elimination of ``[mat | rhs]`` per right-hand vector."""
+    marker = mat.ncols
+    rows = _rows_of(mat)
+    for i, b in rhs.items():
+        if b:
+            rows.setdefault(i, {})[marker] = b
+    el = Eliminator()
+    for i in sorted(rows):
+        el.add_row(rows[i])
+    if marker in el.pivots:
+        return None
+    x = {}
+    for pj, prow in el.rref().items():
+        b = prow.get(marker, Fraction(0))
+        if b:
+            x[pj] = b
+    return x if mat.apply(x) == {i: c for i, c in rhs.items() if c} else None
+
+
+def mats(nrows, ncols):
+    if not ncols:
+        return hst.just(Mat(nrows, 0))
+    entries = hst.lists(hst.tuples(hst.integers(0, nrows - 1), hst.integers(0, ncols - 1), rationals),
+                        max_size=nrows * ncols)
+    return entries.map(lambda es: Mat.from_entries(nrows, ncols, es))
+
+
+systems = hst.tuples(hst.integers(1, 5), hst.integers(1, 5), hst.integers(0, 4)).flatmap(
+    lambda shape: hst.tuples(mats(shape[0], shape[1]), mats(shape[0], shape[2])))
+
+
+class TestMatrixSolveAgainstColumnSolves:
+    @settings(max_examples=250, deadline=None)
+    @given(systems)
+    def test_each_column_as_its_own_system(self, system):
+        mat, rhs = system
+        columns = {k: vector_solve(mat, rhs.col(k)) for k in range(rhs.ncols)}
+        got = solve(mat, rhs)
+        if any(x is None for x in columns.values()):
+            assert got is None
+            return
+        assert (got.nrows, got.ncols) == (mat.ncols, rhs.ncols)
+        # same entries, column keys ascending, each column in pivot order
+        assert list(got.cols) == [k for k in range(rhs.ncols) if columns[k]]
+        for k, x in columns.items():
+            assert list(got.col(k).items()) == list(x.items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.integers(1, 5).flatmap(square_mats))
+    def test_invert_is_solve_against_identity(self, mat):
+        inv = invert(mat)
+        assert inv == eager_invert(mat)
+        if inv is not None:
+            assert mat.mul(inv) == Mat.identity(mat.nrows)
+
+
+SHAPE_CHECKS = "\n".join([
+    "from supertower.linalg import Mat, invert, solve",
+    "a, b = Mat(2, 3), Mat(2, 2)",
+    "for name, call in [('mul', lambda: a.mul(b)), ('add', lambda: a.add(b)),",
+    "                   ('invert', lambda: invert(a)), ('solve', lambda: solve(b, Mat(3, 1)))]:",
+    "    try:",
+    "        call()",
+    "    except ValueError:",
+    "        print(name, 'ValueError')",
+])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_shape_mismatches_raise(flags):
+    # python -O strips assert statements; the shape checks must survive it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *flags, "-c", SHAPE_CHECKS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "mul ValueError\nadd ValueError\ninvert ValueError\nsolve ValueError\n"
