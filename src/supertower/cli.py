@@ -83,8 +83,6 @@ class RunConfig:
     descriptor: dict
     suites: list[str]
     n_max: int | None = None
-    d_override: int | None = None
-    eps_override: int | None = None
     jobs: int = 1                  # accepted, no effect: suites run in one thread
     fmt: str = "text"
     out: str | None = None
@@ -154,10 +152,6 @@ def build_tower(cfg: RunConfig) -> TowerSpec:
     if cfg.n_max is not None:
         body["n_max"] = cfg.n_max
     if kind == "nilcoxeter":
-        if cfg.d_override is not None:
-            body["d"] = cfg.d_override
-        if cfg.eps_override is not None:
-            body["eps"] = cfg.eps_override
         for key in ("n_max", "d", "eps"):
             if key not in body:
                 raise ValidationError(f"nilcoxeter descriptor missing field {key!r}")
@@ -200,6 +194,11 @@ def _load_base(path: str) -> FrobeniusStructure:
         delta, sigma = int(fr["delta"]), int(fr["sigma"])
     except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed base algebra file: {type(exc).__name__}: {exc}") from exc
+    for key in ("delta", "sigma"):
+        if type(fr[key]) is not int:  # int() above also takes 0.5 and "0"
+            raise ValidationError(f"base frobenius field {key!r} must be an integer")
+    if len(fr["trace"]) != alg.dim:
+        raise ValidationError("base frobenius trace and algebra disagree in length")
     report = validate_algebra(alg)
     if not report.ok:
         kind, idx = report.violations[0]

@@ -5,6 +5,13 @@ ring (collapsed when a type-Q simple is declared); products are computed by
 inducing representative supermodules, coproducts by restricting them, and
 every identity check below goes through those module-level computations.
 
+One rule expands a module in the classes of either side, at one level or
+over a pair algebra (``GrothLayer._expand``): pair it through Hom with each
+declared module of the other side, outer-tensored over the pair algebra for
+a pair.  Hom runs from the probe into the module on the simple side and from
+the module into the probe on the projective side; each value is divided by
+the norms of its keys, the pairing of a declared projective with its simple.
+
 Grading conventions.  Simple-side classes scale as ``q**n [M] = [M shifted
 by n]``.  Projective-side classes scale oppositely (``q**n [P] = [P shifted
 by -n]``), which keeps the pairing bilinear; the expansion of a restricted
@@ -16,6 +23,7 @@ positive multiplicity series read off the head degrees.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -25,8 +33,9 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
+from .frobenius import tensor_nakayama_matrix
 from .ground import COLLAPSED, FULL, GroundElem, divide_exact
-from .linalg import Eliminator, Mat
+from .linalg import Eliminator
 from .reporting import CheckRecord
 from .superalgebra import (
     SuperModule,
@@ -36,7 +45,7 @@ from .superalgebra import (
     induce_module,
     twist_module,
 )
-from .towers import TowerSpec
+from .towers import DeclaredModule, TowerSpec
 
 K_SIDE = "K"
 G_SIDE = "G"
@@ -56,20 +65,15 @@ class GrothVector:
 
     def add(self, other: "GrothVector") -> "GrothVector":
         assert self.side == other.side
-        out = dict(self.entries)
-        for k, c in other.entries.items():
-            out[k] = out[k] + c if k in out else c
-        return GrothVector(self.side, {k: c for k, c in out.items() if not c.is_zero()})
+        return GrothVector(self.side, tensor_add(self.entries, other.entries))
 
     def scale(self, c: GroundElem) -> "GrothVector":
-        return GrothVector(
-            self.side, {k: v * c for k, v in self.entries.items() if not (v * c).is_zero()}
-        )
+        return GrothVector(self.side, tensor_scale(self.entries, c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GrothVector):
             return NotImplemented
-        return self.side == other.side and self.cleaned().entries == other.cleaned().entries
+        return self.side == other.side and tensor_eq(self.entries, other.entries)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.entries.values())
@@ -148,17 +152,19 @@ class GrothLayer:
         """``c**k`` for the tower twist scalar."""
         return self.tower.twist.power(k, self.mode)
 
-    def basis_size(self, side: str, level: int) -> int:
-        decl = self.tower.declared_projectives(level) if side == K_SIDE \
-            else self.tower.declared_simples(level)
+    def declared(self, side: str, level: int) -> list[DeclaredModule]:
+        """The declared modules whose classes are the basis of one side at a level."""
+        decl = (self.tower.declared_projectives(level) if side == K_SIDE
+                else self.tower.declared_simples(level))
         if not decl:
             raise ValidationError(f"no declared basis at level {level}")
-        return len(decl)
+        return decl
+
+    def basis_size(self, side: str, level: int) -> int:
+        return len(self.declared(side, level))
 
     def basis_label(self, side: str, level: int, i: int) -> str:
-        decl = self.tower.declared_projectives(level) if side == K_SIDE \
-            else self.tower.declared_simples(level)
-        return decl[i].label
+        return self.declared(side, level)[i].label
 
     def basis_keys(self, side: str, max_level: int) -> list[BasisKey]:
         out = []
@@ -178,100 +184,58 @@ class GrothLayer:
         """The pairing of the i-th projective against the i-th simple."""
         key = (level, i)
         if key not in self._norms:
-            proj = self.tower.declared_projectives(level)[i]
-            simp = self.tower.declared_simples(level)[i]
-            self._norms[key] = self._ring(hom_graded_dim(proj.module, simp.module))
+            proj = self.declared(K_SIDE, level)[i].module
+            simp = self.declared(G_SIDE, level)[i].module
+            self._norms[key] = self._ring(hom_graded_dim(proj, simp))
         return self._norms[key]
 
     def pairing_table(self, level: int) -> list[list[GroundElem]]:
-        projs = self.tower.declared_projectives(level)
-        simps = self.tower.declared_simples(level)
+        simps = self.declared(G_SIDE, level)
         return [
             [self._ring(hom_graded_dim(p.module, s.module)) for s in simps]
-            for p in projs
+            for p in self.declared(K_SIDE, level)
         ]
 
     # -- expansion of modules in declared bases ------------------------------
 
     def class_in_G(self, mod: SuperModule, level: int) -> GrothVector:
         """Expand a module in the declared simple classes at its level."""
-        simps = self.tower.declared_simples(level)
-        if not simps:
-            raise ValidationError(f"no declared simples at level {level}")
-        projs = self.tower.declared_projectives(level)
-        entries: dict[BasisKey, GroundElem] = {}
-        for i, (p, s) in enumerate(zip(projs, simps)):
-            raw = self._ring(hom_graded_dim(p.module, mod))
-            if raw.is_zero():
-                continue
-            entries[(level, i)] = self._divide_norm(raw, level, i)
-        return GrothVector(G_SIDE, entries)
+        return GrothVector(G_SIDE, self._expand(G_SIDE, mod, (level,)))
 
     def class_in_K(self, mod: SuperModule, level: int) -> GrothVector:
         """Expand a projective module in the declared projective classes."""
-        simps = self.tower.declared_simples(level)
-        entries: dict[BasisKey, GroundElem] = {}
-        for i, s in enumerate(simps):
-            raw = self._ring(hom_graded_dim(mod, s.module))
+        return GrothVector(K_SIDE, self._expand(K_SIDE, mod, (level,)))
+
+    def _expand(self, side: str, mod: SuperModule, levels: tuple[int, ...]) -> dict:
+        """Coefficients of ``mod`` in the declared classes of one level or a pair.
+
+        Returns a vector's entries for one level and a tensor for a pair.
+        The probes are the other side's declared modules, outer-tensored
+        over the pair algebra for a pair.  The G side reads Hom from each
+        probe into ``mod``, the K side Hom from ``mod`` into it, and each
+        value is divided by the product of its keys' norms.
+        """
+        other = G_SIDE if side == K_SIDE else K_SIDE
+        pair = self.tower.pair_algebra(*levels) if len(levels) == 2 else None
+        out: dict = {}
+        for idx in itertools.product(*(range(self.basis_size(other, lv)) for lv in levels)):
+            keys = tuple(zip(levels, idx))
+            probes = [self.declared(other, lv)[i].module for lv, i in keys]
+            probe = probes[0] if pair is None else outer_tensor(*probes, pair)
+            raw = self._ring(hom_graded_dim(probe, mod) if side == G_SIDE
+                             else hom_graded_dim(mod, probe))
             if raw.is_zero():
                 continue
-            entries[(level, i)] = self._divide_norm(raw, level, i)
-        return GrothVector(K_SIDE, entries)
-
-    def _divide_norm(self, raw: GroundElem, level: int, i: int) -> GroundElem:
-        norm = self.norm(level, i)
-        if norm.is_one():
-            return raw
-        try:
-            return divide_exact(raw, norm)
-        except ExactDivisionError as exc:
-            raise SupertowerError(
-                f"module not expressible: level {level} basis {i}: {exc}"
-            ) from exc
-
-    def class_in_pair_G(self, mod: SuperModule, la: int, lb: int) -> GrothTensor:
-        """Expand a module over the pair algebra in outer tensors of simples."""
-        out: GrothTensor = {}
-        simps_a = self.tower.declared_simples(la)
-        simps_b = self.tower.declared_simples(lb)
-        projs_a = self.tower.declared_projectives(la)
-        projs_b = self.tower.declared_projectives(lb)
-        pair = self.tower.pair_algebra(la, lb)
-        for ia in range(len(simps_a)):
-            for ib in range(len(simps_b)):
-                probe = outer_tensor(projs_a[ia].module, projs_b[ib].module, pair)
-                raw = self._ring(hom_graded_dim(probe, mod))
-                if raw.is_zero():
-                    continue
-                coeff = self._divide_pair_norm(raw, la, ia, lb, ib)
-                out[((la, ia), (lb, ib))] = coeff
+            norm = self.norm(*keys[0])
+            for key in keys[1:]:
+                norm = norm * self.norm(*key)
+            if not norm.is_one():
+                try:
+                    raw = divide_exact(raw, norm)
+                except ExactDivisionError as exc:
+                    raise SupertowerError(f"module not expressible at {keys}: {exc}") from exc
+            out[keys[0] if pair is None else keys] = raw
         return out
-
-    def class_in_pair_K(self, mod: SuperModule, la: int, lb: int) -> GrothTensor:
-        out: GrothTensor = {}
-        simps_a = self.tower.declared_simples(la)
-        simps_b = self.tower.declared_simples(lb)
-        pair = self.tower.pair_algebra(la, lb)
-        for ia in range(len(simps_a)):
-            for ib in range(len(simps_b)):
-                probe = outer_tensor(simps_a[ia].module, simps_b[ib].module, pair)
-                raw = self._ring(hom_graded_dim(mod, probe))
-                if raw.is_zero():
-                    continue
-                coeff = self._divide_pair_norm(raw, la, ia, lb, ib)
-                out[((la, ia), (lb, ib))] = coeff
-        return out
-
-    def _divide_pair_norm(self, raw: GroundElem, la: int, ia: int, lb: int, ib: int) -> GroundElem:
-        norm = self.norm(la, ia) * self.norm(lb, ib)
-        if norm.is_one():
-            return raw
-        try:
-            return divide_exact(raw, norm)
-        except ExactDivisionError as exc:
-            raise SupertowerError(
-                f"module not expressible over pair ({la},{lb})"
-            ) from exc
 
     # -- product and coproduct ------------------------------------------------
 
@@ -287,17 +251,10 @@ class GrothLayer:
             out = self.basis_vector(side, la + lb, ia if lb == 0 else ib)
         else:
             pair = self.tower.pair_algebra(la, lb)
-            rho = self.tower.rho(la, lb)
-            if side == G_SIDE:
-                m = self.tower.declared_simples(la)[ia].module
-                n = self.tower.declared_simples(lb)[ib].module
-                ind = induce_module(rho, outer_tensor(m, n, pair))
-                out = self.class_in_G(ind, la + lb)
-            else:
-                p = self.tower.declared_projectives(la)[ia].module
-                q = self.tower.declared_projectives(lb)[ib].module
-                ind = induce_module(rho, outer_tensor(p, q, pair))
-                out = self.class_in_K(ind, la + lb)
+            m = self.declared(side, la)[ia].module
+            n = self.declared(side, lb)[ib].module
+            ind = induce_module(self.tower.rho(la, lb), outer_tensor(m, n, pair))
+            out = GrothVector(side, self._expand(side, ind, (la + lb,)))
         self._nabla[cache_key] = out
         return out
 
@@ -316,9 +273,7 @@ class GrothLayer:
         if cache_key in self._delta:
             return self._delta[cache_key]
         out: GrothTensor = {}
-        decl = (self.tower.declared_projectives(lv) if side == K_SIDE
-                else self.tower.declared_simples(lv))
-        mod = decl[i].module
+        mod = self.declared(side, lv)[i].module
         for a in range(lv + 1):
             b = lv - a
             if a == 0 or b == 0:
@@ -326,11 +281,8 @@ class GrothLayer:
                 tk = ((0, 0), (lv, i)) if a == 0 else ((lv, i), (0, 0))
                 out = tensor_add(out, {tk: self.one()})
                 continue
-            rho = self.tower.rho(a, b)
-            res = restrict_module(rho, mod)
-            part = (self.class_in_pair_K(res, a, b) if side == K_SIDE
-                    else self.class_in_pair_G(res, a, b))
-            out = tensor_add(out, part)
+            res = restrict_module(self.tower.rho(a, b), mod)
+            out = tensor_add(out, self._expand(side, res, (a, b)))
         self._delta[cache_key] = out
         return out
 
@@ -376,8 +328,8 @@ class GrothLayer:
         out = GrothVector(G_SIDE)
         for key, c in k.entries.items():
             if key not in self._g_class_of_proj:
-                proj = self.tower.declared_projectives(key[0])[key[1]]
-                self._g_class_of_proj[key] = self.class_in_G(proj.module, key[0])
+                proj = self.declared(K_SIDE, key[0])[key[1]].module
+                self._g_class_of_proj[key] = self.class_in_G(proj, key[0])
             out = out.add(self._g_class_of_proj[key].scale(c.bar()))
         return out
 
@@ -391,7 +343,7 @@ class GrothLayer:
         which holds for the nilCoxeter family.
         """
         b = level - a
-        proj = self.tower.declared_projectives(level)[0].module
+        proj = self.declared(K_SIDE, level)[0].module
         if a == 0 or b == 0:
             return GroundElem.one(FULL)
         rho = self.tower.rho(a, b)
@@ -593,7 +545,7 @@ def check_psi_invariance(layer: GrothLayer, max_level: int) -> list[CheckRecord]
             continue
         psi = tower.psi[lv]
         psi_inv = invert(psi) if psi is not None else None
-        for i, decl in enumerate(tower.declared_projectives(lv)):
+        for i, decl in enumerate(layer.declared(K_SIDE, lv)):
             expected = layer.basis_delta(K_SIDE, (lv, i))
             got: GrothTensor = {}
             for a in range(lv + 1):
@@ -604,25 +556,12 @@ def check_psi_invariance(layer: GrothLayer, max_level: int) -> list[CheckRecord]
                     continue
                 twisted = twist_module(decl.module, psi_inv, validate=False)
                 res = restrict_module(tower.rho(a, b), twisted)
-                pair_psi = _pair_automorphism(tower, a, b)
+                pair_psi = tensor_nakayama_matrix(tower.frobenius[a], tower.frobenius[b])
                 conj = twist_module(res, pair_psi, validate=False)
-                got = tensor_add(got, layer.class_in_pair_K(conj, a, b))
+                got = tensor_add(got, layer._expand(K_SIDE, conj, (a, b)))
             records.append(CheckRecord(
                 "conjugated-coproduct-fixes-projectives", (lv, i), tensor_eq(got, expected),
                 lhs=tensor_repr(got), rhs=tensor_repr(expected),
             ))
     return records
 
-
-def _pair_automorphism(tower: TowerSpec, a: int, b: int) -> Mat:
-    pa, pb = tower.psi[a], tower.psi[b]
-    dim_b = tower.level(b).dim
-    out = Mat(tower.level(a).dim * dim_b, tower.level(a).dim * dim_b)
-    for i in range(tower.level(a).dim):
-        ca = pa.cols.get(i, {})
-        for j in range(dim_b):
-            cb = pb.cols.get(j, {})
-            for r, x in ca.items():
-                for s, y in cb.items():
-                    out.add_entry(r * dim_b + s, i * dim_b + j, x * y)
-    return out

@@ -22,6 +22,9 @@ from .grothendieck import (
     BasisKey,
     GrothLayer,
     GrothVector,
+    tensor_add,
+    tensor_eq,
+    tensor_scale,
 )
 from .reporting import CheckRecord
 from .superalgebra import graded_dim, induce_module, restrict_module
@@ -71,18 +74,15 @@ class HeisenbergElem:
         return HeisenbergElem({k: c for k, c in self.terms.items() if not c.is_zero()})
 
     def add(self, other: "HeisenbergElem") -> "HeisenbergElem":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return HeisenbergElem({k: c for k, c in out.items() if not c.is_zero()})
+        return HeisenbergElem(tensor_add(self.terms, other.terms))
 
     def scale(self, c: GroundElem) -> "HeisenbergElem":
-        return HeisenbergElem({k: v * c for k, v in self.terms.items() if not (v * c).is_zero()})
+        return HeisenbergElem(tensor_scale(self.terms, c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeisenbergElem):
             return NotImplemented
-        return self.cleaned().terms == other.cleaned().terms
+        return tensor_eq(self.terms, other.terms)
 
     def to_records(self, double: "HeisenbergDouble") -> list[dict]:
         out = []
@@ -284,11 +284,7 @@ class PowerBasis:
 
 
 def _powers_eq(a: dict[int, GroundElem] | None, b: dict[int, GroundElem]) -> bool:
-    if a is None:
-        return False
-    aa = {n: c for n, c in a.items() if not c.is_zero()}
-    bb = {n: c for n, c in b.items() if not c.is_zero()}
-    return aa == bb
+    return a is not None and tensor_eq(a, b)
 
 
 def weyl_check(double: HeisenbergDouble, max_power: int) -> list[CheckRecord]:

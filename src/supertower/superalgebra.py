@@ -895,8 +895,16 @@ def algebra_to_dict(alg: SuperAlgebra) -> dict:
     return out
 
 
+def _all_int(values) -> bool:
+    return all(type(x) is int for x in values)  # bool is no integer here
+
+
 def algebra_from_dict(data: dict, name: str = "") -> SuperAlgebra:
     labels = list(data["labels"])
+    if not all(isinstance(label, str) for label in labels):
+        raise ValidationError("labels must be strings")
+    if not all(_all_int(deg) for deg in data["degrees"]):
+        raise ValidationError("degrees must be pairs of integers")
     degrees = [Degree(z, par) for z, par in data["degrees"]]
     if len(labels) != len(degrees):
         raise ValidationError("labels and degrees disagree in length")
@@ -905,8 +913,12 @@ def algebra_from_dict(data: dict, name: str = "") -> SuperAlgebra:
         c = Fraction(pair[0], pair[1])
         if c:
             unit[i] = c
+    if len(data["unit"]) != len(labels):
+        raise ValidationError("unit and labels disagree in length")
     products: dict[tuple[int, int], Vec] = {}
     for i, j, k, num, den in data["structure"]:
+        if not _all_int((i, j, k)):
+            raise ValidationError(f"structure row ({i},{j},{k}) indices must be integers")
         if not (0 <= i < len(labels) and 0 <= j < len(labels) and 0 <= k < len(labels)):
             raise ValidationError(f"structure row ({i},{j},{k}) out of range")
         products.setdefault((i, j), {})[k] = Fraction(num, den)
@@ -916,6 +928,8 @@ def algebra_from_dict(data: dict, name: str = "") -> SuperAlgebra:
         for j in range(len(labels))
     }
     generators = data.get("generators")
+    if generators is not None and not _all_int(generators):
+        raise ValidationError(f"generators {generators} must be integers")
     if generators is not None and not all(0 <= g < len(labels) for g in generators):
         raise ValidationError(f"generators {generators} out of range")
     return SuperAlgebra(

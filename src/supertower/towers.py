@@ -986,32 +986,20 @@ def _check_ta3_freeness(tower: TowerSpec, n: int, m: int) -> list[CheckRecord]:
     rho = tower.rho(n, m)
     reps = coset_reps(n, m)
     out = []
-    ok_left = True
-    el = Eliminator()
-    for w in reps:
-        uw = tower.perm_element_index(n + m, w)
-        for t in range(pair.dim):
-            col = alg.product_vec(rho.images[t], {uw: Fraction(1)})
-            if not el.add_row(col):
-                ok_left = False
-    ok_left = ok_left and el.rank == alg.dim
-    out.append(CheckRecord(
-        "TA3-left-freeness", (n, m), ok_left,
-        lhs=f"rank {el.rank}", rhs=f"dim {alg.dim}",
-    ))
-    ok_right = True
-    el = Eliminator()
-    for w in reps:
-        uw = tower.perm_element_index(n + m, perm_inverse(w))
-        for t in range(pair.dim):
-            col = alg.product_vec({uw: Fraction(1)}, rho.images[t])
-            if not el.add_row(col):
-                ok_right = False
-    ok_right = ok_right and el.rank == alg.dim
-    out.append(CheckRecord(
-        "TA3-right-freeness", (n, m), ok_right,
-        lhs=f"rank {el.rank}", rhs=f"dim {alg.dim}",
-    ))
+    for side, rep in (("left", lambda w: w), ("right", perm_inverse)):
+        ok = True
+        el = Eliminator()
+        for w in reps:
+            uw = {tower.perm_element_index(n + m, rep(w)): Fraction(1)}
+            for t in range(pair.dim):
+                col = (alg.product_vec(rho.images[t], uw) if side == "left"
+                       else alg.product_vec(uw, rho.images[t]))
+                if not el.add_row(col):
+                    ok = False
+        out.append(CheckRecord(
+            f"TA3-{side}-freeness", (n, m), ok and el.rank == alg.dim,
+            lhs=f"rank {el.rank}", rhs=f"dim {alg.dim}",
+        ))
     return out
 
 

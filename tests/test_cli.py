@@ -1,11 +1,16 @@
 """The batch driver: descriptors, suites, report formats, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from supertower.cli import (
     RunConfig,
@@ -261,6 +266,27 @@ def _without(data, key):
      "malformed base algebra file: TypeError: 'int' object is not subscriptable"),
     ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, delta="one")},
      "malformed base algebra file: ValueError: invalid literal for int() with base 10: 'one'"),
+    # non-integer indices, degrees, generators and Frobenius degrees, non-string labels,
+    # over-long unit and trace
+    ({"algebra": dict(CLIFFORD_ALGEBRA, structure=[[0, 0, 0.0, 1, 1], *CLIFFORD_ALGEBRA["structure"][1:]]),
+      "frobenius": CLIFFORD_FROBENIUS},
+     "structure row (0,0,0.0) indices must be integers"),
+    ({"algebra": dict(CLIFFORD_ALGEBRA, generators=[1.0]), "frobenius": CLIFFORD_FROBENIUS},
+     "generators [1.0] must be integers"),
+    ({"algebra": dict(CLIFFORD_ALGEBRA, degrees=[["a", 0], [0, 1]]), "frobenius": CLIFFORD_FROBENIUS},
+     "degrees must be pairs of integers"),
+    ({"algebra": dict(CLIFFORD_ALGEBRA, labels=[None, "c"]), "frobenius": CLIFFORD_FROBENIUS},
+     "labels must be strings"),
+    ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, trace=[[0, 1], [1, 1], [1, 1]])},
+     "base frobenius trace and algebra disagree in length"),
+    ({"algebra": dict(CLIFFORD_ALGEBRA, unit=[[1, 1], [0, 1], [1, 1]]), "frobenius": CLIFFORD_FROBENIUS},
+     "unit and labels disagree in length"),
+    ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, delta=0.5)},
+     "base frobenius field 'delta' must be an integer"),
+    ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, delta="0")},
+     "base frobenius field 'delta' must be an integer"),
+    ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, sigma=True)},
+     "base frobenius field 'sigma' must be an integer"),
 ])
 def test_malformed_base_file_is_usage_error(spec, message, tmp_path, capsys):
     path = tmp_path / "base.json"
@@ -326,3 +352,60 @@ def test_empty_report_text():
     from supertower.cli import Report
     text = emit_report(Report(), "text")
     assert "0 total" in text
+
+
+# -- descriptor fuzz: every input ends in a documented exit, never an internal error
+
+JUNK = hst.one_of(
+    hst.integers(-2, 3), hst.floats(-3, 3), hst.booleans(), hst.text(max_size=3), hst.none(),
+    hst.lists(hst.integers(-1, 2), max_size=3), hst.just({}),
+)
+
+
+def _assert_documented_exit(argv) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 64), err.getvalue()
+    assert "internal" not in err.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_max=hst.integers(1, 3),
+       fields=hst.fixed_dictionaries({}, optional={key: hst.one_of(hst.integers(-2, 4), JUNK)
+                                                   for key in ("d", "eps", "frobenius_cap")}))
+def test_fuzz_nilcoxeter_descriptor(n_max, fields):
+    body = dict(fields, n_max=n_max)
+    _assert_documented_exit(["verify", json.dumps({"nilcoxeter": body}), "--format", "json"])
+
+
+CLIFFORD_BASE = {"algebra": CLIFFORD_ALGEBRA, "frobenius": CLIFFORD_FROBENIUS}
+
+
+def _field_paths(node, path=()):
+    """Every key or index path into a JSON value, containers included."""
+    if path:
+        yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _field_paths(child, path + (key,))
+
+
+CLIFFORD_PATHS = list(_field_paths(CLIFFORD_BASE))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=hst.sampled_from(CLIFFORD_PATHS), value=hst.one_of(JUNK, hst.just("<delete>")))
+def test_fuzz_clifford_base_file(path, value, tmp_path):
+    spec = copy.deepcopy(CLIFFORD_BASE)
+    parent = spec
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == "<delete>":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    base = tmp_path / "base.json"  # one file, rewritten by each example
+    base.write_text(json.dumps(spec))
+    desc = json.dumps({"wreath": {"base": str(base), "n_max": 2}})
+    _assert_documented_exit(["verify", desc, "--format", "json"])

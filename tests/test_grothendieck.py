@@ -4,11 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from supertower.errors import TruncationError
-from supertower.ground import COLLAPSED, GroundElem, TwistScalar, bar_involution, qpi_binomial, qpi_factorial
+from supertower.errors import ExactDivisionError, SupertowerError, TruncationError
+from supertower.frobenius import tensor_nakayama_matrix
+from supertower.ground import (
+    COLLAPSED,
+    GroundElem,
+    TwistScalar,
+    bar_involution,
+    divide_exact,
+    qpi_binomial,
+    qpi_factorial,
+)
 from supertower.grothendieck import (
     G_SIDE,
     K_SIDE,
+    GrothLayer,
     GrothVector,
     check_adjunction_kappa,
     check_hopf_pairing,
@@ -18,8 +28,10 @@ from supertower.grothendieck import (
     outer_vector_tensor,
     tensor_eq,
 )
+from supertower.linalg import Mat
 from supertower.reporting import all_passed, failures
-from supertower.superalgebra import regular_module, restrict_module, shift_module
+from supertower.superalgebra import hom_graded_dim, outer_tensor, regular_module, restrict_module, shift_module
+from supertower.towers import build_nilcoxeter_tower
 
 
 class TestClasses:
@@ -291,3 +303,126 @@ def test_grothvector_serialization(layer6_11):
     v = layer6_11.basis_vector(G_SIDE, 2, 0).scale(GroundElem.q(1) * 2)
     recs = v.to_records(layer6_11)
     assert recs == [{"level": 2, "label": "L2", "coeff": [[1, 0, 2]]}]
+
+
+# -- oracles: each side's expander, one level and pair at a time, and the
+# pair automorphism written out entry by entry
+
+
+def _divide_norm(layer, raw, level, i):
+    norm = layer.norm(level, i)
+    if norm.is_one():
+        return raw
+    try:
+        return divide_exact(raw, norm)
+    except ExactDivisionError as exc:
+        raise SupertowerError(f"module not expressible: level {level} basis {i}: {exc}") from exc
+
+
+def _divide_pair_norm(layer, raw, la, ia, lb, ib):
+    norm = layer.norm(la, ia) * layer.norm(lb, ib)
+    if norm.is_one():
+        return raw
+    try:
+        return divide_exact(raw, norm)
+    except ExactDivisionError as exc:
+        raise SupertowerError(f"module not expressible over pair ({la},{lb})") from exc
+
+
+def oracle_class_in_G(layer, mod, level):
+    simps = layer.tower.declared_simples(level)
+    projs = layer.tower.declared_projectives(level)
+    entries = {}
+    for i, (p, s) in enumerate(zip(projs, simps)):
+        raw = layer._ring(hom_graded_dim(p.module, mod))
+        if not raw.is_zero():
+            entries[(level, i)] = _divide_norm(layer, raw, level, i)
+    return entries
+
+
+def oracle_class_in_K(layer, mod, level):
+    entries = {}
+    for i, s in enumerate(layer.tower.declared_simples(level)):
+        raw = layer._ring(hom_graded_dim(mod, s.module))
+        if not raw.is_zero():
+            entries[(level, i)] = _divide_norm(layer, raw, level, i)
+    return entries
+
+
+def oracle_class_in_pair(layer, side, mod, la, lb):
+    tower = layer.tower
+    probes_a = tower.declared_projectives(la) if side == G_SIDE else tower.declared_simples(la)
+    probes_b = tower.declared_projectives(lb) if side == G_SIDE else tower.declared_simples(lb)
+    pair = tower.pair_algebra(la, lb)
+    out = {}
+    for ia in range(len(tower.declared_simples(la))):
+        for ib in range(len(tower.declared_simples(lb))):
+            probe = outer_tensor(probes_a[ia].module, probes_b[ib].module, pair)
+            raw = layer._ring(hom_graded_dim(probe, mod) if side == G_SIDE else hom_graded_dim(mod, probe))
+            if not raw.is_zero():
+                out[((la, ia), (lb, ib))] = _divide_pair_norm(layer, raw, la, ia, lb, ib)
+    return out
+
+
+def oracle_pair_automorphism(tower, a, b):
+    pa, pb = tower.psi[a], tower.psi[b]
+    dim_b = tower.level(b).dim
+    out = Mat(tower.level(a).dim * dim_b, tower.level(a).dim * dim_b)
+    for i in range(tower.level(a).dim):
+        ca = pa.cols.get(i, {})
+        for j in range(dim_b):
+            cb = pb.cols.get(j, {})
+            for r, x in ca.items():
+                for s, y in cb.items():
+                    out.add_entry(r * dim_b + s, i * dim_b + j, x * y)
+    return out
+
+
+def _items_or_error(fn, *args):
+    """The expansion's (key, coefficient) items in order, or the error it raised."""
+    try:
+        return list(fn(*args).items())
+    except SupertowerError as exc:
+        return type(exc)
+
+
+@pytest.fixture(scope="module")
+def nc4_10():
+    return build_nilcoxeter_tower(4, 1, 0, frobenius_cap=4)
+
+
+@pytest.fixture(params=["nc4_10", "nc4_11", "sergeev3"])
+def oracle_tower(request):
+    return request.getfixturevalue(request.param)
+
+
+class TestExpandAgainstPerSideOracles:
+    def test_declared_modules_and_their_restrictions(self, oracle_tower):
+        layer = GrothLayer(oracle_tower)
+        single = {G_SIDE: oracle_class_in_G, K_SIDE: oracle_class_in_K}
+        compared = 0
+        for lv in range(oracle_tower.n_max + 1):
+            if not oracle_tower.has_declared(lv):
+                continue
+            for decl_side in (G_SIDE, K_SIDE):
+                for decl in layer.declared(decl_side, lv):
+                    for side in (G_SIDE, K_SIDE):
+                        got = _items_or_error(layer._expand, side, decl.module, (lv,))
+                        assert got == _items_or_error(single[side], layer, decl.module, lv)
+                        compared += 1
+                        for a in range(1, lv):
+                            res = restrict_module(oracle_tower.rho(a, lv - a), decl.module)
+                            got = _items_or_error(layer._expand, side, res, (a, lv - a))
+                            assert got == _items_or_error(oracle_class_in_pair, layer, side, res, a, lv - a)
+                            compared += 1
+        assert compared >= 16
+
+    def test_tensor_nakayama_matches_pair_automorphism(self, oracle_tower):
+        levels = [lv for lv in range(oracle_tower.n_max + 1) if oracle_tower.frobenius[lv] is not None]
+        assert levels == list(range(oracle_tower.n_max + 1))
+        for a in levels:
+            for b in levels:
+                got = tensor_nakayama_matrix(oracle_tower.frobenius[a], oracle_tower.frobenius[b])
+                want = oracle_pair_automorphism(oracle_tower, a, b)
+                assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+                assert list(got.cols.items()) == list(want.cols.items())
