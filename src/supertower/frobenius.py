@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import InternalInconsistencyError, ValidationError
-from .linalg import Eliminator, Mat, Vec, solve
+from .linalg import Eliminator, Mat, Vec, exact, solve
 from .superalgebra import (
     LEFT,
     RIGHT,
@@ -35,11 +35,11 @@ class FrobeniusStructure:
     gram: Mat                # gram.entry(i, j) == tr(e_i e_j)
     nakayama: Mat
 
-    def form(self, i: int, j: int) -> Fraction:
+    def form(self, i: int, j: int) -> int | Fraction:
         return self.gram.entry(i, j)
 
-    def form_vec(self, u: Vec, v: Vec) -> Fraction:
-        out = Fraction(0)
+    def form_vec(self, u: Vec, v: Vec) -> int | Fraction:
+        out = 0
         for i, a in u.items():
             for j, b in v.items():
                 out += a * b * self.gram.entry(i, j)
@@ -49,8 +49,8 @@ class FrobeniusStructure:
         return f"FrobeniusStructure({self.algebra.name}, degree=({self.delta},{self.sigma}))"
 
 
-def _trace_of_vec(trace: Vec, v: Vec) -> Fraction:
-    out = Fraction(0)
+def _trace_of_vec(trace: Vec, v: Vec) -> int | Fraction:
+    out = 0
     for k, c in v.items():
         t = trace.get(k)
         if t:
@@ -80,7 +80,7 @@ def check_frobenius(
     must be a partner of the unit, or the supplied rule is wrong.
     """
     sigma &= 1
-    trace = {i: Fraction(c) for i, c in trace.items() if c}
+    trace = {i: exact(c) for i, c in trace.items() if c}
     for i in trace:
         if alg.degrees[i] != Degree(delta, sigma):
             raise ValidationError("trace not graded")
@@ -249,7 +249,7 @@ def check_dual_iso(frob: FrobeniusStructure) -> ValidationReport:
     for b in range(dim):
         for a in range(dim):
             acted = left[a].apply(phi.cols.get(b, {}))
-            twisted = phi.apply(alg.product_vec({b: Fraction(1)}, frob.nakayama.col(a)))
+            twisted = phi.apply(alg.product_vec({b: 1}, frob.nakayama.col(a)))
             for x in _differences(acted, twisted):
                 bad.append(("nakayama compatibility", (b, a, x)))
     return ValidationReport(f"dual bimodule iso for {alg.name}", bad)

@@ -201,7 +201,8 @@ class GroundElem:
 
     def eval_pi(self, sign: int) -> dict[int, Fraction]:
         """Evaluate ``pi -> sign`` (``+1`` or ``-1``); dict ``q_exp -> value``."""
-        assert sign in (1, -1)
+        if sign not in (1, -1):
+            raise ValueError(f"pi evaluates to +1 or -1, not {sign!r}")
         out: dict[int, Fraction] = {}
         for (qe, pe), c in self.terms.items():
             v = Fraction(c) * (sign ** pe)
@@ -313,7 +314,8 @@ def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """Synthetic division in Z[t]; requires ``b`` monic up to sign."""
     if not b:
         raise ZeroDivisionError
-    assert b[-1] in (1, -1)
+    if b[-1] not in (1, -1):
+        raise ValueError(f"divisor {b} is not monic up to sign")
     rem = list(a)
     quo = [0] * max(0, len(rem) - len(b) + 1)
     for shift in range(len(rem) - len(b), -1, -1):

@@ -467,11 +467,11 @@ def _lp_sub_mul(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly) 
     for e1, v1 in a.items():
         for e2, v2 in b.items():
             k = e1 + e2
-            out[k] = out.get(k, Fraction(0)) + v1 * v2
+            out[k] = out.get(k, 0) + v1 * v2
     for e1, v1 in c.items():
         for e2, v2 in d.items():
             k = e1 + e2
-            out[k] = out.get(k, Fraction(0)) - v1 * v2
+            out[k] = out.get(k, 0) - v1 * v2
     return {k: v for k, v in out.items() if v}
 
 

@@ -1,7 +1,9 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts ``index -> Fraction`` with no stored zeros; matrices are
-column-major dicts of such vectors.  Everything here is artifact plumbing:
+Vectors are dicts ``index -> int | Fraction`` with no stored zeros; matrices
+are column-major dicts of such vectors.  Values are ``int`` until a division,
+and every division goes through ``Fraction``; ``exact`` is the one
+normaliser at the boundary.  Everything here is artifact plumbing:
 row reduction uses deterministic first-nonzero-column pivoting so quotient
 bases and report output are reproducible.
 
@@ -21,13 +23,22 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-Vec = dict[int, Fraction]
+Vec = dict[int, int | Fraction]
+
+
+def exact(c) -> int | Fraction:
+    """``c`` as an exact value: an ``int``, or a ``Fraction`` that is not one."""
+    if type(c) is int:
+        return c
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"not an exact rational: {c!r}")
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
     out = dict(a)
     for i, c in b.items():
-        v = out.get(i, Fraction(0)) + c
+        v = out.get(i, 0) + c
         if v:
             out[i] = v
         elif i in out:
@@ -36,18 +47,18 @@ def vec_add(a: Vec, b: Vec) -> Vec:
 
 
 def vec_scale(a: Vec, c) -> Vec:
-    c = Fraction(c)
+    c = exact(c)
     if not c:
         return {}
     return {i: x * c for i, x in a.items()}
 
 
-def vec_axpy(out: Vec, c: Fraction, a: Vec) -> None:
+def vec_axpy(out: Vec, c: int | Fraction, a: Vec) -> None:
     """In-place ``out += c*a``."""
     if not c:
         return
     for i, x in a.items():
-        v = out.get(i, Fraction(0)) + c * x
+        v = out.get(i, 0) + c * x
         if v:
             out[i] = v
         elif i in out:
@@ -66,7 +77,7 @@ class Mat:
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(n, n, {j: {j: Fraction(1)} for j in range(n)})
+        return Mat(n, n, {j: {j: 1} for j in range(n)})
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Mat":
@@ -80,11 +91,11 @@ class Mat:
         return m
 
     def add_entry(self, i: int, j: int, c) -> None:
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return
         col = self.cols.setdefault(j, {})
-        v = col.get(i, Fraction(0)) + c
+        v = col.get(i, 0) + c
         if v:
             col[i] = v
         else:
@@ -92,8 +103,8 @@ class Mat:
             if not col:
                 del self.cols[j]
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.cols.get(j, {}).get(i, Fraction(0))
+    def entry(self, i: int, j: int) -> int | Fraction:
+        return self.cols.get(j, {}).get(i, 0)
 
     def col(self, j: int) -> Vec:
         return dict(self.cols.get(j, {}))
@@ -122,13 +133,13 @@ class Mat:
         out = Mat(self.nrows, self.ncols, self.cols)
         for j, col in other.cols.items():
             target = out.cols.setdefault(j, {})
-            vec_axpy(target, Fraction(1), col)
+            vec_axpy(target, 1, col)
             if not target:
                 del out.cols[j]
         return out
 
     def scale(self, c) -> "Mat":
-        c = Fraction(c)
+        c = exact(c)
         return Mat(self.nrows, self.ncols, {j: vec_scale(col, c) for j, col in self.cols.items() if c})
 
     def transpose(self) -> "Mat":
@@ -193,7 +204,12 @@ class Eliminator:
         if not red:
             return False
         j = min(red)
-        self.pivots[j] = vec_scale(red, 1 / red[j])
+        lead = red[j]
+        if lead == -1:
+            red = {k: -c for k, c in red.items()}
+        elif lead != 1:
+            red = vec_scale(red, 1 / Fraction(lead))
+        self.pivots[j] = red
         self._rref = None
         return True
 
@@ -242,7 +258,7 @@ def nullspace(rows: Iterable[Vec], ncols: int, col_order: list[int] | None = Non
     for j in order:
         if j in rref:
             continue
-        v: Vec = {j: Fraction(1)}
+        v: Vec = {j: 1}
         for pj, prow in rref.items():
             if j in prow:
                 v[pj] = -prow[j]

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
 from .ground import FULL, GroundElem
-from .linalg import Eliminator, Mat, Vec, rank_of_rows, vec_axpy
+from .linalg import Eliminator, Mat, Vec, exact, rank_of_rows, vec_axpy
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,11 @@ class SuperAlgebra:
         support_fn: Callable[[int, int], frozenset] | None = None,
         name: str = "",
     ):
-        assert len(labels) == len(degrees)
+        if len(labels) != len(degrees):
+            raise ValueError(f"{len(labels)} labels but {len(degrees)} degrees")
         self.labels = list(labels)
         self.degrees = list(degrees)
-        self.unit = {i: Fraction(c) for i, c in unit.items() if c}
+        self.unit = {i: exact(c) for i, c in unit.items() if c}
         self._products: dict[tuple[int, int], Vec] = dict(products or {})
         self._product_fn = product_fn
         self._support_fn = support_fn
@@ -164,7 +165,7 @@ def generated_dim(alg: SuperAlgebra) -> int:
     while frontier and el.rank < alg.dim:
         v = frontier.pop()
         for g in alg.generating_set():
-            w = alg.product_vec({g: Fraction(1)}, v)
+            w = alg.product_vec({g: 1}, v)
             if el.add_row(w):
                 frontier.append(w)
     return el.rank
@@ -183,7 +184,7 @@ def validate_algebra(alg: SuperAlgebra) -> ValidationReport:
     if any(alg.degrees[i] != Degree(0, 0) for i in alg.unit):
         bad.append(("unit degree", ()))
     for j in range(dim):
-        ej = {j: Fraction(1)}
+        ej = {j: 1}
         if alg.product_vec(alg.unit, ej) != ej:
             bad.append(("left unit law", (j,)))
         if alg.product_vec(ej, alg.unit) != ej:
@@ -256,7 +257,8 @@ class AlgebraHom:
     """
 
     def __init__(self, source: SuperAlgebra, target: SuperAlgebra, images: Sequence[Vec], name: str = ""):
-        assert len(images) == source.dim
+        if len(images) != source.dim:
+            raise ValueError(f"{len(images)} images for a source of dimension {source.dim}")
         self.source = source
         self.target = target
         self.images = [dict(v) for v in images]
@@ -294,7 +296,7 @@ class AlgebraHom:
 
 
 def identity_hom(alg: SuperAlgebra) -> AlgebraHom:
-    return AlgebraHom(alg, alg, [{i: Fraction(1)} for i in range(alg.dim)], name=f"id({alg.name})")
+    return AlgebraHom(alg, alg, [{i: 1} for i in range(alg.dim)], name=f"id({alg.name})")
 
 
 class SuperModule:
@@ -355,7 +357,7 @@ class SuperModule:
         return f"SuperModule({self.name}, dim={self.dim}, {self.side})"
 
 
-def vec_axpy_mat(out: Vec, c: Fraction, mat: Mat, m: Vec) -> None:
+def vec_axpy_mat(out: Vec, c: int | Fraction, mat: Mat, m: Vec) -> None:
     for j, x in m.items():
         col = mat.cols.get(j)
         if col:
@@ -450,8 +452,10 @@ def hom_graded_dim(src: SuperModule, dst: SuperModule) -> GroundElem:
     the target (the evaluation-at-unit isomorphism), which this function
     uses as a fast path.
     """
-    assert src.algebra is dst.algebra, "modules over different algebras"
-    assert src.side == dst.side == LEFT
+    if src.algebra is not dst.algebra:
+        raise ValueError("modules over different algebras")
+    if not src.side == dst.side == LEFT:
+        raise ValueError("hom_graded_dim needs two left modules")
     if src.regular:
         return graded_dim(dst)
     alg = src.algebra
@@ -479,7 +483,7 @@ def hom_graded_dim(src: SuperModule, dst: SuperModule) -> GroundElem:
         adst = dst.act(b)
         pb = alg.degrees[b].par
         # row-major view of the target action for this generator
-        dst_rows: dict[int, list[tuple[int, Fraction]]] = {}
+        dst_rows: dict[int, list[tuple[int, int | Fraction]]] = {}
         for t, col in adst.cols.items():
             for r, c in col.items():
                 dst_rows.setdefault(r, []).append((t, c))
@@ -489,14 +493,14 @@ def hom_graded_dim(src: SuperModule, dst: SuperModule) -> GroundElem:
                 row: Vec = {}
                 for s_idx, c in col.items():
                     k2 = key(r, s_idx)
-                    row[k2] = row.get(k2, Fraction(0)) + c
+                    row[k2] = row.get(k2, 0) + c
                 # the component of f receiving this constraint has parity
                 # par(r) + par(b) + par(j)
                 par_f = (dst.degrees[r].par + src.degrees[j].par + pb) & 1
                 sign = -1 if (pb and par_f) else 1
                 for t, c in dst_rows.get(r, ()):
                     k2 = key(t, j)
-                    row[k2] = row.get(k2, Fraction(0)) - sign * c
+                    row[k2] = row.get(k2, 0) - sign * c
                 row = {k2: v for k2, v in row.items() if v}
                 if row:
                     block_keys = {bidegree(k2 // src.dim, k2 % src.dim) for k2 in row}
@@ -523,7 +527,8 @@ def outer_tensor(
     ``algebra`` may supply a previously built tensor algebra so repeated
     outer tensors over the same pair share one product table.
     """
-    assert left.side == right.side == LEFT
+    if not left.side == right.side == LEFT:
+        raise ValueError("outer_tensor needs two left modules")
     ab = algebra if algebra is not None else tensor_algebra(left.algebra, right.algebra)
     dim_b = right.algebra.dim
     dim_n = right.dim
@@ -573,7 +578,7 @@ class Subspace:
         for v in spanning:
             if self.coords(v) is None:
                 aug = dict(v)
-                aug[ambient_dim + len(self.basis)] = Fraction(1)
+                aug[ambient_dim + len(self.basis)] = 1
                 self._el.add_row(aug)
                 self.basis.append(dict(v))
 
@@ -602,9 +607,11 @@ def homogeneous_degree(v: Vec, degrees: Sequence[Degree]) -> Degree:
 
 def restrict_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperModule:
     """Restriction along ``phi``: the corner ``phi(1) M`` with the pulled-back action."""
-    assert mod.side == LEFT
+    if mod.side != LEFT:
+        raise ValueError("restriction needs a left module")
     target, source = phi.target, phi.source
-    assert mod.algebra is target
+    if mod.algebra is not target:
+        raise ValueError("restriction needs a module over the target of phi")
     e = phi.unit_image()
     if e == target.unit:
         # unital homomorphism: same underlying space
@@ -644,9 +651,11 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
     ``b`` running over a generating set.  Pivoting is first-nonzero-column,
     so the quotient basis is reproducible.
     """
-    assert mod.side == LEFT
+    if mod.side != LEFT:
+        raise ValueError("induction needs a left module")
     source, target = phi.source, phi.target
-    assert mod.algebra is source
+    if mod.algebra is not source:
+        raise ValueError("induction needs a module over the source of phi")
 
     e = phi.unit_image()
     unital = e == target.unit
@@ -655,7 +664,7 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
         corner_dim = target.dim
 
         def corner_vec(i: int) -> Vec:
-            return {i: Fraction(1)}
+            return {i: 1}
 
         def corner_coords(w: Vec) -> Vec:
             return w
@@ -663,7 +672,7 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
         def corner_left_mult(a: int, c: int) -> Vec:
             return target.basis_product(a, c)
     else:
-        rm_e = [target.product_vec({j: Fraction(1)}, e) for j in range(target.dim)]
+        rm_e = [target.product_vec({j: 1}, e) for j in range(target.dim)]
         sub = Subspace([v for v in rm_e if v], target.dim)
         corner_dim = sub.dim
 
@@ -679,7 +688,7 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
             return got
 
         def corner_left_mult(a: int, c: int) -> Vec:
-            prod = target.product_vec({a: Fraction(1)}, corner_vec(c))
+            prod = target.product_vec({a: 1}, corner_vec(c))
             return corner_coords(prod)
 
     # special case: inducing the regular module of the source gives the corner
@@ -720,10 +729,10 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
             for n in range(nd):
                 row: Vec = {}
                 for cc, coeff in left.items():
-                    row[flat(cc, n)] = row.get(flat(cc, n), Fraction(0)) + coeff
+                    row[flat(cc, n)] = row.get(flat(cc, n), 0) + coeff
                 for nn, coeff in bn.cols.get(n, {}).items():
                     k = flat(c, nn)
-                    row[k] = row.get(k, Fraction(0)) - coeff
+                    row[k] = row.get(k, 0) - coeff
                 row = {k: v for k, v in row.items() if v}
                 if row:
                     relations.add_row(row)
@@ -921,7 +930,7 @@ def algebra_from_dict(data: dict, name: str = "") -> SuperAlgebra:
             raise ValidationError(f"structure row ({i},{j},{k}) indices must be integers")
         if not (0 <= i < len(labels) and 0 <= j < len(labels) and 0 <= k < len(labels)):
             raise ValidationError(f"structure row ({i},{j},{k}) out of range")
-        products.setdefault((i, j), {})[k] = Fraction(num, den)
+        products.setdefault((i, j), {})[k] = exact(Fraction(num, den))
     full = {
         (i, j): products.get((i, j), {})
         for i in range(len(labels))

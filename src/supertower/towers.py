@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, factorial
 
 from .errors import CocycleError, ValidationError
@@ -344,7 +343,7 @@ def build_nilcoxeter(n: int, d: int, eps: int) -> tuple[SuperAlgebra, SignedPerm
         if got is None:
             return {}
         sign, tgt = got
-        return {basis.index[tgt]: Fraction(sign)}
+        return {basis.index[tgt]: sign}
 
     def support(i: int, j: int) -> frozenset:
         tgt = basis.product_support(basis.perms[i], basis.perms[j])
@@ -352,7 +351,7 @@ def build_nilcoxeter(n: int, d: int, eps: int) -> tuple[SuperAlgebra, SignedPerm
 
     gens = [basis.index[apply_s(identity_perm(n), i, side="right")] for i in range(n - 1)]
     alg = SuperAlgebra(
-        labels, degrees, {basis.index[identity_perm(n)]: Fraction(1)},
+        labels, degrees, {basis.index[identity_perm(n)]: 1},
         product_fn=product, generators=gens, support_fn=support,
         name=f"nilcoxeter(n={n},d={d},eps={eps})",
     )
@@ -364,7 +363,7 @@ def _check_nilcoxeter_relations(alg: SuperAlgebra, basis: SignedPermBasis) -> No
     n = basis.n
     e = identity_perm(n)
     gen = [basis.index[apply_s(e, i, side="right")] for i in range(n - 1)]
-    sign = Fraction(-1 if basis.eps else 1)
+    sign = -1 if basis.eps else 1
     for i in range(n - 1):
         if alg.basis_product(gen[i], gen[i]):
             raise CocycleError("cocycle inconsistent: generator square is nonzero")
@@ -375,8 +374,8 @@ def _check_nilcoxeter_relations(alg: SuperAlgebra, basis: SignedPermBasis) -> No
                 if lhs != rhs:
                     raise CocycleError("cocycle inconsistent: distant commutation fails")
             if j == i + 1:
-                lhs = alg.product_vec(alg.basis_product(gen[i], gen[j]), {gen[i]: Fraction(1)})
-                rhs = alg.product_vec(alg.basis_product(gen[j], gen[i]), {gen[j]: Fraction(1)})
+                lhs = alg.product_vec(alg.basis_product(gen[i], gen[j]), {gen[i]: 1})
+                rhs = alg.product_vec(alg.basis_product(gen[j], gen[i]), {gen[j]: 1})
                 if lhs != rhs:
                     raise CocycleError("cocycle inconsistent: braid relation fails")
 
@@ -385,7 +384,7 @@ def nilcoxeter_frobenius(alg: SuperAlgebra, basis: SignedPermBasis) -> Frobenius
     """Trace picks out the longest element; degree is its bidegree."""
     w0 = longest_element(basis.n)
     ell = basis.lengths[w0]
-    trace = {basis.index[w0]: Fraction(1)}
+    trace = {basis.index[w0]: 1}
     return check_frobenius(alg, trace, basis.d * ell, (basis.eps * ell) & 1,
                            check_invariance=(basis.n <= 6), partners=basis.gram_partners)
 
@@ -420,7 +419,7 @@ def tensor_tuple_product(base: SuperAlgebra, xs: tuple[int, ...], ys: tuple[int,
         for j in range(i):
             if base.degrees[xs[i]].par and base.degrees[ys[j]].par:
                 sign = -sign
-    terms = [(tuple(), Fraction(sign))]
+    terms = [(tuple(), sign)]
     for x, y in zip(xs, ys):
         prod = base.basis_product(x, y)
         new_terms = []
@@ -534,7 +533,7 @@ def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, F
         out: Vec = {}
         for t, c in tensor_tuple_product(base, tx, ty_moved):
             key = idx(t, w)
-            out[key] = out.get(key, Fraction(0)) + s1 * c
+            out[key] = out.get(key, 0) + s1 * c
             if not out[key]:
                 del out[key]
         return out
@@ -554,7 +553,7 @@ def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, F
     unit: Vec = {}
     for combo in itertools.product(*[list(base.unit.items())] * n):
         t = tuple(ci for ci, _ in combo)
-        coeff = Fraction(1)
+        coeff = 1
         for _, c in combo:
             coeff *= c
         unit[idx(t, e)] = coeff
@@ -567,11 +566,11 @@ def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, F
     w0 = longest_element(n)
     trace: Vec = {}
     for t in basis.tuples:
-        val = Fraction(1)
+        val = 1
         for b in t:
             tb = base_frob.trace.get(b)
             if not tb:
-                val = Fraction(0)
+                val = 0
                 break
             val *= tb
         if val:
@@ -602,7 +601,7 @@ def wreath_nakayama_closed_form(base_frob: FrobeniusStructure, n: int, alg: Supe
         odd = sum(1 for b in t if base.degrees[b].par)
         sign = -1 if (odd * (odd - 1) // 2) & 1 else 1
         # expand psi_B factorwise on the reversed tuple
-        expansions = [(tuple(), Fraction(sign))]
+        expansions = [(tuple(), sign)]
         for b in reversed(t):
             col = base_frob.nakayama.cols.get(b, {})
             expansions = [
@@ -623,10 +622,10 @@ def nilcoxeter_nakayama_closed_form(alg: SuperAlgebra, basis: SignedPermBasis) -
     out = Mat(alg.dim, alg.dim)
     e = identity_perm(n)
     for src, w in enumerate(basis.perms):
-        vec: Vec = {basis.index[e]: Fraction(1)}
+        vec: Vec = {basis.index[e]: 1}
         for i in basis.words[w]:
             gen = basis.index[apply_s(e, n - 2 - i, side="right")]
-            vec = alg.product_vec(vec, {gen: Fraction(1)})
+            vec = alg.product_vec(vec, {gen: 1})
         for k, c in vec.items():
             out.add_entry(k, src, c)
     return out
@@ -645,23 +644,23 @@ def clifford_base() -> FrobeniusStructure:
     alg = SuperAlgebra(
         labels=["1", "c"],
         degrees=[Degree(0, 0), Degree(0, 1)],
-        unit={0: Fraction(1)},
+        unit={0: 1},
         products={
-            (0, 0): {0: Fraction(1)},
-            (0, 1): {1: Fraction(1)},
-            (1, 0): {1: Fraction(1)},
-            (1, 1): {0: Fraction(1)},
+            (0, 0): {0: 1},
+            (0, 1): {1: 1},
+            (1, 0): {1: 1},
+            (1, 1): {0: 1},
         },
         generators=[1],
         name="clifford",
     )
-    return check_frobenius(alg, {1: Fraction(1)}, 0, 1)
+    return check_frobenius(alg, {1: 1}, 0, 1)
 
 
 def trivial_level_algebra() -> SuperAlgebra:
     return SuperAlgebra(
-        labels=["1"], degrees=[Degree(0, 0)], unit={0: Fraction(1)},
-        products={(0, 0): {0: Fraction(1)}}, generators=[], name="ground-field",
+        labels=["1"], degrees=[Degree(0, 0)], unit={0: 1},
+        products={(0, 0): {0: 1}}, generators=[], name="ground-field",
     )
 
 
@@ -749,7 +748,7 @@ class TowerSpec:
         src = self.level(n)
         tgt = self.level(n + 1)
         images = [
-            {self.shift_basis_index(n, i, 0, n + 1): Fraction(1)} for i in range(src.dim)
+            {self.shift_basis_index(n, i, 0, n + 1): 1} for i in range(src.dim)
         ]
         return AlgebraHom(src, tgt, images, name=f"step({n})")
 
@@ -795,7 +794,7 @@ def build_nilcoxeter_tower(n_max: int, d: int, eps: int, frobenius_cap: int = 6)
     eps &= 1
     algebras: list[SuperAlgebra] = [trivial_level_algebra()]
     frob: list[FrobeniusStructure | None] = [
-        check_frobenius(algebras[0], {0: Fraction(1)}, 0, 0)
+        check_frobenius(algebras[0], {0: 1}, 0, 0)
     ]
     bases: list[SignedPermBasis | WreathBasis] = [SignedPermBasis(0, d, eps)]
     for n in range(1, n_max + 1):
@@ -836,8 +835,8 @@ def _is_rank1_clifford(frob: FrobeniusStructure) -> bool:
     return (
         alg.dim == 2
         and alg.degrees == [Degree(0, 0), Degree(0, 1)]
-        and alg.basis_product(1, 1) == {0: Fraction(1)}
-        and frob.trace == {1: Fraction(1)}
+        and alg.basis_product(1, 1) == {0: 1}
+        and frob.trace == {1: 1}
     )
 
 
@@ -875,7 +874,7 @@ def build_wreath_tower(base_frob: FrobeniusStructure, n_max: int) -> TowerSpec:
         raise ValueError("n_max must be at least 1")
     algebras: list[SuperAlgebra] = [trivial_level_algebra()]
     frob: list[FrobeniusStructure | None] = [
-        check_frobenius(algebras[0], {0: Fraction(1)}, 0, 0)
+        check_frobenius(algebras[0], {0: 1}, 0, 0)
     ]
     for n in range(1, n_max + 1):
         alg, f = build_wreath(base_frob, n)
@@ -990,7 +989,7 @@ def _check_ta3_freeness(tower: TowerSpec, n: int, m: int) -> list[CheckRecord]:
         ok = True
         el = Eliminator()
         for w in reps:
-            uw = {tower.perm_element_index(n + m, rep(w)): Fraction(1)}
+            uw = {tower.perm_element_index(n + m, rep(w)): 1}
             for t in range(pair.dim):
                 col = (alg.product_vec(rho.images[t], uw) if side == "left"
                        else alg.product_vec(uw, rho.images[t]))
@@ -1091,13 +1090,13 @@ def check_wr_commutation(tower: TowerSpec, n: int, m: int, k: int, l: int, r: in
                                            (c1[0], c2[0], c3[0], c4[0]))
                     rhs_elem = _embed_four(tower, total, blocks_rhs, offsets_rhs,
                                            (c1[0], c3[0], c2[0], c4[0]))
-                    lhs = alg.product_vec({uw: Fraction(1)}, lhs_elem)
+                    lhs = alg.product_vec({uw: 1}, lhs_elem)
                     sgn = 1
                     if parities[1] and parities[2]:
                         sgn = -sgn
                     if eps and (ell & 1) and (sum(parities) & 1):
                         sgn = -sgn
-                    rhs = alg.product_vec(rhs_elem, {uw: Fraction(sgn)})
+                    rhs = alg.product_vec(rhs_elem, {uw: sgn})
                     if lhs != rhs and first_fail is None:
                         all_ok = False
                         first_fail = (c1[0], c2[0], c3[0], c4[0])
@@ -1117,7 +1116,7 @@ def _embed_four(tower: TowerSpec, total: int, blocks, offsets, choices) -> Vec:
         if choice is None or level == 0:
             continue
         idx = tower.shift_basis_index(level, choice, offset, total)
-        out = alg.product_vec(out, {idx: Fraction(1)})
+        out = alg.product_vec(out, {idx: 1})
     return out
 
 

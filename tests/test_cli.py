@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +22,7 @@ from supertower.cli import (
     run_suites,
 )
 from supertower.errors import ValidationError
-from supertower.superalgebra import algebra_to_dict
+from supertower.superalgebra import algebra_from_dict, algebra_to_dict
 from supertower.towers import clifford_base
 
 NC2 = '{"nilcoxeter": {"n_max": 2, "d": 1, "eps": 0}}'
@@ -181,6 +182,34 @@ class TestMainExitCodes:
 
         monkeypatch.setitem(cli.SUITE_RUNNERS, "axioms", bad_suite)
         assert main(["verify", NC2, "--suites", "axioms"]) == 1
+
+
+def test_base_file_with_proper_fractions_builds(tmp_path, capsys):
+    # a Clifford base with c*c = 1/4, the unit written 3/3 and the trace 2/4 on c
+    spec = {"algebra": {"labels": ["1", "c"], "degrees": [[0, 0], [0, 1]],
+                        "unit": [[3, 3], [0, 5]], "generators": [1],
+                        "structure": [[0, 0, 0, 2, 2], [0, 1, 1, 1, 1],
+                                      [1, 0, 1, 1, 1], [1, 1, 0, 1, 4]]},
+            "frobenius": {"trace": [[0, 1], [2, 4]], "delta": 0, "sigma": 1}}
+    alg = algebra_from_dict(spec["algebra"])
+    assert alg.unit == {0: 1} and type(alg.unit[0]) is int
+    assert type(alg.basis_product(0, 0)[0]) is int
+    assert alg.basis_product(1, 1) == {0: Fraction(1, 4)}
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(spec))
+    desc = json.dumps({"wreath": {"base": str(path), "n_max": 2}})
+    tower = build_tower(RunConfig(descriptor=json.loads(desc), suites=["axioms"]))
+    assert tower.frobenius[1].trace == {1: Fraction(1, 2)}
+    assert main(["verify", desc, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
+
+
+def test_psi_suite_reaches_level_six():
+    # the psi suite has no size cap: level 6 (dim 720) is checked too
+    desc = {"nilcoxeter": {"n_max": 6, "d": 1, "eps": 1}}
+    report = run_suites(RunConfig(descriptor=desc, suites=["psi"]))
+    assert [r.indices for r in report.records] == [(n, 0) for n in range(7)]
+    assert report.failed == 0
 
 
 def test_parity_mismatch_in_base_file_rejected(tmp_path):

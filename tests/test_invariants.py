@@ -142,3 +142,49 @@ def test_forced_invariants_raise(flags):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("normalize CocycleError\nrmult CocycleError\n"
                            "head InternalInconsistencyError\n")
+
+
+# each snippet misuses a library entry point; the guard must raise ValueError
+# with and without ``python -O``
+MISUSES = "\n".join([
+    "from supertower.ground import GroundElem, _poly_divmod",
+    "from supertower.linalg import Mat",
+    "from supertower.superalgebra import (",
+    "    RIGHT, AlgebraHom, Degree, SuperAlgebra, SuperModule, hom_graded_dim, identity_hom,",
+    "    induce_module, outer_tensor, regular_module, restrict_module)",
+    "from supertower.towers import clifford_base, trivial_level_algebra",
+    "def misuse(label, fn):",
+    "    try:",
+    "        fn()",
+    "    except ValueError:",
+    "        print(label, 'ValueError')",
+    "    else:",
+    "        print(label, 'not raised')",
+    "cl, k = clifford_base().algebra, trivial_level_algebra()",
+    "phi = identity_hom(cl)",
+    "left, other = regular_module(cl), regular_module(k)",
+    "right = SuperModule(cl, cl.degrees, action={i: Mat.identity(2) for i in range(2)}, side=RIGHT)",
+    "misuse('labels', lambda: SuperAlgebra(['1', 'x'], [Degree(0, 0)], {0: 1}))",
+    "misuse('images', lambda: AlgebraHom(cl, cl, [{0: 1}]))",
+    "misuse('hom algebras', lambda: hom_graded_dim(left, other))",
+    "misuse('hom sides', lambda: hom_graded_dim(right, right))",
+    "misuse('outer sides', lambda: outer_tensor(left, right))",
+    "misuse('restrict side', lambda: restrict_module(phi, right))",
+    "misuse('restrict algebra', lambda: restrict_module(phi, other))",
+    "misuse('induce side', lambda: induce_module(phi, right))",
+    "misuse('induce algebra', lambda: induce_module(phi, other))",
+    "misuse('eval_pi', lambda: GroundElem({(0, 1): 1}).eval_pi(2))",
+    "misuse('divmod', lambda: _poly_divmod([1, 2, 1], [1, 2]))",
+])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_misuse_raises(flags):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *flags, "-c", MISUSES],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    labels = ["labels", "images", "hom algebras", "hom sides", "outer sides", "restrict side",
+              "restrict algebra", "induce side", "induce algebra", "eval_pi", "divmod"]
+    assert proc.stdout == "".join(f"{label} ValueError\n" for label in labels)

@@ -13,6 +13,7 @@ from hypothesis import strategies as hst
 from supertower.linalg import (
     Eliminator,
     Mat,
+    exact,
     invert,
     nullspace,
     rank_of_rows,
@@ -156,7 +157,7 @@ class EagerEliminator:
         if not red:
             return False
         j = min(red)
-        red = vec_scale(red, 1 / red[j])
+        red = vec_scale(red, 1 / Fraction(red[j]))
         for prow in self.pivots.values():
             if j in prow:
                 vec_axpy(prow, -prow[j], red)
@@ -330,6 +331,125 @@ class TestMatrixSolveAgainstColumnSolves:
         assert inv == eager_invert(mat)
         if inv is not None:
             assert mat.mul(inv) == Mat.identity(mat.nrows)
+
+
+# -- the integer-first kernel against the Fraction oracle ------------------------
+
+
+def test_exact_normalises_and_rejects():
+    assert exact(3) == 3 and type(exact(3)) is int
+    assert exact(Fraction(3, 1)) == 3 and type(exact(Fraction(3, 1))) is int
+    assert exact(Fraction(-6, 2)) == -3 and type(exact(Fraction(-6, 2))) is int
+    assert exact(Fraction(1, 3)) == Fraction(1, 3) and type(exact(Fraction(1, 3))) is Fraction
+    for bad in (0.5, 1.0, True, "1", None):
+        with pytest.raises(TypeError):
+            exact(bad)
+
+
+def test_constructors_keep_ints():
+    m = Mat.from_entries(2, 2, [(0, 0, 1), (0, 0, Fraction(2)), (1, 1, Fraction(1, 2))])
+    assert type(m.entry(0, 0)) is int and m.entry(0, 0) == 3
+    assert m.entry(1, 1) == Fraction(1, 2)
+    assert type(m.entry(1, 0)) is int
+    assert all(type(c) is int for c in Mat.identity(3).cols[1].values())
+    assert all(type(c) is int for c in m.scale(Fraction(2)).col(0).values())
+    assert all(type(c) is int for c in vec_scale({0: 1, 1: -2}, Fraction(4, 2)).values())
+    with pytest.raises(TypeError):
+        vec_scale({0: 1}, 0.5)
+    with pytest.raises(TypeError):
+        m.add_entry(0, 0, 1.5)
+
+
+def values_of(*vecs):
+    return [c for v in vecs for c in v.values()]
+
+
+def assert_exact(values):
+    """No float and no bool ever enters or leaves the kernel; zeros are not stored."""
+    for c in values:
+        assert type(c) in (int, Fraction), c
+        assert c
+
+
+# one kind of value per system: signs only, so every lead starts at +-1, wider
+# integers for |lead| > 1, and ints mixed with proper fractions
+value_kinds = [hst.sampled_from([-1, 1]), hst.integers(-4, 4).filter(bool),
+               hst.one_of(hst.integers(-4, 4).filter(bool), rationals)]
+
+
+def rows_of(values):
+    return hst.dictionaries(hst.integers(0, NCOLS - 1), values, max_size=4)
+
+
+def systems_of(values):
+    return hst.tuples(hst.lists(rows_of(values), max_size=10), hst.lists(rows_of(values), max_size=3))
+
+
+def square_systems_of(values):
+    return hst.integers(1, 5).flatmap(lambda n: hst.tuples(
+        hst.lists(hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1), values), max_size=n * n)
+        .map(lambda es: Mat.from_entries(n, n, es)),
+        hst.dictionaries(hst.integers(0, n - 1), values, max_size=n)))
+
+
+class TestIntFirstAgainstFractionOracle:
+    @settings(max_examples=250, deadline=None)
+    @given(hst.sampled_from(value_kinds).flatmap(systems_of))
+    def test_eliminator_matches(self, system):
+        rows, probes = system
+        new, old = Eliminator(), EagerEliminator()
+        for row in rows:
+            was_int = all(type(c) is int for c in values_of(row, *new.pivots.values()))
+            red = new.reduce(row)
+            assert_exact(values_of(red))
+            assert new.add_row(row) == old.add_row(row)
+            # a pivot row must lead with 1, or the next reduce never ends
+            assert all(min(prow) == j and prow[j] == 1 for j, prow in new.pivots.items())
+            assert list(new.pivots) == list(old.pivots)
+            assert new.rank == len(old.pivots)
+            if was_int:
+                assert all(type(c) is int for c in red.values())
+                if red and red[min(red)] in (1, -1):
+                    # a unit lead keeps the new pivot row in int
+                    assert all(type(c) is int for c in new.pivots[min(red)].values())
+            assert_exact(values_of(*new.pivots.values()))
+            for v in probes + [row]:
+                got = new.reduce(v)
+                assert list(got.items()) == list(old.reduce(v).items())
+                assert_exact(values_of(got))
+        rref = new.rref()
+        assert list(rref.items()) == list(old.pivots.items())
+        assert_exact(values_of(*rref.values()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.sampled_from(value_kinds).flatmap(lambda values: hst.lists(rows_of(values), max_size=8)))
+    def test_nullspace_matches(self, rows):
+        got = nullspace(rows, NCOLS)
+        assert got == eager_nullspace(rows, NCOLS)
+        assert_exact(values_of(*got))
+        for v in got:
+            for r in rows:
+                assert sum(r.get(j, 0) * c for j, c in v.items()) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.sampled_from(value_kinds).flatmap(square_systems_of))
+    def test_solve_and_invert_match(self, case):
+        mat, rhs = case
+        assert_exact(values_of(*mat.cols.values()))
+        got = solve_column(mat, rhs)
+        assert got == eager_solve(mat, rhs)
+        inv = invert(mat)
+        assert inv == eager_invert(mat)
+        for x in ([got] if got is not None else []) + (list(inv.cols.values()) if inv else []):
+            assert_exact(values_of(x))
+
+    def test_signed_permutation_inverse_stays_int(self):
+        # a signed permutation matrix, the shape of every built-in Gram matrix
+        perm, signs = [2, 0, 3, 1], [1, -1, -1, 1]
+        mat = Mat.from_entries(4, 4, [(perm[j], j, signs[j]) for j in range(4)])
+        inv = invert(mat)
+        assert mat.mul(inv) == Mat.identity(4)
+        assert all(type(c) is int for col in inv.cols.values() for c in col.values())
 
 
 SHAPE_CHECKS = "\n".join([
