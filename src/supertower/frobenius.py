@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import InternalInconsistencyError, ValidationError
-from .linalg import Eliminator, Mat, Vec, exact, solve
+from .linalg import Mat, Vec, exact, rank_of_rows, solve
 from .superalgebra import (
     LEFT,
     RIGHT,
@@ -99,12 +99,7 @@ def check_frobenius(
             val = _trace_of_vec(trace, alg.basis_product(i, j))
             if val:
                 gram.cols.setdefault(j, {})[i] = val
-    el = Eliminator()
-    for j in range(alg.dim):
-        col = gram.cols.get(j)
-        if col:
-            el.add_row(dict(col))
-    if el.rank != alg.dim:
+    if rank_of_rows(gram.cols.values()) != alg.dim:
         raise ValidationError("not Frobenius for this trace")
     if check_invariance:
         check_form_invariance(alg, gram)

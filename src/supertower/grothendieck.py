@@ -35,7 +35,7 @@ from .errors import (
 )
 from .frobenius import tensor_nakayama_matrix
 from .ground import COLLAPSED, FULL, GroundElem, divide_exact
-from .linalg import Eliminator
+from .linalg import Vec, rank_of_rows
 from .reporting import CheckRecord
 from .superalgebra import (
     SuperModule,
@@ -64,7 +64,8 @@ class GrothVector:
         return GrothVector(self.side, {k: c for k, c in self.entries.items() if not c.is_zero()})
 
     def add(self, other: "GrothVector") -> "GrothVector":
-        assert self.side == other.side
+        if self.side != other.side:
+            raise ValueError(f"cannot add a {other.side} vector to a {self.side} vector")
         return GrothVector(self.side, tensor_add(self.entries, other.entries))
 
     def scale(self, c: GroundElem) -> "GrothVector":
@@ -104,7 +105,7 @@ def tensor_add(a: GrothTensor, b: GrothTensor) -> GrothTensor:
 
 
 def tensor_scale(a: GrothTensor, c: GroundElem) -> GrothTensor:
-    return {k: v * c for k, v in a.items() if not (v * c).is_zero()}
+    return {k: vc for k, v in a.items() if not (vc := v * c).is_zero()}
 
 
 def tensor_eq(a: GrothTensor, b: GrothTensor) -> bool:
@@ -259,7 +260,8 @@ class GrothLayer:
         return out
 
     def nabla(self, u: GrothVector, v: GrothVector) -> GrothVector:
-        assert u.side == v.side
+        if u.side != v.side:
+            raise ValueError(f"cannot multiply a {u.side} vector by a {v.side} vector")
         out = GrothVector(u.side)
         for ka, ca in u.entries.items():
             for kb, cb in v.entries.items():
@@ -299,7 +301,9 @@ class GrothLayer:
 
     def pairing(self, k: GrothVector, g: GrothVector) -> GroundElem:
         """Bilinear extension of the level pairing; cross levels contribute zero."""
-        assert k.side == K_SIDE and g.side == G_SIDE
+        if k.side != K_SIDE or g.side != G_SIDE:
+            raise ValueError(f"the pairing takes a {K_SIDE} and a {G_SIDE} vector, "
+                             f"not {k.side} and {g.side}")
         out = self.zero()
         for (lv, i), ck in k.entries.items():
             cg = g.entries.get((lv, i))
@@ -324,7 +328,8 @@ class GrothLayer:
         scale oppositely under degree shift, the coefficients of the input
         are bar-involuted while each projective expands positively.
         """
-        assert k.side == K_SIDE
+        if k.side != K_SIDE:
+            raise ValueError(f"the Cartan map takes a {K_SIDE} vector, not {k.side}")
         out = GrothVector(G_SIDE)
         for key, c in k.entries.items():
             if key not in self._g_class_of_proj:
@@ -354,7 +359,7 @@ class GrothLayer:
 def module_head_genfn(mod: SuperModule) -> GroundElem:
     """Graded dimension of the quotient by the images of positive-degree generators."""
     alg = mod.algebra
-    by_degree: dict[tuple[int, int], Eliminator] = {}
+    by_degree: dict[tuple[int, int], list[Vec]] = {}
     for g in alg.generating_set():
         if alg.unit.get(g):
             continue
@@ -366,13 +371,13 @@ def module_head_genfn(mod: SuperModule) -> GroundElem:
             if len(degs) != 1:
                 raise InternalInconsistencyError("inhomogeneous generator action column")
             dkey = degs.pop()
-            by_degree.setdefault(dkey, Eliminator()).add_row(dict(col))
+            by_degree.setdefault(dkey, []).append(col)
     total = GroundElem.zero(FULL)
     dims: dict[tuple[int, int], int] = {}
     for d in mod.degrees:
         dims[(d.z, d.par)] = dims.get((d.z, d.par), 0) + 1
     for dkey, count in sorted(dims.items()):
-        rank = by_degree[dkey].rank if dkey in by_degree else 0
+        rank = rank_of_rows(by_degree.get(dkey, ()))
         if count - rank:
             total = total + GroundElem.monomial(dkey[0], dkey[1], count - rank)
     return total

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import ExactDivisionError, ModeError
+from .linalg import exact
 
 FULL = "full"
 COLLAPSED = "collapsed"
@@ -28,7 +29,7 @@ COLLAPSED = "collapsed"
 Key = tuple[int, int]
 
 
-def _is_dyadic(x: Fraction) -> bool:
+def _is_dyadic(x: int | Fraction) -> bool:
     d = x.denominator
     return d & (d - 1) == 0
 
@@ -58,16 +59,14 @@ class GroundElem:
             raise ValueError(f"unknown ring mode {mode!r}")
         clean: dict[Key, object] = {}
         for (qe, pe), c in terms.items():
+            c = exact(c)
             if mode == COLLAPSED:
-                c = Fraction(c)
                 if not _is_dyadic(c):
                     raise ValueError(f"non-dyadic coefficient {c} in collapsed mode")
                 key = (qe, 0)
             else:
-                if isinstance(c, Fraction):
-                    if c.denominator != 1:
-                        raise ValueError(f"non-integer coefficient {c} in full mode")
-                    c = c.numerator
+                if type(c) is not int:
+                    raise ValueError(f"non-integer coefficient {c} in full mode")
                 key = (qe, pe & 1)
             if c:
                 clean[key] = clean.get(key, 0) + c
@@ -180,8 +179,7 @@ class GroundElem:
         c = next(iter(self.terms.values()))
         if self.mode == FULL:
             return c in (1, -1)
-        f = Fraction(c)
-        n = abs(f.numerator)
+        n = abs(c.numerator)
         return n & (n - 1) == 0 and n != 0
 
     # -- involutions and substitutions --------------------------------------
@@ -196,7 +194,7 @@ class GroundElem:
             raise ModeError("element already collapsed")
         terms: dict[Key, object] = {}
         for (qe, _pe), c in self.terms.items():
-            terms[(qe, 0)] = terms.get((qe, 0), 0) + Fraction(c)
+            terms[(qe, 0)] = terms.get((qe, 0), 0) + c
         return GroundElem(terms, COLLAPSED)
 
     def eval_pi(self, sign: int) -> dict[int, Fraction]:
@@ -258,7 +256,7 @@ class GroundElem:
             if pe:
                 body.append("pi")
             if not body or c not in (1, -1):
-                body.insert(0, str(abs(c) if isinstance(c, int) else abs(Fraction(c))))
+                body.insert(0, str(abs(c)))
             mono = "*".join(body)
             neg = (c < 0)
             parts.append(("- " if neg else "+ ") + mono)

@@ -12,7 +12,6 @@ realizes the quantum Weyl algebra for the nilCoxeter tower.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ExactDivisionError, ValidationError
 from .ground import FULL, GroundElem, TwistScalar, divide_exact
@@ -135,7 +134,9 @@ class HeisenbergDouble:
 
     def regular_action(self, x: GrothVector, b: GrothVector) -> GrothVector:
         """Pairing-adjoint action of a projective-side class on a simple-side class."""
-        assert x.side == K_SIDE and b.side == G_SIDE
+        if x.side != K_SIDE or b.side != G_SIDE:
+            raise ValueError(f"the regular action takes a {K_SIDE} and a {G_SIDE} vector, "
+                             f"not {x.side} and {b.side}")
         layer = self.layer
         g1 = self.twist.gamma[0]
         out = GrothVector(G_SIDE)
@@ -214,7 +215,8 @@ class HeisenbergDouble:
 
     def fock_act(self, h: HeisenbergElem, v: GrothVector) -> GrothVector:
         """Act on the vacuum module: contract the projective part, multiply the rest."""
-        assert v.side == G_SIDE
+        if v.side != G_SIDE:
+            raise ValueError(f"the Fock space is the {G_SIDE} side, not {v.side}")
         layer = self.layer
         out = GrothVector(G_SIDE)
         for (ka, kx), c in h.terms.items():
@@ -458,25 +460,12 @@ def check_general_relation(double: HeisenbergDouble, max_level: int) -> list[Che
 
 # -- truncated faithfulness -----------------------------------------------------------
 
-LaurentPoly = dict[int, Fraction]
+def _laurent_rows_rank(rows: list[dict[int, GroundElem]]) -> int:
+    """Exact rank over the rational function field by cross-multiplication.
 
-
-def _lp_sub_mul(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """``a*b - c*d`` on Laurent polynomials."""
-    out: LaurentPoly = {}
-    for e1, v1 in a.items():
-        for e2, v2 in b.items():
-            k = e1 + e2
-            out[k] = out.get(k, 0) + v1 * v2
-    for e1, v1 in c.items():
-        for e2, v2 in d.items():
-            k = e1 + e2
-            out[k] = out.get(k, 0) - v1 * v2
-    return {k: v for k, v in out.items() if v}
-
-
-def _laurent_rows_rank(rows: list[dict[int, LaurentPoly]]) -> int:
-    """Exact rank over the rational function field by cross-multiplication."""
+    Entries are Laurent polynomials in ``q`` alone: ring elements with no
+    ``pi`` terms, whose products keep none.
+    """
     work = [dict(r) for r in rows if r]
     rank = 0
     while work:
@@ -488,12 +477,11 @@ def _laurent_rows_rank(rows: list[dict[int, LaurentPoly]]) -> int:
         for r in work:
             if piv_col in r:
                 lead = r[piv_col]
+                zero = GroundElem.zero(lead.mode)
                 reduced = {}
                 cols = set(r) | set(piv)
                 for col in cols:
-                    val = _lp_sub_mul(
-                        r.get(col, {}), piv[piv_col], piv.get(col, {}), lead
-                    )
+                    val = r.get(col, zero) * piv[piv_col] - piv.get(col, zero) * lead
                     if val:
                         reduced[col] = val
                 if reduced:
@@ -519,24 +507,22 @@ def check_faithfulness_truncated(double: HeisenbergDouble, max_level: int) -> li
     monomials = [
         (a, x) for a in range(max_level + 1) for x in range(max_level + 1)
     ]
-    rows_plus: list[dict[int, LaurentPoly]] = []
-    rows_minus: list[dict[int, LaurentPoly]] = []
+    rows_plus: list[dict[int, GroundElem]] = []
+    rows_minus: list[dict[int, GroundElem]] = []
     for (a, x) in monomials:
         mono = double.monomial(_single_key(a), _single_key(x))
-        row_p: dict[int, LaurentPoly] = {}
-        row_m: dict[int, LaurentPoly] = {}
+        row_p: dict[int, GroundElem] = {}
+        row_m: dict[int, GroundElem] = {}
         for m in range(window + 1):
             if m - x + a > window or m - x < 0:
                 continue
             image = double.fock_act(mono, layer.basis_vector(G_SIDE, m, 0))
             for (lv, i), coeff in image.cleaned().entries.items():
                 feature = (window + 1) * m + lv
-                ev_p = coeff.eval_pi(1)
-                ev_m = coeff.eval_pi(-1)
-                if ev_p:
-                    row_p[feature] = ev_p
-                if ev_m:
-                    row_m[feature] = ev_m
+                for sign, row in ((1, row_p), (-1, row_m)):
+                    ev = GroundElem({(e, 0): v for e, v in coeff.eval_pi(sign).items()}, coeff.mode)
+                    if ev:
+                        row[feature] = ev
         rows_plus.append(row_p)
         rows_minus.append(row_m)
     rank_p = _laurent_rows_rank(rows_plus)

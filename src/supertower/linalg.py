@@ -7,15 +7,18 @@ normaliser at the boundary.  Everything here is artifact plumbing:
 row reduction uses deterministic first-nonzero-column pivoting so quotient
 bases and report output are reproducible.
 
-``Eliminator`` keeps its rows in echelon form only: rank, membership and
-the canonical remainder on non-pivot columns need nothing more.  The
-reduced row echelon form that ``solve`` and ``nullspace`` read is computed
-on demand by back-substitution; it is unique, so it does not depend on how
-the echelon rows were reached.
+``Eliminator`` is the one elimination kernel.  It keeps its rows in echelon
+form only; the reduced row echelon form that ``solve`` reads is computed on
+demand by back-substitution, and it is unique, so it does not depend on how
+the echelon rows were reached.  Callers use it in one of three modes:
 
-``solve`` is the one linear-system kernel: its right-hand side is a matrix,
-and every column rides through a single elimination of ``[mat | rhs]``.
-``invert`` is ``solve`` against the identity.
+* rank: ``rank_of_rows``, for every site that needs only the rank of a set
+  of rows;
+* canonical remainder: ``Eliminator.add_row``, ``reduce`` and ``pivots``,
+  for an incremental span, membership and a quotient basis;
+* solve: ``solve``, the one linear-system kernel.  Its right-hand side is a
+  matrix, and every column rides through a single elimination of
+  ``[mat | rhs]``; ``invert`` is ``solve`` against the identity.
 """
 
 from __future__ import annotations
@@ -33,17 +36,6 @@ def exact(c) -> int | Fraction:
     if type(c) is Fraction:
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"not an exact rational: {c!r}")
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for i, c in b.items():
-        v = out.get(i, 0) + c
-        if v:
-            out[i] = v
-        elif i in out:
-            del out[i]
-    return out
 
 
 def vec_scale(a: Vec, c) -> Vec:
@@ -78,10 +70,6 @@ class Mat:
     @staticmethod
     def identity(n: int) -> "Mat":
         return Mat(n, n, {j: {j: 1} for j in range(n)})
-
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "Mat":
-        return Mat(nrows, ncols)
 
     @staticmethod
     def from_entries(nrows: int, ncols: int, entries: Iterable[tuple[int, int, object]]) -> "Mat":
@@ -236,34 +224,13 @@ class Eliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def contains(self, row: Vec) -> bool:
-        return not self.reduce(row)
-
 
 def rank_of_rows(rows: Iterable[Vec]) -> int:
+    """The rank of the span of ``rows``: the one rank computation of the package."""
     el = Eliminator()
     for r in rows:
         el.add_row(r)
     return el.rank
-
-
-def nullspace(rows: Iterable[Vec], ncols: int, col_order: list[int] | None = None) -> list[Vec]:
-    """Basis of the right kernel of the row system, one vector per free column."""
-    el = Eliminator()
-    for r in rows:
-        el.add_row(r)
-    order = col_order if col_order is not None else list(range(ncols))
-    rref = el.rref()
-    basis = []
-    for j in order:
-        if j in rref:
-            continue
-        v: Vec = {j: 1}
-        for pj, prow in rref.items():
-            if j in prow:
-                v[pj] = -prow[j]
-        basis.append(v)
-    return basis
 
 
 def solve(mat: Mat, rhs: Mat) -> Mat | None:

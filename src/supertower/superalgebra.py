@@ -510,10 +510,7 @@ def hom_graded_dim(src: SuperModule, dst: SuperModule) -> GroundElem:
 
     total = GroundElem.zero(FULL)
     for bk, keys in sorted(blocks.items()):
-        el = Eliminator()
-        for r in rows_by_block.get(bk, ()):
-            el.add_row(r)
-        nullity = len(keys) - el.rank
+        nullity = len(keys) - rank_of_rows(rows_by_block.get(bk, ()))
         if nullity:
             total = total + GroundElem.monomial(bk[0], bk[1], nullity)
     return total
@@ -693,14 +690,7 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
 
     # special case: inducing the regular module of the source gives the corner
     if mod.regular and unital:
-        return SuperModule(
-            target, corner_degrees,
-            action_fn=lambda a: Mat(
-                corner_dim, corner_dim,
-                {j: target.basis_product(a, j) for j in range(corner_dim) if target.basis_product(a, j)},
-            ),
-            side=LEFT, regular=True, name=name or f"ind({mod.name})",
-        )
+        return regular_module(target, name=name or f"ind({mod.name})")
 
     nd = mod.dim
     flat_dim = corner_dim * nd
@@ -722,10 +712,7 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
         bn = mod.act(b)
         for c in range(corner_dim):
             # a phi(b) expanded in corner coordinates
-            if unital:
-                left = target.product_vec(corner_vec(c), phib)
-            else:
-                left = corner_coords(target.product_vec(corner_vec(c), phib))
+            left = corner_coords(target.product_vec(corner_vec(c), phib))
             for n in range(nd):
                 row: Vec = {}
                 for cc, coeff in left.items():

@@ -218,3 +218,19 @@ def test_unit_recognition():
     assert not (GroundElem.one() + GroundElem.pi()).is_unit()
     assert GroundElem({(2, 0): Fraction(1, 4)}, COLLAPSED).is_unit()
     assert not GroundElem({(0, 0): Fraction(3, 2)}, COLLAPSED).is_unit()
+
+
+@pytest.mark.parametrize("mode", [FULL, COLLAPSED])
+def test_coefficients_are_exact(mode):
+    # no floating point anywhere: a float is not taken as a dyadic rational
+    for bad in (0.5, 0.1, True, "1"):
+        with pytest.raises(TypeError):
+            GroundElem({(0, 0): bad}, mode)
+    three = GroundElem({(1, 0): Fraction(3, 1)}, mode)
+    assert type(three.terms[(1, 0)]) is int and three == GroundElem.monomial(1, 0, 3, mode)
+    assert three.to_triples() == ([[1, 0, 3]] if mode == FULL else [[1, 0, [3, 1]]])
+    bad_fraction = Fraction(1, 2) if mode == FULL else Fraction(1, 3)
+    with pytest.raises(ValueError):
+        GroundElem({(0, 0): bad_fraction}, mode)
+    collapsed = GroundElem({(0, 0): 1, (0, 1): 1}).collapse()
+    assert collapsed.terms == {(0, 0): 2} and type(collapsed.terms[(0, 0)]) is int

@@ -1,5 +1,7 @@
 """Cross-module invariants at the bounds the per-module contracts state."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -148,11 +150,14 @@ def test_forced_invariants_raise(flags):
 # with and without ``python -O``
 MISUSES = "\n".join([
     "from supertower.ground import GroundElem, _poly_divmod",
+    "from supertower.grothendieck import G_SIDE, K_SIDE, GrothLayer",
+    "from supertower.heisenberg import HeisenbergDouble",
     "from supertower.linalg import Mat",
     "from supertower.superalgebra import (",
     "    RIGHT, AlgebraHom, Degree, SuperAlgebra, SuperModule, hom_graded_dim, identity_hom,",
     "    induce_module, outer_tensor, regular_module, restrict_module)",
-    "from supertower.towers import clifford_base, trivial_level_algebra",
+    "from supertower.towers import (",
+    "    build_nilcoxeter_tower, check_nakayama_closed_form, clifford_base, trivial_level_algebra)",
     "def misuse(label, fn):",
     "    try:",
     "        fn()",
@@ -175,6 +180,18 @@ MISUSES = "\n".join([
     "misuse('induce algebra', lambda: induce_module(phi, other))",
     "misuse('eval_pi', lambda: GroundElem({(0, 1): 1}).eval_pi(2))",
     "misuse('divmod', lambda: _poly_divmod([1, 2, 1], [1, 2]))",
+    # a K vector where a G vector belongs, or the other way round
+    "tower = build_nilcoxeter_tower(2, 1, 1, frobenius_cap=0)",
+    "layer = GrothLayer(tower)",
+    "dbl = HeisenbergDouble(layer)",
+    "kv, gv = layer.basis_vector(K_SIDE, 1, 0), layer.basis_vector(G_SIDE, 1, 0)",
+    "misuse('groth add', lambda: kv.add(gv))",
+    "misuse('nabla sides', lambda: layer.nabla(kv, gv))",
+    "misuse('pairing sides', lambda: layer.pairing(gv, kv))",
+    "misuse('cartan side', lambda: layer.cartan_map(gv))",
+    "misuse('regular action sides', lambda: dbl.regular_action(gv, kv))",
+    "misuse('fock side', lambda: dbl.fock_act(dbl.unit(), kv))",
+    "misuse('nakayama data', lambda: check_nakayama_closed_form(tower, 1))",
 ])
 
 
@@ -186,5 +203,21 @@ def test_misuse_raises(flags):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     labels = ["labels", "images", "hom algebras", "hom sides", "outer sides", "restrict side",
-              "restrict algebra", "induce side", "induce algebra", "eval_pi", "divmod"]
+              "restrict algebra", "induce side", "induce algebra", "eval_pi", "divmod",
+              "groth add", "nabla sides", "pairing sides", "cartan side", "regular action sides",
+              "fock side", "nakayama data"]
     assert proc.stdout == "".join(f"{label} ValueError\n" for label in labels)
+
+
+def test_no_bare_asserts_in_the_library():
+    # python -O strips assert statements, so no invariant may rest on one
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                          "src", "supertower", "*.py")))
+    assert paths
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -324,7 +324,7 @@ class TestTwist:
 
     def test_invalid_twist_rejected(self, n3):
         from supertower.errors import ValidationError
-        bad = Mat.zero(n3.dim, n3.dim)
+        bad = Mat(n3.dim, n3.dim)
         with pytest.raises(ValidationError):
             twist_module(regular_module(n3), bad)
 
@@ -459,7 +459,7 @@ class TestSubspaceOneEliminator:
 
 def _act_vec_by_matrix_sums(mod, v):
     """Oracle: the earlier fold of whole scaled matrices."""
-    out = Mat.zero(mod.dim, mod.dim)
+    out = Mat(mod.dim, mod.dim)
     for i, c in v.items():
         if c:
             out = out.add(mod.act(i).scale(c))

@@ -217,6 +217,21 @@ class TestTowerChecks:
         recs = check_tower_axioms(tower)
         assert any(r.check == "TA2-external-multiplication" and not r.passed for r in recs)
 
+    def test_ta3_fails_on_dependent_rows(self, monkeypatch, sergeev3):
+        # a repeated coset representative repeats rows: the rank still reaches
+        # the dimension, so only the row count can reject the basis
+        import supertower.towers as towers
+
+        reps = towers.coset_reps
+        monkeypatch.setattr(towers, "coset_reps", lambda n, m: reps(n, m) + reps(n, m)[:1])
+        for tower in (build_nilcoxeter_tower(3, 1, 0, frobenius_cap=0), sergeev3):
+            dim = tower.level(3).dim
+            recs = towers._check_ta3_freeness(tower, 1, 2)
+            assert [(r.check, r.passed, r.lhs, r.rhs) for r in recs] == [
+                (f"TA3-{side}-freeness", False, f"rank {dim}", f"dim {dim}")
+                for side in ("left", "right")
+            ]
+
     def test_S2_instances(self, nc4_11):
         for (n, m, k, l) in [(1, 1, 1, 1), (2, 1, 1, 2), (2, 2, 3, 1), (2, 2, 2, 2)]:
             recs = check_S2_dimensions(nc4_11, n, m, k, l)
