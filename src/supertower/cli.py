@@ -37,6 +37,7 @@ from .heisenberg import (
     categorified_weyl_shadow,
     check_action_compat,
     check_faithfulness_truncated,
+    check_general_relation,
     weyl_check,
 )
 from .reporting import CheckRecord
@@ -290,8 +291,6 @@ def _suite_weyl(tower, layer, cfg) -> list[CheckRecord]:
 def _suite_fock(tower, layer, cfg) -> list[CheckRecord]:
     if tower.kind != "nilcoxeter":
         return [CheckRecord("fock-suite", (), True, detail="skipped: not a nilcoxeter tower")]
-    from .heisenberg import check_general_relation
-
     double = HeisenbergDouble(layer)
     bound = min(_grothendieck_bound(tower), 5)
     out = check_action_compat(double, bound)

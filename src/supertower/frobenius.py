@@ -75,9 +75,9 @@ def check_frobenius(
     ``partners(i)`` lists, ascending, every ``j`` for which ``e_i e_j`` can
     reach the trace; only those pairs enter the Gram matrix.  A family whose
     basis knows where products land (the permutation bases put the trace on
-    ``w0``) supplies it; otherwise each pair is screened by
-    ``product_support``.  Since ``tr(e_j) == (1, e_j)``, every trace key
-    must be a partner of the unit, or the supplied rule is wrong.
+    ``w0``) supplies it; otherwise every ``j`` is a partner.  Since
+    ``tr(e_j) == (1, e_j)``, every trace key must be a partner of the unit,
+    or the rule is wrong.
     """
     sigma &= 1
     trace = {i: exact(c) for i, c in trace.items() if c}
@@ -85,14 +85,11 @@ def check_frobenius(
         if alg.degrees[i] != Degree(delta, sigma):
             raise ValidationError("trace not graded")
     if partners is None:
-        trace_support = frozenset(trace)
-
-        def partners(i: int) -> list[int]:
-            return [j for j in range(alg.dim) if alg.product_support(i, j) & trace_support]
-    else:
-        reach = {j for u in alg.unit for j in partners(u)}
-        if not reach.issuperset(trace):
-            raise InternalInconsistencyError("trace support lies outside the unit's Gram partners")
+        def partners(i: int) -> range:
+            return range(alg.dim)
+    reach = {j for u in alg.unit for j in partners(u)}
+    if not reach.issuperset(trace):
+        raise InternalInconsistencyError("trace support lies outside the unit's Gram partners")
     gram = Mat(alg.dim, alg.dim)
     for i in range(alg.dim):
         for j in partners(i):

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .frobenius import tensor_nakayama_matrix
 from .ground import COLLAPSED, FULL, GroundElem, divide_exact
-from .linalg import Vec, rank_of_rows
+from .linalg import Vec, invert, rank_of_rows
 from .reporting import CheckRecord
 from .superalgebra import (
     SuperModule,
@@ -45,7 +45,7 @@ from .superalgebra import (
     induce_module,
     twist_module,
 )
-from .towers import DeclaredModule, TowerSpec
+from .towers import DeclaredModule, TowerSpec, tower_pairing_entry
 
 K_SIDE = "K"
 G_SIDE = "G"
@@ -78,13 +78,6 @@ class GrothVector:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.entries.values())
-
-    def to_records(self, layer: "GrothLayer") -> list[dict]:
-        out = []
-        for (lv, i) in sorted(self.entries):
-            label = layer.basis_label(self.side, lv, i)
-            out.append({"level": lv, "label": label, "coeff": self.entries[(lv, i)].to_triples()})
-        return out
 
     def __repr__(self) -> str:
         if not self.entries:
@@ -185,27 +178,20 @@ class GrothLayer:
         """The pairing of the i-th projective against the i-th simple."""
         key = (level, i)
         if key not in self._norms:
-            proj = self.declared(K_SIDE, level)[i].module
-            simp = self.declared(G_SIDE, level)[i].module
-            self._norms[key] = self._ring(hom_graded_dim(proj, simp))
+            self._norms[key] = tower_pairing_entry(
+                self.tower, self.declared(K_SIDE, level)[i], self.declared(G_SIDE, level)[i])
         return self._norms[key]
 
     def pairing_table(self, level: int) -> list[list[GroundElem]]:
         simps = self.declared(G_SIDE, level)
-        return [
-            [self._ring(hom_graded_dim(p.module, s.module)) for s in simps]
-            for p in self.declared(K_SIDE, level)
-        ]
+        return [[tower_pairing_entry(self.tower, p, s) for s in simps]
+                for p in self.declared(K_SIDE, level)]
 
     # -- expansion of modules in declared bases ------------------------------
 
     def class_in_G(self, mod: SuperModule, level: int) -> GrothVector:
         """Expand a module in the declared simple classes at its level."""
         return GrothVector(G_SIDE, self._expand(G_SIDE, mod, (level,)))
-
-    def class_in_K(self, mod: SuperModule, level: int) -> GrothVector:
-        """Expand a projective module in the declared projective classes."""
-        return GrothVector(K_SIDE, self._expand(K_SIDE, mod, (level,)))
 
     def _expand(self, side: str, mod: SuperModule, levels: tuple[int, ...]) -> dict:
         """Coefficients of ``mod`` in the declared classes of one level or a pair.
@@ -270,22 +256,32 @@ class GrothLayer:
 
     def basis_delta(self, side: str, key: BasisKey) -> GrothTensor:
         """Coproduct of a basis class: restrict its representative over all splittings."""
-        (lv, i) = key
         cache_key = (side, key)
-        if cache_key in self._delta:
-            return self._delta[cache_key]
+        if cache_key not in self._delta:
+            mod = self.declared(side, key[0])[key[1]].module
+            self._delta[cache_key] = self._restrict_classes(side, key, mod)
+        return self._delta[cache_key]
+
+    def _restrict_classes(self, side: str, key: BasisKey, mod: SuperModule,
+                          pair_twist: bool = False) -> GrothTensor:
+        """Restrict ``mod``, a representative of the class ``key``, over every
+        splitting of its level and expand each piece over the pair algebra;
+        with ``pair_twist`` each restriction is first twisted by the pair
+        algebra's Nakayama automorphism."""
+        lv = key[0]
         out: GrothTensor = {}
-        mod = self.declared(side, lv)[i].module
         for a in range(lv + 1):
             b = lv - a
             if a == 0 or b == 0:
                 # restriction along a trivial splitting is the identity functor
-                tk = ((0, 0), (lv, i)) if a == 0 else ((lv, i), (0, 0))
+                tk = ((0, 0), key) if a == 0 else (key, (0, 0))
                 out = tensor_add(out, {tk: self.one()})
                 continue
             res = restrict_module(self.tower.rho(a, b), mod)
+            if pair_twist:
+                frob = self.tower.frobenius
+                res = twist_module(res, tensor_nakayama_matrix(frob[a], frob[b]), validate=False)
             out = tensor_add(out, self._expand(side, res, (a, b)))
-        self._delta[cache_key] = out
         return out
 
     def delta(self, u: GrothVector) -> GrothTensor:
@@ -541,8 +537,6 @@ def check_psi_invariance(layer: GrothLayer, max_level: int) -> list[CheckRecord]
     restrict over every splitting, twist by the pair automorphism, and
     compare the class with the plain coproduct.
     """
-    from .linalg import invert
-
     tower = layer.tower
     records = []
     for lv in range(max_level + 1):
@@ -552,18 +546,8 @@ def check_psi_invariance(layer: GrothLayer, max_level: int) -> list[CheckRecord]
         psi_inv = invert(psi) if psi is not None else None
         for i, decl in enumerate(layer.declared(K_SIDE, lv)):
             expected = layer.basis_delta(K_SIDE, (lv, i))
-            got: GrothTensor = {}
-            for a in range(lv + 1):
-                b = lv - a
-                if a == 0 or b == 0:
-                    tk = ((0, 0), (lv, i)) if a == 0 else ((lv, i), (0, 0))
-                    got = tensor_add(got, {tk: layer.one()})
-                    continue
-                twisted = twist_module(decl.module, psi_inv, validate=False)
-                res = restrict_module(tower.rho(a, b), twisted)
-                pair_psi = tensor_nakayama_matrix(tower.frobenius[a], tower.frobenius[b])
-                conj = twist_module(res, pair_psi, validate=False)
-                got = tensor_add(got, layer._expand(K_SIDE, conj, (a, b)))
+            twisted = twist_module(decl.module, psi_inv, validate=False)
+            got = layer._restrict_classes(K_SIDE, (lv, i), twisted, pair_twist=True)
             records.append(CheckRecord(
                 "conjugated-coproduct-fixes-projectives", (lv, i), tensor_eq(got, expected),
                 lhs=tensor_repr(got), rhs=tensor_repr(expected),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import ExactDivisionError, ModeError
+from .errors import ExactDivisionError, InternalInconsistencyError, ModeError
 from .linalg import exact
 
 FULL = "full"
@@ -342,8 +342,6 @@ def _gauss_binomial(n: int, k: int) -> list[int]:
     den = _poly_mul(_gauss_factorial(k), _gauss_factorial(n - k))
     quo, rem = _poly_divmod(num, den)
     if rem:
-        from .errors import InternalInconsistencyError
-
         raise InternalInconsistencyError(
             f"gaussian binomial ({n},{k}) division left a remainder"
         )

@@ -165,13 +165,11 @@ class Eliminator:
     far and, when independent, stored normalized in echelon form (leading
     entry one, no entries left of it).  Supports rank, membership tests and
     canonical reduction of new vectors modulo the accumulated row space.
-    ``rref()`` gives the fully reduced pivot rows, computed once and again
-    only after a later ``add_row``.
+    ``rref()`` gives the fully reduced pivot rows.
     """
 
     def __init__(self):
         self.pivots: dict[int, Vec] = {}  # pivot column -> normalized echelon row
-        self._rref: dict[int, Vec] | None = None
 
     def reduce(self, row: Vec) -> Vec:
         """Fully reduce a row: eliminate every pivot-column entry."""
@@ -198,7 +196,6 @@ class Eliminator:
         elif lead != 1:
             red = vec_scale(red, 1 / Fraction(lead))
         self.pivots[j] = red
-        self._rref = None
         return True
 
     def rref(self) -> dict[int, Vec]:
@@ -208,17 +205,15 @@ class Eliminator:
         entries only right of its pivot, so subtracting the already reduced
         rows of the pivot columns it meets clears every other pivot column.
         """
-        if self._rref is None:
-            done: dict[int, Vec] = {}
-            for j in sorted(self.pivots, reverse=True):
-                prow = self.pivots[j]
-                row = dict(prow)
-                for k, c in prow.items():
-                    if k != j and k in done:
-                        vec_axpy(row, -c, done[k])
-                done[j] = row
-            self._rref = {j: done[j] for j in self.pivots}
-        return self._rref
+        done: dict[int, Vec] = {}
+        for j in sorted(self.pivots, reverse=True):
+            prow = self.pivots[j]
+            row = dict(prow)
+            for k, c in prow.items():
+                if k != j and k in done:
+                    vec_axpy(row, -c, done[k])
+            done[j] = row
+        return {j: done[j] for j in self.pivots}
 
     @property
     def rank(self) -> int:

@@ -1213,16 +1213,3 @@ def check_double_coset_sizes(tower: TowerSpec, n: int, m: int, k: int, l: int) -
         lhs=str(total_size), rhs=str(factorial(n + m)),
     ))
     return records
-
-
-def nakayama_of_wreath(base_frob: FrobeniusStructure, n: int) -> Mat:
-    """Build the wreath level and return its Nakayama map, verified closed-form.
-
-    The matrix solved from the invariant form must agree with the reversal
-    closed form; a mismatch is reported as a validation failure.
-    """
-    alg, frob = build_wreath(base_frob, n)
-    closed = wreath_nakayama_closed_form(base_frob, n, alg)
-    if frob.nakayama != closed:
-        raise ValidationError(f"wreath nakayama at n={n} disagrees with the closed form")
-    return frob.nakayama

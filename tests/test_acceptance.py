@@ -11,11 +11,8 @@ bilinear).
 
 import json
 import time
-from math import comb
 
-import pytest
-
-from supertower.frobenius import check_dual_iso, check_frobenius, frobenius_tensor, tensor_nakayama_matrix
+from supertower.frobenius import check_dual_iso, frobenius_tensor, tensor_nakayama_matrix
 from supertower.ground import (
     COLLAPSED,
     GroundElem,
@@ -24,7 +21,6 @@ from supertower.ground import (
     divide_by_int,
     qpi_binomial,
     qpi_factorial,
-    qpi_integer,
 )
 from supertower.grothendieck import (
     G_SIDE,
@@ -37,13 +33,12 @@ from supertower.grothendieck import (
 )
 from supertower.heisenberg import (
     HeisenbergDouble,
-    PowerBasis,
     categorified_weyl_shadow,
     check_action_compat,
     check_faithfulness_truncated,
     weyl_check,
 )
-from supertower.reporting import all_passed, failures
+from supertower.reporting import all_passed
 from supertower.superalgebra import graded_dim, hom_graded_dim, regular_module, validate_algebra
 from supertower.towers import (
     build_nilcoxeter,

@@ -204,6 +204,18 @@ def test_base_file_with_proper_fractions_builds(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
 
 
+def test_zero_divisor_twist_verifies(capsys):
+    # at d=0, eps=1 the powers' leading coefficients ([2] = 1 + pi) are zero
+    # divisors; the Weyl suite compares class vectors, so every record passes
+    desc = json.dumps({"nilcoxeter": {"n_max": 3, "d": 0, "eps": 1}})
+    assert main(["verify", desc, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["summary"] == {"pass": 271, "fail": 0, "total": 271}
+    weyl = sorted(r["check"] for r in payload["records"] if r["check"].startswith("weyl:"))
+    assert weyl == ["weyl:power-image-invariance", "weyl:weyl-element-identity",
+                    "weyl:weyl-lowering-rule", "weyl:weyl-operator-identity"]
+
+
 def test_psi_suite_reaches_level_six():
     # the psi suite has no size cap: level 6 (dim 720) is checked too
     desc = {"nilcoxeter": {"n_max": 6, "d": 1, "eps": 1}}
@@ -421,20 +433,37 @@ def _field_paths(node, path=()):
 
 
 CLIFFORD_PATHS = list(_field_paths(CLIFFORD_BASE))
+MUTATION = hst.tuples(hst.sampled_from(CLIFFORD_PATHS), hst.one_of(JUNK, hst.just("<delete>")))
+
+
+def _mutated_clifford_base(mutations, tmp_path) -> str:
+    """A wreath descriptor over the Clifford base file with fields replaced or
+    deleted in turn; a path that an earlier mutation removed is skipped."""
+    spec = copy.deepcopy(CLIFFORD_BASE)
+    for path, value in mutations:
+        try:
+            parent = spec
+            for key in path[:-1]:
+                parent = parent[key]
+            if value == "<delete>":
+                del parent[path[-1]]
+            else:
+                # a copy: JUNK's one shared {} could otherwise be nested into itself
+                parent[path[-1]] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            continue
+    base = tmp_path / "base.json"  # one file, rewritten by each example
+    base.write_text(json.dumps(spec))
+    return json.dumps({"wreath": {"base": str(base), "n_max": 2}})
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(path=hst.sampled_from(CLIFFORD_PATHS), value=hst.one_of(JUNK, hst.just("<delete>")))
-def test_fuzz_clifford_base_file(path, value, tmp_path):
-    spec = copy.deepcopy(CLIFFORD_BASE)
-    parent = spec
-    for key in path[:-1]:
-        parent = parent[key]
-    if value == "<delete>":
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    base = tmp_path / "base.json"  # one file, rewritten by each example
-    base.write_text(json.dumps(spec))
-    desc = json.dumps({"wreath": {"base": str(base), "n_max": 2}})
-    _assert_documented_exit(["verify", desc, "--format", "json"])
+@given(mutation=MUTATION)
+def test_fuzz_clifford_base_file(mutation, tmp_path):
+    _assert_documented_exit(["verify", _mutated_clifford_base([mutation], tmp_path), "--format", "json"])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=hst.lists(MUTATION, min_size=2, max_size=3))
+def test_fuzz_clifford_base_file_several_fields(mutations, tmp_path):
+    _assert_documented_exit(["verify", _mutated_clifford_base(mutations, tmp_path), "--format", "json"])

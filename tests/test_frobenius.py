@@ -19,7 +19,7 @@ from supertower.frobenius import (
     tensor_nakayama_matrix,
 )
 from supertower.linalg import Mat, solve
-from supertower.superalgebra import Degree, tensor_algebra
+from supertower.superalgebra import Degree
 from supertower.towers import (
     WreathBasis,
     apply_s,

@@ -1,9 +1,8 @@
 """The decategorified layer: classes, pairing, product, coproduct, twisted checks."""
 
-from fractions import Fraction
-
 import pytest
 
+from supertower import grothendieck
 from supertower.errors import ExactDivisionError, SupertowerError, TruncationError
 from supertower.frobenius import tensor_nakayama_matrix
 from supertower.ground import (
@@ -25,7 +24,6 @@ from supertower.grothendieck import (
     check_psi_invariance,
     check_twisted_bialgebra,
     module_head_genfn,
-    outer_vector_tensor,
     tensor_eq,
 )
 from supertower.linalg import Mat
@@ -246,6 +244,18 @@ class TestPsiInvariance:
         # the Clifford base has identity Nakayama; levels 0..1 are immediate
         assert all_passed(check_psi_invariance(sergeev_layer, 1))
 
+    def test_wrong_pair_automorphism_detected(self, nc4_11, monkeypatch):
+        # every restriction is twisted by the pair's Nakayama matrix; the zero
+        # matrix leaves Hom over the one-dimensional pair algebra of level 2 as
+        # it is, but changes the restricted classes at level 3
+        def killing(f1, f2):
+            dim = f1.algebra.dim * f2.algebra.dim
+            return Mat(dim, dim)
+
+        monkeypatch.setattr(grothendieck, "tensor_nakayama_matrix", killing)
+        recs = check_psi_invariance(GrothLayer(nc4_11), 3)
+        assert [r.indices for r in failures(recs)] == [(3, 0)]
+
 
 class TestCartan:
     def test_x_to_y1(self, layer6_11):
@@ -297,12 +307,6 @@ class TestActionFormulaConsistency:
 def test_module_head_genfn_of_regular_is_one(layer6_11):
     reg = regular_module(layer6_11.tower.level(3))
     assert module_head_genfn(reg) == GroundElem.one()
-
-
-def test_grothvector_serialization(layer6_11):
-    v = layer6_11.basis_vector(G_SIDE, 2, 0).scale(GroundElem.q(1) * 2)
-    recs = v.to_records(layer6_11)
-    assert recs == [{"level": 2, "label": "L2", "coeff": [[1, 0, 2]]}]
 
 
 # -- oracles: each side's expander, one level and pair at a time, and the

@@ -1,19 +1,18 @@
 """The smash product, Fock action, Weyl relation and truncation-wide checks."""
 
-import dataclasses
 import itertools
 import random
 
 import pytest
 
-from supertower.errors import TruncationError, ValidationError
-from supertower.ground import FULL, GroundElem, TwistScalar, qpi_integer
-from supertower.grothendieck import G_SIDE, K_SIDE, GrothVector
+from supertower.errors import ExactDivisionError, TruncationError, ValidationError
+from supertower.ground import GroundElem, TwistScalar, divide_exact, qpi_integer
+from supertower.grothendieck import G_SIDE, K_SIDE, GrothLayer, GrothVector, tensor_eq
 from supertower.heisenberg import (
     HeisenbergDouble,
     HeisenbergElem,
-    PowerBasis,
     TwistDataSet,
+    _ring_multiple,
     categorified_weyl_shadow,
     check_action_compat,
     check_compatibility,
@@ -22,7 +21,7 @@ from supertower.heisenberg import (
     derive_xi,
     weyl_check,
 )
-from supertower.reporting import all_passed, failures
+from supertower.reporting import CheckRecord, all_passed, failures
 from supertower.towers import build_nilcoxeter_tower
 
 
@@ -72,11 +71,14 @@ class TestRegularAction:
 
     def test_lowering_powers(self, dbl11):
         layer = dbl11.layer
-        basis = PowerBasis(dbl11)
         c = TwistScalar(1, 1)
+        x = layer.basis_vector(K_SIDE, 1, 0)
+        y = layer.basis_vector(G_SIDE, 1, 0)
+        prev = layer.unit_vector(G_SIDE)
         for n in (1, 2, 3, 4):
-            got = basis.lower_op({n: layer.one()})
-            assert got == {n - 1: qpi_integer(n, c)}
+            power = layer.nabla(prev, y)
+            assert dbl11.regular_action(x, power) == prev.scale(qpi_integer(n, c))
+            prev = power
 
     def test_unit_acts_as_identity(self, dbl11):
         layer = dbl11.layer
@@ -152,22 +154,19 @@ class TestWeyl:
     @pytest.mark.parametrize("d,eps", [(0, 0), (1, 0)])
     def test_weyl_small(self, d, eps):
         tower = build_nilcoxeter_tower(4, d, eps, frobenius_cap=0)
-        from supertower.grothendieck import GrothLayer
         dbl = HeisenbergDouble(GrothLayer(tower))
         recs = weyl_check(dbl, 4)
         assert all_passed(recs), failures(recs)
 
-    def test_power_basis_roundtrip(self, dbl11):
-        layer = dbl11.layer
-        basis = PowerBasis(dbl11)
-        coeffs = {0: layer.one(), 2: GroundElem.q() * 3}
-        assert basis.to_powers(basis.from_powers(coeffs)) == \
-            {n: c for n, c in coeffs.items() if not c.is_zero()}
-
     def test_outside_projective_image_detected(self, dbl11):
         layer = dbl11.layer
-        # y_2 itself is not a power: [2]! does not divide 1
-        assert PowerBasis(dbl11).to_powers(layer.basis_vector(G_SIDE, 2, 0)) is None
+        y1 = layer.basis_vector(G_SIDE, 1, 0)
+        e2 = layer.nabla(y1, y1)
+        # y_2 itself is not a multiple of e_2 = [2] y_2: [2] does not divide 1
+        assert not _ring_multiple(layer.basis_vector(G_SIDE, 2, 0), e2, (2, 0))
+        # the leading coefficients divide, but multiplying back misses y_1
+        assert not _ring_multiple(e2.add(y1), e2, (2, 0))
+        assert _ring_multiple(e2.scale(GroundElem.q() * 3), e2, (2, 0))
 
 
 class TestFaithfulness:
@@ -206,16 +205,6 @@ class TestCategorifiedShadow:
         recs = categorified_weyl_shadow(nc6_11, 3, general_shift=True)
         assert all(r.check == "categorified-weyl-shadow-general-shift" for r in recs)
         assert all_passed(recs), failures(recs)
-
-
-def test_heisenberg_elem_serialization(dbl11):
-    h = dbl11.monomial((1, 0), (2, 0), GroundElem.q() * 2)
-    recs = h.to_records(dbl11)
-    assert recs == [{
-        "plus_level": 1, "plus_label": "L1",
-        "minus_level": 2, "minus_label": "P2",
-        "coeff": [[1, 0, 2]],
-    }]
 
 
 # -- the unmemoised smash product, kept as an oracle for the memoised one ------
@@ -302,3 +291,141 @@ class TestMemoisedSmash:
         assert good.smash_multiply(h1, h2) == unmemoised_smash(good, h1, h2)
         assert bad.smash_multiply(h1, h2) == unmemoised_smash(bad, h1, h2)
         assert good.smash_multiply(h1, h2) != bad.smash_multiply(h1, h2)
+
+
+# -- the power-coordinate Weyl check, kept as an oracle for the class-vector one --
+
+
+class OraclePowerBasis:
+    """Oracle: the powers of the level-one simple class as coordinates; the
+    conversion back from class form divides by each power's class."""
+
+    def __init__(self, double):
+        self.double = double
+        self.layer = double.layer
+        self._powers = [self.layer.unit_vector(G_SIDE)]
+
+    def power_class(self, n):
+        while len(self._powers) <= n:
+            y1 = self.layer.basis_vector(G_SIDE, 1, 0)
+            self._powers.append(self.layer.nabla(self._powers[-1], y1))
+        return self._powers[n]
+
+    def from_powers(self, coeffs):
+        out = GrothVector(G_SIDE)
+        for n, c in coeffs.items():
+            out = out.add(self.power_class(n).scale(c))
+        return out
+
+    def to_powers(self, v):
+        out = {}
+        for (lv, i), c in v.cleaned().entries.items():
+            if i != 0:
+                return None
+            lead = self.power_class(lv).entries.get((lv, 0))
+            if lead is None:
+                return None
+            try:
+                out[lv] = divide_exact(c, lead)
+            except ExactDivisionError:
+                return None
+        return {n: c for n, c in out.items() if not c.is_zero()}
+
+    def lower_op(self, coeffs):
+        x = self.layer.basis_vector(K_SIDE, 1, 0)
+        return self.to_powers(self.double.regular_action(x, self.from_powers(coeffs)))
+
+    def raise_op(self, coeffs):
+        return {n + 1: c for n, c in coeffs.items()}
+
+
+def _powers_eq(a, b):
+    return a is not None and tensor_eq(a, b)
+
+
+def oracle_weyl_check(double, max_power):
+    """Oracle: the Weyl suite in power coordinates, as it stood before class vectors."""
+    layer = double.layer
+    records = []
+    c1 = layer.scalar(1)
+    lower = double.minus_elem((1, 0))
+    raise_ = double.plus_elem((1, 0))
+    lhs = double.smash_multiply(lower, raise_)
+    rhs = double.smash_multiply(raise_, lower).scale(c1)
+    records.append(CheckRecord(
+        "weyl-element-identity", (), lhs.add(rhs.scale(GroundElem.from_int(-1, layer.mode))) == double.unit(),
+        lhs=repr(lhs), rhs=repr(rhs.add(double.unit())),
+    ))
+    basis = OraclePowerBasis(double)
+    ok_ops = True
+    first = None
+    for n in range(max_power):
+        e_n = {n: layer.one()}
+        via_raise = basis.lower_op(basis.raise_op(e_n))
+        lowered = basis.lower_op(e_n)
+        via_lower = {k: v * c1 for k, v in basis.raise_op(lowered).items()} if lowered is not None else None
+        if via_raise is None or via_lower is None:
+            ok_ops = False
+            first = first or n
+            continue
+        diff = dict(via_raise)
+        for k, v in via_lower.items():
+            diff[k] = diff[k] - v if k in diff else GroundElem.zero(layer.mode) - v
+        if not _powers_eq({k: v for k, v in diff.items() if not v.is_zero()}, e_n):
+            ok_ops = False
+            first = first if first is not None else n
+    records.append(CheckRecord(
+        "weyl-operator-identity", (max_power,), ok_ops,
+        detail="" if ok_ops else f"first failing power {first}",
+    ))
+    ok_lower = True
+    ok_invariance = True
+    for n in range(1, max_power + 1):
+        got = basis.lower_op({n: layer.one()})
+        if got is None:
+            ok_invariance = False
+            ok_lower = False
+            continue
+        if not _powers_eq(got, {n - 1: qpi_integer(n, double.twist.c, layer.mode)}):
+            ok_lower = False
+    records.append(CheckRecord("weyl-lowering-rule", (max_power,), ok_lower,
+                               rhs="[n] times the previous power"))
+    records.append(CheckRecord("power-image-invariance", (max_power,), ok_invariance,
+                               rhs="lowering keeps the projective image"))
+    return records
+
+
+WEYL_CHECKS = ["weyl-element-identity", "weyl-operator-identity", "weyl-lowering-rule",
+               "power-image-invariance"]
+
+
+def _nc5_double(d, eps):
+    return HeisenbergDouble(GrothLayer(build_nilcoxeter_tower(5, d, eps, frobenius_cap=0)))
+
+
+class TestWeylAgainstPowerCoordinates:
+    @pytest.mark.parametrize("d,eps", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (-1, 1)])
+    def test_same_records(self, d, eps):
+        dbl = _nc5_double(d, eps)
+        got = weyl_check(dbl, 5)
+        assert [r.check for r in got] == WEYL_CHECKS
+        assert got == oracle_weyl_check(dbl, 5)
+
+    def test_zero_divisor_leads(self):
+        # at d=0, eps=1 the lead of e_2 is [2] = 1 + pi, a zero divisor, so the
+        # power coordinates refuse; in class form every relation holds
+        dbl = _nc5_double(0, 1)
+        assert [r.check for r in failures(oracle_weyl_check(dbl, 5))] == WEYL_CHECKS[1:]
+        recs = weyl_check(dbl, 5)
+        assert all_passed(recs), failures(recs)
+
+    def test_invariance_falls_back_when_the_rule_fails(self):
+        # a double whose twist scalar is not the tower's: the lowering rule's
+        # [n] is wrong, yet lowering still keeps the projective image
+        layer = GrothLayer(build_nilcoxeter_tower(5, 1, 1, frobenius_cap=0))
+        tower = layer.tower
+        dbl = HeisenbergDouble(layer, TwistDataSet(TwistScalar(2, 0), tower.chi, tower.gamma))
+        got = weyl_check(dbl, 5)
+        assert {r.check: r.passed for r in got}["weyl-lowering-rule"] is False
+        assert {r.check: r.passed for r in got}["power-image-invariance"] is True
+        assert got == oracle_weyl_check(dbl, 5)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from supertower.ground import FULL, GroundElem, TwistScalar, bar_involution, qpi_binomial, qpi_factorial
+from supertower.ground import GroundElem, TwistScalar, bar_involution, qpi_binomial, qpi_factorial
 from supertower.linalg import Eliminator, Mat
 from supertower.superalgebra import (
     AlgebraHom,

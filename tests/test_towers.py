@@ -8,7 +8,7 @@ from math import comb, factorial
 import pytest
 
 from supertower.errors import ValidationError
-from supertower.ground import GroundElem, TwistScalar, qpi_binomial, qpi_factorial
+from supertower.ground import GroundElem, TwistScalar, qpi_factorial
 from supertower.linalg import Mat, rank_of_rows
 from supertower.reporting import all_passed, failures
 from supertower.superalgebra import (
@@ -22,7 +22,6 @@ from supertower.superalgebra import (
 )
 from supertower.frobenius import check_frobenius
 from supertower.towers import (
-    SignedPermBasis,
     WreathBasis,
     all_perms,
     apply_s,
@@ -44,7 +43,6 @@ from supertower.towers import (
     enumerate_double_coset,
     identity_perm,
     left_descents,
-    perm_inverse,
     perm_length,
     perm_mult,
     superperm_sign,
