@@ -5,6 +5,10 @@ them with Frobenius structures, computes the twisted Hopf structures on
 their projective and simple class modules, assembles the twisted Heisenberg
 double with its Fock space, and verifies every axiom, sign rule and
 identity of that calculus at finite truncation.
+
+The package holds what the ``verify``, ``weyl`` and ``build`` commands run
+(``supertower.cli``), plus the few entry points the acceptance criteria and
+the README name; helpers that only tests use live with the tests.
 """
 
 from .errors import (
@@ -22,37 +26,31 @@ from .ground import (
     GroundElem,
     TwistScalar,
     bar_involution,
-    collapse_pi,
     divide_exact,
     qpi_binomial,
     qpi_factorial,
     qpi_integer,
-    ring_arith,
 )
 from .superalgebra import (
     AlgebraHom,
     Degree,
     SuperAlgebra,
     SuperModule,
-    dual_module,
     graded_dim,
     hom_graded_dim,
     induce_module,
     outer_tensor,
     regular_module,
     restrict_module,
-    shift_module,
     tensor_algebra,
     twist_module,
     validate_algebra,
-    validate_module,
 )
 from .frobenius import (
     FrobeniusStructure,
     check_dual_iso,
     check_frobenius,
     frobenius_tensor,
-    nakayama,
     tensor_nakayama_matrix,
 )
 from .towers import (

@@ -1,13 +1,17 @@
 """Batch driver: build towers, run verification suites, emit reports.
 
+Three commands: ``verify`` runs suites on a described tower, ``weyl`` the
+Weyl suite on a nilCoxeter tower, ``build`` builds a tower and may dump its
+levels as algebra files, the format a wreath base file is read back in.
+
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 an
 internal-inconsistency error fired (a guaranteed identity broke) or any
 other unexpected exception escaped, 64 usage or input-validation error.
 
 JSON reports are byte-identical across runs: records are sorted by (suite,
 check, indices), keys are emitted in a fixed order, and timing is reported
-only in the text format.  Suites run one after another in one thread;
-``--jobs`` is accepted and has no effect, because running suites in threads
+only in the text format.  Suites run one after another in one thread:
+``--jobs`` is parsed and ignored, because running suites in threads
 measured slower than running them in one (the work is pure Python).
 """
 
@@ -19,7 +23,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InternalInconsistencyError, SupertowerError, ValidationError
 from .frobenius import FrobeniusStructure, check_dual_iso, check_frobenius
@@ -41,7 +44,7 @@ from .heisenberg import (
     weyl_check,
 )
 from .reporting import CheckRecord
-from .superalgebra import algebra_from_dict, algebra_to_dict, validate_algebra
+from .superalgebra import algebra_from_dict, algebra_to_dict, read_rational, validate_algebra
 from .towers import (
     SPLIT_UNIT_ERROR,
     TowerSpec,
@@ -84,7 +87,6 @@ class RunConfig:
     descriptor: dict
     suites: list[str]
     n_max: int | None = None
-    jobs: int = 1                  # accepted, no effect: suites run in one thread
     fmt: str = "text"
     out: str | None = None
     general_shift: bool = False
@@ -191,7 +193,7 @@ def _load_base(path: str) -> FrobeniusStructure:
             raise ValidationError(f"base frobenius data missing field {key!r}")
     try:
         alg = algebra_from_dict(spec["algebra"], name=spec.get("name", "base"))
-        trace = {i: Fraction(p[0], p[1]) for i, p in enumerate(fr["trace"]) if p[0]}
+        trace = {i: c for i, p in enumerate(fr["trace"]) if (c := read_rational(p, f"trace entry {i}"))}
         delta, sigma = int(fr["delta"]), int(fr["sigma"])
     except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed base algebra file: {type(exc).__name__}: {exc}") from exc
@@ -439,7 +441,6 @@ def main(argv: list[str] | None = None) -> int:
                 descriptor=load_spec(args.descriptor),
                 suites=suites,
                 n_max=args.n_max,
-                jobs=args.jobs,
                 fmt=args.format,
                 out=args.out,
                 general_shift=args.general_shift,

@@ -32,18 +32,8 @@ class FrobeniusStructure:
     trace: Vec               # value of the trace on each basis element
     delta: int               # the form lands in bidegree (delta, sigma)
     sigma: int
-    gram: Mat                # gram.entry(i, j) == tr(e_i e_j)
+    gram: Mat                # row i, column j holds tr(e_i e_j)
     nakayama: Mat
-
-    def form(self, i: int, j: int) -> int | Fraction:
-        return self.gram.entry(i, j)
-
-    def form_vec(self, u: Vec, v: Vec) -> int | Fraction:
-        out = 0
-        for i, a in u.items():
-            for j, b in v.items():
-                out += a * b * self.gram.entry(i, j)
-        return out
 
     def __repr__(self) -> str:
         return f"FrobeniusStructure({self.algebra.name}, degree=({self.delta},{self.sigma}))"
@@ -105,8 +95,9 @@ def check_frobenius(
 
 
 def _transposed_products(alg: SuperAlgebra, side: str) -> list[Mat]:
-    """The transposed multiplication matrices: ``out[j].entry(k, t)`` is the
-    coefficient of ``e_t`` in ``e_j e_k`` (in ``e_k e_j`` for ``RIGHT``)."""
+    """The transposed multiplication matrices: row ``k``, column ``t`` of
+    ``out[j]`` is the coefficient of ``e_t`` in ``e_j e_k`` (in ``e_k e_j``
+    for ``RIGHT``)."""
     out = [Mat(alg.dim, alg.dim) for _ in range(alg.dim)]
     for i in range(alg.dim):
         for j in range(alg.dim):
@@ -162,10 +153,6 @@ def nakayama_matrix(alg: SuperAlgebra, gram: Mat) -> Mat:
             f"solved nakayama map is not an automorphism: {report.violations[:3]}"
         )
     return psi
-
-
-def nakayama(frob: FrobeniusStructure) -> Mat:
-    return frob.nakayama
 
 
 def frobenius_tensor(f1: FrobeniusStructure, f2: FrobeniusStructure, algebra: SuperAlgebra | None = None) -> FrobeniusStructure:

@@ -129,7 +129,6 @@ class GrothLayer:
         self._norms: dict[BasisKey, GroundElem] = {}
         self._nabla: dict = {}
         self._delta: dict = {}
-        self._g_class_of_proj: dict[BasisKey, GrothVector] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -157,9 +156,6 @@ class GrothLayer:
     def basis_size(self, side: str, level: int) -> int:
         return len(self.declared(side, level))
 
-    def basis_label(self, side: str, level: int, i: int) -> str:
-        return self.declared(side, level)[i].label
-
     def basis_keys(self, side: str, max_level: int) -> list[BasisKey]:
         out = []
         for lv in range(max_level + 1):
@@ -181,11 +177,6 @@ class GrothLayer:
             self._norms[key] = tower_pairing_entry(
                 self.tower, self.declared(K_SIDE, level)[i], self.declared(G_SIDE, level)[i])
         return self._norms[key]
-
-    def pairing_table(self, level: int) -> list[list[GroundElem]]:
-        simps = self.declared(G_SIDE, level)
-        return [[tower_pairing_entry(self.tower, p, s) for s in simps]
-                for p in self.declared(K_SIDE, level)]
 
     # -- expansion of modules in declared bases ------------------------------
 
@@ -280,7 +271,7 @@ class GrothLayer:
             res = restrict_module(self.tower.rho(a, b), mod)
             if pair_twist:
                 frob = self.tower.frobenius
-                res = twist_module(res, tensor_nakayama_matrix(frob[a], frob[b]), validate=False)
+                res = twist_module(res, tensor_nakayama_matrix(frob[a], frob[b]))
             out = tensor_add(out, self._expand(side, res, (a, b)))
         return out
 
@@ -313,25 +304,6 @@ class GrothLayer:
             cg = gt.get((ka, kb))
             if cg is not None:
                 out = out + ck * cg * self.norm(*ka) * self.norm(*kb)
-        return out
-
-    # -- the antilinear projective-to-simple map ---------------------------------
-
-    def cartan_map(self, k: GrothVector) -> GrothVector:
-        """Expand each projective class in simples, bar-twisting the coefficients.
-
-        The underlying map is the identity on modules; because the two sides
-        scale oppositely under degree shift, the coefficients of the input
-        are bar-involuted while each projective expands positively.
-        """
-        if k.side != K_SIDE:
-            raise ValueError(f"the Cartan map takes a {K_SIDE} vector, not {k.side}")
-        out = GrothVector(G_SIDE)
-        for key, c in k.entries.items():
-            if key not in self._g_class_of_proj:
-                proj = self.declared(K_SIDE, key[0])[key[1]].module
-                self._g_class_of_proj[key] = self.class_in_G(proj, key[0])
-            out = out.add(self._g_class_of_proj[key].scale(c.bar()))
         return out
 
     # -- positive multiplicities from head degrees --------------------------------
@@ -546,7 +518,7 @@ def check_psi_invariance(layer: GrothLayer, max_level: int) -> list[CheckRecord]
         psi_inv = invert(psi) if psi is not None else None
         for i, decl in enumerate(layer.declared(K_SIDE, lv)):
             expected = layer.basis_delta(K_SIDE, (lv, i))
-            twisted = twist_module(decl.module, psi_inv, validate=False)
+            twisted = twist_module(decl.module, psi_inv)
             got = layer._restrict_classes(K_SIDE, (lv, i), twisted, pair_twist=True)
             records.append(CheckRecord(
                 "conjugated-coproduct-fixes-projectives", (lv, i), tensor_eq(got, expected),

@@ -11,14 +11,13 @@ Elements are immutable; every operation returns a fresh value.  Terms are a
 finitely supported map ``(q_exponent, pi_exponent) -> coefficient`` with no
 zero coefficients stored, and ``pi_exponent`` is always ``0`` in collapsed
 mode.  Canonical term order (``q`` exponent ascending, then ``pi`` exponent)
-governs serialization and printing.
+governs printing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import ExactDivisionError, InternalInconsistencyError, ModeError
 from .linalg import exact
@@ -95,14 +94,6 @@ class GroundElem:
     @staticmethod
     def monomial(q_exp: int, pi_exp: int = 0, coeff: object = 1, mode: str = FULL) -> "GroundElem":
         return GroundElem({(q_exp, pi_exp): coeff}, mode)
-
-    @staticmethod
-    def q(k: int = 1, mode: str = FULL) -> "GroundElem":
-        return GroundElem.monomial(k, 0, 1, mode)
-
-    @staticmethod
-    def pi(mode: str = FULL) -> "GroundElem":
-        return GroundElem.monomial(0, 1, 1, mode)
 
     # -- ring structure ----------------------------------------------------
 
@@ -209,39 +200,6 @@ class GroundElem:
                 del out[qe]
         return out
 
-    def coeff(self, q_exp: int, pi_exp: int = 0):
-        return self.terms.get((q_exp, pi_exp & 1), 0)
-
-    def q_support(self) -> list[int]:
-        return sorted({qe for qe, _ in self.terms})
-
-    # -- serialization -------------------------------------------------------
-
-    def to_triples(self) -> list[list]:
-        """Canonically ordered ``[q_exp, pi_exp, coeff]`` triples.
-
-        Coefficients are plain ints in full mode and ``[num, den]`` pairs in
-        collapsed mode, so round trips are bit exact.
-        """
-        out = []
-        for (qe, pe) in sorted(self.terms):
-            c = self.terms[(qe, pe)]
-            if self.mode == FULL:
-                out.append([qe, pe, c])
-            else:
-                f = Fraction(c)
-                out.append([qe, pe, [f.numerator, f.denominator]])
-        return out
-
-    @staticmethod
-    def from_triples(triples: Iterable, mode: str = FULL) -> "GroundElem":
-        terms: dict[Key, object] = {}
-        for qe, pe, c in triples:
-            if isinstance(c, (list, tuple)):
-                c = Fraction(c[0], c[1])
-            terms[(qe, pe)] = c
-        return GroundElem(terms, mode)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -264,23 +222,8 @@ class GroundElem:
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
-def ring_arith(a: GroundElem, b: GroundElem, op: str) -> GroundElem:
-    """Add, multiply or subtract two elements of the same ring mode."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "sub":
-        return a - b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def bar_involution(a: GroundElem) -> GroundElem:
     return a.bar()
-
-
-def collapse_pi(a: GroundElem) -> GroundElem:
-    return a.collapse()
 
 
 # -- q,pi-integers, factorials and binomials ---------------------------------
@@ -424,6 +367,8 @@ def divide_exact(a: GroundElem, b: GroundElem) -> GroundElem:
         return GroundElem.zero(a.mode)
     if a.mode == COLLAPSED:
         quo = _laurent_div(a.eval_pi(1), b.eval_pi(1))
+        if not all(_is_dyadic(c) for c in quo.values()):
+            raise ExactDivisionError(f"({a}) is not divisible by ({b})")
         out = GroundElem({(e, 0): c for e, c in quo.items()}, COLLAPSED)
         if out * b == a:
             return out
@@ -456,7 +401,7 @@ def divide_by_int(a: GroundElem, n: int) -> GroundElem:
     terms: dict[Key, object] = {}
     for k, c in a.terms.items():
         f = Fraction(c, n)
-        if a.mode == FULL and f.denominator != 1:
+        if not (f.denominator == 1 if a.mode == FULL else _is_dyadic(f)):
             raise ExactDivisionError(f"coefficient {c} not divisible by {n}")
         terms[k] = f.numerator if a.mode == FULL else f
     return GroundElem(terms, a.mode)

@@ -217,9 +217,6 @@ class HeisenbergDouble:
             out = out.add(layer.nabla(layer.basis_vector(G_SIDE, *ka), acted).scale(c))
         return out
 
-    def vacuum(self) -> GrothVector:
-        return self.layer.unit_vector(G_SIDE)
-
 
 def _ring_multiple(v: GrothVector, e: GrothVector, key: BasisKey) -> bool:
     """Whether ``v`` is a ring multiple of ``e``: divide the coefficients at

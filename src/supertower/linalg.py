@@ -71,13 +71,6 @@ class Mat:
     def identity(n: int) -> "Mat":
         return Mat(n, n, {j: {j: 1} for j in range(n)})
 
-    @staticmethod
-    def from_entries(nrows: int, ncols: int, entries: Iterable[tuple[int, int, object]]) -> "Mat":
-        m = Mat(nrows, ncols)
-        for i, j, c in entries:
-            m.add_entry(i, j, c)
-        return m
-
     def add_entry(self, i: int, j: int, c) -> None:
         c = exact(c)
         if not c:
@@ -91,9 +84,6 @@ class Mat:
             if not col:
                 del self.cols[j]
 
-    def entry(self, i: int, j: int) -> int | Fraction:
-        return self.cols.get(j, {}).get(i, 0)
-
     def col(self, j: int) -> Vec:
         return dict(self.cols.get(j, {}))
 
@@ -103,16 +93,6 @@ class Mat:
             col = self.cols.get(j)
             if col:
                 vec_axpy(out, c, col)
-        return out
-
-    def mul(self, other: "Mat") -> "Mat":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch: {self!r} times {other!r}")
-        out = Mat(self.nrows, other.ncols)
-        for j, col in other.cols.items():
-            image = self.apply(col)
-            if image:
-                out.cols[j] = image
         return out
 
     def add(self, other: "Mat") -> "Mat":

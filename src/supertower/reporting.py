@@ -30,6 +30,3 @@ class CheckRecord:
 def all_passed(records: list[CheckRecord]) -> bool:
     return all(r.passed for r in records)
 
-
-def failures(records: list[CheckRecord]) -> list[CheckRecord]:
-    return [r for r in records if not r.passed]

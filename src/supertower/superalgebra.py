@@ -2,10 +2,9 @@
 
 An algebra is given by a homogeneous basis, a degree table, sparse structure
 constants and a unit vector.  Supermodules store one exact action matrix per
-algebra basis element (computed lazily for large algebras).  All sign rules
-live here: Koszul signs in tensor products and outer tensors, parity-shift
-signs, signed transposes for duals, and the sign-commutation constraint that
-defines graded homomorphism spaces.
+algebra basis element (computed lazily for large algebras).  The module sign
+rules live here: Koszul signs in tensor products and outer tensors, and the
+sign-commutation constraint that defines graded homomorphism spaces.
 
 Left modules satisfy ``act(a) @ act(b) == act(ab)``; right modules store the
 matrices of right multiplication, so ``act(ab) == act(b) @ act(a)``.
@@ -34,12 +33,6 @@ class Degree:
 
     def __add__(self, other: "Degree") -> "Degree":
         return Degree(self.z + other.z, (self.par + other.par) & 1)
-
-    def __neg__(self) -> "Degree":
-        return Degree(-self.z, self.par)
-
-    def shifted(self, n: int, s: int) -> "Degree":
-        return Degree(self.z + n, (self.par + s) & 1)
 
 
 LEFT = "left"
@@ -147,11 +140,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def raise_if_failed(self) -> None:
-        if self.violations:
-            head = "; ".join(f"{k}{idx}" for k, idx in self.violations[:5])
-            raise ValidationError(f"{self.subject}: {len(self.violations)} violations ({head} ...)")
 
     def __repr__(self) -> str:
         state = "ok" if self.ok else f"{len(self.violations)} violations"
@@ -295,10 +283,6 @@ class AlgebraHom:
         return ValidationReport(self.name, bad)
 
 
-def identity_hom(alg: SuperAlgebra) -> AlgebraHom:
-    return AlgebraHom(alg, alg, [{i: 1} for i in range(alg.dim)], name=f"id({alg.name})")
-
-
 class SuperModule:
     """A bigraded module with one exact action matrix per algebra basis element."""
 
@@ -381,36 +365,6 @@ def regular_module(alg: SuperAlgebra, name: str = "") -> SuperModule:
     )
 
 
-def validate_module(mod: SuperModule, on_generators: bool = True) -> ValidationReport:
-    """Check the unit action, homogeneity, and ``act(ab)`` against ``act(a) act(b)``.
-
-    ``a`` runs over leading factors (every basis element if ``on_generators``
-    is false), ``b`` over the basis; right modules reverse the product.
-    """
-    alg = mod.algebra
-    bad: list[tuple[str, tuple]] = []
-    leading = alg.leading_factors() if on_generators else range(alg.dim)
-    if mod.act_vec(alg.unit) != Mat.identity(mod.dim):
-        bad.append(("unit action", ()))
-    for a in leading:
-        da = alg.degrees[a]
-        mat = mod.act(a)
-        for j, col in mat.cols.items():
-            dj = mod.degrees[j]
-            for i, c in col.items():
-                if c and mod.degrees[i] != dj + da:
-                    bad.append(("homogeneity", (a, i, j)))
-        for b in range(alg.dim):
-            expected = mod.act_vec(alg.basis_product(a, b))
-            if mod.side == LEFT:
-                got = mod.act(a).mul(mod.act(b))
-            else:
-                got = mod.act(b).mul(mod.act(a))
-            if got != expected:
-                bad.append(("structure constants", (a, b)))
-    return ValidationReport(mod.name, bad)
-
-
 def graded_dim(space: SuperModule | SuperAlgebra) -> GroundElem:
     """The bigraded dimension of a module or an algebra, as a full-mode ground element."""
     terms: dict[tuple[int, int], int] = {}
@@ -418,28 +372,6 @@ def graded_dim(space: SuperModule | SuperAlgebra) -> GroundElem:
         key = (d.z, d.par)
         terms[key] = terms.get(key, 0) + 1
     return GroundElem(terms, FULL)
-
-
-def shift_module(mod: SuperModule, n: int, s: int = 0, name: str = "") -> SuperModule:
-    """Degree shift by ``n`` and parity shift by ``s``.
-
-    A parity shift negates the action of odd algebra elements on left
-    modules; right-module parity shifts leave the action unchanged.
-    """
-    s &= 1
-    degrees = [d.shifted(n, s) for d in mod.degrees]
-
-    def action(i: int) -> Mat:
-        base = mod.act(i)
-        if s and mod.side == LEFT and mod.algebra.degrees[i].par:
-            return base.scale(-1)
-        return base
-
-    return SuperModule(
-        mod.algebra, degrees, action_fn=action, side=mod.side,
-        regular=(mod.regular and n == 0 and s == 0),
-        name=name or f"{mod.name}{{{n},{s}}}",
-    )
 
 
 def hom_graded_dim(src: SuperModule, dst: SuperModule) -> GroundElem:
@@ -798,45 +730,6 @@ def _induce_one_dim_annihilated(
                        name=name or f"ind({mod.name})")
 
 
-def dual_module(mod: SuperModule, name: str = "") -> SuperModule:
-    """The linear dual, with negated degrees and signed-transpose actions.
-
-    The dual of a left module is a right module (precomposition with left
-    multiplication); the dual of a right module is a left module through the
-    signed right-multiplication operators.  Dualizing twice lands back on
-    the original side.
-    """
-    degrees = [-d for d in mod.degrees]
-    if mod.side == LEFT:
-
-        def action(b: int) -> Mat:
-            return mod.act(b).transpose()
-
-        new_side = RIGHT
-    else:
-
-        def action(b: int) -> Mat:
-            base = mod.act(b).transpose()
-            pb = mod.algebra.degrees[b].par
-            if not pb:
-                return base
-            out = Mat(mod.dim, mod.dim)
-            for j, col in base.cols.items():
-                pj = mod.degrees[j].par
-                newcol = {}
-                for i, c in col.items():
-                    sign = -1 if ((pj + mod.degrees[i].par) & 1) else 1
-                    newcol[i] = sign * c
-                out.cols[j] = newcol
-            return out
-
-        new_side = LEFT
-    return SuperModule(
-        mod.algebra, degrees, action_fn=action, side=new_side,
-        name=name or f"dual({mod.name})",
-    )
-
-
 def validate_automorphism(alg: SuperAlgebra, tau: Mat) -> ValidationReport:
     """Check that ``tau`` is a degree-preserving invertible algebra map.
 
@@ -853,10 +746,11 @@ def validate_automorphism(alg: SuperAlgebra, tau: Mat) -> ValidationReport:
     return ValidationReport(name, bad)
 
 
-def twist_module(mod: SuperModule, tau: Mat, validate: bool = True, name: str = "") -> SuperModule:
-    """Precompose the action with the algebra automorphism ``tau``."""
-    if validate:
-        validate_automorphism(mod.algebra, tau).raise_if_failed()
+def twist_module(mod: SuperModule, tau: Mat, name: str = "") -> SuperModule:
+    """Precompose the action with the algebra automorphism ``tau``.
+
+    ``tau`` is trusted: check it with ``validate_automorphism`` first.
+    """
 
     def action(b: int) -> Mat:
         return mod.act_vec(tau.col(b))
@@ -895,6 +789,13 @@ def _all_int(values) -> bool:
     return all(type(x) is int for x in values)  # bool is no integer here
 
 
+def read_rational(pair, what: str) -> int | Fraction:
+    """The value of a ``[num, den]`` field: exactly two integers, ``den`` nonzero."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and _all_int(pair) and pair[1]):
+        raise ValidationError(f"{what} must be [num, den] with integers num and den != 0")
+    return exact(Fraction(*pair))
+
+
 def algebra_from_dict(data: dict, name: str = "") -> SuperAlgebra:
     labels = list(data["labels"])
     if not all(isinstance(label, str) for label in labels):
@@ -906,7 +807,7 @@ def algebra_from_dict(data: dict, name: str = "") -> SuperAlgebra:
         raise ValidationError("labels and degrees disagree in length")
     unit: Vec = {}
     for i, pair in enumerate(data["unit"]):
-        c = Fraction(pair[0], pair[1])
+        c = read_rational(pair, f"unit entry {i}")
         if c:
             unit[i] = c
     if len(data["unit"]) != len(labels):
@@ -917,7 +818,10 @@ def algebra_from_dict(data: dict, name: str = "") -> SuperAlgebra:
             raise ValidationError(f"structure row ({i},{j},{k}) indices must be integers")
         if not (0 <= i < len(labels) and 0 <= j < len(labels) and 0 <= k < len(labels)):
             raise ValidationError(f"structure row ({i},{j},{k}) out of range")
-        products.setdefault((i, j), {})[k] = exact(Fraction(num, den))
+        col = products.setdefault((i, j), {})
+        if k in col:
+            raise ValidationError(f"structure row ({i},{j},{k}) appears twice")
+        col[k] = read_rational((num, den), f"structure row ({i},{j},{k}) value")
     full = {
         (i, j): products.get((i, j), {})
         for i in range(len(labels))
@@ -932,32 +836,3 @@ def algebra_from_dict(data: dict, name: str = "") -> SuperAlgebra:
         labels, degrees, unit, products=full,
         generators=generators, name=name or "loaded",
     )
-
-
-def module_to_dict(mod: SuperModule) -> dict:
-    actions = []
-    for b in range(mod.algebra.dim):
-        mat = mod.act(b)
-        rows = []
-        for j in sorted(mat.cols):
-            for i in sorted(mat.cols[j]):
-                c = mat.cols[j][i]
-                rows.append([i, j, c.numerator, c.denominator])
-        actions.append(rows)
-    return {
-        "degrees": [[d.z, d.par] for d in mod.degrees],
-        "side": mod.side,
-        "actions": actions,
-    }
-
-
-def module_from_dict(alg: SuperAlgebra, data: dict, name: str = "") -> SuperModule:
-    degrees = [Degree(z, par) for z, par in data["degrees"]]
-    dim = len(degrees)
-    action: dict[int, Mat] = {}
-    for b, rows in enumerate(data["actions"]):
-        m = Mat(dim, dim)
-        for i, j, num, den in rows:
-            m.add_entry(i, j, Fraction(num, den))
-        action[b] = m
-    return SuperModule(alg, degrees, action=action, side=data.get("side", LEFT), name=name or "loaded")

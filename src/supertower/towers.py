@@ -84,28 +84,19 @@ def left_descents(a: Perm) -> list[int]:
     return [i for i in range(len(a) - 1) if inv[i] > inv[i + 1]]
 
 
-def canonical_word(a: Perm) -> tuple[int, ...]:
-    """The lexicographically minimal reduced word (smallest left descent first)."""
-    return perm_tables(len(a))[2][a]
-
-
 _PERM_TABLES: dict[int, tuple] = {}
-
-
-def all_perms(n: int) -> list[Perm]:
-    """All of S_n sorted by (length, one-line notation) for a stable basis order.
-
-    The returned list is cached and shared; callers must not mutate it.
-    """
-    return perm_tables(n)[0]
 
 
 def perm_tables(n: int) -> tuple:
     """Cached ``(perms, index, words, lengths)`` for one symmetric group.
 
-    Canonical words and lengths are filled by dynamic programming in length
-    order: the canonical word is the smallest left descent followed by the
-    canonical word of the shortened permutation.
+    ``perms`` is S_n sorted by (length, one-line notation), the stable basis
+    order; the cached lists are shared, so callers must not mutate them.
+
+    Canonical words (the lexicographically minimal reduced words) and lengths
+    are filled by dynamic programming in length order: the canonical word is
+    the smallest left descent followed by the canonical word of the shortened
+    permutation.
     """
     got = _PERM_TABLES.get(n)
     if got is not None:
@@ -445,7 +436,7 @@ class WreathBasis:
     """The (tensor tuple, permutation) basis of one wreath level.
 
     Index ``tuple_rank * n! + perm_rank``: tuples of base basis indices in
-    lexicographic order, permutations in ``all_perms`` order.  Embeddings of
+    lexicographic order, permutations in ``perm_tables`` order.  Embeddings of
     smaller levels fill the free slots with the base unit, which must then
     be a single basis vector.
     """

@@ -1,0 +1,146 @@
+"""Tools the tests share that the verifier itself never runs.
+
+Module shifts and the all-pairs module validator, the identity hom, a few
+matrix conveniences, the permutation list, the Cartan map and a failure
+filter, plus the exterior-superalgebra base file.  No ``verify``, ``weyl``
+or ``build`` run calls them, so they live with the tests.
+"""
+
+from supertower.grothendieck import G_SIDE, K_SIDE, GrothLayer, GrothVector
+from supertower.linalg import Mat
+from supertower.reporting import CheckRecord
+from supertower.superalgebra import (
+    LEFT,
+    AlgebraHom,
+    Degree,
+    SuperAlgebra,
+    SuperModule,
+    ValidationReport,
+)
+from supertower.towers import Perm, perm_tables
+
+
+def failures(records: list[CheckRecord]) -> list[CheckRecord]:
+    return [r for r in records if not r.passed]
+
+
+# -- matrices -----------------------------------------------------------------------
+
+
+def mat_from_entries(nrows: int, ncols: int, entries) -> Mat:
+    """A matrix summed from ``(row, column, value)`` triples."""
+    m = Mat(nrows, ncols)
+    for i, j, c in entries:
+        m.add_entry(i, j, c)
+    return m
+
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    if a.ncols != b.nrows:
+        raise ValueError(f"shape mismatch: {a!r} times {b!r}")
+    out = Mat(a.nrows, b.ncols)
+    for j, col in b.cols.items():
+        image = a.apply(col)
+        if image:
+            out.cols[j] = image
+    return out
+
+
+def entry(m: Mat, i: int, j: int):
+    return m.cols.get(j, {}).get(i, 0)
+
+
+# -- algebras and modules -----------------------------------------------------------
+
+
+def all_perms(n: int) -> list[Perm]:
+    """S_n in basis order; the list is shared, so callers must not mutate it."""
+    return perm_tables(n)[0]
+
+
+def identity_hom(alg: SuperAlgebra) -> AlgebraHom:
+    return AlgebraHom(alg, alg, [{i: 1} for i in range(alg.dim)], name=f"id({alg.name})")
+
+
+def shift_module(mod: SuperModule, n: int, s: int = 0) -> SuperModule:
+    """Degree shift by ``n`` and parity shift by ``s``.
+
+    A parity shift negates the action of odd algebra elements on left
+    modules; right-module parity shifts leave the action unchanged.
+    """
+    s &= 1
+    degrees = [Degree(d.z + n, d.par + s) for d in mod.degrees]
+
+    def action(i: int) -> Mat:
+        base = mod.act(i)
+        if s and mod.side == LEFT and mod.algebra.degrees[i].par:
+            return base.scale(-1)
+        return base
+
+    return SuperModule(
+        mod.algebra, degrees, action_fn=action, side=mod.side,
+        regular=(mod.regular and n == 0 and s == 0),
+        name=f"{mod.name}{{{n},{s}}}",
+    )
+
+
+def validate_module(mod: SuperModule, on_generators: bool = True) -> ValidationReport:
+    """Check the unit action, homogeneity, and ``act(ab)`` against ``act(a) act(b)``.
+
+    ``a`` runs over leading factors (every basis element if ``on_generators``
+    is false), ``b`` over the basis; right modules reverse the product.
+    """
+    alg = mod.algebra
+    bad: list[tuple[str, tuple]] = []
+    leading = alg.leading_factors() if on_generators else range(alg.dim)
+    if mod.act_vec(alg.unit) != Mat.identity(mod.dim):
+        bad.append(("unit action", ()))
+    for a in leading:
+        da = alg.degrees[a]
+        for j, col in mod.act(a).cols.items():
+            dj = mod.degrees[j]
+            for i, c in col.items():
+                if c and mod.degrees[i] != dj + da:
+                    bad.append(("homogeneity", (a, i, j)))
+        for b in range(alg.dim):
+            expected = mod.act_vec(alg.basis_product(a, b))
+            if mod.side == LEFT:
+                got = mat_mul(mod.act(a), mod.act(b))
+            else:
+                got = mat_mul(mod.act(b), mod.act(a))
+            if got != expected:
+                bad.append(("structure constants", (a, b)))
+    return ValidationReport(mod.name, bad)
+
+
+# -- the Grothendieck layer ---------------------------------------------------------
+
+
+def cartan_map(layer: GrothLayer, k: GrothVector) -> GrothVector:
+    """Expand each projective class in simples, bar-twisting the coefficients.
+
+    The underlying map is the identity on modules; because the two sides
+    scale oppositely under degree shift, the coefficients of the input are
+    bar-involuted while each projective expands positively.
+    """
+    if k.side != K_SIDE:
+        raise ValueError(f"the Cartan map takes a {K_SIDE} vector, not {k.side}")
+    out = GrothVector(G_SIDE)
+    for (lv, i), c in k.entries.items():
+        proj = layer.declared(K_SIDE, lv)[i].module
+        out = out.add(layer.class_in_G(proj, lv).scale(c.bar()))
+    return out
+
+
+# -- base files ---------------------------------------------------------------------
+
+# the exterior superalgebra on two odd generators, trace on x y, written as a base file
+EXTERIOR_BASE = {
+    "algebra": {
+        "labels": ["1", "x", "y", "xy"], "degrees": [[0, 0], [1, 1], [1, 1], [2, 0]],
+        "unit": [[1, 1], [0, 1], [0, 1], [0, 1]], "generators": [1, 2],
+        "structure": [[0, a, a, 1, 1] for a in range(4)] + [[a, 0, a, 1, 1] for a in (1, 2, 3)]
+        + [[1, 2, 3, 1, 1], [2, 1, 3, -1, 1]],
+    },
+    "frobenius": {"trace": [[0, 1], [0, 1], [0, 1], [1, 1]], "delta": 2, "sigma": 0},
+}

@@ -224,7 +224,7 @@ def test_criterion_13_type_q_pairing(sergeev3, sergeev_layer):
     p1 = sergeev3.declared_projectives(1)[0].module
     v1 = sergeev3.declared_simples(1)[0].module
     full = hom_graded_dim(p1, v1)
-    ok = full == GroundElem.one() + GroundElem.pi()
+    ok = full == GroundElem.one() + GroundElem.monomial(0, 1)
     collapsed = sergeev_layer.norm(1, 0)
     ok = ok and collapsed == GroundElem.from_int(2, COLLAPSED)
     ok = ok and divide_by_int(collapsed, 2) == GroundElem.one(COLLAPSED)

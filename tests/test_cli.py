@@ -25,6 +25,8 @@ from supertower.errors import ValidationError
 from supertower.superalgebra import algebra_from_dict, algebra_to_dict
 from supertower.towers import clifford_base
 
+from support import EXTERIOR_BASE
+
 NC2 = '{"nilcoxeter": {"n_max": 2, "d": 1, "eps": 0}}'
 NC3 = '{"nilcoxeter": {"n_max": 3, "d": 1, "eps": 1}}'
 
@@ -110,11 +112,10 @@ class TestRunSuites:
 
 class TestEmitReport:
     def test_json_schema_and_determinism(self):
-        cfg1 = RunConfig(descriptor=json.loads(NC2), suites=["axioms", "pairing"], jobs=1)
-        cfg4 = RunConfig(descriptor=json.loads(NC2), suites=["axioms", "pairing"], jobs=4)
-        out1 = emit_report(run_suites(cfg1), "json")
-        out4 = emit_report(run_suites(cfg4), "json")
-        assert out1 == out4
+        cfg = RunConfig(descriptor=json.loads(NC2), suites=["axioms", "pairing"])
+        out1 = emit_report(run_suites(cfg), "json")
+        out2 = emit_report(run_suites(cfg), "json")
+        assert out1 == out2
         payload = json.loads(out1)
         assert set(payload) == {"records", "summary"}
         assert set(payload["summary"]) == {"pass", "fail", "total"}
@@ -304,7 +305,7 @@ def _without(data, key):
     *[({"algebra": CLIFFORD_ALGEBRA, "frobenius": _without(CLIFFORD_FROBENIUS, key)},
        f"base frobenius data missing field {key!r}") for key in ("trace", "delta", "sigma")],
     ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, trace=[0, 1])},
-     "malformed base algebra file: TypeError: 'int' object is not subscriptable"),
+     "trace entry 0 must be [num, den] with integers num and den != 0"),
     ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, delta="one")},
      "malformed base algebra file: ValueError: invalid literal for int() with base 10: 'one'"),
     # non-integer indices, degrees, generators and Frobenius degrees, non-string labels,
@@ -328,6 +329,25 @@ def _without(data, key):
      "base frobenius field 'delta' must be an integer"),
     ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, sigma=True)},
      "base frobenius field 'sigma' must be an integer"),
+    # a rational is exactly two JSON integers with a nonzero denominator, and each
+    # structure constant is given once; without these rules all but the last file verify
+    ({"algebra": dict(CLIFFORD_ALGEBRA, unit=[[True, True], [0, 1]]), "frobenius": CLIFFORD_FROBENIUS},
+     "unit entry 0 must be [num, den] with integers num and den != 0"),
+    ({"algebra": dict(CLIFFORD_ALGEBRA, unit=[[1, 1, 9], [0, 1]]), "frobenius": CLIFFORD_FROBENIUS},
+     "unit entry 0 must be [num, den] with integers num and den != 0"),
+    ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, trace=[[0, 1], [True, 1]])},
+     "trace entry 1 must be [num, den] with integers num and den != 0"),
+    ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, trace=[[0, 1], [1, 1, 7]])},
+     "trace entry 1 must be [num, den] with integers num and den != 0"),
+    ({"algebra": dict(CLIFFORD_ALGEBRA, structure=[*CLIFFORD_ALGEBRA["structure"][:3], [1, 1, 0, True, 1]]),
+      "frobenius": CLIFFORD_FROBENIUS},
+     "structure row (1,1,0) value must be [num, den] with integers num and den != 0"),
+    # c c = 1, then c c = 5: a second row for one (i, j, k) is an error, not an overwrite
+    ({"algebra": dict(CLIFFORD_ALGEBRA, structure=[*CLIFFORD_ALGEBRA["structure"], [1, 1, 0, 5, 1]]),
+      "frobenius": CLIFFORD_FROBENIUS},
+     "structure row (1,1,0) appears twice"),
+    ({"algebra": dict(CLIFFORD_ALGEBRA, unit=[[1, 0], [0, 1]]), "frobenius": CLIFFORD_FROBENIUS},
+     "unit entry 0 must be [num, den] with integers num and den != 0"),
 ])
 def test_malformed_base_file_is_usage_error(spec, message, tmp_path, capsys):
     path = tmp_path / "base.json"
@@ -432,14 +452,17 @@ def _field_paths(node, path=()):
         yield from _field_paths(child, path + (key,))
 
 
-CLIFFORD_PATHS = list(_field_paths(CLIFFORD_BASE))
-MUTATION = hst.tuples(hst.sampled_from(CLIFFORD_PATHS), hst.one_of(JUNK, hst.just("<delete>")))
+def _mutations(base):
+    return hst.tuples(hst.sampled_from(list(_field_paths(base))), hst.one_of(JUNK, hst.just("<delete>")))
 
 
-def _mutated_clifford_base(mutations, tmp_path) -> str:
-    """A wreath descriptor over the Clifford base file with fields replaced or
-    deleted in turn; a path that an earlier mutation removed is skipped."""
-    spec = copy.deepcopy(CLIFFORD_BASE)
+MUTATION = _mutations(CLIFFORD_BASE)
+
+
+def _mutated_base(base, mutations, tmp_path) -> str:
+    """A wreath descriptor over a base file with fields replaced or deleted in
+    turn; a path that an earlier mutation removed is skipped."""
+    spec = copy.deepcopy(base)
     for path, value in mutations:
         try:
             parent = spec
@@ -460,10 +483,17 @@ def _mutated_clifford_base(mutations, tmp_path) -> str:
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutation=MUTATION)
 def test_fuzz_clifford_base_file(mutation, tmp_path):
-    _assert_documented_exit(["verify", _mutated_clifford_base([mutation], tmp_path), "--format", "json"])
+    _assert_documented_exit(["verify", _mutated_base(CLIFFORD_BASE, [mutation], tmp_path), "--format", "json"])
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutations=hst.lists(MUTATION, min_size=2, max_size=3))
 def test_fuzz_clifford_base_file_several_fields(mutations, tmp_path):
-    _assert_documented_exit(["verify", _mutated_clifford_base(mutations, tmp_path), "--format", "json"])
+    _assert_documented_exit(["verify", _mutated_base(CLIFFORD_BASE, mutations, tmp_path), "--format", "json"])
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=hst.lists(_mutations(EXTERIOR_BASE), min_size=1, max_size=3))
+def test_fuzz_exterior_base_file(mutations, tmp_path):
+    # the dim-4 exterior base: generators, a nontrivial sign and a degree-2 trace
+    _assert_documented_exit(["verify", _mutated_base(EXTERIOR_BASE, mutations, tmp_path), "--format", "json"])

@@ -15,7 +15,6 @@ from supertower.frobenius import (
     check_form_invariance,
     check_frobenius,
     frobenius_tensor,
-    nakayama,
     tensor_nakayama_matrix,
 )
 from supertower.linalg import Mat, solve
@@ -32,6 +31,8 @@ from supertower.towers import (
     nilcoxeter_nakayama_closed_form,
     wreath_nakayama_closed_form,
 )
+
+from support import EXTERIOR_BASE, all_perms, entry
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +107,8 @@ class TestNakayama:
             pa = alg.degrees[a].par
             for b in range(alg.dim):
                 sign = -1 if (pa and alg.degrees[b].par) else 1
-                lhs = frob.form(a, b)
-                rhs = sign * frob.form_vec({b: Fraction(1)}, frob.nakayama.col(a))
+                lhs = entry(frob.gram, a, b)
+                rhs = sign * sum(c * entry(frob.gram, b, t) for t, c in frob.nakayama.col(a).items())
                 assert lhs == rhs
 
 
@@ -130,7 +131,6 @@ class TestWreathNakayama:
     def test_transposition_sign(self, clifford):
         # with an odd trace degree the transposition picks up the sign
         alg, frob = build_wreath(clifford, 2)
-        from supertower.towers import all_perms, identity_perm
         perms = all_perms(2)
         s1_idx = 0 * len(perms) + perms.index((1, 0))
         got = frob.nakayama.col(s1_idx)
@@ -139,7 +139,6 @@ class TestWreathNakayama:
     def test_tensor_reversal_sign(self, clifford):
         # psi(c (x) c) = -(c (x) c): two odd factors reversed
         alg, frob = build_wreath(clifford, 2)
-        from supertower.towers import all_perms
         perms = all_perms(2)
         cc_idx = (1 * 2 + 1) * len(perms) + perms.index((0, 1))
         assert frob.nakayama.col(cc_idx) == {cc_idx: Fraction(-1)}
@@ -169,8 +168,8 @@ class TestFrobeniusTensor:
         a3, b3 = build_nilcoxeter(3, 1, 1)
         f2 = nilcoxeter_frobenius(a2, b2)
         f3 = nilcoxeter_frobenius(a3, b3)
-        assert nakayama(frobenius_tensor(f2, f3)) == tensor_nakayama_matrix(f2, f3)
-        assert nakayama(frobenius_tensor(clifford, clifford)) == \
+        assert frobenius_tensor(f2, f3).nakayama == tensor_nakayama_matrix(f2, f3)
+        assert frobenius_tensor(clifford, clifford).nakayama == \
             tensor_nakayama_matrix(clifford, clifford)
 
 
@@ -205,8 +204,8 @@ def dense_form_invariance(alg, gram):
         for j in range(alg.dim):
             pij = alg.basis_product(i, j)
             for k in range(alg.dim):
-                lhs = sum((c * gram.entry(t, k) for t, c in pij.items()), Fraction(0))
-                rhs = sum((c * gram.entry(i, t) for t, c in alg.basis_product(j, k).items()),
+                lhs = sum((c * entry(gram, t, k) for t, c in pij.items()), Fraction(0))
+                rhs = sum((c * entry(gram, i, t) for t, c in alg.basis_product(j, k).items()),
                           Fraction(0))
                 if lhs != rhs:
                     raise ValidationError(f"form not invariant at triple ({i},{j},{k})")
@@ -224,7 +223,7 @@ def dense_dual_iso(frob):
             pa = alg.degrees[a].par
             val = Fraction(0)
             for b, c in bvec.items():
-                g = frob.gram.entry(a, b)
+                g = entry(frob.gram, a, b)
                 if g:
                     val += -c * g if (pa and alg.degrees[b].par) else c * g
             if val:
@@ -363,7 +362,7 @@ def column_nakayama(alg, gram):
         pa = alg.degrees[a].par
         rhs = {}
         for b in range(alg.dim):
-            g = gram.entry(a, b)
+            g = entry(gram, a, b)
             if g:
                 rhs[b] = -g if (pa and alg.degrees[b].par) else g
         col = solve(gram, Mat(alg.dim, 1, {0: rhs}))
@@ -378,18 +377,6 @@ def _same_layout(got, want):
     assert list(got.cols) == list(want.cols)
     for j, col in want.cols.items():
         assert list(got.cols[j].items()) == list(col.items())
-
-
-# the exterior superalgebra on two odd generators, trace on x y, written as a base file
-EXTERIOR_BASE = {
-    "algebra": {
-        "labels": ["1", "x", "y", "xy"], "degrees": [[0, 0], [1, 1], [1, 1], [2, 0]],
-        "unit": [[1, 1], [0, 1], [0, 1], [0, 1]], "generators": [1, 2],
-        "structure": [[0, a, a, 1, 1] for a in range(4)] + [[a, 0, a, 1, 1] for a in (1, 2, 3)]
-        + [[1, 2, 3, 1, 1], [2, 1, 3, -1, 1]],
-    },
-    "frobenius": {"trace": [[0, 1], [0, 1], [0, 1], [1, 1]], "delta": 2, "sigma": 0},
-}
 
 
 PARTNER_CASES = ([("nilcoxeter", n, eps) for n in (1, 2, 3, 4, 5) for eps in (0, 1)]

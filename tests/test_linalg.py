@@ -21,6 +21,8 @@ from supertower.linalg import (
     vec_scale,
 )
 
+from support import entry, mat_from_entries, mat_mul
+
 
 def dense_rank_oracle(rows, ncols):
     """Plain dense Gaussian elimination over Fraction."""
@@ -89,14 +91,14 @@ def test_solve_and_invert():
         full_rank = rank_of_rows([mat.col(j) for j in range(n)]) == n
         if full_rank:
             assert inv is not None
-            assert mat.mul(inv) == Mat.identity(n)
-            assert inv.mul(mat) == Mat.identity(n)
+            assert mat_mul(mat, inv) == Mat.identity(n)
+            assert mat_mul(inv, mat) == Mat.identity(n)
         else:
             assert inv is None
 
 
 def test_solve_inconsistent():
-    mat = Mat.from_entries(2, 1, [(0, 0, 1), (1, 0, 2)])
+    mat = mat_from_entries(2, 1, [(0, 0, 1), (1, 0, 2)])
     assert solve_column(mat, {0: Fraction(1), 1: Fraction(1)}) is None
 
 
@@ -109,11 +111,11 @@ def test_eliminator_membership():
 
 
 def test_matrix_algebra():
-    a = Mat.from_entries(2, 2, [(0, 0, 1), (0, 1, 2), (1, 1, 3)])
-    b = Mat.from_entries(2, 2, [(0, 0, 1), (1, 0, 1)])
-    ab = a.mul(b)
-    assert ab.entry(0, 0) == 3  # 1*1 + 2*1
-    assert ab.entry(1, 0) == 3
+    a = mat_from_entries(2, 2, [(0, 0, 1), (0, 1, 2), (1, 1, 3)])
+    b = mat_from_entries(2, 2, [(0, 0, 1), (1, 0, 1)])
+    ab = mat_mul(a, b)
+    assert entry(ab, 0, 0) == 3  # 1*1 + 2*1
+    assert entry(ab, 1, 0) == 3
     assert a.transpose().transpose() == a
     assert a.add(a.scale(-1)).is_zero()
 
@@ -201,7 +203,7 @@ sparse_rows = hst.dictionaries(hst.integers(0, NCOLS - 1), rationals, max_size=4
 def square_mats(n):
     entries = hst.lists(hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1), rationals),
                         max_size=n * n)
-    return entries.map(lambda es: Mat.from_entries(n, n, es))
+    return entries.map(lambda es: mat_from_entries(n, n, es))
 
 
 class TestEchelonFirstAgainstEagerRREF:
@@ -267,7 +269,7 @@ def mats(nrows, ncols):
         return hst.just(Mat(nrows, 0))
     entries = hst.lists(hst.tuples(hst.integers(0, nrows - 1), hst.integers(0, ncols - 1), rationals),
                         max_size=nrows * ncols)
-    return entries.map(lambda es: Mat.from_entries(nrows, ncols, es))
+    return entries.map(lambda es: mat_from_entries(nrows, ncols, es))
 
 
 systems = hst.tuples(hst.integers(1, 5), hst.integers(1, 5), hst.integers(0, 4)).flatmap(
@@ -296,7 +298,7 @@ class TestMatrixSolveAgainstColumnSolves:
         inv = invert(mat)
         assert inv == eager_invert(mat)
         if inv is not None:
-            assert mat.mul(inv) == Mat.identity(mat.nrows)
+            assert mat_mul(mat, inv) == Mat.identity(mat.nrows)
 
 
 # -- the integer-first kernel against the Fraction oracle ------------------------
@@ -313,10 +315,10 @@ def test_exact_normalises_and_rejects():
 
 
 def test_constructors_keep_ints():
-    m = Mat.from_entries(2, 2, [(0, 0, 1), (0, 0, Fraction(2)), (1, 1, Fraction(1, 2))])
-    assert type(m.entry(0, 0)) is int and m.entry(0, 0) == 3
-    assert m.entry(1, 1) == Fraction(1, 2)
-    assert type(m.entry(1, 0)) is int
+    m = mat_from_entries(2, 2, [(0, 0, 1), (0, 0, Fraction(2)), (1, 1, Fraction(1, 2))])
+    assert type(entry(m, 0, 0)) is int and entry(m, 0, 0) == 3
+    assert entry(m, 1, 1) == Fraction(1, 2)
+    assert type(entry(m, 1, 0)) is int
     assert all(type(c) is int for c in Mat.identity(3).cols[1].values())
     assert all(type(c) is int for c in m.scale(Fraction(2)).col(0).values())
     assert all(type(c) is int for c in vec_scale({0: 1, 1: -2}, Fraction(4, 2)).values())
@@ -354,7 +356,7 @@ def systems_of(values):
 def square_systems_of(values):
     return hst.integers(1, 5).flatmap(lambda n: hst.tuples(
         hst.lists(hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1), values), max_size=n * n)
-        .map(lambda es: Mat.from_entries(n, n, es)),
+        .map(lambda es: mat_from_entries(n, n, es)),
         hst.dictionaries(hst.integers(0, n - 1), values, max_size=n)))
 
 
@@ -402,16 +404,17 @@ class TestIntFirstAgainstFractionOracle:
     def test_signed_permutation_inverse_stays_int(self):
         # a signed permutation matrix, the shape of every built-in Gram matrix
         perm, signs = [2, 0, 3, 1], [1, -1, -1, 1]
-        mat = Mat.from_entries(4, 4, [(perm[j], j, signs[j]) for j in range(4)])
+        mat = mat_from_entries(4, 4, [(perm[j], j, signs[j]) for j in range(4)])
         inv = invert(mat)
-        assert mat.mul(inv) == Mat.identity(4)
+        assert mat_mul(mat, inv) == Mat.identity(4)
         assert all(type(c) is int for col in inv.cols.values() for c in col.values())
 
 
 SHAPE_CHECKS = "\n".join([
     "from supertower.linalg import Mat, invert, solve",
+    "from support import mat_mul",
     "a, b = Mat(2, 3), Mat(2, 2)",
-    "for name, call in [('mul', lambda: a.mul(b)), ('add', lambda: a.add(b)),",
+    "for name, call in [('mul', lambda: mat_mul(a, b)), ('add', lambda: a.add(b)),",
     "                   ('invert', lambda: invert(a)), ('solve', lambda: solve(b, Mat(3, 1)))]:",
     "    try:",
     "        call()",
@@ -423,8 +426,8 @@ SHAPE_CHECKS = "\n".join([
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_shape_mismatches_raise(flags):
     # python -O strips assert statements; the shape checks must survive it
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    here = os.path.dirname(__file__)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(here, os.pardir, "src"), here]))
     proc = subprocess.run([sys.executable, *flags, "-c", SHAPE_CHECKS],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

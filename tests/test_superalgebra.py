@@ -1,4 +1,4 @@
-"""Supermodule sign calculus: tensors, homs, shifts, duals, induction, restriction."""
+"""Supermodule sign calculus: tensors, homs, shifts, induction, restriction."""
 
 import inspect
 import os
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from supertower.ground import GroundElem, TwistScalar, bar_involution, qpi_binomial, qpi_factorial
+from supertower.ground import GroundElem, TwistScalar, qpi_binomial, qpi_factorial
 from supertower.linalg import Eliminator, Mat
 from supertower.superalgebra import (
     AlgebraHom,
@@ -21,24 +21,20 @@ from supertower.superalgebra import (
     Subspace,
     algebra_from_dict,
     algebra_to_dict,
-    dual_module,
     graded_dim,
     hom_graded_dim,
-    identity_hom,
     induce_module,
-    module_from_dict,
-    module_to_dict,
     outer_tensor,
     regular_module,
     restrict_module,
-    shift_module,
     tensor_algebra,
     twist_module,
     validate_algebra,
     validate_automorphism,
-    validate_module,
 )
 from supertower.towers import build_nilcoxeter, build_wreath, clifford_base, trivial_level_algebra
+
+from support import identity_hom, shift_module, validate_module
 
 
 def hom_dim_by_full_basis(src, dst):
@@ -118,7 +114,7 @@ class TestGradedDim:
 
     def test_parity_shift_multiplies_by_pi(self, n3):
         m = regular_module(n3)
-        assert graded_dim(shift_module(m, 0, 1)) == GroundElem.pi() * graded_dim(m)
+        assert graded_dim(shift_module(m, 0, 1)) == GroundElem.monomial(0, 1) * graded_dim(m)
 
     @pytest.mark.parametrize("d,eps", [(1, 0), (1, 1), (2, 1)])
     def test_factorial_law(self, d, eps):
@@ -133,7 +129,7 @@ class TestHom:
         plain = SuperModule(clifford, reg.degrees,
                             action={i: reg.act(i) for i in range(2)})
         got = hom_graded_dim(plain, reg)
-        assert got == GroundElem.one() + GroundElem.pi()
+        assert got == GroundElem.one() + GroundElem.monomial(0, 1)
 
     def test_free_rank_one(self, n3):
         reg = regular_module(n3)
@@ -269,36 +265,6 @@ class TestRestrictInduce:
         assert graded_dim(ind) == GroundElem.one()
 
 
-class TestDual:
-    def test_dual_degrees_are_barred(self, n3):
-        m = shift_module(regular_module(n3), 1, 1)
-        d = dual_module(m)
-        assert graded_dim(d) == bar_involution(graded_dim(m))
-
-    def test_double_dual_is_parity_signed_identity(self, n3):
-        m = regular_module(n3)
-        dd = dual_module(dual_module(m))
-        assert graded_dim(dd) == graded_dim(m)
-        # the double signed transpose twists odd elements by -1; conjugating
-        # by the parity diagonal recovers the original action
-        diag = Mat(m.dim, m.dim)
-        for i, dg in enumerate(m.degrees):
-            diag.add_entry(i, i, -1 if dg.par else 1)
-        for b in range(n3.dim):
-            expected = m.act(b).scale(-1 if n3.degrees[b].par else 1)
-            assert dd.act(b) == expected
-            assert diag.mul(dd.act(b)).mul(diag) == m.act(b)
-
-    def test_dual_sides_validate(self, clifford):
-        m = regular_module(clifford)
-        d = dual_module(m)
-        assert d.side == "right"
-        assert validate_module(d, on_generators=False).ok
-        dd = dual_module(d)
-        assert dd.side == "left"
-        assert validate_module(dd, on_generators=False).ok
-
-
 class TestTwist:
     def test_identity_twist(self, n3):
         m = regular_module(n3)
@@ -323,10 +289,10 @@ class TestTwist:
         assert graded_dim(twist_module(m, tower.psi[3])) == graded_dim(m)
 
     def test_invalid_twist_rejected(self, n3):
-        from supertower.errors import ValidationError
+        # twist_module trusts its map; the validator is what rejects the zero map
         bad = Mat(n3.dim, n3.dim)
-        with pytest.raises(ValidationError):
-            twist_module(regular_module(n3), bad)
+        assert validate_automorphism(n3, bad).violations == [("invertibility", ()),
+                                                              ("unit preservation", ())]
 
     def test_augmentation_is_not_an_automorphism(self, n3):
         # killing every u_w but the unit is a unital homomorphism of rank one
@@ -344,14 +310,6 @@ class TestSerialization:
         for i in range(2):
             for j in range(2):
                 assert back.basis_product(i, j) == clifford.basis_product(i, j)
-
-    def test_module_roundtrip(self, clifford):
-        m = shift_module(regular_module(clifford), 2, 1)
-        data = module_to_dict(m)
-        back = module_from_dict(clifford, data)
-        assert back.degrees == m.degrees
-        for i in range(2):
-            assert back.act(i) == m.act(i)
 
     def test_bad_structure_row_rejected(self):
         from supertower.errors import ValidationError
