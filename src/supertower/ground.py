@@ -7,11 +7,17 @@ Two modes are supported:
 * ``collapsed`` -- the image ring with ``pi`` set to ``1`` and ``1/2``
   adjoined, so coefficients are dyadic rationals in ``q``.
 
-Elements are immutable; every operation returns a fresh value.  Terms are a
-finitely supported map ``(q_exponent, pi_exponent) -> coefficient`` with no
-zero coefficients stored, and ``pi_exponent`` is always ``0`` in collapsed
-mode.  Canonical term order (``q`` exponent ascending, then ``pi`` exponent)
+Terms are a finitely supported map ``(q_exponent, pi_exponent) ->
+coefficient`` with no zero coefficients stored; ``pi_exponent`` is always
+``0`` in collapsed mode, and an integral coefficient is always an ``int``.
+Canonical term order (``q`` exponent ascending, then ``pi`` exponent)
 governs printing.
+
+Elements are immutable, and values are shared: ``one()`` and ``zero()``
+return one instance per mode, and a product by one returns the other factor
+itself.  So the ``terms`` dict of an element must never be mutated.  The
+constructor validates and normalises terms that come from outside the ring;
+sums, negations and products of elements are canonical already and skip it.
 """
 
 from __future__ import annotations
@@ -68,8 +74,11 @@ class GroundElem:
                     raise ValueError(f"non-integer coefficient {c} in full mode")
                 key = (qe, pe & 1)
             if c:
-                clean[key] = clean.get(key, 0) + c
-                if not clean[key]:
+                # collapsing pi can merge two dyadic halves into an integer
+                c = exact(clean.get(key, 0) + c)
+                if c:
+                    clean[key] = c
+                else:
                     del clean[key]
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "mode", mode)
@@ -81,11 +90,17 @@ class GroundElem:
 
     @staticmethod
     def zero(mode: str = FULL) -> "GroundElem":
-        return GroundElem({}, mode)
+        try:
+            return _ZERO[mode]
+        except KeyError:
+            raise ValueError(f"unknown ring mode {mode!r}") from None
 
     @staticmethod
     def one(mode: str = FULL) -> "GroundElem":
-        return GroundElem({(0, 0): 1}, mode)
+        try:
+            return _ONE[mode]
+        except KeyError:
+            raise ValueError(f"unknown ring mode {mode!r}") from None
 
     @staticmethod
     def from_int(n: int, mode: str = FULL) -> "GroundElem":
@@ -108,12 +123,12 @@ class GroundElem:
         terms = dict(self.terms)
         for k, c in other.terms.items():
             terms[k] = terms.get(k, 0) + c
-        return GroundElem(terms, self.mode)
+        return _canonical(terms, self.mode)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GroundElem":
-        return GroundElem({k: -c for k, c in self.terms.items()}, self.mode)
+        return _canonical({k: -c for k, c in self.terms.items()}, self.mode)
 
     def __sub__(self, other: "GroundElem") -> "GroundElem":
         if isinstance(other, int):
@@ -125,14 +140,18 @@ class GroundElem:
 
     def __mul__(self, other) -> "GroundElem":
         if isinstance(other, int):
-            return GroundElem({k: c * other for k, c in self.terms.items()}, self.mode)
+            return _canonical({k: c * other for k, c in self.terms.items()}, self.mode)
         self._check_mode(other)
+        if self.terms == _UNIT_TERMS:
+            return other
+        if other.terms == _UNIT_TERMS:
+            return self
         terms: dict[Key, object] = {}
         for (qa, pa), ca in self.terms.items():
             for (qb, pb), cb in other.terms.items():
                 key = (qa + qb, (pa + pb) & 1)
                 terms[key] = terms.get(key, 0) + ca * cb
-        return GroundElem(terms, self.mode)
+        return _canonical(terms, self.mode)
 
     __rmul__ = __mul__
 
@@ -220,6 +239,29 @@ class GroundElem:
             parts.append(("- " if neg else "+ ") + mono)
         s = " ".join(parts)
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
+
+
+_UNIT_TERMS = {(0, 0): 1}
+_ZERO = {mode: GroundElem({}, mode) for mode in (FULL, COLLAPSED)}
+_ONE = {mode: GroundElem(_UNIT_TERMS, mode) for mode in (FULL, COLLAPSED)}
+
+
+def _canonical(terms: dict[Key, object], mode: str) -> GroundElem:
+    """Wrap the terms of a ring operation on canonical elements, unvalidated.
+
+    Keys and coefficient types are canonical already; only the zeros a sum
+    leaves are dropped, and a collapsed-mode ``Fraction`` that became
+    integral is stored as its ``int``.
+    """
+    out = object.__new__(GroundElem)
+    if mode == COLLAPSED:
+        terms = {k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                 for k, c in terms.items() if c}
+    else:
+        terms = {k: c for k, c in terms.items() if c}
+    object.__setattr__(out, "terms", terms)
+    object.__setattr__(out, "mode", mode)
+    return out
 
 
 def bar_involution(a: GroundElem) -> GroundElem:

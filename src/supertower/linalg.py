@@ -95,21 +95,6 @@ class Mat:
                 vec_axpy(out, c, col)
         return out
 
-    def add(self, other: "Mat") -> "Mat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(f"shape mismatch: {self!r} plus {other!r}")
-        out = Mat(self.nrows, self.ncols, self.cols)
-        for j, col in other.cols.items():
-            target = out.cols.setdefault(j, {})
-            vec_axpy(target, 1, col)
-            if not target:
-                del out.cols[j]
-        return out
-
-    def scale(self, c) -> "Mat":
-        c = exact(c)
-        return Mat(self.nrows, self.ncols, {j: vec_scale(col, c) for j, col in self.cols.items() if c})
-
     def transpose(self) -> "Mat":
         out = Mat(self.ncols, self.nrows)
         for j, col in self.cols.items():
@@ -127,9 +112,6 @@ class Mat:
 
     def __hash__(self):
         raise TypeError("Mat is not hashable")
-
-    def is_zero(self) -> bool:
-        return not self.cols
 
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols.values())

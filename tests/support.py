@@ -1,13 +1,14 @@
 """Tools the tests share that the verifier itself never runs.
 
-Module shifts and the all-pairs module validator, the identity hom, a few
-matrix conveniences, the permutation list, the Cartan map and a failure
-filter, plus the exterior-superalgebra base file.  No ``verify``, ``weyl``
-or ``build`` run calls them, so they live with the tests.
+Module shifts and the all-pairs module validator, the identity hom, the
+matrix sum, scale, product and zero test, the permutation list, the Cartan
+map and a failure filter, plus the exterior-superalgebra base file.  No
+``verify``, ``weyl`` or ``build`` run calls them, so they live with the
+tests.
 """
 
 from supertower.grothendieck import G_SIDE, K_SIDE, GrothLayer, GrothVector
-from supertower.linalg import Mat
+from supertower.linalg import Mat, exact, vec_axpy, vec_scale
 from supertower.reporting import CheckRecord
 from supertower.superalgebra import (
     LEFT,
@@ -33,6 +34,27 @@ def mat_from_entries(nrows: int, ncols: int, entries) -> Mat:
     for i, j, c in entries:
         m.add_entry(i, j, c)
     return m
+
+
+def mat_add(a: Mat, b: Mat) -> Mat:
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError(f"shape mismatch: {a!r} plus {b!r}")
+    out = Mat(a.nrows, a.ncols, a.cols)
+    for j, col in b.cols.items():
+        target = out.cols.setdefault(j, {})
+        vec_axpy(target, 1, col)
+        if not target:
+            del out.cols[j]
+    return out
+
+
+def mat_scale(m: Mat, c) -> Mat:
+    c = exact(c)
+    return Mat(m.nrows, m.ncols, {j: vec_scale(col, c) for j, col in m.cols.items() if c})
+
+
+def mat_is_zero(m: Mat) -> bool:
+    return not m.cols
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -74,7 +96,7 @@ def shift_module(mod: SuperModule, n: int, s: int = 0) -> SuperModule:
     def action(i: int) -> Mat:
         base = mod.act(i)
         if s and mod.side == LEFT and mod.algebra.degrees[i].par:
-            return base.scale(-1)
+            return mat_scale(base, -1)
         return base
 
     return SuperModule(

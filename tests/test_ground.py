@@ -1,12 +1,16 @@
 """Coefficient-ring arithmetic, checked against independent brute-force oracles."""
 
+import contextlib
+import io
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from supertower import cli
 from supertower.errors import ExactDivisionError, ModeError
 from supertower.ground import (
     COLLAPSED,
@@ -54,6 +58,95 @@ elems = hst.builds(
         max_size=5,
     ),
 )
+
+
+def typed(terms: dict) -> dict:
+    return {k: (type(c), c) for k, c in terms.items()}
+
+
+def brute_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return out
+
+
+def ring_elems(mode: str):
+    """Elements built through the validating constructor; dyadic in collapsed mode."""
+    if mode == FULL:
+        coeffs = hst.integers(-9, 9)
+    else:
+        coeffs = hst.builds(Fraction, hst.integers(-9, 9), hst.sampled_from([1, 2, 4]))
+    return hst.dictionaries(
+        hst.tuples(hst.integers(-3, 3), hst.integers(0, 1)), coeffs, max_size=4,
+    ).map(lambda d: GroundElem(d, mode))
+
+
+HALF = GroundElem({(0, 0): Fraction(1, 2), (1, 0): Fraction(3, 2)}, COLLAPSED)
+TWO = GroundElem.from_int(2, COLLAPSED)
+
+
+class TestDirectResults:
+    """Ring operations skip the validating constructor; it stays as the oracle."""
+
+    def check_ops(self, a: GroundElem, b: GroundElem) -> None:
+        mode = a.mode
+        one = GroundElem.one(mode)
+        cases = [
+            (a * b, brute_mul(a.terms, b.terms)),
+            (a + b, brute_add(a.terms, b.terms)),
+            (a - b, brute_add(a.terms, b.terms, -1)),
+            (-a, {k: -c for k, c in a.terms.items()}),
+            (a * one, a.terms),
+            (one * a, a.terms),
+            (a * 2, {k: 2 * c for k, c in a.terms.items()}),
+        ]
+        for got, oracle in cases:
+            assert got.mode == mode
+            assert typed(got.terms) == typed(GroundElem(oracle, mode).terms)
+            assert all(got.terms.values()), "a zero coefficient is stored"
+            assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+        # a unit-valued ``a`` may come back as the shared one instead
+        assert a.is_one() or (a * one is a and one * a is a)
+
+    @given(ring_elems(FULL), ring_elems(FULL))
+    @settings(max_examples=80, deadline=None)
+    def test_full_mode_matches_constructor(self, a, b):
+        self.check_ops(a, b)
+
+    @given(ring_elems(COLLAPSED), ring_elems(COLLAPSED))
+    @settings(max_examples=80, deadline=None)
+    @example(HALF, TWO)
+    @example(HALF, HALF)
+    def test_collapsed_mode_matches_constructor(self, a, b):
+        self.check_ops(a, b)
+
+    def test_integral_collapsed_results_are_ints(self):
+        half = GroundElem({(0, 0): Fraction(1, 2)}, COLLAPSED)
+        for got in (half * TWO, TWO * half, half + half, half * 2, TWO - half - half + TWO):
+            assert all(type(c) is int for c in got.terms.values()), got.terms
+        assert (half * TWO).terms == {(0, 0): 1} and (half * TWO).is_one()
+        assert (half - half).terms == {}
+        # the constructor merges pi-terms on collapse: two halves make an int
+        merged = GroundElem({(2, 0): Fraction(-1, 2), (2, 1): Fraction(-1, 2)}, COLLAPSED)
+        assert typed(merged.terms) == {(2, 0): (int, -1)}
+
+    def test_shared_constants_survive_a_verify_run(self):
+        for mode in (FULL, COLLAPSED):
+            assert GroundElem.one(mode) is GroundElem.one(mode)
+            assert GroundElem.zero(mode) is GroundElem.zero(mode)
+        desc = json.dumps({"nilcoxeter": {"n_max": 3, "d": 1, "eps": 1}})
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", desc, "--format", "json"]) == 0
+        for mode in (FULL, COLLAPSED):
+            assert GroundElem.one(mode).terms == {(0, 0): 1}
+            assert GroundElem.zero(mode).terms == {}
+            assert GroundElem.one(mode).mode == GroundElem.zero(mode).mode == mode
+
+    def test_unknown_mode_is_rejected(self):
+        for make in (GroundElem.one, GroundElem.zero, lambda m: GroundElem({}, m)):
+            with pytest.raises(ValueError, match="unknown ring mode"):
+                make("half")
 
 
 class TestRingArith:

@@ -151,6 +151,16 @@ class TestFock:
     def test_general_relation(self, dbl11):
         assert all_passed(check_general_relation(dbl11, 3))
 
+    @pytest.mark.parametrize("key", [((0, 0), (0, 0)), ((1, 0), (1, 0))])
+    def test_corrupted_monomial_product_fails_associativity(self, layer6_11, key):
+        # (1 # x)(y # 1) = 1 # 1 + q pi (y # x); double one coefficient in the memo
+        assert all_passed(check_action_compat(HeisenbergDouble(layer6_11), 2))
+        bad = HeisenbergDouble(layer6_11)
+        seeded = bad._monomial_product((0, 0), (1, 0), (1, 0), (0, 0))
+        seeded[key] = seeded[key] + seeded[key]
+        recs = {r.check: r for r in check_action_compat(bad, 2)}
+        assert not recs["smash-associativity"].passed
+
 
 class TestWeyl:
     @pytest.mark.parametrize("d,eps", [(0, 0), (1, 0)])
