@@ -23,7 +23,7 @@ class InternalInconsistencyError(SupertowerError):
 
 
 class CocycleError(InternalInconsistencyError):
-    """The straightened sign basis of a nilCoxeter algebra is inconsistent."""
+    """The sign table of a nilCoxeter algebra breaks its defining relations."""
 
 
 class ValidationError(SupertowerError):

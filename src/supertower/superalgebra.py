@@ -56,7 +56,6 @@ class SuperAlgebra:
         products: dict[tuple[int, int], Vec] | None = None,
         product_fn: Callable[[int, int], Vec] | None = None,
         generators: Sequence[int] | None = None,
-        support_fn: Callable[[int, int], frozenset] | None = None,
         name: str = "",
     ):
         if len(labels) != len(degrees):
@@ -66,7 +65,6 @@ class SuperAlgebra:
         self.unit = {i: exact(c) for i, c in unit.items() if c}
         self._products: dict[tuple[int, int], Vec] = dict(products or {})
         self._product_fn = product_fn
-        self._support_fn = support_fn
         self.generators = list(generators) if generators is not None else None
         self.name = name or f"algebra(dim={len(labels)})"
 
@@ -93,17 +91,6 @@ class SuperAlgebra:
             for j, b in v.items():
                 vec_axpy(out, a * b, self.basis_product(i, j))
         return out
-
-    def product_support(self, i: int, j: int) -> frozenset:
-        """The support of a basis product, computable without its signs.
-
-        Families whose basis products are signed basis elements supply a
-        cheap rule through ``support_fn``; the default just reads the full
-        product.
-        """
-        if self._support_fn is not None:
-            return self._support_fn(i, j)
-        return frozenset(self.basis_product(i, j))
 
     def generating_set(self) -> list[int]:
         """Indices whose products span the algebra; the full basis if unknown."""
@@ -707,7 +694,7 @@ def _induce_one_dim_annihilated(
             continue
         (bi,) = phi.images[b]
         for c in range(target.dim):
-            supp = target.product_support(c, bi)
+            supp = target.basis_product(c, bi)
             if len(supp) > 1:
                 return None
             killed.update(supp)

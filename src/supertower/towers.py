@@ -2,13 +2,14 @@
 
 The nilCoxeter family: generators square to zero, distant generators
 commute up to the sign fixed by the parity flag, and braid relations hold
-on the nose.  A basis indexed by permutations is produced by straightening:
-the canonical reduced word of a permutation is the lexicographically
-minimal one, and the sign relating any other reduced word to the canonical
-product is found by a deterministic rewriting through commutation and braid
-moves (commutations contribute the parity sign, braids none).  Consistency
-of those signs is not assumed: the builder re-checks the defining relations
-and `validate_algebra` audits associativity on every generator-led triple.
+on the nose.  The basis is indexed by permutations, each element the
+product along the lexicographically minimal reduced word.  One table per
+level holds the sign of every left multiplication by a generator, filled
+in length order from shorter entries through one commutation (the parity
+sign) or one braid move (no sign); every product folds a canonical word
+over it.  Consistency of those signs is not assumed: the builder re-checks
+the defining relations and `validate_algebra` audits associativity on
+every generator-led triple.
 
 The wreath family: a Frobenius base algebra tensored n-fold, extended by
 the symmetric group acting by superpermutations.
@@ -67,15 +68,9 @@ def perm_length(a: Perm) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if a[i] > a[j])
 
 
-def apply_s(a: Perm, i: int, side: str = "right") -> Perm:
-    """Multiply by the adjacent transposition ``s_i`` (0-based)."""
-    lst = list(a)
-    if side == "right":
-        lst[i], lst[i + 1] = lst[i + 1], lst[i]
-    else:
-        p, q = lst.index(i), lst.index(i + 1)
-        lst[p], lst[q] = lst[q], lst[p]
-    return tuple(lst)
+def apply_s(a: Perm, i: int) -> Perm:
+    """Left-multiply by the adjacent transposition ``s_i`` (0-based): swap the values i, i+1."""
+    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in a)
 
 
 def left_descents(a: Perm) -> list[int]:
@@ -113,7 +108,7 @@ def perm_tables(n: int) -> tuple:
             lengths[p] = 0
         else:
             k = ds[0]
-            shorter = apply_s(p, k, side="left")
+            shorter = apply_s(p, k)
             words[p] = (k,) + words[shorter]
             lengths[p] = 1 + lengths[shorter]
     got = (perms, index, words, lengths)
@@ -202,17 +197,19 @@ def extend_perm(w: Perm, offset: int, total: int) -> Perm:
     return tuple(ext)
 
 
-# -- nilCoxeter straightening ---------------------------------------------------
+# -- nilCoxeter sign table ------------------------------------------------------
 
 
 class SignedPermBasis:
-    """Permutation-indexed basis with straightening signs for one parity flag.
+    """Permutation-indexed basis with its left-multiplication sign table.
 
-    ``rmult(w, i)`` returns ``(sign, ws_i)`` such that the basis product
-    ``u_w u_i`` equals ``sign * u_(w s_i)`` when the length goes up, or None
-    when it dies.  Basis elements are defined as products along canonical
-    words, so the sign is found by rewriting the concatenated word into the
-    canonical one, counting commutation moves mod 2.
+    Basis element ``i`` is ``u_(w_i)``, the product along the canonical word
+    of ``w_i``.  ``_left[k][i]`` is ``(sign, t)`` with ``u_k u_(w_i) = sign *
+    u_(w_t)``, or None when ``s_k`` shortens ``w_i`` and the product
+    vanishes.  Filled in length order: for ``x = s_k w_i`` with canonical
+    first letter ``j`` the sign is +1 when ``j == k``, else it comes from
+    shorter entries through one commutation (the parity sign) or one braid
+    move (no sign).
     """
 
     def __init__(self, n: int, d: int, eps: int):
@@ -220,82 +217,46 @@ class SignedPermBasis:
         self.d = d
         self.eps = eps & 1
         self.perms, self.index, self.words, self.lengths = perm_tables(n)
-        self._rmult: dict[tuple[Perm, int], tuple[int, Perm] | None] = {}
+        self._left: list[list[tuple[int, int] | None]] = [[None] * len(self.perms)
+                                                          for _ in range(n - 1)]
+        for i, v in enumerate(self.perms):
+            for k in range(n - 1):
+                x = apply_s(v, k)
+                if self.lengths[x] > self.lengths[v]:
+                    self._left[k][i] = (self._left_sign(k, v, x), self.index[x])
+
+    def _sign(self, k: int, y: Perm) -> int:
+        """The sign of the already filled entry ``u_k u_y``."""
+        return self._left[k][self.index[y]][0]
+
+    def _left_sign(self, k: int, v: Perm, x: Perm) -> int:
+        """The sign of ``u_k u_v = sign * u_x``, from entries of shorter permutations."""
+        j = self.words[x][0]
+        if j == k:
+            return 1
+        if abs(j - k) > 1:
+            # u_k u_j u_y = sigma u_j u_k u_y with y = s_j v
+            y = apply_s(v, j)
+            return self._sign(j, y) * (-1 if self.eps else 1) * self._sign(k, y)
+        # u_k u_j u_k u_y = u_j u_k u_j u_y with y = s_k s_j v
+        y = apply_s(apply_s(v, j), k)
+        return (self._sign(k, y) * self._sign(j, apply_s(y, k))
+                * self._sign(j, y) * self._sign(k, apply_s(y, j)))
 
     def degree(self, w: Perm) -> Degree:
         ell = self.lengths[w]
         return Degree(self.d * ell, (self.eps * ell) & 1)
 
-    def _perm_of_word(self, word: tuple[int, ...]) -> Perm:
-        cur = identity_perm(self.n)
-        for i in word:
-            cur = apply_s(cur, i, side="right")
-        return cur
-
-    def _rewrite_front(self, word: tuple[int, ...], k: int) -> tuple[int, tuple[int, ...]]:
-        """Rewrite a reduced word to start with the descent ``k``; returns (sign, word)."""
-        if word[0] == k:
-            return 1, word
-        j = word[0]
-        sign, tail = self._rewrite_front(word[1:], k)
-        # tail == (k, rest)
-        if abs(j - k) > 1:
-            s = -1 if self.eps else 1
-            return sign * s, (k, j) + tail[1:]
-        # adjacent: need the braid pattern (j, k, j) -> (k, j, k)
-        sign2, tail2 = self._rewrite_front(tail[1:], j)
-        # word is now (j, k, j) + tail2[1:]
-        return sign * sign2, (k, j, k) + tail2[1:]
-
-    def _normalize(self, word: tuple[int, ...]) -> tuple[int, Perm]:
-        """Sign relating the product over ``word`` to the canonical basis element."""
-        if not word:
-            return 1, identity_perm(self.n)
-        w = self._perm_of_word(word)
-        k = min(left_descents(w))
-        sign, word2 = self._rewrite_front(word, k)
-        sub_sign, sub_perm = self._normalize(word2[1:])
-        if apply_s(sub_perm, k, side="left") != w:
-            raise CocycleError(f"straightening of {word} does not reach {w}")
-        return sign * sub_sign, w
-
-    def rmult(self, w: Perm, i: int) -> tuple[int, Perm] | None:
-        """``u_w u_i``: None if it vanishes, else (sign, target permutation)."""
-        key = (w, i)
-        if key in self._rmult:
-            return self._rmult[key]
-        ws = apply_s(w, i, side="right")
-        if self.lengths[ws] < self.lengths[w]:
-            out = None
-        elif self.words[w] + (i,) == self.words[ws]:
-            # appending the letter already yields the canonical word
-            out = (1, ws)
-        else:
-            sign, tgt = self._normalize(self.words[w] + (i,))
-            if tgt != ws:
-                raise CocycleError(f"u_w u_{i} straightens to {tgt}, not {ws}")
-            out = (sign, ws)
-        self._rmult[key] = out
-        return out
-
-    def product_support(self, v: Perm, w: Perm) -> Perm | None:
-        """The target of ``u_v u_w`` (None when it vanishes), sign-free."""
-        vw = perm_mult(v, w)
-        if self.lengths[vw] == self.lengths[v] + self.lengths[w]:
-            return vw
-        return None
-
-    def product(self, v: Perm, w: Perm) -> tuple[int, Perm] | None:
-        """``u_v u_w`` by folding the canonical word of ``w``; None if zero."""
+    def product(self, i: int, j: int) -> tuple[int, int] | None:
+        """``u_(w_i) u_(w_j)`` as ``(sign, index)``; None if it vanishes."""
         sign = 1
-        cur = v
-        for i in self.words[w]:
-            step = self.rmult(cur, i)
+        for k in reversed(self.words[self.perms[i]]):
+            step = self._left[k][j]
             if step is None:
                 return None
-            s, cur = step
+            s, j = step
             sign *= s
-        return sign, cur
+        return sign, j
 
     def perm_element(self, w: Perm) -> int:
         """The basis index of the permutation element ``u_w``."""
@@ -318,9 +279,10 @@ class SignedPermBasis:
 def build_nilcoxeter(n: int, d: int, eps: int) -> tuple[SuperAlgebra, SignedPermBasis]:
     """The signed nilCoxeter algebra on n strands with generator degree (d, eps).
 
-    Dimension n!; relations are re-checked on the straightened basis and a
-    failure raises the cocycle-inconsistency error (associativity is audited
-    separately by ``validate_algebra``).
+    Dimension n!; products are read off the basis's sign table.  The
+    defining relations are re-checked on the table and a failure raises the
+    cocycle-inconsistency error (associativity is audited separately by
+    ``validate_algebra``).
     """
     if n < 1:
         raise ValueError("nilCoxeter towers start at one strand")
@@ -330,20 +292,16 @@ def build_nilcoxeter(n: int, d: int, eps: int) -> tuple[SuperAlgebra, SignedPerm
     degrees = [basis.degree(p) for p in basis.perms]
 
     def product(i: int, j: int) -> Vec:
-        got = basis.product(basis.perms[i], basis.perms[j])
+        got = basis.product(i, j)
         if got is None:
             return {}
         sign, tgt = got
-        return {basis.index[tgt]: sign}
+        return {tgt: sign}
 
-    def support(i: int, j: int) -> frozenset:
-        tgt = basis.product_support(basis.perms[i], basis.perms[j])
-        return frozenset() if tgt is None else frozenset((basis.index[tgt],))
-
-    gens = [basis.index[apply_s(identity_perm(n), i, side="right")] for i in range(n - 1)]
+    gens = [basis.index[apply_s(identity_perm(n), i)] for i in range(n - 1)]
     alg = SuperAlgebra(
         labels, degrees, {basis.index[identity_perm(n)]: 1},
-        product_fn=product, generators=gens, support_fn=support,
+        product_fn=product, generators=gens,
         name=f"nilcoxeter(n={n},d={d},eps={eps})",
     )
     _check_nilcoxeter_relations(alg, basis)
@@ -353,7 +311,7 @@ def build_nilcoxeter(n: int, d: int, eps: int) -> tuple[SuperAlgebra, SignedPerm
 def _check_nilcoxeter_relations(alg: SuperAlgebra, basis: SignedPermBasis) -> None:
     n = basis.n
     e = identity_perm(n)
-    gen = [basis.index[apply_s(e, i, side="right")] for i in range(n - 1)]
+    gen = [basis.index[apply_s(e, i)] for i in range(n - 1)]
     sign = -1 if basis.eps else 1
     for i in range(n - 1):
         if alg.basis_product(gen[i], gen[i]):
@@ -539,7 +497,7 @@ def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, F
                 t = tuple(g if s == slot else unit_b for s in range(n))
                 gens.append(idx(t, e))
         for i in range(n - 1):
-            gens.append(basis.perm_element(apply_s(e, i, side="right")))
+            gens.append(basis.perm_element(apply_s(e, i)))
 
     unit: Vec = {}
     for combo in itertools.product(*[list(base.unit.items())] * n):
@@ -615,7 +573,7 @@ def nilcoxeter_nakayama_closed_form(alg: SuperAlgebra, basis: SignedPermBasis) -
     for src, w in enumerate(basis.perms):
         vec: Vec = {basis.index[e]: 1}
         for i in basis.words[w]:
-            gen = basis.index[apply_s(e, n - 2 - i, side="right")]
+            gen = basis.index[apply_s(e, n - 2 - i)]
             vec = alg.product_vec(vec, {gen: 1})
         for k, c in vec.items():
             out.add_entry(k, src, c)

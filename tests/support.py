@@ -1,11 +1,13 @@
 """Tools the tests share that the verifier itself never runs.
 
 Module shifts and the all-pairs module validator, the identity hom, the
-matrix sum, scale, product and zero test, the permutation list, the Cartan
-map and a failure filter, plus the exterior-superalgebra base file.  No
-``verify``, ``weyl`` or ``build`` run calls them, so they live with the
-tests.
+matrix sum, scale, product and zero test, the permutation list, the
+nilCoxeter straightening, the Cartan map and a failure filter, plus the
+exterior-superalgebra base file.  No ``verify``, ``weyl`` or ``build`` run
+calls them, so they live with the tests.
 """
+
+import functools
 
 from supertower.grothendieck import G_SIDE, K_SIDE, GrothLayer, GrothVector
 from supertower.linalg import Mat, exact, vec_axpy, vec_scale
@@ -18,7 +20,15 @@ from supertower.superalgebra import (
     SuperModule,
     ValidationReport,
 )
-from supertower.towers import Perm, perm_tables
+from supertower.towers import (
+    Perm,
+    SignedPermBasis,
+    apply_s,
+    identity_perm,
+    left_descents,
+    perm_mult,
+    perm_tables,
+)
 
 
 def failures(records: list[CheckRecord]) -> list[CheckRecord]:
@@ -133,6 +143,62 @@ def validate_module(mod: SuperModule, on_generators: bool = True) -> ValidationR
             if got != expected:
                 bad.append(("structure constants", (a, b)))
     return ValidationReport(mod.name, bad)
+
+
+# -- the nilCoxeter straightening, the oracle of the sign table ----------------------
+
+
+def word_perm(word: tuple[int, ...], n: int) -> Perm:
+    """The permutation ``s_(a1) ... s_(ak)`` of the word ``(a1, ..., ak)``."""
+    cur = identity_perm(n)
+    for i in reversed(word):
+        cur = apply_s(cur, i)
+    return cur
+
+
+def _rewrite_front(word: tuple[int, ...], k: int, eps: int) -> tuple[int, tuple[int, ...]]:
+    """Rewrite a reduced word to start with the descent ``k``; returns (sign, word)."""
+    if word[0] == k:
+        return 1, word
+    j = word[0]
+    sign, tail = _rewrite_front(word[1:], k, eps)
+    # tail == (k, rest)
+    if abs(j - k) > 1:
+        return sign * (-1 if eps else 1), (k, j) + tail[1:]
+    # adjacent: need the braid pattern (j, k, j) -> (k, j, k)
+    sign2, tail2 = _rewrite_front(tail[1:], j, eps)
+    return sign * sign2, (k, j, k) + tail2[1:]
+
+
+def _normalize(word: tuple[int, ...], n: int, eps: int) -> int:
+    """Sign relating the product over a reduced ``word`` to its canonical basis element."""
+    if not word:
+        return 1
+    k = min(left_descents(word_perm(word, n)))
+    sign, word2 = _rewrite_front(word, k, eps)
+    return sign * _normalize(word2[1:], n, eps)
+
+
+@functools.lru_cache(maxsize=None)
+def _rmult(n: int, eps: int, w: Perm, a: int) -> tuple[int, Perm] | None:
+    """``u_w u_a``: the canonical word of ``w`` with ``a`` appended, straightened."""
+    _, _, words, lengths = perm_tables(n)
+    ws = perm_mult(w, apply_s(identity_perm(n), a))
+    if lengths[ws] < lengths[w]:
+        return None
+    return _normalize(words[w] + (a,), n, eps), ws
+
+
+def straightened_product(basis: SignedPermBasis, i: int, j: int) -> dict[int, int]:
+    """``u_(w_i) u_(w_j)`` by folding the canonical word of ``w_j`` on the right."""
+    sign, cur = 1, basis.perms[i]
+    for a in basis.words[basis.perms[j]]:
+        step = _rmult(basis.n, basis.eps, cur, a)
+        if step is None:
+            return {}
+        sign *= step[0]
+        cur = step[1]
+    return {basis.index[cur]: sign}
 
 
 # -- the Grothendieck layer ---------------------------------------------------------

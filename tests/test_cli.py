@@ -217,6 +217,17 @@ def test_zero_divisor_twist_verifies(capsys):
                     "weyl:weyl-lowering-rule", "weyl:weyl-operator-identity"]
 
 
+def test_general_shift_flag_through_main(capsys):
+    # d=2, eps=0 is not the (1, 0) twist the shadow runs for by default
+    desc = json.dumps({"nilcoxeter": {"n_max": 4, "d": 2, "eps": 0}})
+    tag = "fock:categorified-weyl-shadow-general-shift"
+    assert main(["verify", desc, "--suites", "fock", "--general-shift", "--format", "json"]) == 0
+    shadow = [r for r in json.loads(capsys.readouterr().out)["records"] if r["check"] == tag]
+    assert shadow and all(r["pass"] for r in shadow)
+    assert main(["verify", desc, "--suites", "fock", "--format", "json"]) == 0
+    assert not [r for r in json.loads(capsys.readouterr().out)["records"] if r["check"] == tag]
+
+
 def test_psi_suite_reaches_level_six():
     # the psi suite has no size cap: level 6 (dim 720) is checked too
     desc = {"nilcoxeter": {"n_max": 6, "d": 1, "eps": 1}}

@@ -75,7 +75,7 @@ class TestCheckFrobenius:
         # trace supported on a non-top homogeneous element: graded but singular
         alg, basis = build_nilcoxeter(3, 1, 0)
         from supertower.towers import apply_s, identity_perm
-        s1 = basis.index[apply_s(identity_perm(3), 0, side="right")]
+        s1 = basis.index[apply_s(identity_perm(3), 0)]
         with pytest.raises(ValidationError, match="not Frobenius"):
             check_frobenius(alg, {s1: Fraction(1)}, 1, 0)
 
@@ -330,7 +330,7 @@ class TestSparseAuditsMatchDenseOracles:
 class TestInvarianceMutation:
     def test_corrupted_structure_constant_caught_at_level5(self):
         alg, basis = build_nilcoxeter(5, 1, 1)
-        s1, s2 = (basis.index[apply_s(identity_perm(5), i, side="right")] for i in (0, 1))
+        s1, s2 = (basis.index[apply_s(identity_perm(5), i)] for i in (0, 1))
         alg.struct_consts()
         # u_1 u_2 is a basis element of length 2, so the Gram matrix does not read it
         alg._products[(s1, s2)] = {k: -c for k, c in alg.basis_product(s1, s2).items()}
@@ -342,12 +342,12 @@ class TestInvarianceMutation:
 
 
 def dense_gram(alg, trace):
-    """Oracle: every basis pair, screened by ``product_support``."""
+    """Oracle: every basis pair, screened by the support of its product."""
     gram = Mat(alg.dim, alg.dim)
     trace_support = frozenset(trace)
     for i in range(alg.dim):
         for j in range(alg.dim):
-            if not (alg.product_support(i, j) & trace_support):
+            if not (frozenset(alg.basis_product(i, j)) & trace_support):
                 continue
             val = sum((c * trace.get(k, 0) for k, c in alg.basis_product(i, j).items()), Fraction(0))
             if val:

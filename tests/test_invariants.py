@@ -8,10 +8,11 @@ import sys
 
 import pytest
 
+from supertower.errors import CocycleError
 from supertower.ground import GroundElem
 from supertower.grothendieck import G_SIDE, K_SIDE
-from supertower.superalgebra import graded_dim, regular_module
-from supertower.towers import build_nilcoxeter, tower_pairing_entry
+from supertower.superalgebra import graded_dim, regular_module, validate_algebra
+from supertower.towers import SignedPermBasis, build_nilcoxeter, tower_pairing_entry
 
 from support import shift_module
 
@@ -101,12 +102,13 @@ def test_power_invariance_to_level_eight():
 # each snippet breaks one invariant on purpose; the guard must raise
 # InternalInconsistencyError with and without ``python -O``
 FORCED_INVARIANTS = "\n".join([
+    "import random",
     "from fractions import Fraction",
     "from supertower.errors import InternalInconsistencyError",
     "from supertower.grothendieck import module_head_genfn",
     "from supertower.linalg import Mat",
     "from supertower.superalgebra import Degree, SuperModule",
-    "from supertower.towers import SignedPermBasis, build_nilcoxeter, identity_perm",
+    "from supertower.towers import SignedPermBasis, apply_s, build_nilcoxeter, identity_perm",
     "def forced(label, fn):",
     "    try:",
     "        fn()",
@@ -114,14 +116,18 @@ FORCED_INVARIANTS = "\n".join([
     "        print(label, type(exc).__name__)",
     "    else:",
     "        print(label, 'not raised')",
-    # a rewrite that never moves the descent to the front: s2 s0 straightens to s0
-    "basis = SignedPermBasis(4, 1, 1)",
-    "basis._rewrite_front = lambda word, k: (1, word)",
-    "forced('normalize', lambda: basis._normalize((2, 0)))",
-    # a straightening that lands on the identity: u_(s1 s0) u_1 misses s0 s1 s0
-    "basis = SignedPermBasis(3, 1, 1)",
-    "basis._normalize = lambda word: (1, identity_perm(3))",
-    "forced('rmult', lambda: basis.rmult((2, 0, 1), 1))",
+    # one flipped sign of u_k u_j for a seeded distant pair breaks the commutation
+    "init = SignedPermBasis.__init__",
+    "def flipped(self, n, d, eps):",
+    "    init(self, n, d, eps)",
+    "    distant = [(k, j) for k in range(n - 1) for j in range(n - 1) if abs(k - j) > 1]",
+    "    k, j = random.Random(13).choice(distant)",
+    "    i = self.index[apply_s(identity_perm(n), j)]",
+    "    sign, tgt = self._left[k][i]",
+    "    self._left[k][i] = (-sign, tgt)",
+    "SignedPermBasis.__init__ = flipped",
+    "forced('table', lambda: build_nilcoxeter(4, 1, 1))",
+    "SignedPermBasis.__init__ = init",
     # u_0 sends the degree-zero vector into two different degrees
     "alg, _ = build_nilcoxeter(2, 1, 1)",
     "gen = alg.generating_set()[0]",
@@ -140,8 +146,35 @@ def test_forced_invariants_raise(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", FORCED_INVARIANTS],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == ("normalize CocycleError\nrmult CocycleError\n"
-                           "head InternalInconsistencyError\n")
+    assert proc.stdout == "table CocycleError\nhead InternalInconsistencyError\n"
+
+
+def test_every_single_table_flip_is_rejected(monkeypatch):
+    """Each sign of the n = 4, eps = 1 table, flipped alone, is caught.
+
+    The relation check reads the six signs that complete a distant
+    commutation or a braid; ``validate_algebra`` catches the others.
+    """
+    entries = [(k, i) for k, row in enumerate(SignedPermBasis(4, 1, 1)._left)
+               for i, step in enumerate(row) if step is not None]
+    assert len(entries) == 36
+    init = SignedPermBasis.__init__
+    by_relations, by_audit = [], []
+    for k, i in entries:
+        def flipped(self, n, d, eps, k=k, i=i):
+            init(self, n, d, eps)
+            sign, tgt = self._left[k][i]
+            self._left[k][i] = (-sign, tgt)
+
+        monkeypatch.setattr(SignedPermBasis, "__init__", flipped)
+        try:
+            alg, _ = build_nilcoxeter(4, 1, 1)
+        except CocycleError:
+            by_relations.append((k, i))
+            continue
+        assert not validate_algebra(alg).ok, (k, i)
+        by_audit.append((k, i))
+    assert (len(by_relations), len(by_audit)) == (6, 30)
 
 
 # each snippet misuses a library entry point; the guard must raise ValueError

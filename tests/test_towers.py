@@ -48,7 +48,7 @@ from supertower.towers import (
     trivial_level_algebra,
 )
 
-from support import all_perms, failures, validate_module
+from support import all_perms, failures, straightened_product, validate_module, word_perm
 
 
 def canonical_word(a):
@@ -63,16 +63,13 @@ class TestPermCombinatorics:
             word = canonical_word(w)
             assert len(word) == perm_length(w)
             # the word multiplies out to w
-            cur = identity_perm(4)
-            for i in word:
-                cur = apply_s(cur, i, side="right")
-            assert cur == w
+            assert word_perm(word, 4) == w
         # lexicographic minimality, brute force over all reduced words at n = 3
         for w in all_perms(3):
             target = perm_length(w)
             words = [
                 word for word in itertools.product(range(2), repeat=target)
-                if _word_perm(word, 3) == w
+                if word_perm(word, 3) == w
             ]
             if words:
                 assert canonical_word(w) == min(words)
@@ -127,13 +124,6 @@ class TestPermCombinatorics:
                 assert svw == sv * sw
 
 
-def _word_perm(word, n):
-    cur = identity_perm(n)
-    for i in word:
-        cur = apply_s(cur, i, side="right")
-    return cur
-
-
 class TestNilCoxeterBuild:
     def test_dimensions(self):
         for n in (1, 2, 3, 4):
@@ -148,8 +138,8 @@ class TestNilCoxeterBuild:
     def test_far_commutation_sign(self):
         alg, basis = build_nilcoxeter(4, 1, 1)
         e = identity_perm(4)
-        u1 = basis.index[apply_s(e, 0, side="right")]
-        u3 = basis.index[apply_s(e, 2, side="right")]
+        u1 = basis.index[apply_s(e, 0)]
+        u3 = basis.index[apply_s(e, 2)]
         lhs = alg.basis_product(u1, u3)
         rhs = alg.basis_product(u3, u1)
         assert lhs == {k: -c for k, c in rhs.items()}
@@ -161,11 +151,22 @@ class TestNilCoxeterBuild:
         alg, _ = build_nilcoxeter(n, 1, eps)
         assert validate_algebra(alg).ok
 
-    def test_product_support_consistent_with_products(self):
-        alg, basis = build_nilcoxeter(4, 1, 1)
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                assert alg.product_support(i, j) == frozenset(alg.basis_product(i, j))
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize("eps", [0, 1])
+    def test_products_match_straightening(self, d, eps):
+        for n in range(1, 6):
+            alg, basis = build_nilcoxeter(n, d, eps)
+            for i in range(alg.dim):
+                for j in range(alg.dim):
+                    assert alg.basis_product(i, j) == straightened_product(basis, i, j)
+
+    @pytest.mark.parametrize("eps", [0, 1])
+    def test_products_match_straightening_sampled_at_6(self, eps):
+        alg, basis = build_nilcoxeter(6, 1, eps)
+        rng = random.Random(6 + eps)
+        for _ in range(2000):
+            i, j = rng.randrange(alg.dim), rng.randrange(alg.dim)
+            assert alg.basis_product(i, j) == straightened_product(basis, i, j)
 
     def test_graded_dim_is_twisted_factorial(self):
         for (n, d, eps) in [(2, 1, 1), (3, 2, 1), (4, 1, 0)]:
@@ -354,7 +355,7 @@ def _oracle_canonical_word(a):
         if not ds:
             return tuple(word)
         word.append(ds[0])
-        a = apply_s(a, ds[0], side="left")
+        a = apply_s(a, ds[0])
 
 
 def _embedding_cases(max_total):
