@@ -261,7 +261,7 @@ def _suite_adjunction(tower, layer, cfg) -> list[CheckRecord]:
 
 def _suite_psi(tower, layer, cfg) -> list[CheckRecord]:
     bound = _grothendieck_bound(tower)
-    while bound and tower.psi[bound] is None:
+    while bound and tower.frobenius[bound] is None:
         bound -= 1
     return check_psi_invariance(layer, bound)
 

@@ -514,8 +514,10 @@ def check_psi_invariance(layer: GrothLayer, max_level: int) -> list[CheckRecord]
     for lv in range(max_level + 1):
         if not tower.has_declared(lv):
             continue
-        psi = tower.psi[lv]
-        psi_inv = invert(psi) if psi is not None else None
+        frob = tower.frobenius[lv]
+        if frob is None:
+            raise ValueError(f"level {lv} has no Frobenius data")
+        psi_inv = invert(frob.nakayama)
         for i, decl in enumerate(layer.declared(K_SIDE, lv)):
             expected = layer.basis_delta(K_SIDE, (lv, i))
             twisted = twist_module(decl.module, psi_inv)

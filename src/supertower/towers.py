@@ -12,7 +12,11 @@ the defining relations and `validate_algebra` audits associativity on
 every generator-led triple.
 
 The wreath family: a Frobenius base algebra tensored n-fold, extended by
-the symmetric group acting by superpermutations.
+the symmetric group acting by superpermutations.  Each level keeps the
+tensor power ``B^(x)n`` as a superalgebra, whose products carry the Koszul
+sign, and one table of how every permutation moves every tensor tuple and at
+what sign, filled in length order one adjacent swap at a time; a product is
+one table lookup and one tensor-power product.
 
 Both come with external multiplications, Frobenius data, level shifts, and
 the declared simple/projective supermodules that the decategorified layer
@@ -341,46 +345,6 @@ def nilcoxeter_frobenius(alg: SuperAlgebra, basis: SignedPermBasis) -> Frobenius
 # -- wreath product algebras -----------------------------------------------------
 
 
-def superperm_sign(v: Perm, parities: tuple[int, ...]) -> int:
-    """Koszul sign of permuting homogeneous tensor factors by ``v``.
-
-    Counts inversions of ``v`` restricted to the odd factors: pairs of
-    positions ``p < q`` with both entries odd and ``v(p) > v(q)``.
-    """
-    odd_positions = [p for p, par in enumerate(parities) if par]
-    inv = 0
-    for a in range(len(odd_positions)):
-        for b in range(a + 1, len(odd_positions)):
-            if v[odd_positions[a]] > v[odd_positions[b]]:
-                inv += 1
-    return -1 if inv & 1 else 1
-
-
-def tensor_tuple_product(base: SuperAlgebra, xs: tuple[int, ...], ys: tuple[int, ...]):
-    """Sparse product in the n-fold tensor power, with the Koszul sign.
-
-    Yields ``(tuple, coefficient)`` pairs; the sign counts odd pairs
-    ``(i > j)`` between the left factor at slot ``i`` and the right factor
-    at slot ``j``.
-    """
-    sign = 1
-    for i in range(len(xs)):
-        for j in range(i):
-            if base.degrees[xs[i]].par and base.degrees[ys[j]].par:
-                sign = -sign
-    terms = [(tuple(), sign)]
-    for x, y in zip(xs, ys):
-        prod = base.basis_product(x, y)
-        new_terms = []
-        for prefix, c in terms:
-            for k, ck in prod.items():
-                new_terms.append((prefix + (k,), c * ck))
-        terms = new_terms
-        if not terms:
-            return
-    yield from terms
-
-
 SPLIT_UNIT_ERROR = "wreath embeddings need a base algebra whose unit is one basis vector"
 
 
@@ -391,21 +355,46 @@ def unit_basis_index(alg: SuperAlgebra) -> int | None:
 
 
 class WreathBasis:
-    """The (tensor tuple, permutation) basis of one wreath level.
+    """The (tensor tuple, permutation) basis of one wreath level, with its two tables.
 
     Index ``tuple_rank * n! + perm_rank``: tuples of base basis indices in
-    lexicographic order, permutations in ``perm_tables`` order.  Embeddings of
-    smaller levels fill the free slots with the base unit, which must then
-    be a single basis vector.
+    lexicographic order, permutations in ``perm_tables`` order.
+
+    ``tensor`` is ``B^(x)n`` as a superalgebra; its basis index is the tuple
+    rank, and its products carry the Koszul sign.  ``act[p][t]`` is
+    ``(sign, u)``: ``perms[p]`` moves the factors of tuple ``t`` to tuple
+    ``u``, at the Koszul sign of the odd factors it crosses.  Filled in
+    length order: for ``v`` with first canonical letter ``k``, the row of
+    ``s_k v`` with slots ``k, k+1`` of each target swapped, the sign negated
+    when both swapped factors are odd.
+
+    Embeddings of smaller levels fill the free slots with the base unit,
+    which must then be a single basis vector.
     """
 
     def __init__(self, base: SuperAlgebra, n: int):
-        self.base = base
         self.n = n
         self.tuples = list(itertools.product(range(base.dim), repeat=n))
         self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
         self.perms, self.perm_index, self.words, self.lengths = perm_tables(n)
         self.unit_b = unit_basis_index(base)
+        self.tensor = trivial_level_algebra()
+        for _ in range(n):
+            self.tensor = tensor_algebra(self.tensor, base)
+        odd = [d.par for d in base.degrees]
+        self.act: list[list[tuple[int, int]]] = []
+        for v in self.perms:
+            if not self.words[v]:
+                self.act.append([(1, t) for t in range(len(self.tuples))])
+                continue
+            k = self.words[v][0]
+            row = []
+            for sign, u in self.act[self.perm_index[apply_s(v, k)]]:
+                moved = list(self.tuples[u])
+                a, b = moved[k], moved[k + 1]
+                moved[k], moved[k + 1] = b, a
+                row.append((-sign if odd[a] and odd[b] else sign, self.tuple_index[tuple(moved)]))
+            self.act.append(row)
 
     def index(self, t: tuple[int, ...], w: Perm) -> int:
         return self.tuple_index[t] * len(self.perms) + self.perm_index[w]
@@ -413,13 +402,6 @@ class WreathBasis:
     def unindex(self, i: int) -> tuple[tuple[int, ...], Perm]:
         ti, pi = divmod(i, len(self.perms))
         return self.tuples[ti], self.perms[pi]
-
-    def superperm_apply(self, v: Perm, t: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        """Move the tensor factors of ``t`` by ``v``; returns (Koszul sign, moved tuple)."""
-        vinv = perm_inverse(v)
-        permuted = tuple(t[vinv[i]] for i in range(self.n))
-        pars = tuple(self.base.degrees[b].par for b in t)
-        return superperm_sign(v, pars), permuted
 
     def _unit_padded(self, t: tuple[int, ...], offset: int) -> tuple[int, ...]:
         if len(t) < self.n and self.unit_b is None:
@@ -452,78 +434,57 @@ def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, F
     """The wreath product of a Frobenius base with the symmetric group on n letters.
 
     Basis: (pure tensor of base basis) x (permutation); the symmetric group
-    sits in bidegree zero and conjugation acts by superpermutations.  The
-    returned Frobenius structure has trace tr_B^n (x) tr_{S_n} and degree
-    ``(n*delta, n*sigma)``.
+    sits in bidegree zero and conjugation acts by superpermutations.  Every
+    product reads the basis's two tables: ``(tx, vx)(ty, vy)`` is
+    ``sign * (tx * u, vx vy)`` with ``(sign, u) = act[vx][ty]`` and ``tx * u``
+    the product in ``tensor``.  The unit, the degrees and the slot generators
+    are those of ``tensor`` over the identity permutation; the Coxeter
+    generators follow.  The returned Frobenius structure has trace
+    tr_B^n (x) tr_{S_n} and degree ``(n*delta, n*sigma)``.
     """
     if n < 1:
         raise ValueError("wreath towers start at one factor")
     base = base_frob.algebra
     basis = WreathBasis(base, n)
-    idx, unidx, superperm_apply = basis.index, basis.unindex, basis.superperm_apply
+    perms, perm_index, act, tensor = basis.perms, basis.perm_index, basis.act, basis.tensor
+    nf = len(perms)
+    e = identity_perm(n)
+    er = perm_index[e]
 
     labels = []
-    degrees = []
     for t in basis.tuples:
-        deg = Degree(0, 0)
-        for b in t:
-            deg = deg + base.degrees[b]
         tlabel = "(" + ",".join(base.labels[b] for b in t) + ")"
-        for p in basis.perms:
+        for p in perms:
             plabel = "".join(f"s{i+1}" for i in basis.words[p]) or "e"
             labels.append(f"{tlabel}{plabel}")
-            degrees.append(deg)
+    degrees = [deg for deg in tensor.degrees for _ in perms]
 
     def product(x: int, y: int) -> Vec:
-        (tx, vx) = unidx(x)
-        (ty, vy) = unidx(y)
-        s1, ty_moved = superperm_apply(vx, ty)
-        w = perm_mult(vx, vy)
-        out: Vec = {}
-        for t, c in tensor_tuple_product(base, tx, ty_moved):
-            key = idx(t, w)
-            out[key] = out.get(key, 0) + s1 * c
-            if not out[key]:
-                del out[key]
-        return out
+        tx, vx = divmod(x, nf)
+        ty, vy = divmod(y, nf)
+        sign, u = act[vx][ty]
+        w = perm_index[perm_mult(perms[vx], perms[vy])]
+        return {t * nf + w: sign * c for t, c in tensor.basis_product(tx, u).items() if c}
 
-    unit_b = basis.unit_b
     gens = None
-    e = identity_perm(n)
-    if unit_b is not None and base.generators is not None:
-        gens = []
-        for slot in range(n):
-            for g in base.generators:
-                t = tuple(g if s == slot else unit_b for s in range(n))
-                gens.append(idx(t, e))
-        for i in range(n - 1):
-            gens.append(basis.perm_element(apply_s(e, i)))
-
-    unit: Vec = {}
-    for combo in itertools.product(*[list(base.unit.items())] * n):
-        t = tuple(ci for ci, _ in combo)
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        unit[idx(t, e)] = coeff
+    if tensor.generators is not None:
+        gens = [g * nf + er for g in tensor.generators] + \
+            [basis.perm_element(apply_s(e, i)) for i in range(n - 1)]
+    unit = {t * nf + er: c for t, c in tensor.unit.items()}
 
     alg = SuperAlgebra(
         labels, degrees, unit, product_fn=product, generators=gens,
         name=f"wreath({base.name},n={n})",
     )
 
-    w0 = longest_element(n)
+    w0 = perm_index[longest_element(n)]
     trace: Vec = {}
-    for t in basis.tuples:
+    for ti, t in enumerate(basis.tuples):
         val = 1
         for b in t:
-            tb = base_frob.trace.get(b)
-            if not tb:
-                val = 0
-                break
-            val *= tb
+            val *= base_frob.trace.get(b, 0)
         if val:
-            trace[idx(t, w0)] = val
+            trace[ti * nf + w0] = val
     frob = check_frobenius(
         alg, trace, n * base_frob.delta, (n * base_frob.sigma) & 1,
         check_invariance=(alg.dim <= 64), partners=basis.gram_partners,
@@ -535,23 +496,21 @@ def wreath_nakayama_closed_form(base_frob: FrobeniusStructure, n: int, alg: Supe
     """The reversal form of the wreath Nakayama automorphism.
 
     On tensors: reverse the factors, apply the base Nakayama factorwise, and
-    multiply by the Koszul sign of the full reversal on odd factors.  On the
-    group part: ``s_i -> (-1)**sigma s_(n-i)``, i.e. conjugation by the
-    longest element times the sign of the length.
+    multiply by the Koszul sign of the full reversal on odd factors; both
+    are read off ``act[w0]``.  On the group part: ``s_i -> (-1)**sigma
+    s_(n-i)``, i.e. conjugation by the longest element times the sign of the
+    length.
     """
-    base = base_frob.algebra
-    basis = WreathBasis(base, n)
+    basis = WreathBasis(base_frob.algebra, n)
     w0 = longest_element(n)
+    reversal = basis.act[basis.perm_index[w0]]
     sigma = base_frob.sigma & 1
 
     out = Mat(alg.dim, alg.dim)
-    for t in basis.tuples:
-        # sign: the full reversal of the odd entries of t
-        odd = sum(1 for b in t if base.degrees[b].par)
-        sign = -1 if (odd * (odd - 1) // 2) & 1 else 1
+    for t, (sign, u) in zip(basis.tuples, reversal):
         # expand psi_B factorwise on the reversed tuple
         expansions = [(tuple(), sign)]
-        for b in reversed(t):
+        for b in basis.tuples[u]:
             col = base_frob.nakayama.cols.get(b, {})
             expansions = [
                 (prefix + (k,), c * ck) for prefix, c in expansions for k, ck in col.items()
@@ -631,8 +590,8 @@ class TowerSpec:
 
     ``chi``, ``gamma`` store the integer multiples defining the biadditive
     twist maps (``chi'(n, m) = chi[0]*n*m`` and so on); ``kappa`` likewise.
-    ``shifts`` holds the per-level Frobenius degrees and ``psi`` the per-level
-    Nakayama matrices realizing the conjugation.
+    ``shifts`` holds the per-level Frobenius degrees; the Nakayama matrices
+    realizing the conjugation are ``frobenius[n].nakayama``.
     """
 
     name: str
@@ -645,7 +604,6 @@ class TowerSpec:
     gamma: tuple[int, int]
     kappa: int
     shifts: list[tuple[int, int]]
-    psi: list[Mat | None]
     simples: dict[int, list[DeclaredModule]] = field(default_factory=dict)
     projectives: dict[int, list[DeclaredModule]] = field(default_factory=dict)
     collapsed: bool = False
@@ -752,7 +710,6 @@ def build_nilcoxeter_tower(n_max: int, d: int, eps: int, frobenius_cap: int = 6)
         bases.append(basis)
         frob.append(nilcoxeter_frobenius(alg, basis) if n <= frobenius_cap else None)
     shifts = [(d * comb(n, 2), (eps * comb(n, 2)) & 1) for n in range(n_max + 1)]
-    psi = [f.nakayama if f else None for f in frob]
     tower = TowerSpec(
         name=f"nilcoxeter(d={d},eps={eps},n_max={n_max})",
         kind="nilcoxeter",
@@ -764,7 +721,6 @@ def build_nilcoxeter_tower(n_max: int, d: int, eps: int, frobenius_cap: int = 6)
         gamma=(0, 1),
         kappa=1,
         shifts=shifts,
-        psi=psi,
         collapsed=False,
         bases=bases,
     )
@@ -796,20 +752,18 @@ def _sergeev_level2_simple(alg: SuperAlgebra, basis: WreathBasis) -> SuperModule
     subalgebra acts by left multiplication and the transposition acts by the
     superswap automorphism.
     """
-    base, tuples = basis.base, basis.tuples
-    degrees = [base.degrees[a] + base.degrees[b] for a, b in tuples]
+    tensor = basis.tensor
 
     def action(x: int) -> Mat:
-        beta, w = basis.unindex(x)
-        out = Mat(len(tuples), len(tuples))
-        for j, v in enumerate(tuples):
+        beta, w = divmod(x, len(basis.perms))
+        out = Mat(tensor.dim, tensor.dim)
+        for j, (sgn, u) in enumerate(basis.act[w]):
             # superswap action of w, then left multiplication by beta
-            sgn, moved = basis.superperm_apply(w, v)
-            for t, c in tensor_tuple_product(base, beta, moved):
-                out.add_entry(basis.tuple_index[t], j, sgn * c)
+            for t, c in tensor.basis_product(beta, u).items():
+                out.add_entry(t, j, sgn * c)
         return out
 
-    return SuperModule(alg, degrees, action_fn=action, side=LEFT, name="V2")
+    return SuperModule(alg, tensor.degrees, action_fn=action, side=LEFT, name="V2")
 
 
 def build_wreath_tower(base_frob: FrobeniusStructure, n_max: int) -> TowerSpec:
@@ -831,7 +785,6 @@ def build_wreath_tower(base_frob: FrobeniusStructure, n_max: int) -> TowerSpec:
         frob.append(f)
     bases = [WreathBasis(base_frob.algebra, n) for n in range(n_max + 1)]
     shifts = [(n * base_frob.delta, (n * base_frob.sigma) & 1) for n in range(n_max + 1)]
-    psi = [f.nakayama if f else None for f in frob]
     clifford = _is_rank1_clifford(base_frob)
     tower = TowerSpec(
         name=f"wreath({base_frob.algebra.name},n_max={n_max})",
@@ -844,7 +797,6 @@ def build_wreath_tower(base_frob: FrobeniusStructure, n_max: int) -> TowerSpec:
         gamma=(0, 0),
         kappa=0,
         shifts=shifts,
-        psi=psi,
         collapsed=clifford,
         bases=bases,
         base_frob=base_frob,

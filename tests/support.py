@@ -2,9 +2,9 @@
 
 Module shifts and the all-pairs module validator, the identity hom, the
 matrix sum, scale, product and zero test, the permutation list, the
-nilCoxeter straightening, the Cartan map and a failure filter, plus the
-exterior-superalgebra base file.  No ``verify``, ``weyl`` or ``build`` run
-calls them, so they live with the tests.
+nilCoxeter straightening, the wreath sign rules, the Cartan map and a
+failure filter, plus the exterior-superalgebra base file.  No ``verify``,
+``weyl`` or ``build`` run calls them, so they live with the tests.
 """
 
 import functools
@@ -26,6 +26,7 @@ from supertower.towers import (
     apply_s,
     identity_perm,
     left_descents,
+    perm_inverse,
     perm_mult,
     perm_tables,
 )
@@ -199,6 +200,56 @@ def straightened_product(basis: SignedPermBasis, i: int, j: int) -> dict[int, in
         sign *= step[0]
         cur = step[1]
     return {basis.index[cur]: sign}
+
+
+# -- the wreath sign rules, the oracles of the tensor power and the act table --------
+
+
+def superperm_sign(v: Perm, parities: tuple[int, ...]) -> int:
+    """Koszul sign of permuting homogeneous tensor factors by ``v``.
+
+    Counts inversions of ``v`` restricted to the odd factors: pairs of
+    positions ``p < q`` with both entries odd and ``v(p) > v(q)``.
+    """
+    odd_positions = [p for p, par in enumerate(parities) if par]
+    inv = 0
+    for a in range(len(odd_positions)):
+        for b in range(a + 1, len(odd_positions)):
+            if v[odd_positions[a]] > v[odd_positions[b]]:
+                inv += 1
+    return -1 if inv & 1 else 1
+
+
+def superperm_apply(base: SuperAlgebra, v: Perm, t: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Move the tensor factors of ``t`` by ``v``; returns (Koszul sign, moved tuple)."""
+    vinv = perm_inverse(v)
+    moved = tuple(t[vinv[i]] for i in range(len(t)))
+    return superperm_sign(v, tuple(base.degrees[b].par for b in t)), moved
+
+
+def tensor_tuple_product(base: SuperAlgebra, xs: tuple[int, ...], ys: tuple[int, ...]):
+    """Sparse product in the n-fold tensor power, with the Koszul sign.
+
+    Yields ``(tuple, coefficient)`` pairs; the sign counts odd pairs
+    ``(i > j)`` between the left factor at slot ``i`` and the right factor
+    at slot ``j``.
+    """
+    sign = 1
+    for i in range(len(xs)):
+        for j in range(i):
+            if base.degrees[xs[i]].par and base.degrees[ys[j]].par:
+                sign = -sign
+    terms = [(tuple(), sign)]
+    for x, y in zip(xs, ys):
+        prod = base.basis_product(x, y)
+        new_terms = []
+        for prefix, c in terms:
+            for k, ck in prod.items():
+                new_terms.append((prefix + (k,), c * ck))
+        terms = new_terms
+        if not terms:
+            return
+    yield from terms
 
 
 # -- the Grothendieck layer ---------------------------------------------------------

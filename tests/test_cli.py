@@ -205,6 +205,16 @@ def test_base_file_with_proper_fractions_builds(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
 
 
+def test_exterior_base_level_three_verifies(tmp_path, capsys):
+    # a custom base above level 2: products, Frobenius data and the Nakayama
+    # closed form of the wreath levels over a dim-4 base with two odd generators
+    path = tmp_path / "exterior.json"
+    path.write_text(json.dumps(EXTERIOR_BASE))
+    desc = json.dumps({"wreath": {"base": str(path), "n_max": 3}})
+    assert main(["verify", desc, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"] == {"pass": 116, "fail": 0, "total": 116}
+
+
 def test_zero_divisor_twist_verifies(capsys):
     # at d=0, eps=1 the powers' leading coefficients ([2] = 1 + pi) are zero
     # divisors; the Weyl suite compares class vectors, so every record passes

@@ -371,7 +371,7 @@ def oracle_class_in_pair(layer, side, mod, la, lb):
 
 
 def oracle_pair_automorphism(tower, a, b):
-    pa, pb = tower.psi[a], tower.psi[b]
+    pa, pb = tower.frobenius[a].nakayama, tower.frobenius[b].nakayama
     dim_b = tower.level(b).dim
     out = Mat(tower.level(a).dim * dim_b, tower.level(a).dim * dim_b)
     for i in range(tower.level(a).dim):

@@ -181,7 +181,7 @@ def test_every_single_table_flip_is_rejected(monkeypatch):
 # with and without ``python -O``
 MISUSES = "\n".join([
     "from supertower.ground import GroundElem, _poly_divmod",
-    "from supertower.grothendieck import G_SIDE, K_SIDE, GrothLayer",
+    "from supertower.grothendieck import G_SIDE, K_SIDE, GrothLayer, check_psi_invariance",
     "from supertower.heisenberg import HeisenbergDouble",
     "from supertower.linalg import Mat",
     "from supertower.superalgebra import (",
@@ -224,6 +224,7 @@ MISUSES = "\n".join([
     "misuse('regular action sides', lambda: dbl.regular_action(gv, kv))",
     "misuse('fock side', lambda: dbl.fock_act(dbl.unit(), kv))",
     "misuse('nakayama data', lambda: check_nakayama_closed_form(tower, 1))",
+    "misuse('psi data', lambda: check_psi_invariance(layer, 1))",
 ])
 
 
@@ -237,7 +238,7 @@ def test_misuse_raises(flags):
     labels = ["labels", "images", "hom algebras", "hom sides", "outer sides", "restrict side",
               "restrict algebra", "induce side", "induce algebra", "eval_pi", "divmod",
               "groth add", "nabla sides", "pairing sides", "cartan side", "regular action sides",
-              "fock side", "nakayama data"]
+              "fock side", "nakayama data", "psi data"]
     assert proc.stdout == "".join(f"{label} ValueError\n" for label in labels)
 
 

@@ -276,7 +276,7 @@ class TestTwist:
         from supertower.towers import build_nilcoxeter_tower
         from supertower.linalg import invert
         tower = build_nilcoxeter_tower(3, 1, 1, frobenius_cap=3)
-        psi = tower.psi[3]
+        psi = tower.frobenius[3].nakayama
         m = regular_module(tower.level(3))
         round_trip = twist_module(twist_module(m, psi), invert(psi))
         for i in range(tower.level(3).dim):
@@ -286,7 +286,7 @@ class TestTwist:
         from supertower.towers import build_nilcoxeter_tower
         tower = build_nilcoxeter_tower(3, 1, 0, frobenius_cap=3)
         m = regular_module(tower.level(3))
-        assert graded_dim(twist_module(m, tower.psi[3])) == graded_dim(m)
+        assert graded_dim(twist_module(m, tower.frobenius[3].nakayama)) == graded_dim(m)
 
     def test_invalid_twist_rejected(self, n3):
         # twist_module trusts its map; the validator is what rejects the zero map

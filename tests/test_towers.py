@@ -7,13 +7,14 @@ from math import comb, factorial
 
 import pytest
 
-from supertower.errors import ValidationError
+from supertower.errors import SupertowerError, ValidationError
 from supertower.ground import GroundElem, TwistScalar, qpi_factorial
 from supertower.linalg import Mat, rank_of_rows
 from supertower.reporting import all_passed
 from supertower.superalgebra import (
     AlgebraHom,
     Degree,
+    algebra_from_dict,
     generated_dim,
     graded_dim,
     regular_module,
@@ -44,11 +45,26 @@ from supertower.towers import (
     perm_length,
     perm_mult,
     perm_tables,
-    superperm_sign,
     trivial_level_algebra,
 )
 
-from support import all_perms, failures, straightened_product, validate_module, word_perm
+from support import (
+    EXTERIOR_BASE,
+    all_perms,
+    failures,
+    straightened_product,
+    superperm_apply,
+    superperm_sign,
+    tensor_tuple_product,
+    validate_module,
+    word_perm,
+)
+
+
+WREATH_BASES = {
+    "clifford": lambda: clifford_base().algebra,
+    "exterior": lambda: algebra_from_dict(EXTERIOR_BASE["algebra"], name="exterior"),
+}
 
 
 def canonical_word(a):
@@ -203,6 +219,48 @@ class TestWreathBuild:
         v2 = sergeev3.declared_simples(2)[0].module
         assert validate_module(v2, on_generators=False).ok
         assert graded_dim(v2) == GroundElem({(0, 0): 2, (0, 1): 2})
+
+    @pytest.mark.parametrize("base_name", ["clifford", "exterior"])
+    def test_act_table_matches_superperm_sign(self, base_name):
+        base = WREATH_BASES[base_name]()
+        for n in range(5):
+            basis = WreathBasis(base, n)
+            for p, v in enumerate(basis.perms):
+                for ti, t in enumerate(basis.tuples):
+                    sign, moved = superperm_apply(base, v, t)
+                    assert basis.act[p][ti] == (sign, basis.tuple_index[moved]), (v, t)
+
+    @pytest.mark.parametrize("base_name", ["clifford", "exterior"])
+    def test_tensor_power_matches_tuple_product(self, base_name):
+        base = WREATH_BASES[base_name]()
+        for n in range(4):
+            basis = WreathBasis(base, n)
+            for xi, xs in enumerate(basis.tuples):
+                for yi, ys in enumerate(basis.tuples):
+                    expected = {basis.tuple_index[t]: c
+                                for t, c in tensor_tuple_product(base, xs, ys)}
+                    assert basis.tensor.basis_product(xi, yi) == expected, (xs, ys)
+
+    def test_every_single_act_flip_is_rejected(self, monkeypatch):
+        """Each sign of the Clifford level-2 and level-3 act tables, flipped alone, is caught."""
+        cl = clifford_base()
+        init = WreathBasis.__init__
+        for n, count in ((2, 8), (3, 48)):
+            entries = [(p, t) for p, row in enumerate(WreathBasis(cl.algebra, n).act)
+                       for t in range(len(row))]
+            assert len(entries) == count
+            for p, t in entries:
+                def flipped(self, base, n, p=p, t=t):
+                    init(self, base, n)
+                    sign, u = self.act[p][t]
+                    self.act[p][t] = (-sign, u)
+
+                monkeypatch.setattr(WreathBasis, "__init__", flipped)
+                try:
+                    alg, _ = build_wreath(cl, n)
+                except SupertowerError:
+                    continue
+                assert not validate_algebra(alg).ok, (n, p, t)
 
 
 class TestTowerChecks:
