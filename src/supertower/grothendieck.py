@@ -97,6 +97,22 @@ def tensor_add(a: GrothTensor, b: GrothTensor) -> GrothTensor:
     return {k: c for k, c in out.items() if not c.is_zero()}
 
 
+def tensor_accumulate(out: GrothTensor, a: GrothTensor, c: GroundElem) -> None:
+    """Add ``c * a`` into ``out`` in place; ``a`` is only read.
+
+    A multiplication by one is skipped.  Sums may leave zero coefficients
+    in ``out``, so the caller drops them once, with ``nonzero``, at the end.
+    """
+    one = c.is_one()
+    for k, v in a.items():
+        term = v if one else v * c
+        out[k] = out[k] + term if k in out else term
+
+
+def nonzero(a: GrothTensor) -> GrothTensor:
+    return {k: c for k, c in a.items() if not c.is_zero()}
+
+
 def tensor_scale(a: GrothTensor, c: GroundElem) -> GrothTensor:
     return {k: vc for k, v in a.items() if not (vc := v * c).is_zero()}
 
@@ -239,11 +255,11 @@ class GrothLayer:
     def nabla(self, u: GrothVector, v: GrothVector) -> GrothVector:
         if u.side != v.side:
             raise ValueError(f"cannot multiply a {u.side} vector by a {v.side} vector")
-        out = GrothVector(u.side)
+        out: dict[BasisKey, GroundElem] = {}
         for ka, ca in u.entries.items():
             for kb, cb in v.entries.items():
-                out = out.add(self.basis_nabla(u.side, ka, kb).scale(ca * cb))
-        return out
+                tensor_accumulate(out, self.basis_nabla(u.side, ka, kb).entries, ca * cb)
+        return GrothVector(u.side, nonzero(out))
 
     def basis_delta(self, side: str, key: BasisKey) -> GrothTensor:
         """Coproduct of a basis class: restrict its representative over all splittings."""
@@ -278,8 +294,8 @@ class GrothLayer:
     def delta(self, u: GrothVector) -> GrothTensor:
         out: GrothTensor = {}
         for k, c in u.entries.items():
-            out = tensor_add(out, tensor_scale(self.basis_delta(u.side, k), c))
-        return out
+            tensor_accumulate(out, self.basis_delta(u.side, k), c)
+        return nonzero(out)
 
     def counit(self, u: GrothVector) -> GroundElem:
         return u.entries.get((0, 0), self.zero())

@@ -18,6 +18,8 @@ return one instance per mode, and a product by one returns the other factor
 itself.  So the ``terms`` dict of an element must never be mutated.  The
 constructor validates and normalises terms that come from outside the ring;
 sums, negations and products of elements are canonical already and skip it.
+A product with a one-term factor only shifts the other factor's keys, so it
+neither merges terms nor drops zeros.
 """
 
 from __future__ import annotations
@@ -146,6 +148,10 @@ class GroundElem:
             return other
         if other.terms == _UNIT_TERMS:
             return self
+        if len(self.terms) == 1:
+            return _monomial_times(self.terms, other.terms, self.mode)
+        if len(other.terms) == 1:
+            return _monomial_times(other.terms, self.terms, self.mode)
         terms: dict[Key, object] = {}
         for (qa, pa), ca in self.terms.items():
             for (qb, pb), cb in other.terms.items():
@@ -253,12 +259,24 @@ def _canonical(terms: dict[Key, object], mode: str) -> GroundElem:
     leaves are dropped, and a collapsed-mode ``Fraction`` that became
     integral is stored as its ``int``.
     """
-    out = object.__new__(GroundElem)
     if mode == COLLAPSED:
         terms = {k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
                  for k, c in terms.items() if c}
     else:
         terms = {k: c for k, c in terms.items() if c}
+    return _wrap(terms, mode)
+
+
+def _monomial_times(mono: dict[Key, object], terms: dict[Key, object], mode: str) -> GroundElem:
+    """``mono * terms`` for a one-term ``mono``: it shifts the keys of ``terms``
+    bijectively and no coefficient vanishes, so nothing merges or drops."""
+    ((qa, pa), ca), = mono.items()
+    out = {(qa + qb, (pa + pb) & 1): ca * cb for (qb, pb), cb in terms.items()}
+    return _canonical(out, mode) if mode == COLLAPSED else _wrap(out, mode)
+
+
+def _wrap(terms: dict[Key, object], mode: str) -> GroundElem:
+    out = object.__new__(GroundElem)
     object.__setattr__(out, "terms", terms)
     object.__setattr__(out, "mode", mode)
     return out

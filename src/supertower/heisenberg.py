@@ -10,6 +10,13 @@ realizes the quantum Weyl algebra for the nilCoxeter tower.  The Weyl suite
 checks it on class vectors, the Fock space every other check here uses; the
 lowering rule ``lower(e_n) == [n] e_(n-1)`` witnesses that lowering keeps
 the powers' image.
+
+Both the smash product and the Fock action are bilinear extensions of
+memos kept on the double, not on the layer, because doubles over one layer
+may differ in twist: ``_monomial_product`` maps four basis keys to the
+product of two unit-coefficient monomials, and ``_basis_action`` maps
+three to the action of one on a basis class.  Memo values are never
+mutated; callers copy their terms into a fresh dict.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from .grothendieck import (
     BasisKey,
     GrothLayer,
     GrothVector,
+    nonzero,
+    tensor_accumulate,
     tensor_add,
     tensor_eq,
     tensor_scale,
@@ -72,9 +81,6 @@ class HeisenbergElem:
 
     terms: dict[tuple[BasisKey, BasisKey], GroundElem] = field(default_factory=dict)
 
-    def cleaned(self) -> "HeisenbergElem":
-        return HeisenbergElem({k: c for k, c in self.terms.items() if not c.is_zero()})
-
     def add(self, other: "HeisenbergElem") -> "HeisenbergElem":
         return HeisenbergElem(tensor_add(self.terms, other.terms))
 
@@ -103,6 +109,7 @@ class HeisenbergDouble:
         if not self.twist.compatible:
             raise ValidationError("incompatible twist data: chi' must equal -gamma'")
         self._products: dict[tuple, dict[tuple[BasisKey, BasisKey], GroundElem]] = {}
+        self._actions: dict[tuple, dict[BasisKey, GroundElem]] = {}
 
     # -- constructors -----------------------------------------------------------
 
@@ -130,14 +137,14 @@ class HeisenbergDouble:
                              f"not {x.side} and {b.side}")
         layer = self.layer
         g1 = self.twist.gamma[0]
-        out = GrothVector(G_SIDE)
+        out: dict[BasisKey, GroundElem] = {}
         for (kb1, kb2), cb in layer.delta(b).items():
             p = layer.pairing(x, layer.basis_vector(G_SIDE, *kb2))
             if p.is_zero():
                 continue
             coeff = cb * p * self._scalar(g1 * kb1[0] * kb2[0])
-            out = out.add(layer.basis_vector(G_SIDE, *kb1).scale(coeff))
-        return out
+            out[kb1] = out[kb1] + coeff if kb1 in out else coeff
+        return GrothVector(G_SIDE, nonzero(out))
 
     # -- the smash product ---------------------------------------------------------
 
@@ -146,17 +153,16 @@ class HeisenbergDouble:
 
         Each pair of terms contributes ``c1 * c2`` times the product of
         their unit-coefficient monomials, which ``_monomial_product`` keeps.
+        The memo's terms are summed into one fresh dict, never aliased, and
+        taken as they are where ``c1 * c2`` is one; zeros are dropped once.
         """
         out: dict[tuple[BasisKey, BasisKey], GroundElem] = {}
         for (ka, kx), c1 in h1.terms.items():
             for (kb, ky), c2 in h2.terms.items():
                 base = c1 * c2
-                if base.is_zero():
-                    continue
-                for key, c in self._monomial_product(ka, kx, kb, ky).items():
-                    term = base * c
-                    out[key] = out[key] + term if key in out else term
-        return HeisenbergElem(out).cleaned()
+                if not base.is_zero():
+                    tensor_accumulate(out, self._monomial_product(ka, kx, kb, ky), base)
+        return HeisenbergElem(nonzero(out))
 
     def _monomial_product(self, ka: BasisKey, kx: BasisKey,
                           kb: BasisKey, ky: BasisKey) -> dict[tuple[BasisKey, BasisKey], GroundElem]:
@@ -165,7 +171,8 @@ class HeisenbergDouble:
         Sum over the coproducts of ``x`` and ``b`` of the twist power
         ``gamma''(|b|, |x2|) + xi''(|b| - |x1|, |x2|) + gamma'(|b1|, |b2|)``
         times ``<x1, b2>  a b1 # x2 y``.  The memo lives on the double, not
-        on the layer, because doubles over one layer may differ in twist.
+        on the layer, because doubles over one layer may differ in twist;
+        its values are never mutated.
         """
         memo_key = (ka, kx, kb, ky)
         got = self._products.get(memo_key)
@@ -205,17 +212,33 @@ class HeisenbergDouble:
     # -- the Fock space --------------------------------------------------------------
 
     def fock_act(self, h: HeisenbergElem, v: GrothVector) -> GrothVector:
-        """Act on the vacuum module: contract the projective part, multiply the rest."""
+        """Act on the vacuum module: contract the projective part, multiply the rest.
+
+        The bilinear extension of ``_basis_action``: each term of ``h`` and
+        each class of ``v`` contribute the product of their coefficients
+        times the memoised action of the monomial on the class, summed into
+        one fresh dict whose zeros are dropped once.
+        """
         if v.side != G_SIDE:
             raise ValueError(f"the Fock space is the {G_SIDE} side, not {v.side}")
-        layer = self.layer
-        out = GrothVector(G_SIDE)
-        for (ka, kx), c in h.terms.items():
-            acted = self.regular_action(layer.basis_vector(K_SIDE, *kx), v)
-            if acted.is_zero():
-                continue
-            out = out.add(layer.nabla(layer.basis_vector(G_SIDE, *ka), acted).scale(c))
-        return out
+        out: dict[BasisKey, GroundElem] = {}
+        for (ka, kx), ch in h.terms.items():
+            for kv, cv in v.entries.items():
+                base = ch * cv
+                if not base.is_zero():
+                    tensor_accumulate(out, self._basis_action(ka, kx, kv), base)
+        return GrothVector(G_SIDE, nonzero(out))
+
+    def _basis_action(self, ka: BasisKey, kx: BasisKey, kv: BasisKey) -> dict[BasisKey, GroundElem]:
+        """``(a # x) . v`` for basis classes: ``nabla(a, regular_action(x, v))``,
+        memoised per double beside the monomial products."""
+        memo_key = (ka, kx, kv)
+        got = self._actions.get(memo_key)
+        if got is None:
+            layer = self.layer
+            acted = self.regular_action(layer.basis_vector(K_SIDE, *kx), layer.basis_vector(G_SIDE, *kv))
+            got = self._actions[memo_key] = layer.nabla(layer.basis_vector(G_SIDE, *ka), acted).entries
+        return got
 
 
 def _ring_multiple(v: GrothVector, e: GrothVector, key: BasisKey) -> bool:
@@ -291,7 +314,11 @@ def _single_key(level: int) -> BasisKey:
 
 
 def check_action_compat(double: HeisenbergDouble, max_level: int) -> list[CheckRecord]:
-    """Smash associativity and the module law on all bounded monomial tuples."""
+    """Smash associativity and the module law on all bounded monomial tuples.
+
+    Each monomial and each pair product ``m1 m2`` is built once and shared
+    by every triple and module-law instance that uses it.
+    """
     layer = double.layer
     records = []
     sums3 = [
@@ -300,15 +327,23 @@ def check_action_compat(double: HeisenbergDouble, max_level: int) -> list[CheckR
         for a2 in range(max_level + 1 - a1)
         for a3 in range(max_level + 1 - a1 - a2)
     ]
+    monos = {(a, x): double.monomial(_single_key(a), _single_key(x))
+             for a in range(max_level + 1) for x in range(max_level + 1)}
+    pairs: dict[tuple, HeisenbergElem] = {}  # (m1, m2) -> m1 m2, each product once
+
+    def pair(m1: tuple[int, int], m2: tuple[int, int]) -> HeisenbergElem:
+        got = pairs.get((m1, m2))
+        if got is None:
+            got = pairs[(m1, m2)] = double.smash_multiply(monos[m1], monos[m2])
+        return got
+
     ok_assoc = True
     first = None
     for (a1, a2, a3) in sums3:
         for (x1, x2, x3) in sums3:
-            h1 = double.monomial(_single_key(a1), _single_key(x1))
-            h2 = double.monomial(_single_key(a2), _single_key(x2))
-            h3 = double.monomial(_single_key(a3), _single_key(x3))
-            lhs = double.smash_multiply(double.smash_multiply(h1, h2), h3)
-            rhs = double.smash_multiply(h1, double.smash_multiply(h2, h3))
+            m1, m2, m3 = (a1, x1), (a2, x2), (a3, x3)
+            lhs = double.smash_multiply(pair(m1, m2), monos[m3])
+            rhs = double.smash_multiply(monos[m1], pair(m2, m3))
             if lhs != rhs:
                 ok_assoc = False
                 if first is None:
@@ -325,14 +360,12 @@ def check_action_compat(double: HeisenbergDouble, max_level: int) -> list[CheckR
             for m in range(max_level + 1 - a1 - a2):
                 for x1 in range(max_level + 1):
                     for x2 in range(max_level + 1 - x1):
-                        h1 = double.monomial(_single_key(a1), _single_key(x1))
-                        h2 = double.monomial(_single_key(a2), _single_key(x2))
                         v = layer.basis_vector(G_SIDE, m, 0)
-                        lhs = double.fock_act(double.smash_multiply(h1, h2), v)
+                        lhs = double.fock_act(pair((a1, x1), (a2, x2)), v)
                         acted = inner.get((a2, x2, m))
                         if acted is None:
-                            acted = inner[(a2, x2, m)] = double.fock_act(h2, v)
-                        rhs = double.fock_act(h1, acted)
+                            acted = inner[(a2, x2, m)] = double.fock_act(monos[(a2, x2)], v)
+                        rhs = double.fock_act(monos[(a1, x1)], acted)
                         if lhs != rhs:
                             ok_module = False
                             if first is None:

@@ -430,7 +430,8 @@ class WreathBasis:
         return self.index(self._unit_padded(t, offset), extend_perm(w, offset, self.n))
 
 
-def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, FrobeniusStructure]:
+def build_wreath(base_frob: FrobeniusStructure,
+                 basis: WreathBasis) -> tuple[SuperAlgebra, FrobeniusStructure]:
     """The wreath product of a Frobenius base with the symmetric group on n letters.
 
     Basis: (pure tensor of base basis) x (permutation); the symmetric group
@@ -441,11 +442,15 @@ def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, F
     are those of ``tensor`` over the identity permutation; the Coxeter
     generators follow.  The returned Frobenius structure has trace
     tr_B^n (x) tr_{S_n} and degree ``(n*delta, n*sigma)``.
+
+    ``basis`` is the level's ``WreathBasis(base_frob.algebra, n)``; a tower
+    shares one per level, so its tables and tensor-power products are filled
+    once.
     """
+    n = basis.n
     if n < 1:
         raise ValueError("wreath towers start at one factor")
     base = base_frob.algebra
-    basis = WreathBasis(base, n)
     perms, perm_index, act, tensor = basis.perms, basis.perm_index, basis.act, basis.tensor
     nf = len(perms)
     e = identity_perm(n)
@@ -492,21 +497,21 @@ def build_wreath(base_frob: FrobeniusStructure, n: int) -> tuple[SuperAlgebra, F
     return alg, frob
 
 
-def wreath_nakayama_closed_form(base_frob: FrobeniusStructure, n: int, alg: SuperAlgebra) -> Mat:
+def wreath_nakayama_closed_form(base_frob: FrobeniusStructure, basis: WreathBasis) -> Mat:
     """The reversal form of the wreath Nakayama automorphism.
 
     On tensors: reverse the factors, apply the base Nakayama factorwise, and
     multiply by the Koszul sign of the full reversal on odd factors; both
     are read off ``act[w0]``.  On the group part: ``s_i -> (-1)**sigma
     s_(n-i)``, i.e. conjugation by the longest element times the sign of the
-    length.
+    length.  ``basis`` is the level's ``WreathBasis`` over the base algebra.
     """
-    basis = WreathBasis(base_frob.algebra, n)
-    w0 = longest_element(n)
+    w0 = longest_element(basis.n)
     reversal = basis.act[basis.perm_index[w0]]
     sigma = base_frob.sigma & 1
+    dim = len(basis.tuples) * len(basis.perms)
 
-    out = Mat(alg.dim, alg.dim)
+    out = Mat(dim, dim)
     for t, (sign, u) in zip(basis.tuples, reversal):
         # expand psi_B factorwise on the reversed tuple
         expansions = [(tuple(), sign)]
@@ -779,11 +784,11 @@ def build_wreath_tower(base_frob: FrobeniusStructure, n_max: int) -> TowerSpec:
     frob: list[FrobeniusStructure | None] = [
         check_frobenius(algebras[0], {0: 1}, 0, 0)
     ]
+    bases = [WreathBasis(base_frob.algebra, n) for n in range(n_max + 1)]
     for n in range(1, n_max + 1):
-        alg, f = build_wreath(base_frob, n)
+        alg, f = build_wreath(base_frob, bases[n])
         algebras.append(alg)
         frob.append(f)
-    bases = [WreathBasis(base_frob.algebra, n) for n in range(n_max + 1)]
     shifts = [(n * base_frob.delta, (n * base_frob.sigma) & 1) for n in range(n_max + 1)]
     clifford = _is_rank1_clifford(base_frob)
     tower = TowerSpec(
@@ -1078,7 +1083,7 @@ def check_nakayama_closed_form(tower: TowerSpec, level: int) -> CheckRecord:
     elif tower.kind == "nilcoxeter":
         expected = nilcoxeter_nakayama_closed_form(tower.level(level), tower.bases[level])
     else:
-        expected = wreath_nakayama_closed_form(tower.base_frob, level, tower.level(level))
+        expected = wreath_nakayama_closed_form(tower.base_frob, tower.bases[level])
     ok = frob.nakayama == expected
     return CheckRecord(
         "nakayama-closed-form", (level,), ok,

@@ -2,14 +2,24 @@
 
 Module shifts and the all-pairs module validator, the identity hom, the
 matrix sum, scale, product and zero test, the permutation list, the
-nilCoxeter straightening, the wreath sign rules, the Cartan map and a
-failure filter, plus the exterior-superalgebra base file.  No ``verify``,
-``weyl`` or ``build`` run calls them, so they live with the tests.
+nilCoxeter straightening, the wreath sign rules, the Cartan map, the
+unmemoised smash product and Fock action and a failure filter, plus the
+exterior-superalgebra base file.  No ``verify``, ``weyl`` or ``build`` run
+calls them, so they live with the tests.
 """
 
 import functools
 
-from supertower.grothendieck import G_SIDE, K_SIDE, GrothLayer, GrothVector
+from supertower.grothendieck import (
+    G_SIDE,
+    K_SIDE,
+    GrothLayer,
+    GrothTensor,
+    GrothVector,
+    tensor_add,
+    tensor_scale,
+)
+from supertower.heisenberg import HeisenbergDouble, HeisenbergElem
 from supertower.linalg import Mat, exact, vec_axpy, vec_scale
 from supertower.reporting import CheckRecord
 from supertower.superalgebra import (
@@ -268,6 +278,83 @@ def cartan_map(layer: GrothLayer, k: GrothVector) -> GrothVector:
     for (lv, i), c in k.entries.items():
         proj = layer.declared(K_SIDE, lv)[i].module
         out = out.add(layer.class_in_G(proj, lv).scale(c.bar()))
+    return out
+
+
+# -- the Heisenberg double, unmemoised: oracles of the memoised products ---------------
+#
+# Each result is rebuilt term by term with ``add``/``tensor_add``, as the
+# library computed it before its memos and one-dict accumulation.
+
+
+def rebuilt_nabla(layer: GrothLayer, u: GrothVector, v: GrothVector) -> GrothVector:
+    out = GrothVector(u.side)
+    for ka, ca in u.entries.items():
+        for kb, cb in v.entries.items():
+            out = out.add(layer.basis_nabla(u.side, ka, kb).scale(ca * cb))
+    return out
+
+
+def rebuilt_delta(layer: GrothLayer, u: GrothVector) -> GrothTensor:
+    out: GrothTensor = {}
+    for k, c in u.entries.items():
+        out = tensor_add(out, tensor_scale(layer.basis_delta(u.side, k), c))
+    return out
+
+
+def rebuilt_regular_action(double: HeisenbergDouble, x: GrothVector, b: GrothVector) -> GrothVector:
+    layer = double.layer
+    out = GrothVector(G_SIDE)
+    for (kb1, kb2), cb in rebuilt_delta(layer, b).items():
+        p = layer.pairing(x, layer.basis_vector(G_SIDE, *kb2))
+        if p.is_zero():
+            continue
+        coeff = cb * p * layer.scalar(double.twist.gamma[0] * kb1[0] * kb2[0])
+        out = out.add(layer.basis_vector(G_SIDE, *kb1).scale(coeff))
+    return out
+
+
+def unmemoised_smash(double: HeisenbergDouble, h1: HeisenbergElem, h2: HeisenbergElem) -> HeisenbergElem:
+    """The commutation-and-contract sum, rebuilt for every term pair."""
+    layer = double.layer
+    g1, g2 = double.twist.gamma
+    xi2 = double.twist.xi[1]
+    out = HeisenbergElem()
+    for (ka, kx), c1 in h1.terms.items():
+        dx = layer.basis_delta(K_SIDE, kx)
+        for (kb, ky), c2 in h2.terms.items():
+            base = c1 * c2
+            if base.is_zero():
+                continue
+            db = layer.basis_delta(G_SIDE, kb)
+            for (kx1, kx2), cx in dx.items():
+                for (kb1, kb2), cbb in db.items():
+                    p = layer.pairing(layer.basis_vector(K_SIDE, *kx1),
+                                      layer.basis_vector(G_SIDE, *kb2))
+                    if p.is_zero():
+                        continue
+                    exp = (g2 * kb[0] * kx2[0] + xi2 * (kb[0] - kx1[0]) * kx2[0]
+                           + g1 * kb1[0] * kb2[0])
+                    coeff = base * cx * cbb * p * layer.scalar(exp)
+                    left = layer.basis_nabla(G_SIDE, ka, kb1)
+                    right = layer.basis_nabla(K_SIDE, kx2, ky)
+                    for kg, cg in left.entries.items():
+                        for kk, ck in right.entries.items():
+                            term = coeff * cg * ck
+                            if not term.is_zero():
+                                out = out.add(HeisenbergElem({(kg, kk): term}))
+    return out
+
+
+def unmemoised_fock_act(double: HeisenbergDouble, h: HeisenbergElem, v: GrothVector) -> GrothVector:
+    """Contract the projective part of each term on all of ``v``, multiply the rest."""
+    layer = double.layer
+    out = GrothVector(G_SIDE)
+    for (ka, kx), c in h.terms.items():
+        acted = rebuilt_regular_action(double, layer.basis_vector(K_SIDE, *kx), v)
+        if acted.is_zero():
+            continue
+        out = out.add(rebuilt_nabla(layer, layer.basis_vector(G_SIDE, *ka), acted).scale(c))
     return out
 
 

@@ -106,7 +106,7 @@ def test_criterion_03_frobenius_suite(sergeev3):
     for n in range(1, 4):
         frob = sergeev3.frobenius[n]
         ok = ok and frob.nakayama == wreath_nakayama_closed_form(
-            sergeev3.base_frob, n, sergeev3.level(n))
+            sergeev3.base_frob, sergeev3.bases[n])
     _report("3 (frobenius suite with nakayama closed forms)", ok, t0)
 
 

@@ -54,7 +54,7 @@ class TestCheckFrobenius:
         triv = SuperAlgebra(["1"], [Degree(0, 0)], {0: Fraction(1)},
                             products={(0, 0): {0: Fraction(1)}}, generators=[])
         base = check_frobenius(triv, {0: Fraction(1)}, 0, 0)
-        alg, frob = build_wreath(base, 3)
+        alg, frob = build_wreath(base, WreathBasis(base.algebra, 3))
         assert alg.dim == 6
         assert (frob.delta, frob.sigma) == (0, 0)
 
@@ -118,19 +118,19 @@ class TestWreathNakayama:
         triv = SuperAlgebra(["1"], [Degree(0, 0)], {0: Fraction(1)},
                             products={(0, 0): {0: Fraction(1)}}, generators=[])
         base = check_frobenius(triv, {0: Fraction(1)}, 0, 0)
-        alg, frob = build_wreath(base, 2)
+        alg, frob = build_wreath(base, WreathBasis(base.algebra, 2))
         # sigma = 0 and the reversal fixes the single transposition
-        assert frob.nakayama == wreath_nakayama_closed_form(base, 2, alg)
+        assert frob.nakayama == wreath_nakayama_closed_form(base, WreathBasis(base.algebra, 2))
         assert frob.nakayama == Mat.identity(alg.dim)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_clifford_base_matches_closed_form(self, clifford, n):
-        alg, frob = build_wreath(clifford, n)
-        assert frob.nakayama == wreath_nakayama_closed_form(clifford, n, alg)
+        alg, frob = build_wreath(clifford, WreathBasis(clifford.algebra, n))
+        assert frob.nakayama == wreath_nakayama_closed_form(clifford, WreathBasis(clifford.algebra, n))
 
     def test_transposition_sign(self, clifford):
         # with an odd trace degree the transposition picks up the sign
-        alg, frob = build_wreath(clifford, 2)
+        alg, frob = build_wreath(clifford, WreathBasis(clifford.algebra, 2))
         perms = all_perms(2)
         s1_idx = 0 * len(perms) + perms.index((1, 0))
         got = frob.nakayama.col(s1_idx)
@@ -138,7 +138,7 @@ class TestWreathNakayama:
 
     def test_tensor_reversal_sign(self, clifford):
         # psi(c (x) c) = -(c (x) c): two odd factors reversed
-        alg, frob = build_wreath(clifford, 2)
+        alg, frob = build_wreath(clifford, WreathBasis(clifford.algebra, 2))
         perms = all_perms(2)
         cc_idx = (1 * 2 + 1) * len(perms) + perms.index((0, 1))
         assert frob.nakayama.col(cc_idx) == {cc_idx: Fraction(-1)}
@@ -272,7 +272,8 @@ def _fresh_structure(family, n):
     if family == "nilcoxeter":
         alg, basis = build_nilcoxeter(n, 1, 1)
         return nilcoxeter_frobenius(alg, basis)
-    return build_wreath(clifford_base(), n)[1]
+    cl = clifford_base()
+    return build_wreath(cl, WreathBasis(cl.algebra, n))[1]
 
 
 def _corrupt_entry(mat, rng):
@@ -390,7 +391,8 @@ class TestGramPartnersMatchDenseOracles:
             alg, basis = build_nilcoxeter(n, 1, eps)
             frob = nilcoxeter_frobenius(alg, basis)
         else:
-            alg, frob = build_wreath(clifford_base(), n)
+            cl = clifford_base()
+            alg, frob = build_wreath(cl, WreathBasis(cl.algebra, n))
         _same_layout(frob.gram, dense_gram(alg, frob.trace))
         _same_layout(frob.nakayama, column_nakayama(alg, frob.gram))
 
@@ -414,7 +416,7 @@ class TestGramPartnersMatchDenseOracles:
     def test_trace_off_w0_is_inconsistent(self, clifford):
         # wreath degrees ignore the permutation, so a trace moved to the identity
         # permutation is still graded, but it is no partner of the unit
-        alg, frob = build_wreath(clifford, 2)
+        alg, frob = build_wreath(clifford, WreathBasis(clifford.algebra, 2))
         basis = WreathBasis(clifford.algebra, 2)
         moved = {basis.index(basis.unindex(k)[0], identity_perm(2)): c for k, c in frob.trace.items()}
         with pytest.raises(InternalInconsistencyError, match="Gram partners"):

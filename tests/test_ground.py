@@ -131,6 +131,30 @@ class TestDirectResults:
         merged = GroundElem({(2, 0): Fraction(-1, 2), (2, 1): Fraction(-1, 2)}, COLLAPSED)
         assert typed(merged.terms) == {(2, 0): (int, -1)}
 
+    def test_single_term_factor_times_multi_term(self):
+        # a one-term factor shifts the other's keys: pi exponents wrap, nothing merges
+        mono = GroundElem.monomial(2, 1, -3, FULL)
+        poly = GroundElem({(0, 0): 1, (1, 1): 2, (-2, 0): -5, (-2, 1): 7}, FULL)
+        expected = typed(GroundElem(brute_mul(mono.terms, poly.terms), FULL).terms)
+        assert expected == {(2, 1): (int, -3), (3, 0): (int, -6), (0, 1): (int, 15),
+                            (0, 0): (int, -21)}
+        for got in (mono * poly, poly * mono):
+            assert typed(got.terms) == expected
+        # a one-term factor against a zero stays zero
+        assert (mono * GroundElem.zero(FULL)).is_zero()
+
+    def test_collapsed_half_times_two_is_an_int(self):
+        half = GroundElem({(0, 0): Fraction(1, 2)}, COLLAPSED)
+        two_q = GroundElem({(1, 0): 2}, COLLAPSED)
+        for got in (half * TWO, TWO * half, half * two_q, two_q * half):
+            assert all(type(c) is int for c in got.terms.values()), got.terms
+        assert (half * TWO).is_one() and typed((half * two_q).terms) == {(1, 0): (int, 1)}
+        # one-term half times a multi-term element: the integral coefficient is an int
+        mixed = GroundElem({(0, 0): 2, (1, 0): Fraction(3, 2), (2, 0): 1}, COLLAPSED)
+        for got in (half * mixed, mixed * half):
+            assert typed(got.terms) == {(0, 0): (int, 1), (1, 0): (Fraction, Fraction(3, 4)),
+                                        (2, 0): (Fraction, Fraction(1, 2))}
+
     def test_shared_constants_survive_a_verify_run(self):
         for mode in (FULL, COLLAPSED):
             assert GroundElem.one(mode) is GroundElem.one(mode)

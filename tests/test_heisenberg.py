@@ -24,7 +24,14 @@ from supertower.heisenberg import (
 from supertower.reporting import CheckRecord, all_passed
 from supertower.towers import build_nilcoxeter_tower
 
-from support import failures
+from support import (
+    failures,
+    rebuilt_delta,
+    rebuilt_nabla,
+    rebuilt_regular_action,
+    unmemoised_fock_act,
+    unmemoised_smash,
+)
 
 
 @pytest.fixture(scope="module")
@@ -219,40 +226,7 @@ class TestCategorifiedShadow:
         assert all_passed(recs), failures(recs)
 
 
-# -- the unmemoised smash product, kept as an oracle for the memoised one ------
-
-
-def unmemoised_smash(double, h1, h2):
-    """Oracle: the commutation-and-contract sum, rebuilt for every term pair."""
-    layer = double.layer
-    g1, g2 = double.twist.gamma
-    xi2 = double.twist.xi[1]
-    out = HeisenbergElem()
-    for (ka, kx), c1 in h1.terms.items():
-        dx = layer.basis_delta(K_SIDE, kx)
-        for (kb, ky), c2 in h2.terms.items():
-            base = c1 * c2
-            if base.is_zero():
-                continue
-            db = layer.basis_delta(G_SIDE, kb)
-            for (kx1, kx2), cx in dx.items():
-                for (kb1, kb2), cbb in db.items():
-                    p = layer.pairing(layer.basis_vector(K_SIDE, *kx1),
-                                      layer.basis_vector(G_SIDE, *kb2))
-                    if p.is_zero():
-                        continue
-                    exp = (g2 * kb[0] * kx2[0] + xi2 * (kb[0] - kx1[0]) * kx2[0]
-                           + g1 * kb1[0] * kb2[0])
-                    coeff = base * cx * cbb * p * layer.scalar(exp)
-                    left = layer.basis_nabla(G_SIDE, ka, kb1)
-                    right = layer.basis_nabla(K_SIDE, kx2, ky)
-                    for kg, cg in left.entries.items():
-                        for kk, ck in right.entries.items():
-                            term = coeff * cg * ck
-                            if not term.is_zero():
-                                key = (kg, kk)
-                                out.terms[key] = out.terms[key] + term if key in out.terms else term
-    return out.cleaned()
+# -- the memoised smash product and Fock action against the unmemoised oracles -----
 
 
 def _monomials(layer, max_level):
@@ -303,6 +277,171 @@ class TestMemoisedSmash:
         assert good.smash_multiply(h1, h2) == unmemoised_smash(good, h1, h2)
         assert bad.smash_multiply(h1, h2) == unmemoised_smash(bad, h1, h2)
         assert good.smash_multiply(h1, h2) != bad.smash_multiply(h1, h2)
+
+
+def oracle_action_compat(double, max_level):
+    """Oracle: the truncation-wide loop with a fresh product for every triple."""
+    layer = double.layer
+    records = []
+    sums3 = [(a1, a2, a3) for a1 in range(max_level + 1) for a2 in range(max_level + 1 - a1)
+             for a3 in range(max_level + 1 - a1 - a2)]
+    ok_assoc = True
+    first = None
+    for (a1, a2, a3) in sums3:
+        for (x1, x2, x3) in sums3:
+            h1 = double.monomial((a1, 0), (x1, 0))
+            h2 = double.monomial((a2, 0), (x2, 0))
+            h3 = double.monomial((a3, 0), (x3, 0))
+            lhs = double.smash_multiply(double.smash_multiply(h1, h2), h3)
+            rhs = double.smash_multiply(h1, double.smash_multiply(h2, h3))
+            if lhs != rhs:
+                ok_assoc = False
+                if first is None:
+                    first = ((a1, x1), (a2, x2), (a3, x3))
+    records.append(CheckRecord("smash-associativity", (max_level,), ok_assoc,
+                               detail="" if ok_assoc else f"first failing triple {first}"))
+    ok_module = True
+    first = None
+    for a1 in range(max_level + 1):
+        for a2 in range(max_level + 1 - a1):
+            for m in range(max_level + 1 - a1 - a2):
+                for x1 in range(max_level + 1):
+                    for x2 in range(max_level + 1 - x1):
+                        h1 = double.monomial((a1, 0), (x1, 0))
+                        h2 = double.monomial((a2, 0), (x2, 0))
+                        v = layer.basis_vector(G_SIDE, m, 0)
+                        lhs = double.fock_act(double.smash_multiply(h1, h2), v)
+                        rhs = double.fock_act(h1, double.fock_act(h2, v))
+                        if lhs != rhs:
+                            ok_module = False
+                            if first is None:
+                                first = ((a1, x1), (a2, x2), m)
+    records.append(CheckRecord("fock-module-law", (max_level,), ok_module,
+                               detail="" if ok_module else f"first failing instance {first}"))
+    return records
+
+
+TWISTS4 = [(0, 0), (1, 0), (1, 1), (2, 0)]
+_doubles4 = {}
+
+
+def nc4_double(d, eps):
+    """A fresh double over a shared nilCoxeter layer with n_max 4, one per twist."""
+    if (d, eps) not in _doubles4:
+        _doubles4[(d, eps)] = GrothLayer(build_nilcoxeter_tower(4, d, eps, frobenius_cap=0))
+    return HeisenbergDouble(_doubles4[(d, eps)])
+
+
+def _random_vector(layer, rng, max_level):
+    mode = layer.one().mode
+    entries = {}
+    for m in rng.sample(range(max_level + 1), 2):
+        entries[(m, 0)] = GroundElem.monomial(rng.randint(-2, 2), rng.randint(0, 1),
+                                              rng.choice([-2, 1, 3]), mode) \
+            + GroundElem.monomial(rng.randint(-2, 2), rng.randint(0, 1), 1, mode)
+    return GrothVector(G_SIDE, entries)
+
+
+class TestFockAgainstOracles:
+    @pytest.mark.parametrize("d,eps", TWISTS4)
+    def test_every_bounded_monomial_pair(self, d, eps):
+        double = nc4_double(d, eps)
+        monos = _monomials(double.layer, 4)
+        for (ka, kx), (kb, ky) in itertools.product(monos, repeat=2):
+            if ka[0] + kb[0] > 4 or kx[0] + ky[0] > 4:
+                continue
+            h1, h2 = double.monomial(ka, kx), double.monomial(kb, ky)
+            assert double.smash_multiply(h1, h2) == unmemoised_smash(double, h1, h2), (ka, kx, kb, ky)
+
+    @pytest.mark.parametrize("d,eps", TWISTS4)
+    def test_every_bounded_monomial_on_every_class(self, d, eps):
+        double = nc4_double(d, eps)
+        layer = double.layer
+        for ka, kx in _monomials(layer, 4):
+            for m in range(5):
+                if ka[0] + m - kx[0] > 4:
+                    continue
+                h, v = double.monomial(ka, kx), layer.basis_vector(G_SIDE, m, 0)
+                got = double.fock_act(h, v)
+                assert got == unmemoised_fock_act(double, h, v), (ka, kx, m)
+                assert not any(c.is_zero() for c in got.entries.values())
+
+    @pytest.mark.parametrize("d,eps", TWISTS4)
+    def test_seeded_multi_term_elements(self, d, eps):
+        double = nc4_double(d, eps)
+        layer = double.layer
+        rng = random.Random(11 + 3 * d + eps)
+        for _ in range(6):
+            h1, h2 = _random_elem(double, rng, 2), _random_elem(double, rng, 2)
+            got = double.smash_multiply(h1, h2)
+            assert got == unmemoised_smash(double, h1, h2)
+            assert not any(c.is_zero() for c in got.terms.values())
+            v = _random_vector(layer, rng, 2)
+            assert double.fock_act(h1, v) == unmemoised_fock_act(double, h1, v)
+            u = _random_vector(layer, rng, 2)
+            assert layer.nabla(u, v) == rebuilt_nabla(layer, u, v)
+            assert tensor_eq(layer.delta(u), rebuilt_delta(layer, u))
+            x = GrothVector(K_SIDE, {(k, 0): c for (k, _), c in u.entries.items()})
+            assert double.regular_action(x, v) == rebuilt_regular_action(double, x, v)
+
+    def test_zero_coefficients_are_dropped(self):
+        double = nc4_double(1, 1)
+        layer = double.layer
+        one, y1 = double.unit(), double.plus_elem((1, 0))
+        neg = GroundElem.from_int(-1)
+        e0, v1 = layer.unit_vector(G_SIDE), layer.basis_vector(G_SIDE, 1, 0)
+        # sums that cancel: the y # 1 terms of (y + 1)(1 - y), the vacuum terms
+        # of (1 # x - 1) . (y + 1), and the y terms of (1 + y)(y - 1)
+        got = double.smash_multiply(y1.add(one), one.add(y1.scale(neg)))
+        assert got == one.add(double.plus_elem((2, 0)).scale(neg * qpi_integer(2, TwistScalar(1, 1))))
+        assert set(got.terms) == {((0, 0), (0, 0)), ((2, 0), (0, 0))}
+        acted = double.fock_act(double.minus_elem((1, 0)).add(one.scale(neg)), v1.add(e0))
+        assert acted.entries == {(1, 0): neg}
+        prod = layer.nabla(e0.add(v1), v1.add(e0.scale(neg)))
+        assert set(prod.entries) == {(0, 0), (2, 0)}
+        # (1 + pi)(1 - pi) == 0: every product of these terms vanishes
+        plus = GroundElem({(0, 0): 1, (0, 1): 1})
+        minus = GroundElem({(0, 0): 1, (0, 1): -1})
+        assert double.smash_multiply(y1.scale(plus), double.minus_elem((1, 0)).scale(minus)).terms == {}
+        assert double.fock_act(y1.scale(plus), v1.scale(minus)).entries == {}
+        assert layer.nabla(v1.scale(plus), v1.scale(minus)).entries == {}
+
+    def test_memo_values_are_never_mutated(self):
+        double = nc4_double(1, 1)
+        layer = double.layer
+        h = double.minus_elem((1, 0))
+        got = double.smash_multiply(h, double.plus_elem((1, 0)))
+        memo = double._products[((0, 0), (1, 0), (1, 0), (0, 0))]
+        assert got.terms is not memo and got.terms == memo
+        y1 = layer.basis_vector(G_SIDE, 1, 0)
+        acted = double.fock_act(h, y1)
+        assert acted.entries is not double._actions[((0, 0), (1, 0), (1, 0))]
+        snapshot = {k: dict(v) for k, v in double._actions.items()}
+        double.fock_act(h.add(h), y1.add(y1))
+        check_action_compat(double, 2)
+        assert {k: v for k, v in double._actions.items() if k in snapshot} == snapshot
+
+    @pytest.mark.parametrize("d,eps", TWISTS4)
+    def test_action_compat_records_match_the_oracle_loop(self, d, eps):
+        got = check_action_compat(nc4_double(d, eps), 3)
+        assert got == oracle_action_compat(nc4_double(d, eps), 3)
+        assert all_passed(got), failures(got)
+
+    @pytest.mark.parametrize("memo_key,key", [
+        (((0, 0), (1, 0), (1, 0)), (0, 0)),     # (1 # x) . y = 1
+        (((1, 0), (0, 0), (1, 0)), (2, 0)),     # (y # 1) . y = [2] y_2
+    ])
+    def test_corrupted_basis_action_fails_module_law(self, layer6_11, memo_key, key):
+        assert all_passed(check_action_compat(HeisenbergDouble(layer6_11), 2))
+        bad = HeisenbergDouble(layer6_11)
+        seeded = bad._basis_action(*memo_key)
+        seeded[key] = seeded[key] + seeded[key]
+        recs = check_action_compat(bad, 2)
+        by_check = {r.check: r for r in recs}
+        assert not by_check["fock-module-law"].passed
+        assert by_check["smash-associativity"].passed
+        # the reuse of pair products reports the same first failure as the plain loop
+        assert recs == oracle_action_compat(bad, 2)
 
 
 # -- the power-coordinate Weyl check, kept as an oracle for the class-vector one --

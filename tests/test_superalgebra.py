@@ -32,7 +32,13 @@ from supertower.superalgebra import (
     validate_algebra,
     validate_automorphism,
 )
-from supertower.towers import build_nilcoxeter, build_wreath, clifford_base, trivial_level_algebra
+from supertower.towers import (
+    WreathBasis,
+    build_nilcoxeter,
+    build_wreath,
+    clifford_base,
+    trivial_level_algebra,
+)
 
 from support import identity_hom, mat_add, mat_is_zero, mat_scale, shift_module, validate_module
 
@@ -471,11 +477,16 @@ def _dense_algebra_violations(alg):
     return bad
 
 
+def _clifford_wreath2():
+    cl = clifford_base()
+    return build_wreath(cl, WreathBasis(cl.algebra, 2))[0]
+
+
 def _small_algebras():
     clifford = clifford_base()
     yield from (build_nilcoxeter(n, 1, eps)[0] for n in range(1, 5) for eps in (0, 1))
-    yield from (build_wreath(clifford, n)[0] for n in (1, 2, 3))
-    yield tensor_algebra(build_nilcoxeter(2, 1, 1)[0], build_wreath(clifford, 2)[0])
+    yield from (build_wreath(clifford, WreathBasis(clifford.algebra, n))[0] for n in (1, 2, 3))
+    yield tensor_algebra(build_nilcoxeter(2, 1, 1)[0], build_wreath(clifford, WreathBasis(clifford.algebra, 2))[0])
 
 
 def _split_unit_algebra(generators):
@@ -498,7 +509,7 @@ class TestGeneratorLedAlgebra:
     def test_corrupted_structure_constant_agrees(self, seed):
         rng = random.Random(seed)
         for alg in (build_nilcoxeter(3, 1, 1)[0], build_nilcoxeter(4, 1, 0)[0],
-                    build_wreath(clifford_base(), 2)[0]):
+                    _clifford_wreath2()):
             table = alg.struct_consts()
             key = rng.choice(sorted(k for k, v in table.items() if v))
             k = rng.choice(sorted(table[key]))
@@ -531,7 +542,7 @@ class TestGeneratorLedModule:
     @pytest.mark.parametrize("seed", range(4))
     def test_corrupted_action_agrees_with_all_pairs(self, seed):
         rng = random.Random(seed)
-        for alg in (build_nilcoxeter(4, 1, 1)[0], build_wreath(clifford_base(), 2)[0]):
+        for alg in (build_nilcoxeter(4, 1, 1)[0], _clifford_wreath2()):
             reg = regular_module(alg)
             action = {i: reg.act(i) for i in range(alg.dim)}
             b = rng.choice([i for i in range(alg.dim) if i not in alg.leading_factors()])

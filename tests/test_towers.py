@@ -196,7 +196,7 @@ class TestWreathBuild:
 
     def test_level_one_is_base(self):
         cl = clifford_base()
-        alg, _ = build_wreath(cl, 1)
+        alg, _ = build_wreath(cl, WreathBasis(cl.algebra, 1))
         assert alg.dim == 2
         for i in range(2):
             for j in range(2):
@@ -204,7 +204,7 @@ class TestWreathBuild:
 
     def test_superswap_conjugation(self):
         cl = clifford_base()
-        alg, _ = build_wreath(cl, 2)
+        alg, _ = build_wreath(cl, WreathBasis(cl.algebra, 2))
         perms = all_perms(2)
         np_ = len(perms)
         s1 = (0 * 2 + 0) * np_ + perms.index((1, 0))
@@ -241,6 +241,23 @@ class TestWreathBuild:
                                 for t, c in tensor_tuple_product(base, xs, ys)}
                     assert basis.tensor.basis_product(xi, yi) == expected, (xs, ys)
 
+    def test_tower_builds_one_basis_per_level(self, monkeypatch):
+        """``build_wreath``, ``tower.bases`` and the closed form share one basis a level."""
+        built = []
+        init = WreathBasis.__init__
+
+        def counted(self, base, n):
+            init(self, base, n)
+            built.append(self)
+
+        monkeypatch.setattr(WreathBasis, "__init__", counted)
+        tower = build_wreath_tower(clifford_base(), 3)
+        assert [b.n for b in built] == [0, 1, 2, 3]
+        assert all(a is b for a, b in zip(built, tower.bases, strict=True))
+        for level in (1, 2, 3):
+            assert check_nakayama_closed_form(tower, level).passed
+        assert len(built) == 4
+
     def test_every_single_act_flip_is_rejected(self, monkeypatch):
         """Each sign of the Clifford level-2 and level-3 act tables, flipped alone, is caught."""
         cl = clifford_base()
@@ -257,7 +274,7 @@ class TestWreathBuild:
 
                 monkeypatch.setattr(WreathBasis, "__init__", flipped)
                 try:
-                    alg, _ = build_wreath(cl, n)
+                    alg, _ = build_wreath(cl, WreathBasis(cl.algebra, n))
                 except SupertowerError:
                     continue
                 assert not validate_algebra(alg).ok, (n, p, t)
@@ -476,7 +493,7 @@ class TestBasisObjects:
         cl = clifford_base()
         base = cl.algebra
         for n in (1, 2, 3):
-            alg, _ = build_wreath(cl, n)
+            alg, _ = build_wreath(cl, WreathBasis(cl.algebra, n))
             expected = []
             for t in itertools.product(range(base.dim), repeat=n):
                 tlabel = "(" + ",".join(base.labels[b] for b in t) + ")"
