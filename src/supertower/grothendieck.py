@@ -118,9 +118,10 @@ def tensor_scale(a: GrothTensor, c: GroundElem) -> GrothTensor:
 
 
 def tensor_eq(a: GrothTensor, b: GrothTensor) -> bool:
-    aa = {k: c for k, c in a.items() if not c.is_zero()}
-    bb = {k: c for k, c in b.items() if not c.is_zero()}
-    return aa == bb
+    """Equality of zero-free tensors: every vector, tensor and Heisenberg
+    element the package builds drops its zero coefficients, so the dicts
+    compare as they are."""
+    return a == b
 
 
 def tensor_repr(a: GrothTensor) -> str:
@@ -277,18 +278,19 @@ class GrothLayer:
         algebra's Nakayama automorphism."""
         lv = key[0]
         out: GrothTensor = {}
+        # each splitting (a, b) fills only keys of levels (a, b), and those
+        # come zero-free, so the pieces are merged as they are
         for a in range(lv + 1):
             b = lv - a
             if a == 0 or b == 0:
                 # restriction along a trivial splitting is the identity functor
-                tk = ((0, 0), key) if a == 0 else (key, (0, 0))
-                out = tensor_add(out, {tk: self.one()})
+                out[((0, 0), key) if a == 0 else (key, (0, 0))] = self.one()
                 continue
             res = restrict_module(self.tower.rho(a, b), mod)
             if pair_twist:
                 frob = self.tower.frobenius
                 res = twist_module(res, tensor_nakayama_matrix(frob[a], frob[b]))
-            out = tensor_add(out, self._expand(side, res, (a, b)))
+            out.update(self._expand(side, res, (a, b)))
         return out
 
     def delta(self, u: GrothVector) -> GrothTensor:
@@ -395,9 +397,8 @@ def star_chi(layer: GrothLayer, t1: GrothTensor, t2: GrothTensor,
             coeff = c1 * c2 * layer.scalar(exp)
             left = layer.basis_nabla(side, ka1, kb1)
             right = layer.basis_nabla(side, ka2, kb2)
-            piece = outer_vector_tensor(left.scale(coeff), right)
-            out = tensor_add(out, piece)
-    return out
+            tensor_accumulate(out, outer_vector_tensor(left, right), coeff)
+    return nonzero(out)
 
 
 def check_twisted_bialgebra(layer: GrothLayer, side: str, max_level: int,

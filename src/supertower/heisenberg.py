@@ -507,7 +507,10 @@ def categorified_weyl_shadow(tower: TowerSpec, max_level: int,
     induction of the restriction plus the module itself.  The canonical
     statement fixes degree shift one with even parity (twist ``(1, 0)``);
     the general-twist shift is an extrapolation enabled separately and
-    reported as such.
+    reported as such.  The inductions here are of declared modules and their
+    restrictions, whose generators act by signed partial permutations, so
+    ``induce_module`` quotients their relations by signed supports rather
+    than by row reduction.
     """
     records = []
     if general_shift:

@@ -19,6 +19,11 @@ the echelon rows were reached.  Callers use it in one of three modes:
 * solve: ``solve``, the one linear-system kernel.  Its right-hand side is a
   matrix, and every column rides through a single elimination of
   ``[mat | rhs]``; ``invert`` is ``solve`` against the identity.
+
+``SignedQuotient`` is the canonical-remainder mode for relations of signed
+support, ``x_i = ±x_j`` and ``x_i = 0``: a union-find over columns with a
+sign per edge.  It returns the same free columns and remainders as an
+``Eliminator`` fed the same rows, without row reduction.
 """
 
 from __future__ import annotations
@@ -180,6 +185,99 @@ class Eliminator:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+
+class SignedQuotient:
+    """The quotient of the span of ``x_0 .. x_{n-1}`` by signed-support relations.
+
+    ``relate(i, j, s)`` imposes ``x_i = s x_j`` with ``s`` one of ±1 and
+    ``kill(i)`` imposes ``x_i = 0``.  Columns joined by relations form a
+    class whose members are ± one another; a class dies when a member is
+    killed or a cycle of relations has inconsistent signs (``x = -x``, so
+    ``2x = 0`` over the rationals).  Feed every relation before the first
+    ``free`` or ``reduce``.
+
+    The answer is the ``Eliminator``'s, fed the rows ``x_i - s x_j`` and
+    ``x_i`` in any order.  With first-nonzero-column pivoting the pivot set
+    is the set of leading columns of the relation space, which does not
+    depend on row order.  A dead class lies in that space, so all its
+    columns are pivots.  The relations of a live class are the vectors
+    on it whose signed coefficients sum to zero, whose leading columns are
+    all its columns but the largest.  So each live class keeps only its
+    largest column free, and the canonical remainder of ``x_k`` is
+    ``±x_max``.
+    """
+
+    def __init__(self, n: int):
+        self._parent = list(range(n))
+        self._sign = [1] * n  # x_i = sign[i] * x_parent[i]
+        self._killed = bytearray(n)
+        self._classes: list[tuple[int, int]] = []  # per column: its root and sign
+        self._top: dict[int, int] | None = None  # live root -> largest column
+        self._free: list[int] = []
+        self._image: list[tuple[int, int] | None] | None = None
+
+    def _find(self, i: int) -> tuple[int, int]:
+        """The root of ``i``'s class and the sign ``s`` with ``x_i = s x_root``."""
+        parent, sign = self._parent, self._sign
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        s = 1
+        for k in reversed(path):  # nearest the root first
+            s *= sign[k]
+            parent[k] = i
+            sign[k] = s
+        return i, s
+
+    def relate(self, i: int, j: int, s: int) -> None:
+        ri, si = self._find(i)
+        rj, sj = self._find(j)
+        if ri == rj:
+            if si != s * sj:
+                self._killed[ri] = 1
+            return
+        self._parent[ri] = rj
+        self._sign[ri] = si * s * sj
+
+    def kill(self, i: int) -> None:
+        self._killed[i] = 1
+
+    def free(self) -> list[int]:
+        """The columns the quotient keeps, ascending: the non-pivot columns."""
+        if self._top is None:
+            parent, find = self._parent, self._find
+            self._classes = classes = [(k, 1) if parent[k] == k else find(k)
+                                       for k in range(len(parent))]
+            dead = {classes[k][0] for k, hit in enumerate(self._killed) if hit}
+            top: dict[int, int] = {}
+            for k, (root, _) in enumerate(classes):
+                top[root] = k  # columns ascend, so the last one seen is the largest
+            self._top = {root: k for root, k in top.items() if root not in dead}
+            self._free = sorted(self._top.values())
+        return self._free
+
+    def reduce(self, row: Vec) -> Vec:
+        """The canonical remainder of ``row``, on free columns."""
+        image = self._image
+        if image is None:
+            # per column: its class's free column and the sign of its remainder
+            self.free()
+            top, classes = self._top, self._classes
+            image = self._image = [None if (k := top.get(root)) is None else (k, s * classes[k][1])
+                                   for root, s in classes]
+        out: Vec = {}
+        for k, c in row.items():
+            got = image[k]
+            if got is not None:
+                t, s = got
+                v = out.get(t, 0) + s * c
+                if v:
+                    out[t] = v
+                else:
+                    del out[t]
+        return out
 
 
 def rank_of_rows(rows: Iterable[Vec]) -> int:

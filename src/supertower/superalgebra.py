@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
 from .ground import FULL, GroundElem
-from .linalg import Eliminator, Mat, Vec, exact, rank_of_rows, vec_axpy
+from .linalg import Eliminator, Mat, SignedQuotient, Vec, exact, rank_of_rows, vec_axpy
 
 
 @dataclass(frozen=True)
@@ -560,12 +560,18 @@ def restrict_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperM
 
 
 def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperModule:
-    """Induction along ``phi``: the corner tensored over the source, by row reduction.
+    """Induction along ``phi``: the corner tensored over the source.
 
     The result is ``(A phi(1)) (x)_B N`` presented as the quotient of
     ``corner (x) N`` by the span of ``a phi(b) (x) n  -  a (x) b n`` with
-    ``b`` running over a generating set.  Pivoting is first-nonzero-column,
-    so the quotient basis is reproducible.
+    ``b`` running over a generating set.  When every ``a phi(b)``, in corner
+    coordinates, and every column of every generator's action has at most
+    one entry, equal to ±1, each relation reads ``x_i = ±x_j`` or
+    ``x_i = 0``, and a ``SignedQuotient`` takes them as they are; the
+    signed-permutation bases of the towers make this the common case.  Any
+    other module goes through an ``Eliminator``.  Both give the quotient
+    basis of first-nonzero-column pivoting, so the result is reproducible
+    and does not depend on the route.
     """
     if mod.side != LEFT:
         raise ValueError("induction needs a left module")
@@ -579,11 +585,13 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
         corner_degrees = list(target.degrees)
         corner_dim = target.dim
 
-        def corner_vec(i: int) -> Vec:
-            return {i: 1}
-
-        def corner_coords(w: Vec) -> Vec:
-            return w
+        def corner_times(v: Vec) -> list[Vec]:
+            if len(v) == 1:
+                ((i, coeff),) = v.items()
+                if coeff == 1:  # one table lookup per corner vector
+                    product = target.basis_product
+                    return [product(c, i) for c in range(corner_dim)]
+            return [target.product_vec({c: 1}, v) for c in range(corner_dim)]
 
         def corner_left_mult(a: int, c: int) -> Vec:
             return target.basis_product(a, c)
@@ -594,72 +602,42 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
 
         corner_degrees = [homogeneous_degree(v, target.degrees) for v in sub.basis]
 
-        def corner_vec(i: int) -> Vec:
-            return dict(sub.basis[i])
-
         def corner_coords(w: Vec) -> Vec:
             got = sub.coords(w)
             if got is None:
                 raise InternalInconsistencyError("product left the corner")
             return got
 
+        def corner_times(v: Vec) -> list[Vec]:
+            return [corner_coords(target.product_vec(w, v)) for w in sub.basis]
+
         def corner_left_mult(a: int, c: int) -> Vec:
-            prod = target.product_vec({a: 1}, corner_vec(c))
-            return corner_coords(prod)
+            return corner_coords(target.product_vec({a: 1}, sub.basis[c]))
 
     # special case: inducing the regular module of the source gives the corner
     if mod.regular and unital:
         return regular_module(target, name=name or f"ind({mod.name})")
 
     nd = mod.dim
-    flat_dim = corner_dim * nd
-
-    def flat(c: int, n: int) -> int:
-        return c * nd + n
-
-    if unital and nd == 1:
-        fast = _induce_one_dim_annihilated(phi, mod, corner_degrees, name)
-        if fast is not None:
-            return fast
-
-    relations = Eliminator()
-    gens = source.generating_set()
-    for b in gens:
-        if source.unit.get(b):
-            continue
-        phib = phi.images[b]
-        bn = mod.act(b)
-        for c in range(corner_dim):
-            # a phi(b) expanded in corner coordinates
-            left = corner_coords(target.product_vec(corner_vec(c), phib))
-            for n in range(nd):
-                row: Vec = {}
-                for cc, coeff in left.items():
-                    row[flat(cc, n)] = row.get(flat(cc, n), 0) + coeff
-                for nn, coeff in bn.cols.get(n, {}).items():
-                    k = flat(c, nn)
-                    row[k] = row.get(k, 0) - coeff
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    relations.add_row(row)
-
-    pivot_cols = set(relations.pivots)
-    free = [k for k in range(flat_dim) if k not in pivot_cols]
+    gens = [b for b in source.generating_set() if not source.unit.get(b)]
+    # per generator b: a phi(b) in corner coordinates for every corner vector a
+    lefts = [corner_times(phi.images[b]) for b in gens]
+    acts = [mod.act(b) for b in gens]
+    relations = _signed_relations(lefts, acts, corner_dim * nd, nd)
+    if relations is not None:
+        free = relations.free()
+    else:
+        relations = _eliminated_relations(lefts, acts, nd)
+        free = [k for k in range(corner_dim * nd) if k not in relations.pivots]
     free_pos = {k: t for t, k in enumerate(free)}
     degrees = [corner_degrees[k // nd] + mod.degrees[k % nd] for k in free]
-
-    def reduce_flat(v: Vec) -> Vec:
-        red = relations.reduce(v)
-        return {free_pos[k]: c for k, c in red.items()}
 
     def action(a: int) -> Mat:
         out = Mat(len(free), len(free))
         for t, k in enumerate(free):
             c, n = divmod(k, nd)
-            lifted: Vec = {}
-            for cc, coeff in corner_left_mult(a, c).items():
-                lifted[flat(cc, n)] = coeff
-            col = reduce_flat(lifted)
+            lifted = {cc * nd + n: coeff for cc, coeff in corner_left_mult(a, c).items()}
+            col = {free_pos[k2]: v for k2, v in relations.reduce(lifted).items()}
             if col:
                 out.cols[t] = col
         return out
@@ -667,54 +645,84 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
     return SuperModule(target, degrees, action_fn=action, side=LEFT, name=name or f"ind({mod.name})")
 
 
-def _induce_one_dim_annihilated(
-    phi: AlgebraHom, mod: SuperModule, corner_degrees: list[Degree], name: str
-) -> SuperModule | None:
-    """Sign-free induction of a one-dimensional module killed by all generators.
+def _signed_relations(lefts: list[list[Vec]], acts: list[Mat], flat_dim: int,
+                      nd: int) -> SignedQuotient | None:
+    """The induction relations as signed edges, or None unless every
+    corner product and every action column has at most one entry, ±1; the
+    corner products of a generator that kills the module may have any one
+    coefficient.
 
-    When every non-unit generator acts by zero, the relation space is
-    spanned by single basis vectors ``(a phi(b)) (x) n``, so only the
-    supports of corner products matter: a sign flip does not change the
-    span.  Applies only when those supports are singletons (as for the
-    permutation-basis families); returns None otherwise and the generic
-    row-reduction runs instead.
+    Corner ``c`` and module vector ``n`` sit in flat column ``c * nd + n``.
+    The relation ``s_l x_p - s x_q`` of ``a phi(b) = s_l x_p`` and
+    ``b n = s x_q`` reads ``x_p = s_l s x_q``; a missing side makes it a kill.
     """
-    source, target = phi.source, phi.target
-    for b in source.generating_set():
-        if source.unit.get(b):
-            continue
-        if mod.act(b).cols:
-            return None
-        img = phi.images[b]
-        if len(img) != 1:
-            return None
-    killed: set[int] = set()
-    for b in source.generating_set():
-        if source.unit.get(b):
-            continue
-        (bi,) = phi.images[b]
-        for c in range(target.dim):
-            supp = target.basis_product(c, bi)
-            if len(supp) > 1:
+    moves_by_gen = []
+    for bn in acts:
+        moves = []  # per module vector n: the one entry (q, s) of b n, or None
+        for n in range(nd):
+            col = bn.cols.get(n)
+            if not col:
+                moves.append(None)
+                continue
+            if len(col) != 1:
                 return None
-            killed.update(supp)
-    free = [k for k in range(target.dim) if k not in killed]
-    degrees = [corner_degrees[k] + mod.degrees[0] for k in free]
-    free_pos = {k: t for t, k in enumerate(free)}
+            ((q, s),) = col.items()
+            if s * s != 1:
+                return None
+            moves.append((q, s))
+        moves_by_gen.append(moves)
+    quot = SignedQuotient(flat_dim)
+    kill, relate = quot.kill, quot.relate
+    # corner vectors cc with every cc (x) n killed: where some b kills the
+    # module, each relation is the single term a phi(b) (x) n, which kills
+    # its column whatever its coefficient
+    hit: set[int] = set()
+    for left_b, moves in zip(lefts, moves_by_gen):
+        if not any(moves):
+            if max(map(len, left_b), default=0) > 1:
+                return None
+            hit.update(*left_b)
+            continue
+        for c, left in enumerate(left_b):
+            if not left:
+                at = c * nd
+                for move in moves:
+                    if move is not None:
+                        kill(at + move[0])
+                continue
+            try:
+                ((cc, sl),) = left.items()
+            except ValueError:
+                return None
+            if sl * sl != 1:
+                return None
+            base, at = cc * nd, c * nd
+            for n, move in enumerate(moves):
+                if move is None:
+                    kill(base + n)
+                else:
+                    relate(base + n, at + move[0], sl * move[1])
+    for k in hit if nd == 1 else [cc * nd + n for cc in hit for n in range(nd)]:
+        kill(k)
+    return quot
 
-    def action(a: int) -> Mat:
-        out = Mat(len(free), len(free))
-        for t, k in enumerate(free):
-            col: Vec = {}
-            for cc, coeff in target.basis_product(a, k).items():
-                if cc in free_pos:
-                    col[free_pos[cc]] = coeff
-            if col:
-                out.cols[t] = col
-        return out
 
-    return SuperModule(target, degrees, action_fn=action, side=LEFT,
-                       name=name or f"ind({mod.name})")
+def _eliminated_relations(lefts: list[list[Vec]], acts: list[Mat], nd: int) -> Eliminator:
+    """The induction relation rows, reduced in the order generator, corner, module vector."""
+    relations = Eliminator()
+    for left_b, bn in zip(lefts, acts):
+        for c, left in enumerate(left_b):
+            for n in range(nd):
+                row: Vec = {}
+                for cc, coeff in left.items():
+                    row[cc * nd + n] = coeff
+                for nn, coeff in bn.cols.get(n, {}).items():
+                    k = c * nd + nn
+                    row[k] = row.get(k, 0) - coeff
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    relations.add_row(row)
+    return relations
 
 
 def validate_automorphism(alg: SuperAlgebra, tau: Mat) -> ValidationReport:

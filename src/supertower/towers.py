@@ -1037,7 +1037,8 @@ def check_S2_dimensions(tower: TowerSpec, n: int, m: int, k: int, l: int) -> lis
     if n + m != k + l:
         raise ValueError("splittings must partition the same total")
     total = n + m
-    lhs = graded_dim(tower.level(total))
+    dims = [graded_dim(tower.level(j)) for j in range(total + 1)]
+    lhs = dims[total]
     d, eps = tower.twist.d, tower.twist.eps
     rhs = GroundElem.zero(FULL)
     division_ok = True
@@ -1045,19 +1046,10 @@ def check_S2_dimensions(tower: TowerSpec, n: int, m: int, k: int, l: int) -> lis
         shift = GroundElem.monomial(d * (n - r) * (k - r), (eps * (n - r) * (k - r)) & 1)
         gen_left = coset_degree_genfn(tower, k, r)
         gen_right = coset_degree_genfn(tower, l, n - r)
-        summand = gen_left * gen_right \
-            * graded_dim(tower.level(n)) * graded_dim(tower.level(m)) * shift
+        summand = gen_left * gen_right * dims[n] * dims[m] * shift
         rhs = rhs + summand
-        four = (
-            graded_dim(tower.level(r))
-            * graded_dim(tower.level(n - r))
-            * graded_dim(tower.level(k - r))
-            * graded_dim(tower.level(l + r - n))
-        )
-        numerator = (
-            graded_dim(tower.level(k)) * graded_dim(tower.level(l))
-            * graded_dim(tower.level(n)) * graded_dim(tower.level(m)) * shift
-        )
+        four = dims[r] * dims[n - r] * dims[k - r] * dims[l + r - n]
+        numerator = dims[k] * dims[l] * dims[n] * dims[m] * shift
         if summand * four != numerator:
             division_ok = False
     records = [

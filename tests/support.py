@@ -1,10 +1,10 @@
 """Tools the tests share that the verifier itself never runs.
 
-Module shifts and the all-pairs module validator, the identity hom, the
-matrix sum, scale, product and zero test, the permutation list, the
-nilCoxeter straightening, the wreath sign rules, the Cartan map, the
-unmemoised smash product and Fock action and a failure filter, plus the
-exterior-superalgebra base file.  No ``verify``, ``weyl`` or ``build`` run
+Module shifts, the all-pairs module validator, induction by row reduction
+alone, the identity hom, the matrix sum, scale, product and zero test, the
+permutation list, the nilCoxeter straightening, the wreath sign rules, the
+Cartan map, the unmemoised smash product and Fock action and a failure
+filter, plus the exterior-superalgebra base file.  No ``verify``, ``weyl`` or ``build`` run
 calls them, so they live with the tests.
 """
 
@@ -20,7 +20,7 @@ from supertower.grothendieck import (
     tensor_scale,
 )
 from supertower.heisenberg import HeisenbergDouble, HeisenbergElem
-from supertower.linalg import Mat, exact, vec_axpy, vec_scale
+from supertower.linalg import Eliminator, Mat, exact, vec_axpy, vec_scale
 from supertower.reporting import CheckRecord
 from supertower.superalgebra import (
     LEFT,
@@ -28,7 +28,9 @@ from supertower.superalgebra import (
     Degree,
     SuperAlgebra,
     SuperModule,
+    Subspace,
     ValidationReport,
+    homogeneous_degree,
 )
 from supertower.towers import (
     Perm,
@@ -154,6 +156,61 @@ def validate_module(mod: SuperModule, on_generators: bool = True) -> ValidationR
             if got != expected:
                 bad.append(("structure constants", (a, b)))
     return ValidationReport(mod.name, bad)
+
+
+def eliminated_induction(phi: AlgebraHom, mod: SuperModule) -> SuperModule:
+    """Induction along ``phi`` by row reduction alone, the oracle of ``induce_module``.
+
+    The quotient of ``corner (x) N`` by the rows ``a phi(b) (x) n - a (x) b n``,
+    every one through an ``Eliminator``, with no signed-support route and no
+    regular-module shortcut.
+    """
+    source, target = phi.source, phi.target
+    e = phi.unit_image()
+    rm_e = [target.product_vec({j: 1}, e) for j in range(target.dim)]
+    sub = Subspace([v for v in rm_e if v], target.dim)
+    corner_dim = sub.dim
+    corner_degrees = [homogeneous_degree(v, target.degrees) for v in sub.basis]
+
+    def corner_coords(w):
+        got = sub.coords(w)
+        if got is None:
+            raise AssertionError("product left the corner")
+        return got
+
+    nd = mod.dim
+    relations = Eliminator()
+    for b in source.generating_set():
+        if source.unit.get(b):
+            continue
+        bn = mod.act(b)
+        for c in range(corner_dim):
+            left = corner_coords(target.product_vec(sub.basis[c], phi.images[b]))
+            for n in range(nd):
+                row = {}
+                for cc, coeff in left.items():
+                    row[cc * nd + n] = row.get(cc * nd + n, 0) + coeff
+                for nn, coeff in bn.cols.get(n, {}).items():
+                    row[c * nd + nn] = row.get(c * nd + nn, 0) - coeff
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    relations.add_row(row)
+    free = [k for k in range(corner_dim * nd) if k not in relations.pivots]
+    free_pos = {k: t for t, k in enumerate(free)}
+    degrees = [corner_degrees[k // nd] + mod.degrees[k % nd] for k in free]
+
+    def action(a):
+        out = Mat(len(free), len(free))
+        for t, k in enumerate(free):
+            c, n = divmod(k, nd)
+            lifted = {cc * nd + n: coeff for cc, coeff in
+                      corner_coords(target.product_vec({a: 1}, sub.basis[c])).items()}
+            col = {free_pos[k2]: v for k2, v in relations.reduce(lifted).items()}
+            if col:
+                out.cols[t] = col
+        return out
+
+    return SuperModule(target, degrees, action_fn=action, side=LEFT, name=f"ind({mod.name})")
 
 
 # -- the nilCoxeter straightening, the oracle of the sign table ----------------------

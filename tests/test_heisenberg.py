@@ -580,3 +580,50 @@ class TestWeylAgainstPowerCoordinates:
         assert {r.check: r.passed for r in got}["weyl-lowering-rule"] is False
         assert {r.check: r.passed for r in got}["power-image-invariance"] is True
         assert got == oracle_weyl_check(dbl, 5)
+
+
+@pytest.mark.parametrize("desc", [
+    {"nilcoxeter": {"n_max": 3, "d": 1, "eps": 1}},
+    {"nilcoxeter": {"n_max": 3, "d": 0, "eps": 1}},  # collapsed ring with zero divisors
+    {"wreath": {"base": "clifford", "n_max": 2}},
+])
+def test_every_built_vector_and_compared_tensor_is_zero_free(desc, monkeypatch, capsys):
+    # tensor_eq compares the dicts as they are; that holds because every
+    # GrothVector and HeisenbergElem a verify run builds, and every tensor it
+    # compares, carries no zero coefficient
+    import json
+
+    import supertower.grothendieck as gr
+    import supertower.heisenberg as hz
+    from supertower.cli import main
+
+    zeros, seen = [], {"GrothVector": 0, "HeisenbergElem": 0, "tensor_eq": 0}
+
+    def zero_keys(terms):
+        return [k for k, c in terms.items() if c.is_zero()]
+
+    def checked_init(cls, field):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            seen[cls.__name__] += 1
+            if zero_keys(getattr(self, field)):
+                zeros.append((cls.__name__, getattr(self, field)))
+        monkeypatch.setattr(cls, "__init__", wrapper)
+
+    def checked_eq(a, b):
+        seen["tensor_eq"] += 1
+        if zero_keys(a) or zero_keys(b):
+            zeros.append(("tensor_eq", a, b))
+        return tensor_eq(a, b)
+
+    checked_init(GrothVector, "entries")
+    checked_init(HeisenbergElem, "terms")
+    monkeypatch.setattr(gr, "tensor_eq", checked_eq)
+    monkeypatch.setattr(hz, "tensor_eq", checked_eq)
+    assert main(["verify", json.dumps(desc), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
+    assert zeros == []
+    assert seen["GrothVector"] and seen["tensor_eq"]
+    assert seen["HeisenbergElem"] or "wreath" in desc

@@ -13,6 +13,7 @@ from hypothesis import strategies as hst
 from supertower.linalg import (
     Eliminator,
     Mat,
+    SignedQuotient,
     exact,
     invert,
     rank_of_rows,
@@ -408,6 +409,112 @@ class TestIntFirstAgainstFractionOracle:
         inv = invert(mat)
         assert mat_mul(mat, inv) == Mat.identity(4)
         assert all(type(c) is int for col in inv.cols.values() for c in col.values())
+
+
+# -- the signed-support quotient against elimination ------------------------------
+
+
+def signed_rows(edges, kills):
+    """The rows ``x_i - s x_j`` and ``x_i`` an ``Eliminator`` takes for the same relations."""
+    rows = []
+    for i, j, s in edges:
+        row = {i: 1}
+        row[j] = row.get(j, 0) - s
+        rows.append({k: c for k, c in row.items() if c})
+    return rows + [{i: 1} for i in kills]
+
+
+def quotient_of(n, edges, kills):
+    quot = SignedQuotient(n)
+    for i, j, s in edges:
+        quot.relate(i, j, s)
+    for i in kills:
+        quot.kill(i)
+    return quot
+
+
+def assert_matches_elimination(n, edges, kills, probes=()):
+    quot = quotient_of(n, edges, kills)
+    el = Eliminator()
+    for row in signed_rows(edges, kills):
+        if row:
+            el.add_row(row)
+    assert quot.free() == [k for k in range(n) if k not in el.pivots]
+    for v in [{k: 1} for k in range(n)] + list(probes):
+        assert quot.reduce(v) == el.reduce(v)
+
+
+@hst.composite
+def signed_systems(draw):
+    n = draw(hst.integers(1, 12))
+    col = hst.integers(0, n - 1)
+    edges = draw(hst.lists(hst.tuples(col, col, hst.sampled_from([1, -1])), max_size=14))
+    kills = draw(hst.lists(col, max_size=3))
+    probes = draw(hst.lists(hst.dictionaries(col, hst.integers(-3, 3).filter(bool), max_size=4),
+                            max_size=3))
+    return n, edges, kills, probes
+
+
+class TestSignedQuotient:
+    @settings(max_examples=150, deadline=None)
+    @given(system=signed_systems())
+    def test_matches_elimination(self, system):
+        # free columns and every remainder are the Eliminator's, in any order of feeding
+        n, edges, kills, probes = system
+        assert_matches_elimination(n, edges, kills, probes)
+        assert_matches_elimination(n, edges[::-1], kills[::-1], probes)
+
+    def test_odd_sign_cycle_dies(self):
+        # x0 = x1 = x2 = -x0: the class is 2x = 0, so nothing of it survives
+        quot = quotient_of(4, [(0, 1, 1), (1, 2, 1), (2, 0, -1)], [])
+        assert quot.free() == [3]
+        assert quot.reduce({0: 1, 1: 5, 2: -2, 3: 7}) == {3: 7}
+        assert_matches_elimination(4, [(0, 1, 1), (1, 2, 1), (2, 0, -1)], [])
+
+    def test_even_sign_cycle_lives(self):
+        edges = [(0, 1, -1), (1, 2, -1), (2, 0, 1)]
+        quot = quotient_of(3, edges, [])
+        assert quot.free() == [2]
+        assert quot.reduce({0: 1}) == {2: 1}
+        assert quot.reduce({1: 1}) == {2: -1}
+        assert_matches_elimination(3, edges, [])
+
+    def test_both_terms_on_one_column(self):
+        # x = -x dies; x = x is vacuous
+        quot = quotient_of(2, [(0, 0, -1), (1, 1, 1)], [])
+        assert quot.free() == [1]
+        assert quot.reduce({0: 3, 1: 2}) == {1: 2}
+        assert_matches_elimination(2, [(0, 0, -1), (1, 1, 1)], [])
+
+    def test_sign_products_along_a_long_chain(self):
+        rng = random.Random(5)
+        n = 60
+        signs = [rng.choice([1, -1]) for _ in range(n - 1)]
+        edges = [(k, k + 1, signs[k]) for k in range(n - 1)]
+        for order in (edges, edges[::-1], rng.sample(edges, len(edges))):
+            quot = quotient_of(n, order, [])
+            assert quot.free() == [n - 1]
+            expected = 1
+            for k in range(n - 2, -1, -1):
+                expected *= signs[k]
+                assert quot.reduce({k: 1}) == {n - 1: expected}
+        assert_matches_elimination(n, edges, [])
+
+    def test_kill_reaches_a_class_through_a_later_union(self):
+        # 0 dies first; the relations that join it to 3 and 5 come afterwards
+        quot = SignedQuotient(6)
+        quot.kill(0)
+        quot.relate(3, 5, -1)
+        quot.relate(0, 3, 1)
+        quot.relate(1, 2, 1)
+        assert quot.free() == [2, 4]
+        assert quot.reduce({0: 1, 3: 2, 5: 1, 1: 4}) == {2: 4}
+        assert_matches_elimination(6, [(3, 5, -1), (0, 3, 1), (1, 2, 1)], [0])
+
+    def test_cancelling_remainders_are_dropped(self):
+        quot = quotient_of(3, [(0, 2, 1), (1, 2, -1)], [])
+        assert quot.reduce({0: 1, 1: 1}) == {}
+        assert quot.reduce({0: 1, 1: -1}) == {2: 2}
 
 
 SHAPE_CHECKS = "\n".join([

@@ -40,7 +40,16 @@ from supertower.towers import (
     trivial_level_algebra,
 )
 
-from support import identity_hom, mat_add, mat_is_zero, mat_scale, shift_module, validate_module
+from support import (
+    eliminated_induction,
+    identity_hom,
+    mat_add,
+    mat_is_zero,
+    mat_mul,
+    mat_scale,
+    shift_module,
+    validate_module,
+)
 
 
 def hom_dim_by_full_basis(src, dst):
@@ -325,10 +334,65 @@ class TestSerialization:
             algebra_from_dict(data)
 
 
+def induction_cases(tower):
+    """Maps and modules to induce: each declared module along the step into
+    the next level, and its restrictions along the step below and along every
+    ``rho(a, b)`` back along the same map; then the outer tensors of declared
+    modules along ``rho(a, b)``, as the product of classes induces them."""
+    top = tower.n_max
+    for lv in range(top + 1):
+        for decl in tower.declared_projectives(lv) + tower.declared_simples(lv):
+            if lv < top:
+                yield tower.step_hom(lv), decl.module
+            maps = [tower.step_hom(lv - 1)] if lv else []
+            maps += [tower.rho(a, lv - a) for a in range(1, lv)]
+            for phi in maps:
+                yield phi, restrict_module(phi, decl.module)
+    for a in range(1, top):
+        for b in range(1, top - a + 1):
+            pair = tower.pair_algebra(a, b)
+            for da in tower.declared_projectives(a) + tower.declared_simples(a):
+                for db in tower.declared_projectives(b) + tower.declared_simples(b):
+                    yield tower.rho(a, b), outer_tensor(da.module, db.module, pair)
+
+
+def assert_induction_matches_oracle(phi, mod, every_matrix=True):
+    """Degrees and action matrices of ``induce_module`` against row reduction alone.
+
+    The regular module of a unital map induces to the corner in its own
+    basis, so there only the graded dimensions compare.  Without
+    ``every_matrix`` the matrices of the leading factors are compared, which
+    determine the action.
+    """
+    got = induce_module(phi, mod)
+    oracle = eliminated_induction(phi, mod)
+    if mod.regular and phi.unit_image() == phi.target.unit:
+        assert graded_dim(got) == graded_dim(oracle)
+        return
+    assert got.degrees == oracle.degrees
+    alg = phi.target
+    for i in range(alg.dim) if every_matrix else alg.leading_factors():
+        assert got.act(i) == oracle.act(i), (phi.name, mod.name, i)
+
+
+class TestInduceAgainstElimination:
+    @pytest.mark.parametrize("d,eps", [(0, 0), (1, 0), (1, 1), (2, 0)])
+    def test_nilcoxeter_to_level_five(self, d, eps):
+        from supertower.towers import build_nilcoxeter_tower
+        tower = build_nilcoxeter_tower(5, d, eps, frobenius_cap=0)
+        for phi, mod in induction_cases(tower):
+            # every matrix up to level 4; at level 5 those of the generators
+            assert_induction_matches_oracle(phi, mod, every_matrix=phi.target is not tower.level(5))
+
+    def test_sergeev_to_level_three(self, sergeev3):
+        for phi, mod in induction_cases(sergeev3):
+            assert_induction_matches_oracle(phi, mod)
+
+
 class TestInduceFastPathAgainstGeneric:
     def test_signfree_fast_path_matches_row_reduction(self):
-        # the sign-free induction route for annihilated one-dimensional
-        # modules must agree with the generic relation row-reduction
+        # the annihilated one-dimensional modules of the pair algebras, whose
+        # relations are all kills, against the relation row reduction
         from supertower.towers import build_nilcoxeter_tower
 
         for (d, eps) in [(1, 0), (1, 1)]:
@@ -340,17 +404,78 @@ class TestInduceFastPathAgainstGeneric:
                 lb = tower.declared_simples(b)[0].module
                 mod = outer_tensor(la, lb, pair)
                 fast = induce_module(rho, mod)
-                # force the generic relation row-reduction
-                import supertower.superalgebra as sa
-                saved = sa._induce_one_dim_annihilated
-                try:
-                    sa._induce_one_dim_annihilated = lambda *args, **kw: None
-                    generic = induce_module(rho, mod)
-                finally:
-                    sa._induce_one_dim_annihilated = saved
+                generic = eliminated_induction(rho, mod)
                 assert fast.dim == generic.dim
                 assert graded_dim(fast) == graded_dim(generic)
                 assert fast.degrees == generic.degrees
+                assert all(fast.act(i) == generic.act(i) for i in range(rho.target.dim))
+
+
+def conjugated(mod, p, p_inv):
+    """The module ``mod`` in the basis given by the columns of ``p``."""
+    return SuperModule(mod.algebra, mod.degrees, side=mod.side, name=f"conj({mod.name})",
+                       action={i: mat_mul(p_inv, mat_mul(mod.act(i), p))
+                               for i in range(mod.algebra.dim)})
+
+
+class TestInduceRoute:
+    """Which relation kernel ran, seen through the two relation builders."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        import supertower.superalgebra as sa
+        ran = []
+        signed, eliminated = sa._signed_relations, sa._eliminated_relations
+
+        def spy_signed(*args):
+            got = signed(*args)
+            ran.append("signed" if got is not None else "declined")
+            return got
+
+        def spy_eliminated(*args):
+            ran.append("eliminator")
+            return eliminated(*args)
+
+        monkeypatch.setattr(sa, "_signed_relations", spy_signed)
+        monkeypatch.setattr(sa, "_eliminated_relations", spy_eliminated)
+        return ran
+
+    @pytest.fixture
+    def restricted(self):
+        from supertower.towers import build_nilcoxeter_tower
+        tower = build_nilcoxeter_tower(3, 1, 1, frobenius_cap=0)
+        phi = tower.step_hom(2)
+        return phi, restrict_module(phi, regular_module(tower.level(3)))
+
+    def test_signed_monomial_data_take_the_signed_quotient(self, routes, restricted):
+        phi, mod = restricted
+        got = induce_module(phi, mod)
+        assert routes == ["signed"]
+        assert_induction_matches_oracle(phi, mod)
+        assert got.dim == 18
+
+    @pytest.mark.parametrize("seed", ["scaled", "sheared"])
+    def test_seeded_non_monomial_action_falls_back(self, routes, restricted, seed):
+        # the same module in another basis: a coefficient 2 or a two-entry column
+        phi, mod = restricted
+        n = mod.dim
+        p, p_inv = Mat.identity(n), Mat.identity(n)
+        if seed == "scaled":
+            p.cols[1] = {1: 2}
+            p_inv.cols[1] = {1: Fraction(1, 2)}
+        else:
+            p.cols[2] = {1: 1, 2: 1}
+            p_inv.cols[2] = {1: -1, 2: 1}
+        assert mat_mul(p, p_inv) == Mat.identity(n)
+        seeded = conjugated(mod, p, p_inv)
+        assert validate_module(seeded).ok
+        gens = [b for b in phi.source.generating_set() if not phi.source.unit.get(b)]
+        assert any(len(col) > 1 or any(c not in (1, -1) for c in col.values())
+                   for b in gens for col in seeded.act(b).cols.values())
+        got = induce_module(phi, seeded)
+        assert routes == ["declined", "eliminator"]
+        assert_induction_matches_oracle(phi, seeded)
+        assert graded_dim(got) == graded_dim(induce_module(phi, mod))
 
 
 def test_double_parity_shift_restores_action(n3):
