@@ -13,7 +13,8 @@ demand by back-substitution, and it is unique, so it does not depend on how
 the echelon rows were reached.  Callers use it in one of three modes:
 
 * rank: ``rank_of_rows``, for every site that needs only the rank of a set
-  of rows;
+  of rows.  Rows of at most one entry each are counted without elimination:
+  their rank is the number of distinct supports;
 * canonical remainder: ``Eliminator.add_row``, ``reduce`` and ``pivots``,
   for an incremental span, membership and a quotient basis;
 * solve: ``solve``, the one linear-system kernel.  Its right-hand side is a
@@ -281,7 +282,15 @@ class SignedQuotient:
 
 
 def rank_of_rows(rows: Iterable[Vec]) -> int:
-    """The rank of the span of ``rows``: the one rank computation of the package."""
+    """The rank of the span of ``rows``: the one rank computation of the package.
+
+    Rows with at most one entry each span the basis vectors of their
+    supports, so their rank is the number of distinct supports; any other
+    list goes through the ``Eliminator``.
+    """
+    rows = list(rows)
+    if all(len(r) <= 1 for r in rows):
+        return len({k for r in rows for k in r})
     el = Eliminator()
     for r in rows:
         el.add_row(r)

@@ -365,11 +365,16 @@ def hom_graded_dim(src: SuperModule, dst: SuperModule) -> GroundElem:
     """Graded dimension of the space of signed module homomorphisms.
 
     A homogeneous map of parity ``e`` satisfies
-    ``f(b m) == (-1)**(e * par(b)) * b f(m)``; the dimension of each
-    bidegree's solution space is found by exact elimination.  When the
-    source is the left regular module the answer is the graded dimension of
-    the target (the evaluation-at-unit isomorphism), which this function
-    uses as a fast path.
+    ``f(b m) == (-1)**(e * par(b)) * b f(m)`` for every generator ``b``.
+    When the source is the left regular module the answer is the graded
+    dimension of the target (the evaluation-at-unit isomorphism).  When one
+    side is a one-dimensional module ``k`` that every non-unit generator
+    kills and the other's generators act with singleton supports, the answer
+    is a support count (``_hom_by_supports``): it is exact because every
+    constraint row then has one entry, so each bidegree's rank is the number
+    of distinct supports in it.  Every other pair goes to
+    ``_hom_by_elimination``, which finds each bidegree's solution space by
+    exact elimination of the generator constraints.
     """
     if src.algebra is not dst.algebra:
         raise ValueError("modules over different algebras")
@@ -377,6 +382,77 @@ def hom_graded_dim(src: SuperModule, dst: SuperModule) -> GroundElem:
         raise ValueError("hom_graded_dim needs two left modules")
     if src.regular:
         return graded_dim(dst)
+    got = _hom_by_supports(src, dst)
+    if got is None:
+        got = _hom_by_elimination(src, dst)
+    return got
+
+
+def _hom_by_supports(src: SuperModule, dst: SuperModule) -> GroundElem | None:
+    """Hom against a killed one-dimensional module, read off generator supports.
+
+    Let ``k`` be one-dimensional with every non-unit generator acting as
+    zero, and ``M`` the other module.  Then every constraint of a generator
+    ``b`` has one side zero:
+
+    * ``Hom(M, k)``: the constraints read ``f(b e_j) = 0``, so ``f`` factors
+      through ``M / sum_b b M``.  When every column of every ``M.act(b)``
+      has at most one entry, of any coefficient, ``sum_b b M`` is spanned by
+      the basis vectors in the union of the supports, and the answer counts
+      the ``e_j`` outside it in bidegree ``deg k - deg e_j``.
+    * ``Hom(k, M)``: the constraints read ``b f(1) = 0``, one per row of
+      ``M.act(b)``.  When every ``M.act(b)`` has at most one entry in each
+      column and each row, each constraint names one coordinate ``f_j``,
+      and the answer counts the ``e_j`` whose column is empty for every
+      generator, in bidegree ``deg e_j - deg k``.
+
+    Both are exact: each constraint row is a single nonzero coefficient, so
+    the rank of a bidegree block is the number of distinct supports in it.
+    Returns None for any other pair.
+    """
+    alg = src.algebra
+    gens = [b for b in alg.generating_set() if not alg.unit.get(b)]
+
+    def killed(mod: SuperModule) -> bool:
+        return mod.dim == 1 and not any(any(mod.act(b).cols.values()) for b in gens)
+
+    hit: set[int] = set()
+    if killed(dst):
+        probe, mod, sign = dst, src, 1
+        for b in gens:
+            for col in mod.act(b).cols.values():
+                if len(col) > 1:
+                    return None
+                hit.update(col)
+    elif killed(src):
+        probe, mod, sign = src, dst, -1
+        for b in gens:
+            rows: set[int] = set()
+            for j, col in mod.act(b).cols.items():
+                if not col:
+                    continue
+                if len(col) > 1 or not rows.isdisjoint(col):
+                    return None
+                rows.update(col)
+                hit.add(j)
+    else:
+        return None
+    p = probe.degrees[0]
+    terms: dict[tuple[int, int], int] = {}
+    for j, e in enumerate(mod.degrees):
+        if j not in hit:
+            key = (sign * (p.z - e.z), (p.par + e.par) & 1)
+            terms[key] = terms.get(key, 0) + 1
+    return GroundElem({key: terms[key] for key in sorted(terms)}, FULL)
+
+
+def _hom_by_elimination(src: SuperModule, dst: SuperModule) -> GroundElem:
+    """``hom_graded_dim`` by exact elimination of the generator constraints.
+
+    Each generator ``b``, source vector ``e_j`` and target vector ``e_r``
+    give one row over the coordinates of ``f``, grouped by bidegree; each
+    block's nullity is its solution space's dimension.
+    """
     alg = src.algebra
     gens = alg.generating_set()
     nd = dst.dim

@@ -616,11 +616,19 @@ class TowerSpec:
     base_frob: FrobeniusStructure | None = None
     _pair_algebras: dict = field(default_factory=dict)
     _rho: dict = field(default_factory=dict)
+    _level_dims: dict = field(default_factory=dict)
 
     def level(self, n: int) -> SuperAlgebra:
         if n > self.n_max:
             raise ValidationError(f"level {n} beyond truncation {self.n_max}")
         return self.algebras[n]
+
+    def level_graded_dim(self, n: int) -> GroundElem:
+        """The graded dimension of level ``n``, counted on first use."""
+        got = self._level_dims.get(n)
+        if got is None:
+            got = self._level_dims[n] = graded_dim(self.level(n))
+        return got
 
     def pair_algebra(self, n: int, m: int) -> SuperAlgebra:
         key = (n, m)
@@ -1037,7 +1045,7 @@ def check_S2_dimensions(tower: TowerSpec, n: int, m: int, k: int, l: int) -> lis
     if n + m != k + l:
         raise ValueError("splittings must partition the same total")
     total = n + m
-    dims = [graded_dim(tower.level(j)) for j in range(total + 1)]
+    dims = [tower.level_graded_dim(j) for j in range(total + 1)]
     lhs = dims[total]
     d, eps = tower.twist.d, tower.twist.eps
     rhs = GroundElem.zero(FULL)

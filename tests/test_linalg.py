@@ -73,6 +73,60 @@ def test_rank_matches_dense_oracle():
         assert rank_of_rows(rows) == dense_rank_oracle(rows, ncols)
 
 
+SINGLETON_COLS = 6
+singleton_rows = hst.one_of(
+    hst.just({}),
+    hst.dictionaries(hst.integers(0, SINGLETON_COLS - 1),
+                     hst.integers(-3, 3).filter(bool) | hst.builds(Fraction, hst.integers(-3, 3).filter(bool),
+                                                                   hst.integers(1, 3)),
+                     min_size=1, max_size=1),
+)
+wide_rows = hst.dictionaries(hst.integers(0, SINGLETON_COLS - 1), hst.integers(-3, 3).filter(bool),
+                             min_size=2, max_size=3)
+
+
+class TestSingletonRanks:
+    """``rank_of_rows`` counts the supports of one-entry rows and eliminates the rest."""
+
+    @staticmethod
+    def rank_and_eliminated(rows):
+        fed = []
+        add_row = Eliminator.add_row
+
+        def spy(self, row):
+            fed.append(row)
+            return add_row(self, row)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Eliminator, "add_row", spy)
+            rank = rank_of_rows(iter(rows))
+        return rank, bool(fed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.lists(singleton_rows, max_size=12))
+    def test_singleton_rows_count_their_supports(self, rows):
+        rank, eliminated = self.rank_and_eliminated(rows)
+        assert rank == dense_rank_oracle(rows, SINGLETON_COLS)
+        assert not eliminated
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.lists(singleton_rows, max_size=8), hst.lists(wide_rows, min_size=1, max_size=3),
+           hst.randoms(use_true_random=False))
+    def test_a_mixed_list_is_eliminated(self, singles, wide, rng):
+        rows = singles + wide
+        rng.shuffle(rows)
+        rank, eliminated = self.rank_and_eliminated(rows)
+        assert rank == dense_rank_oracle(rows, SINGLETON_COLS)
+        assert eliminated
+
+    def test_zero_rows_and_repeated_supports(self):
+        assert rank_of_rows([]) == 0
+        assert rank_of_rows([{}, {}]) == 0
+        assert rank_of_rows([{2: 3}, {2: Fraction(-1, 2)}, {}, {4: 1}, {2: 1}]) == 2
+        # the two-entry row joins a support already counted: rank 2, not 3
+        assert rank_of_rows([{0: 1}, {1: 2}, {0: 1, 1: -1}]) == 2
+
+
 def test_solve_and_invert():
     rng = random.Random(13)
     for _ in range(20):

@@ -19,6 +19,7 @@ from supertower.superalgebra import (
     SuperAlgebra,
     SuperModule,
     Subspace,
+    _hom_by_elimination,
     algebra_from_dict,
     algebra_to_dict,
     graded_dim,
@@ -418,27 +419,48 @@ def conjugated(mod, p, p_inv):
                                for i in range(mod.algebra.dim)})
 
 
+def spy_on_routes(monkeypatch, fast, label, fallback):
+    """Record which of two paths of ``superalgebra`` ran, in order: ``label``
+    when ``fast`` answers, ``declined`` when it returns None, and
+    ``eliminator`` for ``fallback``."""
+    import supertower.superalgebra as sa
+    ran = []
+    fast_fn, fallback_fn = getattr(sa, fast), getattr(sa, fallback)
+
+    def spy_fast(*args):
+        got = fast_fn(*args)
+        ran.append(label if got is not None else "declined")
+        return got
+
+    def spy_fallback(*args):
+        ran.append("eliminator")
+        return fallback_fn(*args)
+
+    monkeypatch.setattr(sa, fast, spy_fast)
+    monkeypatch.setattr(sa, fallback, spy_fallback)
+    return ran
+
+
+def basis_change(n, seed):
+    """A change of basis of ``n`` vectors and its inverse: ``scaled`` doubles
+    ``e_1``, ``sheared`` replaces ``e_2`` by ``e_1 + e_2``."""
+    p, p_inv = Mat.identity(n), Mat.identity(n)
+    if seed == "scaled":
+        p.cols[1] = {1: 2}
+        p_inv.cols[1] = {1: Fraction(1, 2)}
+    else:
+        p.cols[2] = {1: 1, 2: 1}
+        p_inv.cols[2] = {1: -1, 2: 1}
+    assert mat_mul(p, p_inv) == Mat.identity(n)
+    return p, p_inv
+
+
 class TestInduceRoute:
     """Which relation kernel ran, seen through the two relation builders."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
-        import supertower.superalgebra as sa
-        ran = []
-        signed, eliminated = sa._signed_relations, sa._eliminated_relations
-
-        def spy_signed(*args):
-            got = signed(*args)
-            ran.append("signed" if got is not None else "declined")
-            return got
-
-        def spy_eliminated(*args):
-            ran.append("eliminator")
-            return eliminated(*args)
-
-        monkeypatch.setattr(sa, "_signed_relations", spy_signed)
-        monkeypatch.setattr(sa, "_eliminated_relations", spy_eliminated)
-        return ran
+        return spy_on_routes(monkeypatch, "_signed_relations", "signed", "_eliminated_relations")
 
     @pytest.fixture
     def restricted(self):
@@ -458,16 +480,7 @@ class TestInduceRoute:
     def test_seeded_non_monomial_action_falls_back(self, routes, restricted, seed):
         # the same module in another basis: a coefficient 2 or a two-entry column
         phi, mod = restricted
-        n = mod.dim
-        p, p_inv = Mat.identity(n), Mat.identity(n)
-        if seed == "scaled":
-            p.cols[1] = {1: 2}
-            p_inv.cols[1] = {1: Fraction(1, 2)}
-        else:
-            p.cols[2] = {1: 1, 2: 1}
-            p_inv.cols[2] = {1: -1, 2: 1}
-        assert mat_mul(p, p_inv) == Mat.identity(n)
-        seeded = conjugated(mod, p, p_inv)
+        seeded = conjugated(mod, *basis_change(mod.dim, seed))
         assert validate_module(seeded).ok
         gens = [b for b in phi.source.generating_set() if not phi.source.unit.get(b)]
         assert any(len(col) > 1 or any(c not in (1, -1) for c in col.values())
@@ -476,6 +489,156 @@ class TestInduceRoute:
         assert routes == ["declined", "eliminator"]
         assert_induction_matches_oracle(phi, seeded)
         assert graded_dim(got) == graded_dim(induce_module(phi, mod))
+
+
+def hom_cases(tower):
+    """The one-dimensional Hom pairs of the Grothendieck layer, both ways.
+
+    Each declared projective against each declared simple of its level; each
+    restricted declared module along ``rho(a, b)`` against the outer tensors
+    of the other kind of declared module, as ``basis_delta`` expands it; and
+    each induced outer tensor of declared modules against the declared
+    simples above, as ``basis_nabla`` expands it on the projective side.
+    """
+    top = tower.n_max
+    for lv in range(top + 1):
+        for p in tower.declared_projectives(lv):
+            for s in tower.declared_simples(lv):
+                yield p.module, s.module
+                yield s.module, p.module
+    for a in range(1, top):
+        for b in range(1, top - a + 1):
+            pair, rho = tower.pair_algebra(a, b), tower.rho(a, b)
+            for mods, others in ((tower.declared_projectives, tower.declared_simples),
+                                 (tower.declared_simples, tower.declared_projectives)):
+                probes = [outer_tensor(da.module, db.module, pair)
+                          for da in others(a) for db in others(b)]
+                for decl in mods(a + b):
+                    res = restrict_module(rho, decl.module)
+                    for probe in probes:
+                        yield res, probe
+                        yield probe, res
+            for da in tower.declared_projectives(a) + tower.declared_simples(a):
+                for db in tower.declared_projectives(b) + tower.declared_simples(b):
+                    ind = induce_module(rho, outer_tensor(da.module, db.module, pair))
+                    for s in tower.declared_simples(a + b):
+                        yield ind, s.module
+                        yield s.module, ind
+
+
+class TestHomAgainstElimination:
+    @pytest.mark.parametrize("d,eps", [(0, 0), (1, 0), (1, 1), (2, 0)])
+    def test_nilcoxeter_to_level_five(self, d, eps):
+        from supertower.towers import build_nilcoxeter_tower
+        tower = build_nilcoxeter_tower(5, d, eps, frobenius_cap=0)
+        for src, dst in hom_cases(tower):
+            assert hom_graded_dim(src, dst) == _hom_by_elimination(src, dst), (src.name, dst.name)
+
+    def test_sergeev_to_level_three(self, sergeev3):
+        for src, dst in hom_cases(sergeev3):
+            assert hom_graded_dim(src, dst) == _hom_by_elimination(src, dst), (src.name, dst.name)
+
+
+def idempotent_algebra():
+    """``k[x]/(x^2 - x)``, all even: a one-dimensional module may have ``x = 1``."""
+    return SuperAlgebra(
+        labels=["1", "x"], degrees=[Degree(0, 0), Degree(0, 0)], unit={0: 1},
+        products={(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 1}},
+        generators=[1],
+    )
+
+
+class TestHomRoute:
+    """Which Hom path ran, seen through the support rule and the elimination."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        return spy_on_routes(monkeypatch, "_hom_by_supports", "supports", "_hom_by_elimination")
+
+    @pytest.fixture
+    def restricted(self):
+        from supertower.towers import build_nilcoxeter_tower
+        tower = build_nilcoxeter_tower(3, 1, 1, frobenius_cap=0)
+        phi = tower.step_hom(2)
+        return restrict_module(phi, regular_module(tower.level(3))), tower.declared_simples(2)[0].module
+
+    @staticmethod
+    def expand_everything(layer, bound):
+        from supertower.grothendieck import G_SIDE, K_SIDE
+        for side in (K_SIDE, G_SIDE):
+            keys = layer.basis_keys(side, bound)
+            for ka in keys:
+                layer.basis_delta(side, ka)
+                for kb in keys:
+                    if 0 < ka[0] + kb[0] <= bound:
+                        layer.basis_nabla(side, ka, kb)
+
+    def test_nilcoxeter_probes_take_the_support_rule(self, routes):
+        from supertower.grothendieck import GrothLayer
+        from supertower.towers import build_nilcoxeter_tower
+        self.expand_everything(GrothLayer(build_nilcoxeter_tower(3, 1, 1, frobenius_cap=0)), 3)
+        assert routes and set(routes) == {"supports"}
+
+    def test_clifford_modules_fall_back(self, routes):
+        from supertower.grothendieck import GrothLayer
+        from supertower.towers import build_wreath_tower
+        self.expand_everything(GrothLayer(build_wreath_tower(clifford_base(), 2)), 2)
+        assert routes and "supports" not in routes
+        assert routes.count("declined") == routes.count("eliminator")
+
+    @pytest.mark.parametrize("way", ["to probe", "from probe"])
+    def test_coefficient_two_takes_the_support_rule(self, routes, restricted, way):
+        mod, simple = restricted
+        seeded = conjugated(mod, *basis_change(mod.dim, "scaled"))
+        gens = [b for b in mod.algebra.generating_set() if not mod.algebra.unit.get(b)]
+        assert any(abs(c) == 2 for b in gens for col in seeded.act(b).cols.values()
+                   for c in col.values())
+        src, dst = (seeded, simple) if way == "to probe" else (simple, seeded)
+        got = hom_graded_dim(src, dst)
+        assert routes == ["supports"]
+        assert got == _hom_by_elimination(src, dst)
+        assert got == (hom_graded_dim(mod, simple) if way == "to probe" else hom_graded_dim(simple, mod))
+
+    def test_two_entry_column_falls_back(self, routes, restricted):
+        mod, simple = restricted
+        seeded = conjugated(mod, *basis_change(mod.dim, "sheared"))
+        assert validate_module(seeded).ok
+        gens = [b for b in mod.algebra.generating_set() if not mod.algebra.unit.get(b)]
+        assert any(len(col) > 1 for b in gens for col in seeded.act(b).cols.values())
+        got = hom_graded_dim(seeded, simple)
+        assert routes == ["declined", "eliminator"]
+        assert got == _hom_by_elimination(seeded, simple) == hom_graded_dim(mod, simple)
+
+    def test_colliding_rows_fall_back(self, routes):
+        # s e_0 = s e_1 = e_2: singleton columns, but one row with two entries;
+        # Hom(k, M) is two-dimensional, while M has only one empty column
+        from supertower.towers import build_nilcoxeter_tower
+        tower = build_nilcoxeter_tower(2, 1, 1, frobenius_cap=0)
+        alg = tower.level(2)
+        (u,) = alg.unit
+        (s,) = [b for b in alg.generating_set() if b != u]
+        degrees = [Degree(0, 0), Degree(0, 0), alg.degrees[s]]
+        act = Mat(3, 3, {0: {2: 1}, 1: {2: 1}})
+        mod = SuperModule(alg, degrees, action={u: Mat.identity(3), s: act})
+        assert validate_module(mod, on_generators=False).ok
+        simple = tower.declared_simples(2)[0].module
+        got = hom_graded_dim(simple, mod)
+        assert routes == ["declined", "eliminator"]
+        assert got == _hom_by_elimination(simple, mod)
+        assert got == GroundElem.one() + GroundElem.monomial(alg.degrees[s].z, alg.degrees[s].par)
+
+    @pytest.mark.parametrize("way", ["to probe", "from probe"])
+    def test_probe_not_killed_falls_back(self, routes, way):
+        # x acts by one on the probe and on both vectors of M, so every map is
+        # a module map, while M's supports cover every basis vector
+        alg = idempotent_algebra()
+        assert validate_algebra(alg).ok
+        probe = SuperModule(alg, [Degree(0, 0)], action={0: Mat.identity(1), 1: Mat.identity(1)})
+        mod = SuperModule(alg, [Degree(0, 0)] * 2, action={0: Mat.identity(2), 1: Mat.identity(2)})
+        src, dst = (mod, probe) if way == "to probe" else (probe, mod)
+        got = hom_graded_dim(src, dst)
+        assert routes == ["declined", "eliminator"]
+        assert got == _hom_by_elimination(src, dst) == GroundElem.from_int(2)
 
 
 def test_double_parity_shift_restores_action(n3):

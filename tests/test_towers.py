@@ -325,6 +325,25 @@ class TestTowerChecks:
             recs = check_S2_dimensions(sergeev3, n, m, k, l)
             assert all_passed(recs), failures(recs)[:2]
 
+    def test_S2_suite_counts_each_level_once(self, monkeypatch):
+        import supertower.towers as towers
+        from supertower.cli import _suite_S2
+
+        tower = build_nilcoxeter_tower(4, 1, 1, frobenius_cap=0)
+        fresh = _suite_S2(build_nilcoxeter_tower(4, 1, 1, frobenius_cap=0), None, None)
+        counted = []
+        graded_dim = towers.graded_dim
+
+        def spy(space):
+            counted.append(space)
+            return graded_dim(space)
+
+        monkeypatch.setattr(towers, "graded_dim", spy)
+        runs = [_suite_S2(tower, None, None) for _ in range(2)]
+        levels = [tower.level(j) for j in range(tower.n_max + 1)]
+        assert sorted(levels.index(alg) for alg in counted) == list(range(tower.n_max + 1))
+        assert runs[0] == runs[1] == fresh
+
     def test_wr_commutation_sergeev(self, sergeev3):
         recs = check_wr_commutation(sergeev3, 1, 1, 1, 1, 0)
         assert all_passed(recs)
