@@ -23,7 +23,7 @@ class InternalInconsistencyError(SupertowerError):
 
 
 class CocycleError(InternalInconsistencyError):
-    """The sign table of a nilCoxeter algebra breaks its defining relations."""
+    """A tower level's sign table fails the certificate that its product is associative."""
 
 
 class ValidationError(SupertowerError):

@@ -53,14 +53,14 @@ def check_frobenius(
     trace: Vec,
     delta: int,
     sigma: int,
-    check_invariance: bool = True,
     partners: Callable[[int], Iterable[int]] | None = None,
 ) -> FrobeniusStructure:
     """Build and verify a Frobenius structure; raises on failure.
 
-    Checks: the trace is supported in bidegree ``(delta, sigma)``, the Gram
-    matrix is invertible, and ``(ab, c) == (a, bc)`` on every basis triple,
-    evaluated row-sparse by ``check_form_invariance``.
+    Checks: the trace is supported in bidegree ``(delta, sigma)`` and the
+    Gram matrix is invertible.  Premise: the algebra is associative (the
+    tower builders certify it, ``validate_algebra`` checks it), so the form
+    is invariant: ``(ab, c) - (a, bc)`` is the trace of an associator.
 
     ``partners(i)`` lists, ascending, every ``j`` for which ``e_i e_j`` can
     reach the trace; only those pairs enter the Gram matrix.  A family whose
@@ -88,8 +88,6 @@ def check_frobenius(
                 gram.cols.setdefault(j, {})[i] = val
     if rank_of_rows(gram.cols.values()) != alg.dim:
         raise ValidationError("not Frobenius for this trace")
-    if check_invariance:
-        check_form_invariance(alg, gram)
     psi = nakayama_matrix(alg, gram)
     return FrobeniusStructure(alg, trace, delta, sigma, gram, psi)
 
@@ -110,25 +108,6 @@ def _transposed_products(alg: SuperAlgebra, side: str) -> list[Mat]:
 def _differences(u: Vec, v: Vec) -> list[int]:
     """Ascending indices where two sparse vectors (no stored zeros) differ."""
     return sorted(k for k in u.keys() | v.keys() if u.get(k) != v.get(k))
-
-
-def check_form_invariance(alg: SuperAlgebra, gram: Mat) -> None:
-    """Exhaustive audit of ``(e_i e_j, e_k) == (e_i, e_j e_k)`` over basis triples.
-
-    Evaluated row-sparse: for each ``(i, j)`` in lexicographic order both
-    sides are sparse vectors over ``k``, read through the Gram rows and the
-    transposed left multiplications.  Raises on the first failing triple.
-    """
-    rows = gram.transpose()  # rows.cols[t] == {k: (e_t, e_k)}
-    left = _transposed_products(alg, LEFT)
-    for i in range(alg.dim):
-        row_i = rows.cols.get(i, {})
-        for j in range(alg.dim):
-            lhs = rows.apply(alg.basis_product(i, j))
-            rhs = left[j].apply(row_i)
-            if lhs != rhs:
-                k = _differences(lhs, rhs)[0]
-                raise ValidationError(f"form not invariant at triple ({i},{j},{k})")
 
 
 def nakayama_matrix(alg: SuperAlgebra, gram: Mat) -> Mat:

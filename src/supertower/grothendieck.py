@@ -55,13 +55,11 @@ BasisKey = tuple[int, int]  # (level, index into the declared basis)
 
 @dataclass
 class GrothVector:
-    """A finitely supported combination of basis classes on one side."""
+    """A finitely supported combination of basis classes on one side, built
+    zero-free like every tensor and Heisenberg element, so it compares as a dict."""
 
     side: str
     entries: dict[BasisKey, GroundElem] = field(default_factory=dict)
-
-    def cleaned(self) -> "GrothVector":
-        return GrothVector(self.side, {k: c for k, c in self.entries.items() if not c.is_zero()})
 
     def add(self, other: "GrothVector") -> "GrothVector":
         if self.side != other.side:
@@ -70,11 +68,6 @@ class GrothVector:
 
     def scale(self, c: GroundElem) -> "GrothVector":
         return GrothVector(self.side, tensor_scale(self.entries, c))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GrothVector):
-            return NotImplemented
-        return self.side == other.side and tensor_eq(self.entries, other.entries)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.entries.values())
@@ -115,13 +108,6 @@ def nonzero(a: GrothTensor) -> GrothTensor:
 
 def tensor_scale(a: GrothTensor, c: GroundElem) -> GrothTensor:
     return {k: vc for k, v in a.items() if not (vc := v * c).is_zero()}
-
-
-def tensor_eq(a: GrothTensor, b: GrothTensor) -> bool:
-    """Equality of zero-free tensors: every vector, tensor and Heisenberg
-    element the package builds drops its zero coefficients, so the dicts
-    compare as they are."""
-    return a == b
 
 
 def tensor_repr(a: GrothTensor) -> str:
@@ -421,7 +407,7 @@ def check_twisted_bialgebra(layer: GrothLayer, side: str, max_level: int,
             rhs = star_chi(layer, layer.basis_delta(side, ka), layer.basis_delta(side, kb),
                            chi, side)
             records.append(CheckRecord(
-                f"twisted-bialgebra-{side}", (ka, kb, chi), tensor_eq(lhs, rhs),
+                f"twisted-bialgebra-{side}", (ka, kb, chi), lhs == rhs,
                 lhs=tensor_repr(lhs), rhs=tensor_repr(rhs),
             ))
     return records
@@ -540,7 +526,7 @@ def check_psi_invariance(layer: GrothLayer, max_level: int) -> list[CheckRecord]
             twisted = twist_module(decl.module, psi_inv)
             got = layer._restrict_classes(K_SIDE, (lv, i), twisted, pair_twist=True)
             records.append(CheckRecord(
-                "conjugated-coproduct-fixes-projectives", (lv, i), tensor_eq(got, expected),
+                "conjugated-coproduct-fixes-projectives", (lv, i), got == expected,
                 lhs=tensor_repr(got), rhs=tensor_repr(expected),
             ))
     return records

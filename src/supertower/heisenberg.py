@@ -34,7 +34,6 @@ from .grothendieck import (
     nonzero,
     tensor_accumulate,
     tensor_add,
-    tensor_eq,
     tensor_scale,
 )
 from .reporting import CheckRecord
@@ -86,11 +85,6 @@ class HeisenbergElem:
 
     def scale(self, c: GroundElem) -> "HeisenbergElem":
         return HeisenbergElem(tensor_scale(self.terms, c))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HeisenbergElem):
-            return NotImplemented
-        return tensor_eq(self.terms, other.terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -478,7 +472,7 @@ def check_faithfulness_truncated(double: HeisenbergDouble, max_level: int) -> li
             if m - x + a > window or m - x < 0:
                 continue
             image = double.fock_act(mono, layer.basis_vector(G_SIDE, m, 0))
-            for (lv, i), coeff in image.cleaned().entries.items():
+            for (lv, i), coeff in image.entries.items():
                 feature = (window + 1) * m + lv
                 for sign, row in ((1, row_p), (-1, row_m)):
                     ev = GroundElem({(e, 0): v for e, v in coeff.eval_pi(sign).items()}, coeff.mode)

@@ -7,9 +7,7 @@ product along the lexicographically minimal reduced word.  One table per
 level holds the sign of every left multiplication by a generator, filled
 in length order from shorter entries through one commutation (the parity
 sign) or one braid move (no sign); every product folds a canonical word
-over it.  Consistency of those signs is not assumed: the builder re-checks
-the defining relations and `validate_algebra` audits associativity on
-every generator-led triple.
+over it.
 
 The wreath family: a Frobenius base algebra tensored n-fold, extended by
 the symmetric group acting by superpermutations.  Each level keeps the
@@ -17,6 +15,9 @@ tensor power ``B^(x)n`` as a superalgebra, whose products carry the Koszul
 sign, and one table of how every permutation moves every tensor tuple and at
 what sign, filled in length order one adjacent swap at a time; a product is
 one table lookup and one tensor-power product.
+
+Neither family trusts its tables: every level is built with a certificate,
+read off them, that its product is associative.
 
 Both come with external multiplications, Frobenius data, level shifts, and
 the declared simple/projective supermodules that the decategorified layer
@@ -44,9 +45,12 @@ from .superalgebra import (
     hom_graded_dim,
     regular_module,
     tensor_algebra,
+    validate_algebra,
+    validate_automorphism,
 )
 
 Perm = tuple[int, ...]
+SignedStep = tuple[int, int] | None  # (sign, basis index), or None for zero
 
 # -- permutation combinatorics -------------------------------------------------
 
@@ -221,7 +225,7 @@ class SignedPermBasis:
         self.d = d
         self.eps = eps & 1
         self.perms, self.index, self.words, self.lengths = perm_tables(n)
-        self._left: list[list[tuple[int, int] | None]] = [[None] * len(self.perms)
+        self._left: list[list[SignedStep]] = [[None] * len(self.perms)
                                                           for _ in range(n - 1)]
         for i, v in enumerate(self.perms):
             for k in range(n - 1):
@@ -283,14 +287,21 @@ class SignedPermBasis:
 def build_nilcoxeter(n: int, d: int, eps: int) -> tuple[SuperAlgebra, SignedPermBasis]:
     """The signed nilCoxeter algebra on n strands with generator degree (d, eps).
 
-    Dimension n!; products are read off the basis's sign table.  The
-    defining relations are re-checked on the table and a failure raises the
-    cocycle-inconsistency error (associativity is audited separately by
-    ``validate_algebra``).
+    Dimension n!; a product folds the left factor's canonical word over the
+    sign table.  The table is certified first: the operators ``L_k: e_v ->
+    _left[k][v]`` satisfy the defining relations on every basis vector and
+    every first-letter entry is +1, so ``x -> x e_1`` is an isomorphism from
+    the presented algebra (spanned by n! reduced words) and the table's
+    product is the transported, associative one.  Failures raise ``CocycleError``.
     """
     if n < 1:
         raise ValueError("nilCoxeter towers start at one strand")
     basis = SignedPermBasis(n, d, eps)
+    check_coxeter_relations(basis._left, nil=True, distant_sign=-1 if basis.eps else 1)
+    for w in basis.perms[1:]:
+        j = basis.words[w][0]
+        if basis._left[j][basis.index[apply_s(w, j)]] != (1, basis.index[w]):
+            raise CocycleError("cocycle inconsistent: a first-letter entry is not +1")
     labels = ["u[" + ",".join(str(i + 1) for i in basis.words[p]) + "]" if basis.words[p] else "1"
               for p in basis.perms]
     degrees = [basis.degree(p) for p in basis.perms]
@@ -308,28 +319,35 @@ def build_nilcoxeter(n: int, d: int, eps: int) -> tuple[SuperAlgebra, SignedPerm
         product_fn=product, generators=gens,
         name=f"nilcoxeter(n={n},d={d},eps={eps})",
     )
-    _check_nilcoxeter_relations(alg, basis)
     return alg, basis
 
 
-def _check_nilcoxeter_relations(alg: SuperAlgebra, basis: SignedPermBasis) -> None:
-    n = basis.n
-    e = identity_perm(n)
-    gen = [basis.index[apply_s(e, i)] for i in range(n - 1)]
-    sign = -1 if basis.eps else 1
-    for i in range(n - 1):
-        if alg.basis_product(gen[i], gen[i]):
-            raise CocycleError("cocycle inconsistent: generator square is nonzero")
-        for j in range(n - 1):
-            if abs(i - j) > 1:
-                lhs = alg.basis_product(gen[i], gen[j])
-                rhs = {k: sign * c for k, c in alg.basis_product(gen[j], gen[i]).items()}
-                if lhs != rhs:
+def _after(op: list[SignedStep], got: SignedStep) -> SignedStep:
+    """The operator ``op`` applied to ``sign * e_t`` for ``got == (sign, t)``; None is zero."""
+    if got is None:
+        return None
+    step = op[got[1]]
+    return None if step is None else (got[0] * step[0], step[1])
+
+
+def check_coxeter_relations(ops: list[list[SignedStep]], nil: bool, distant_sign: int) -> None:
+    """Raise ``CocycleError`` unless, on every basis vector, the signed partial
+    permutations ``ops`` (``ops[k][v]`` is ``(sign, t)`` for ``e_v -> sign
+    e_t``, None for zero) square to zero (``nil``) or one, commute at
+    distance up to ``distant_sign`` and satisfy the braid relation."""
+    for k, op in enumerate(ops):
+        for v, step in enumerate(op):
+            if _after(op, step) != (None if nil else (1, v)):
+                raise CocycleError("cocycle inconsistent: a generator square fails")
+        for other in ops[k + 2:]:
+            for v in range(len(op)):
+                ab, ba = _after(op, other[v]), _after(other, op[v])
+                if ab != (ba and (distant_sign * ba[0], ba[1])):
                     raise CocycleError("cocycle inconsistent: distant commutation fails")
-            if j == i + 1:
-                lhs = alg.product_vec(alg.basis_product(gen[i], gen[j]), {gen[i]: 1})
-                rhs = alg.product_vec(alg.basis_product(gen[j], gen[i]), {gen[j]: 1})
-                if lhs != rhs:
+        if k + 1 < len(ops):
+            nxt = ops[k + 1]
+            for v in range(len(op)):
+                if _after(op, _after(nxt, op[v])) != _after(nxt, _after(op, nxt[v])):
                     raise CocycleError("cocycle inconsistent: braid relation fails")
 
 
@@ -339,7 +357,7 @@ def nilcoxeter_frobenius(alg: SuperAlgebra, basis: SignedPermBasis) -> Frobenius
     ell = basis.lengths[w0]
     trace = {basis.index[w0]: 1}
     return check_frobenius(alg, trace, basis.d * ell, (basis.eps * ell) & 1,
-                           check_invariance=(basis.n <= 6), partners=basis.gram_partners)
+                           partners=basis.gram_partners)
 
 
 # -- wreath product algebras -----------------------------------------------------
@@ -446,6 +464,13 @@ def build_wreath(base_frob: FrobeniusStructure,
     ``basis`` is the level's ``WreathBasis(base_frob.algebra, n)``; a tower
     shares one per level, so its tables and tensor-power products are filled
     once.
+
+    ``act`` is certified first: the identity row is the identity, every row
+    is its first letter's row after the shorter permutation's, and the
+    generator rows satisfy the Coxeter relations and are automorphisms of
+    ``tensor``.  So the product is a smash product by an action, associative
+    as ``tensor`` is (``build_wreath_tower`` validates the base).  Failures
+    raise ``CocycleError``.
     """
     n = basis.n
     if n < 1:
@@ -455,6 +480,18 @@ def build_wreath(base_frob: FrobeniusStructure,
     nf = len(perms)
     e = identity_perm(n)
     er = perm_index[e]
+    generator_rows = [act[perm_index[apply_s(e, k)]] for k in range(n - 1)]
+    if act[er] != [(1, t) for t in range(tensor.dim)]:
+        raise CocycleError("cocycle inconsistent: the identity permutation moves a tuple")
+    for v in perms[1:]:
+        k = basis.words[v][0]
+        if act[perm_index[v]] != [_after(generator_rows[k], s) for s in act[perm_index[apply_s(v, k)]]]:
+            raise CocycleError("cocycle inconsistent: a permutation row is not the product of its letters")
+    check_coxeter_relations(generator_rows, nil=False, distant_sign=1)
+    for row in generator_rows:
+        tau = Mat(tensor.dim, tensor.dim, {t: {u: sign} for t, (sign, u) in enumerate(row)})
+        if not validate_automorphism(tensor, tau).ok:
+            raise CocycleError("cocycle inconsistent: a transposition is not an automorphism")
 
     labels = []
     for t in basis.tuples:
@@ -491,8 +528,7 @@ def build_wreath(base_frob: FrobeniusStructure,
         if val:
             trace[ti * nf + w0] = val
     frob = check_frobenius(
-        alg, trace, n * base_frob.delta, (n * base_frob.sigma) & 1,
-        check_invariance=(alg.dim <= 64), partners=basis.gram_partners,
+        alg, trace, n * base_frob.delta, (n * base_frob.sigma) & 1, partners=basis.gram_partners,
     )
     return alg, frob
 
@@ -788,6 +824,10 @@ def build_wreath_tower(base_frob: FrobeniusStructure, n_max: int) -> TowerSpec:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    report = validate_algebra(base_frob.algebra)
+    if not report.ok:
+        kind, idx = report.violations[0]
+        raise ValidationError(f"base algebra invalid: {kind} at {idx}")
     algebras: list[SuperAlgebra] = [trivial_level_algebra()]
     frob: list[FrobeniusStructure | None] = [
         check_frobenius(algebras[0], {0: 1}, 0, 0)

@@ -1,15 +1,18 @@
 """Tools the tests share that the verifier itself never runs.
 
 Module shifts, the all-pairs module validator, induction by row reduction
-alone, the identity hom, the matrix sum, scale, product and zero test, the
-permutation list, the nilCoxeter straightening, the wreath sign rules, the
-Cartan map, the unmemoised smash product and Fock action and a failure
-filter, plus the exterior-superalgebra base file.  No ``verify``, ``weyl`` or ``build`` run
+alone, the form-invariance audit that associativity implies, the identity
+hom, the matrix sum, scale, product and zero test, the permutation list,
+the nilCoxeter straightening, the wreath sign rules, the Cartan map, the
+unmemoised smash product and Fock action and a failure filter, plus the
+exterior-superalgebra base file.  No ``verify``, ``weyl`` or ``build`` run
 calls them, so they live with the tests.
 """
 
 import functools
 
+from supertower.errors import ValidationError
+from supertower.frobenius import _differences, _transposed_products
 from supertower.grothendieck import (
     G_SIDE,
     K_SIDE,
@@ -105,6 +108,25 @@ def all_perms(n: int) -> list[Perm]:
 
 def identity_hom(alg: SuperAlgebra) -> AlgebraHom:
     return AlgebraHom(alg, alg, [{i: 1} for i in range(alg.dim)], name=f"id({alg.name})")
+
+
+def check_form_invariance(alg: SuperAlgebra, gram: Mat) -> None:
+    """Exhaustive audit of ``(e_i e_j, e_k) == (e_i, e_j e_k)`` over basis triples.
+
+    Evaluated row-sparse: for each ``(i, j)`` in lexicographic order both
+    sides are sparse vectors over ``k``, read through the Gram rows and the
+    transposed left multiplications.  Raises on the first failing triple.
+    """
+    rows = gram.transpose()  # rows.cols[t] == {k: (e_t, e_k)}
+    left = _transposed_products(alg, LEFT)
+    for i in range(alg.dim):
+        row_i = rows.cols.get(i, {})
+        for j in range(alg.dim):
+            lhs = rows.apply(alg.basis_product(i, j))
+            rhs = left[j].apply(row_i)
+            if lhs != rhs:
+                k = _differences(lhs, rhs)[0]
+                raise ValidationError(f"form not invariant at triple ({i},{j},{k})")
 
 
 def shift_module(mod: SuperModule, n: int, s: int = 0) -> SuperModule:

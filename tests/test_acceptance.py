@@ -29,7 +29,6 @@ from supertower.grothendieck import (
     check_adjunction_kappa,
     check_hopf_pairing,
     check_twisted_bialgebra,
-    tensor_eq,
 )
 from supertower.heisenberg import (
     HeisenbergDouble,
@@ -180,7 +179,7 @@ def test_criterion_09_coproduct_coefficients(layer6_10):
     for n in range(7):
         got = layer6_10.basis_delta(G_SIDE, (n, 0))
         expected = {((k, 0), (n - k, 0)): layer6_10.one() for k in range(n + 1)}
-        ok = ok and tensor_eq(got, expected)
+        ok = ok and got == expected
     for n in range(7):
         for k in range(n + 1):
             # positive multiplicity series recovered from the explicit restriction

@@ -9,10 +9,9 @@ from math import comb
 import pytest
 
 from supertower.cli import RunConfig, build_tower
-from supertower.errors import InternalInconsistencyError, ValidationError
+from supertower.errors import CocycleError, InternalInconsistencyError, ValidationError
 from supertower.frobenius import (
     check_dual_iso,
-    check_form_invariance,
     check_frobenius,
     frobenius_tensor,
     tensor_nakayama_matrix,
@@ -20,6 +19,7 @@ from supertower.frobenius import (
 from supertower.linalg import Mat, solve
 from supertower.superalgebra import Degree
 from supertower.towers import (
+    SignedPermBasis,
     WreathBasis,
     apply_s,
     build_nilcoxeter,
@@ -32,7 +32,7 @@ from supertower.towers import (
     wreath_nakayama_closed_form,
 )
 
-from support import EXTERIOR_BASE, all_perms, entry
+from support import EXTERIOR_BASE, all_perms, check_form_invariance, entry
 
 
 @pytest.fixture(scope="module")
@@ -328,15 +328,58 @@ class TestSparseAuditsMatchDenseOracles:
             assert violations
 
 
+@pytest.mark.parametrize("desc", [
+    {"nilcoxeter": {"n_max": 6, "d": 1, "eps": 0}},
+    {"nilcoxeter": {"n_max": 6, "d": 1, "eps": 1}},
+    {"wreath": {"base": "clifford", "n_max": 3}},
+    {"wreath": {"base": "exterior.json", "n_max": 2}},
+], ids=["nilcoxeter-eps0", "nilcoxeter-eps1", "clifford", "exterior"])
+def test_every_built_level_passes_certificate_and_oracle(desc, tmp_path, monkeypatch):
+    """The build certifies each level from its tables, and the invariance audit agrees."""
+    import supertower.towers as towers
+
+    if desc.get("wreath", {}).get("base") == "exterior.json":
+        path = tmp_path / "exterior.json"
+        path.write_text(json.dumps(EXTERIOR_BASE))
+        desc = {"wreath": {"base": str(path), "n_max": 2}}
+    certified = []
+    check = towers.check_coxeter_relations
+
+    def counted(ops, nil, distant_sign):
+        certified.append(len(ops))
+        check(ops, nil, distant_sign)
+
+    monkeypatch.setattr(towers, "check_coxeter_relations", counted)
+    tower = build_tower(RunConfig(descriptor=desc, suites=["axioms"]))
+    assert certified == list(range(tower.n_max))
+    for frob in tower.frobenius[1:]:
+        check_form_invariance(frob.algebra, frob.gram)
+
+
 class TestInvarianceMutation:
-    def test_corrupted_structure_constant_caught_at_level5(self):
+    def test_corrupted_structure_constant_caught_at_level5(self, monkeypatch):
         alg, basis = build_nilcoxeter(5, 1, 1)
+        gram = nilcoxeter_frobenius(alg, basis).gram
         s1, s2 = (basis.index[apply_s(identity_perm(5), i)] for i in (0, 1))
         alg.struct_consts()
         # u_1 u_2 is a basis element of length 2, so the Gram matrix does not read it
         alg._products[(s1, s2)] = {k: -c for k, c in alg.basis_product(s1, s2).items()}
         with pytest.raises(ValidationError, match="form not invariant at triple"):
+            check_form_invariance(alg, gram)
+        # the solved Nakayama map of the corrupted algebra is not multiplicative
+        with pytest.raises(InternalInconsistencyError, match="not an automorphism"):
             nilcoxeter_frobenius(alg, basis)
+        # the same sign negated in the table, the entry behind u_1 u_2, fails the build
+        init = SignedPermBasis.__init__
+
+        def negated(self, n, d, eps):
+            init(self, n, d, eps)
+            sign, tgt = self._left[0][s2]
+            self._left[0][s2] = (-sign, tgt)
+
+        monkeypatch.setattr(SignedPermBasis, "__init__", negated)
+        with pytest.raises(CocycleError):
+            build_nilcoxeter(5, 1, 1)
 
 
 # -- the dim^2 Gram loop and the per-column Nakayama solve, kept as oracles -------

@@ -24,7 +24,6 @@ from supertower.grothendieck import (
     check_psi_invariance,
     check_twisted_bialgebra,
     module_head_genfn,
-    tensor_eq,
 )
 from supertower.linalg import Mat
 from supertower.reporting import all_passed
@@ -126,7 +125,7 @@ class TestCoproduct:
         for n in range(5):
             got = layer6_10.basis_delta(G_SIDE, (n, 0))
             expected = {((k, 0), (n - k, 0)): layer6_10.one() for k in range(n + 1)}
-            assert tensor_eq(got, expected)
+            assert got == expected
 
     def test_projective_side_barred_binomial(self, layer6_10):
         c = TwistScalar(1, 0)
@@ -136,7 +135,7 @@ class TestCoproduct:
                 ((k, 0), (n - k, 0)): bar_involution(qpi_binomial(n, k, c))
                 for k in range(n + 1)
             }
-            assert tensor_eq(got, expected)
+            assert got == expected
 
     def test_positive_multiplicities_from_heads(self, layer6_10):
         c = TwistScalar(1, 0)
@@ -177,7 +176,7 @@ class TestCoproduct:
             for n in range(5):
                 d = layer6_11.basis_delta(side, (n, 0))
                 flipped = {(kb, ka): c for (ka, kb), c in d.items()}
-                assert tensor_eq(d, flipped)
+                assert d == flipped
 
     def test_counit(self, layer6_11):
         one = layer6_11.one()

@@ -108,7 +108,9 @@ FORCED_INVARIANTS = "\n".join([
     "from supertower.grothendieck import module_head_genfn",
     "from supertower.linalg import Mat",
     "from supertower.superalgebra import Degree, SuperModule",
-    "from supertower.towers import SignedPermBasis, apply_s, build_nilcoxeter, identity_perm",
+    "from supertower.towers import (",
+    "    SignedPermBasis, WreathBasis, apply_s, build_nilcoxeter, build_wreath, clifford_base,",
+    "    identity_perm)",
     "def forced(label, fn):",
     "    try:",
     "        fn()",
@@ -128,6 +130,17 @@ FORCED_INVARIANTS = "\n".join([
     "SignedPermBasis.__init__ = flipped",
     "forced('table', lambda: build_nilcoxeter(4, 1, 1))",
     "SignedPermBasis.__init__ = init",
+    # one flipped sign of a seeded entry of the Clifford level-3 act table
+    "wreath_init = WreathBasis.__init__",
+    "def act_flipped(self, base, n):",
+    "    wreath_init(self, base, n)",
+    "    p = random.Random(13).randrange(len(self.act))",
+    "    sign, u = self.act[p][0]",
+    "    self.act[p][0] = (-sign, u)",
+    "WreathBasis.__init__ = act_flipped",
+    "cl = clifford_base()",
+    "forced('act', lambda: build_wreath(cl, WreathBasis(cl.algebra, 3)))",
+    "WreathBasis.__init__ = wreath_init",
     # u_0 sends the degree-zero vector into two different degrees
     "alg, _ = build_nilcoxeter(2, 1, 1)",
     "gen = alg.generating_set()[0]",
@@ -146,35 +159,49 @@ def test_forced_invariants_raise(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", FORCED_INVARIANTS],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "table CocycleError\nhead InternalInconsistencyError\n"
+    assert proc.stdout == "table CocycleError\nact CocycleError\nhead InternalInconsistencyError\n"
 
 
 def test_every_single_table_flip_is_rejected(monkeypatch):
-    """Each sign of the n = 4, eps = 1 table, flipped alone, is caught.
+    """Each sign of the n = 4 table, flipped alone, fails the build's certificate,
+    and so does a doubled sign at n = 5.
 
-    The relation check reads the six signs that complete a distant
-    commutation or a braid; ``validate_algebra`` catches the others.
+    ``validate_algebra`` agrees that none of the flipped tables is associative.
     """
-    entries = [(k, i) for k, row in enumerate(SignedPermBasis(4, 1, 1)._left)
-               for i, step in enumerate(row) if step is not None]
-    assert len(entries) == 36
     init = SignedPermBasis.__init__
-    by_relations, by_audit = [], []
-    for k, i in entries:
-        def flipped(self, n, d, eps, k=k, i=i):
-            init(self, n, d, eps)
-            sign, tgt = self._left[k][i]
-            self._left[k][i] = (-sign, tgt)
+    for eps in (0, 1):
+        entries = [(k, i) for k, row in enumerate(SignedPermBasis(4, 1, eps)._left)
+                   for i, step in enumerate(row) if step is not None]
+        assert len(entries) == 36
+        for k, i in entries:
+            def flipped(self, n, d, eps, k=k, i=i):
+                init(self, n, d, eps)
+                sign, tgt = self._left[k][i]
+                self._left[k][i] = (-sign, tgt)
 
-        monkeypatch.setattr(SignedPermBasis, "__init__", flipped)
-        try:
-            alg, _ = build_nilcoxeter(4, 1, 1)
-        except CocycleError:
-            by_relations.append((k, i))
-            continue
-        assert not validate_algebra(alg).ok, (k, i)
-        by_audit.append((k, i))
-    assert (len(by_relations), len(by_audit)) == (6, 30)
+            monkeypatch.setattr(SignedPermBasis, "__init__", flipped)
+            with pytest.raises(CocycleError):
+                build_nilcoxeter(4, 1, eps)
+            monkeypatch.setattr(SignedPermBasis, "__init__", init)
+            # products are read off the table lazily, so flipping a built
+            # table in place hands the flipped product to the oracle
+            alg, basis = build_nilcoxeter(4, 1, eps)
+            sign, tgt = basis._left[k][i]
+            basis._left[k][i] = (-sign, tgt)
+            assert not validate_algebra(alg).ok, (eps, k, i)
+    # a sign of 2 in the n = 5 table, away from the first-letter entries
+    basis = SignedPermBasis(5, 1, 1)
+    k, i = next((k, i) for k, row in enumerate(basis._left) for i, step in enumerate(row)
+                if step is not None and basis.words[basis.perms[step[1]]][0] != k)
+
+    def doubled(self, n, d, eps):
+        init(self, n, d, eps)
+        sign, tgt = self._left[k][i]
+        self._left[k][i] = (2 * sign, tgt)
+
+    monkeypatch.setattr(SignedPermBasis, "__init__", doubled)
+    with pytest.raises(CocycleError):
+        build_nilcoxeter(5, 1, 1)
 
 
 # each snippet misuses a library entry point; the guard must raise ValueError

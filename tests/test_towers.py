@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 
-from supertower.errors import SupertowerError, ValidationError
+from supertower.errors import CocycleError, ValidationError
 from supertower.ground import GroundElem, TwistScalar, qpi_factorial
 from supertower.linalg import Mat, rank_of_rows
 from supertower.reporting import all_passed
@@ -259,7 +259,8 @@ class TestWreathBuild:
         assert len(built) == 4
 
     def test_every_single_act_flip_is_rejected(self, monkeypatch):
-        """Each sign of the Clifford level-2 and level-3 act tables, flipped alone, is caught."""
+        """Each sign of the Clifford level-2 and level-3 act tables, flipped alone, fails
+        the build, and so does a doubled sign in a generator row at level 4."""
         cl = clifford_base()
         init = WreathBasis.__init__
         for n, count in ((2, 8), (3, 48)):
@@ -273,11 +274,19 @@ class TestWreathBuild:
                     self.act[p][t] = (-sign, u)
 
                 monkeypatch.setattr(WreathBasis, "__init__", flipped)
-                try:
-                    alg, _ = build_wreath(cl, WreathBasis(cl.algebra, n))
-                except SupertowerError:
-                    continue
-                assert not validate_algebra(alg).ok, (n, p, t)
+                with pytest.raises(CocycleError):
+                    build_wreath(cl, WreathBasis(cl.algebra, n))
+
+        # a sign of 2 in a transposition's row of the Sergeev level-4 table
+        def doubled(self, base, n):
+            init(self, base, n)
+            p = self.perm_index[apply_s(identity_perm(4), 1)]
+            sign, u = self.act[p][5]
+            self.act[p][5] = (2 * sign, u)
+
+        monkeypatch.setattr(WreathBasis, "__init__", doubled)
+        with pytest.raises(CocycleError):
+            build_wreath(cl, WreathBasis(cl.algebra, 4))
 
 
 class TestTowerChecks:
