@@ -388,7 +388,7 @@ def check_general_relation(double: HeisenbergDouble, max_level: int) -> list[Che
                 b = layer.basis_vector(G_SIDE, lb, 0)
                 xv = layer.basis_vector(K_SIDE, *kx)
                 lhs = double.regular_action(xv, layer.nabla(a, b))
-                rhs = GrothVector(G_SIDE)
+                rhs: dict[BasisKey, GroundElem] = {}
                 for (kx1, kx2), cx in dx.items():
                     act_a = double.regular_action(layer.basis_vector(K_SIDE, *kx1), a)
                     act_b = double.regular_action(layer.basis_vector(K_SIDE, *kx2), b)
@@ -401,8 +401,8 @@ def check_general_relation(double: HeisenbergDouble, max_level: int) -> list[Che
                         + c1 * kx1[0] * (lb - kx2[0])
                         + c2 * (la - kx1[0]) * kx2[0]
                     )
-                    rhs = rhs.add(layer.nabla(act_a, act_b).scale(cx * layer.scalar(exp)))
-                if lhs != rhs:
+                    tensor_accumulate(rhs, layer.nabla(act_a, act_b).entries, cx * layer.scalar(exp))
+                if lhs != GrothVector(G_SIDE, nonzero(rhs)):
                     ok = False
                     if first is None:
                         first = (lx, la, lb)

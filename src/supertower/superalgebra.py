@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
 from .ground import FULL, GroundElem
@@ -211,12 +211,13 @@ def tensor_algebra(a: SuperAlgebra, b: SuperAlgebra, name: str = "") -> SuperAlg
     for ia, ca in a.unit.items():
         for ib, cb in b.unit.items():
             unit[ia * dim_b + ib] = ca * cb
-    # g (x) 1 and 1 (x) h are basis vectors only when both units are
+    # the slot generators g (x) 1 and 1 (x) h are basis vectors only when
+    # both units are; a factor without declared generators lends its basis
     gens = None
-    if a.generators is not None and b.generators is not None and \
-            list(a.unit.values()) == list(b.unit.values()) == [1]:
+    if list(a.unit.values()) == list(b.unit.values()) == [1]:
         (ua,), (ub,) = a.unit, b.unit
-        gens = [g * dim_b + ub for g in a.generators] + [ua * dim_b + g for g in b.generators]
+        gens = [g * dim_b + ub for g in a.generating_set() if g != ua] + \
+            [ua * dim_b + g for g in b.generating_set() if g != ub]
     return SuperAlgebra(
         labels, degrees, unit, product_fn=product, generators=gens,
         name=name or f"{a.name}(x){b.name}",
@@ -224,11 +225,11 @@ def tensor_algebra(a: SuperAlgebra, b: SuperAlgebra, name: str = "") -> SuperAlg
 
 
 class AlgebraHom:
-    """A graded homomorphism given by the image of every source basis element.
+    """A unital graded homomorphism given by the image of every source basis element.
 
-    The unit need not map to the target unit; its image must be an even
-    degree-zero idempotent.  ``validate`` checks leading factors times every
-    basis element; the unit rows make that sound for non-unital maps.
+    ``validate`` checks degrees, that the unit maps to the target unit, as
+    the tower axiom TA2 asks, and multiplicativity on leading factors times
+    every basis element.
     """
 
     def __init__(self, source: SuperAlgebra, target: SuperAlgebra, images: Sequence[Vec], name: str = ""):
@@ -255,18 +256,14 @@ class AlgebraHom:
             for k, c in self.images[i].items():
                 if c and self.target.degrees[k] != di:
                     bad.append(("degree preservation", (i, k)))
+        if self.unit_image() != self.target.unit:
+            bad.append(("unit preservation", ()))
         for a in self.source.leading_factors():
             for b in range(self.source.dim):
                 lhs = self.apply_vec(self.source.basis_product(a, b))
                 rhs = self.target.product_vec(self.images[a], self.images[b])
                 if lhs != rhs:
                     bad.append(("multiplicativity", (a, b)))
-        e = self.unit_image()
-        if self.target.product_vec(e, e) != e:
-            bad.append(("unit image idempotent", ()))
-        for k, c in e.items():
-            if c and self.target.degrees[k] != Degree(0, 0):
-                bad.append(("unit image degree", (k,)))
         return ValidationReport(self.name, bad)
 
 
@@ -554,165 +551,77 @@ def outer_tensor(
     )
 
 
-class Subspace:
-    """A subspace of an ambient sparse vector space with coordinate solving.
-
-    The basis is the deterministic independent subset of the spanning
-    vectors (first-nonzero-column pivoting order).
-    """
-
-    def __init__(self, spanning: Iterable[Vec], ambient_dim: int):
-        self.ambient_dim = ambient_dim
-        self.basis: list[Vec] = []
-        # rows (v | e_k): every pivot lies in an ambient column, so a vector
-        # is in the span iff it reduces to the coordinate columns alone
-        self._el = Eliminator()
-        for v in spanning:
-            if self.coords(v) is None:
-                aug = dict(v)
-                aug[ambient_dim + len(self.basis)] = 1
-                self._el.add_row(aug)
-                self.basis.append(dict(v))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def coords(self, w: Vec) -> Vec | None:
-        """Coordinates of ``w`` in the subspace basis, or None if outside."""
-        red = self._el.reduce(dict(w))
-        coords: Vec = {}
-        for k, c in red.items():
-            if k < self.ambient_dim:
-                return None
-            coords[k - self.ambient_dim] = -c
-        return coords
-
-
-def homogeneous_degree(v: Vec, degrees: Sequence[Degree]) -> Degree:
-    """The one degree shared by the support of a corner basis vector."""
-    degs = {degrees[i] for i in v}
-    if len(degs) != 1:
-        raise InternalInconsistencyError("inhomogeneous corner basis vector")
-    return degs.pop()
-
-
 def restrict_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperModule:
-    """Restriction along ``phi``: the corner ``phi(1) M`` with the pulled-back action."""
+    """Restriction along the unital map ``phi``: the same space, the pulled-back action."""
     if mod.side != LEFT:
         raise ValueError("restriction needs a left module")
-    target, source = phi.target, phi.source
-    if mod.algebra is not target:
+    if mod.algebra is not phi.target:
         raise ValueError("restriction needs a module over the target of phi")
-    e = phi.unit_image()
-    if e == target.unit:
-        # unital homomorphism: same underlying space
-        def action(b: int) -> Mat:
-            return mod.act_vec(phi.images[b])
-
-        return SuperModule(
-            source, mod.degrees, action_fn=action, side=LEFT,
-            name=name or f"res({mod.name})",
-        )
-    emat = mod.act_vec(e)
-    spanning = [emat.col(j) for j in range(mod.dim) if emat.cols.get(j)]
-    sub = Subspace(spanning, mod.dim)
-
-    degrees = [homogeneous_degree(v, mod.degrees) for v in sub.basis]
+    if phi.unit_image() != phi.target.unit:
+        raise ValueError("restriction needs a unital map")
 
     def action(b: int) -> Mat:
-        bmat = mod.act_vec(phi.images[b])
-        out = Mat(sub.dim, sub.dim)
-        for j, base in enumerate(sub.basis):
-            img = bmat.apply(base)
-            coords = sub.coords(img)
-            if coords is None:
-                raise InternalInconsistencyError("corner not stable under restricted action")
-            if coords:
-                out.cols[j] = coords
-        return out
+        return mod.act_vec(phi.images[b])
 
-    return SuperModule(source, degrees, action_fn=action, side=LEFT, name=name or f"res({mod.name})")
+    return SuperModule(
+        phi.source, mod.degrees, action_fn=action, side=LEFT,
+        name=name or f"res({mod.name})",
+    )
 
 
 def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperModule:
-    """Induction along ``phi``: the corner tensored over the source.
+    """Induction along the unital map ``phi: B -> A``: the module ``A (x)_B N``.
 
-    The result is ``(A phi(1)) (x)_B N`` presented as the quotient of
-    ``corner (x) N`` by the span of ``a phi(b) (x) n  -  a (x) b n`` with
-    ``b`` running over a generating set.  When every ``a phi(b)``, in corner
-    coordinates, and every column of every generator's action has at most
+    The result is presented as the quotient of ``A (x) N`` by the span of
+    ``a phi(b) (x) n  -  a (x) b n`` with ``a`` running over the basis of
+    ``A`` and ``b`` over a generating set of ``B``.  When every
+    ``a phi(b)`` and every column of every generator's action has at most
     one entry, equal to ±1, each relation reads ``x_i = ±x_j`` or
     ``x_i = 0``, and a ``SignedQuotient`` takes them as they are; the
     signed-permutation bases of the towers make this the common case.  Any
     other module goes through an ``Eliminator``.  Both give the quotient
     basis of first-nonzero-column pivoting, so the result is reproducible
-    and does not depend on the route.
+    and does not depend on the route.  The regular module of ``B`` induces
+    to the regular module of ``A``.
     """
     if mod.side != LEFT:
         raise ValueError("induction needs a left module")
     source, target = phi.source, phi.target
     if mod.algebra is not source:
         raise ValueError("induction needs a module over the source of phi")
-
-    e = phi.unit_image()
-    unital = e == target.unit
-    if unital:
-        corner_degrees = list(target.degrees)
-        corner_dim = target.dim
-
-        def corner_times(v: Vec) -> list[Vec]:
-            if len(v) == 1:
-                ((i, coeff),) = v.items()
-                if coeff == 1:  # one table lookup per corner vector
-                    product = target.basis_product
-                    return [product(c, i) for c in range(corner_dim)]
-            return [target.product_vec({c: 1}, v) for c in range(corner_dim)]
-
-        def corner_left_mult(a: int, c: int) -> Vec:
-            return target.basis_product(a, c)
-    else:
-        rm_e = [target.product_vec({j: 1}, e) for j in range(target.dim)]
-        sub = Subspace([v for v in rm_e if v], target.dim)
-        corner_dim = sub.dim
-
-        corner_degrees = [homogeneous_degree(v, target.degrees) for v in sub.basis]
-
-        def corner_coords(w: Vec) -> Vec:
-            got = sub.coords(w)
-            if got is None:
-                raise InternalInconsistencyError("product left the corner")
-            return got
-
-        def corner_times(v: Vec) -> list[Vec]:
-            return [corner_coords(target.product_vec(w, v)) for w in sub.basis]
-
-        def corner_left_mult(a: int, c: int) -> Vec:
-            return corner_coords(target.product_vec({a: 1}, sub.basis[c]))
-
-    # special case: inducing the regular module of the source gives the corner
-    if mod.regular and unital:
+    if phi.unit_image() != target.unit:
+        raise ValueError("induction needs a unital map")
+    if mod.regular:
         return regular_module(target, name=name or f"ind({mod.name})")
 
     nd = mod.dim
+    product = target.basis_product
     gens = [b for b in source.generating_set() if not source.unit.get(b)]
-    # per generator b: a phi(b) in corner coordinates for every corner vector a
-    lefts = [corner_times(phi.images[b]) for b in gens]
+    # per generator b: a phi(b) for every basis vector a of the target, one
+    # table lookup each when phi(b) is a basis vector
+    lefts = []
+    for b in gens:
+        image = phi.images[b]
+        if list(image.values()) == [1]:
+            (i,) = image
+            lefts.append([product(a, i) for a in range(target.dim)])
+        else:
+            lefts.append([target.product_vec({a: 1}, image) for a in range(target.dim)])
     acts = [mod.act(b) for b in gens]
-    relations = _signed_relations(lefts, acts, corner_dim * nd, nd)
+    relations = _signed_relations(lefts, acts, target.dim * nd, nd)
     if relations is not None:
         free = relations.free()
     else:
         relations = _eliminated_relations(lefts, acts, nd)
-        free = [k for k in range(corner_dim * nd) if k not in relations.pivots]
+        free = [k for k in range(target.dim * nd) if k not in relations.pivots]
     free_pos = {k: t for t, k in enumerate(free)}
-    degrees = [corner_degrees[k // nd] + mod.degrees[k % nd] for k in free]
+    degrees = [target.degrees[k // nd] + mod.degrees[k % nd] for k in free]
 
     def action(a: int) -> Mat:
         out = Mat(len(free), len(free))
         for t, k in enumerate(free):
             c, n = divmod(k, nd)
-            lifted = {cc * nd + n: coeff for cc, coeff in corner_left_mult(a, c).items()}
+            lifted = {cc * nd + n: coeff for cc, coeff in product(a, c).items()}
             col = {free_pos[k2]: v for k2, v in relations.reduce(lifted).items()}
             if col:
                 out.cols[t] = col
@@ -724,11 +633,12 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
 def _signed_relations(lefts: list[list[Vec]], acts: list[Mat], flat_dim: int,
                       nd: int) -> SignedQuotient | None:
     """The induction relations as signed edges, or None unless every
-    corner product and every action column has at most one entry, ±1; the
-    corner products of a generator that kills the module may have any one
+    product ``a phi(b)`` and every action column has at most one entry, ±1;
+    the products of a generator that kills the module may have any one
     coefficient.
 
-    Corner ``c`` and module vector ``n`` sit in flat column ``c * nd + n``.
+    Target basis vector ``c`` and module vector ``n`` sit in flat column
+    ``c * nd + n``.
     The relation ``s_l x_p - s x_q`` of ``a phi(b) = s_l x_p`` and
     ``b n = s x_q`` reads ``x_p = s_l s x_q``; a missing side makes it a kill.
     """
@@ -749,7 +659,7 @@ def _signed_relations(lefts: list[list[Vec]], acts: list[Mat], flat_dim: int,
         moves_by_gen.append(moves)
     quot = SignedQuotient(flat_dim)
     kill, relate = quot.kill, quot.relate
-    # corner vectors cc with every cc (x) n killed: where some b kills the
+    # target basis vectors cc with every cc (x) n killed: where some b kills the
     # module, each relation is the single term a phi(b) (x) n, which kills
     # its column whatever its coefficient
     hit: set[int] = set()
@@ -784,7 +694,8 @@ def _signed_relations(lefts: list[list[Vec]], acts: list[Mat], flat_dim: int,
 
 
 def _eliminated_relations(lefts: list[list[Vec]], acts: list[Mat], nd: int) -> Eliminator:
-    """The induction relation rows, reduced in the order generator, corner, module vector."""
+    """The induction relation rows, reduced in the order generator, target
+    basis vector, module vector."""
     relations = Eliminator()
     for left_b, bn in zip(lefts, acts):
         for c, left in enumerate(left_b):
@@ -804,16 +715,14 @@ def _eliminated_relations(lefts: list[list[Vec]], acts: list[Mat], nd: int) -> E
 def validate_automorphism(alg: SuperAlgebra, tau: Mat) -> ValidationReport:
     """Check that ``tau`` is a degree-preserving invertible algebra map.
 
-    ``AlgebraHom.validate`` checks degrees and multiplicativity; rank and
-    unit preservation are checked here.
+    ``AlgebraHom.validate`` checks degrees, the unit and multiplicativity;
+    the rank is checked here.
     """
     name = f"automorphism of {alg.name}"
     images = [tau.col(j) for j in range(alg.dim)]
     bad = AlgebraHom(alg, alg, images, name=name).validate().violations
     if rank_of_rows(images) != alg.dim:
         bad.append(("invertibility", ()))
-    if tau.apply(alg.unit) != alg.unit:
-        bad.append(("unit preservation", ()))
     return ValidationReport(name, bad)
 
 

@@ -31,9 +31,7 @@ from supertower.superalgebra import (
     Degree,
     SuperAlgebra,
     SuperModule,
-    Subspace,
     ValidationReport,
-    homogeneous_degree,
 )
 from supertower.towers import (
     Perm,
@@ -181,33 +179,22 @@ def validate_module(mod: SuperModule, on_generators: bool = True) -> ValidationR
 
 
 def eliminated_induction(phi: AlgebraHom, mod: SuperModule) -> SuperModule:
-    """Induction along ``phi`` by row reduction alone, the oracle of ``induce_module``.
+    """Induction along the unital map ``phi`` by row reduction alone, the oracle
+    of ``induce_module``.
 
-    The quotient of ``corner (x) N`` by the rows ``a phi(b) (x) n - a (x) b n``,
+    The quotient of ``A (x) N`` by the rows ``a phi(b) (x) n - a (x) b n``,
     every one through an ``Eliminator``, with no signed-support route and no
     regular-module shortcut.
     """
     source, target = phi.source, phi.target
-    e = phi.unit_image()
-    rm_e = [target.product_vec({j: 1}, e) for j in range(target.dim)]
-    sub = Subspace([v for v in rm_e if v], target.dim)
-    corner_dim = sub.dim
-    corner_degrees = [homogeneous_degree(v, target.degrees) for v in sub.basis]
-
-    def corner_coords(w):
-        got = sub.coords(w)
-        if got is None:
-            raise AssertionError("product left the corner")
-        return got
-
     nd = mod.dim
     relations = Eliminator()
     for b in source.generating_set():
         if source.unit.get(b):
             continue
         bn = mod.act(b)
-        for c in range(corner_dim):
-            left = corner_coords(target.product_vec(sub.basis[c], phi.images[b]))
+        for c in range(target.dim):
+            left = target.product_vec({c: 1}, phi.images[b])
             for n in range(nd):
                 row = {}
                 for cc, coeff in left.items():
@@ -217,16 +204,15 @@ def eliminated_induction(phi: AlgebraHom, mod: SuperModule) -> SuperModule:
                 row = {k: v for k, v in row.items() if v}
                 if row:
                     relations.add_row(row)
-    free = [k for k in range(corner_dim * nd) if k not in relations.pivots]
+    free = [k for k in range(target.dim * nd) if k not in relations.pivots]
     free_pos = {k: t for t, k in enumerate(free)}
-    degrees = [corner_degrees[k // nd] + mod.degrees[k % nd] for k in free]
+    degrees = [target.degrees[k // nd] + mod.degrees[k % nd] for k in free]
 
     def action(a):
         out = Mat(len(free), len(free))
         for t, k in enumerate(free):
             c, n = divmod(k, nd)
-            lifted = {cc * nd + n: coeff for cc, coeff in
-                      corner_coords(target.product_vec({a: 1}, sub.basis[c])).items()}
+            lifted = {cc * nd + n: coeff for cc, coeff in target.basis_product(a, c).items()}
             col = {free_pos[k2]: v for k2, v in relations.reduce(lifted).items()}
             if col:
                 out.cols[t] = col

@@ -2,12 +2,15 @@
 
 import contextlib
 import copy
+import hashlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -518,3 +521,30 @@ def test_fuzz_clifford_base_file_several_fields(mutations, tmp_path):
 def test_fuzz_exterior_base_file(mutations, tmp_path):
     # the dim-4 exterior base: generators, a nontrivial sign and a degree-2 trace
     _assert_documented_exit(["verify", _mutated_base(EXTERIOR_BASE, mutations, tmp_path), "--format", "json"])
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _benchmark_workloads() -> dict:
+    """``WORKLOADS`` of ``perfbench/run.py``, loaded without writing bytecode there."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("workload", ["smoke-nc3", "smoke-sergeev2"])
+def test_report_bytes_match_benchmark_reference(workload, tmp_path):
+    # the benchmark accepts a report only when its bytes hash to the recorded digest
+    job = _benchmark_workloads()[workload]
+    reference = json.loads((PERFBENCH / "reference.json").read_text())[workload]
+    out = tmp_path / "report.json"
+    code = main(["verify", json.dumps(job["descriptor"]), "--format", "json", "--jobs", "1",
+                 "--suites", ",".join(job["suites"]), "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == reference["bytes_sha256"]

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from supertower.ground import GroundElem, TwistScalar, qpi_binomial, qpi_factorial
-from supertower.linalg import Eliminator, Mat
+from supertower.linalg import Mat
 from supertower.superalgebra import (
     AlgebraHom,
     Degree,
     SuperAlgebra,
     SuperModule,
-    Subspace,
     _hom_by_elimination,
     algebra_from_dict,
     algebra_to_dict,
@@ -260,26 +259,6 @@ class TestRestrictInduce:
                 rhs = hom_graded_dim(n_mod, restrict_module(rho, m_mod))
                 assert lhs == rhs
 
-    def test_nonunital_corner_restriction(self):
-        # two orthogonal blocks; restricting along the corner inclusion picks one block
-        alg = SuperAlgebra(
-            labels=["e1", "e2"],
-            degrees=[Degree(0, 0), Degree(0, 0)],
-            unit={0: Fraction(1), 1: Fraction(1)},
-            products={
-                (0, 0): {0: Fraction(1)}, (0, 1): {}, (1, 0): {}, (1, 1): {1: Fraction(1)},
-            },
-        )
-        assert validate_algebra(alg).ok
-        one = trivial_level_algebra()
-        phi = AlgebraHom(one, alg, [{0: Fraction(1)}], name="corner")
-        assert phi.validate().ok
-        res = restrict_module(phi, regular_module(alg))
-        assert res.dim == 1
-        ind = induce_module(phi, regular_module(one))
-        assert ind.dim == 1
-        assert graded_dim(ind) == GroundElem.one()
-
 
 class TestTwist:
     def test_identity_twist(self, n3):
@@ -307,8 +286,8 @@ class TestTwist:
     def test_invalid_twist_rejected(self, n3):
         # twist_module trusts its map; the validator is what rejects the zero map
         bad = Mat(n3.dim, n3.dim)
-        assert validate_automorphism(n3, bad).violations == [("invertibility", ()),
-                                                              ("unit preservation", ())]
+        assert validate_automorphism(n3, bad).violations == [("unit preservation", ()),
+                                                              ("invertibility", ())]
 
     def test_augmentation_is_not_an_automorphism(self, n3):
         # killing every u_w but the unit is a unital homomorphism of rank one
@@ -360,14 +339,14 @@ def induction_cases(tower):
 def assert_induction_matches_oracle(phi, mod, every_matrix=True):
     """Degrees and action matrices of ``induce_module`` against row reduction alone.
 
-    The regular module of a unital map induces to the corner in its own
+    The regular module induces to the target's regular module in its own
     basis, so there only the graded dimensions compare.  Without
     ``every_matrix`` the matrices of the leading factors are compared, which
     determine the action.
     """
     got = induce_module(phi, mod)
     oracle = eliminated_induction(phi, mod)
-    if mod.regular and phi.unit_image() == phi.target.unit:
+    if mod.regular:
         assert graded_dim(got) == graded_dim(oracle)
         return
     assert got.degrees == oracle.degrees
@@ -660,53 +639,7 @@ def test_restriction_of_simple_is_trivial_pair_module():
         assert mat_is_zero(res.act(g)) or tower.pair_algebra(1, 1).unit.get(g)
 
 
-class TwoEliminatorSubspace:
-    """Oracle: a plain eliminator decides independence, an augmented one solves."""
-
-    def __init__(self, spanning, ambient_dim):
-        self.ambient_dim = ambient_dim
-        self.basis = []
-        self._el = Eliminator()
-        rank_el = Eliminator()
-        for v in spanning:
-            if rank_el.add_row(dict(v)):
-                aug = dict(v)
-                aug[ambient_dim + len(self.basis)] = Fraction(1)
-                self._el.add_row(aug)
-                self.basis.append(dict(v))
-
-    def coords(self, w):
-        coords = {}
-        for k, c in self._el.reduce(dict(w)).items():
-            if k < self.ambient_dim:
-                return None
-            coords[k - self.ambient_dim] = -c
-        return coords
-
-
-AMBIENT = 6
 rationals = hst.builds(Fraction, hst.integers(-3, 3).filter(bool), hst.integers(1, 3))
-sparse_vecs = hst.dictionaries(hst.integers(0, AMBIENT - 1), rationals, max_size=4)
-
-
-class TestSubspaceOneEliminator:
-    @settings(max_examples=150, deadline=None)
-    @given(hst.lists(sparse_vecs, max_size=8), hst.lists(sparse_vecs, max_size=4),
-           hst.lists(hst.lists(rationals, min_size=8, max_size=8), max_size=3))
-    def test_matches_two_eliminator_version(self, spanning, probes, combos):
-        new = Subspace(spanning, AMBIENT)
-        old = TwoEliminatorSubspace(spanning, AMBIENT)
-        assert new.basis == old.basis
-        # vectors inside the span, as combinations of the spanning vectors
-        inside = []
-        for coeffs in combos:
-            w = {}
-            for c, v in zip(coeffs, spanning):
-                for k, x in v.items():
-                    w[k] = w.get(k, Fraction(0)) + c * x
-            inside.append({k: x for k, x in w.items() if x})
-        for w in probes + inside + spanning:
-            assert new.coords(w) == old.coords(w)
 
 
 def _act_vec_by_matrix_sums(mod, v):
@@ -841,11 +774,11 @@ class TestGeneratorLedModule:
 
 
 def _corner_leaving_maps():
-    """Two maps from the dual numbers (1, x) to upper-triangular 2x2 matrices.
+    """Two non-unital maps from the dual numbers (1, x) to upper-triangular 2x2 matrices.
 
     Both send x to E12.  The first sends 1 to E22, and E12 E22 = E12 leaves
     the corner E22 tri; the second sends 1 to E11, and E11 E12 = E12 leaves
-    tri E11.
+    tri E11.  Neither sends 1 to the unit E11 + E22.
     """
     one = Fraction(1)
     tri = SuperAlgebra(["E11", "E12", "E22"], [Degree(0, 0)] * 3, {0: one, 2: one},
@@ -858,36 +791,33 @@ def _corner_leaving_maps():
 
 
 def test_unit_rows_catch_an_image_outside_the_corner():
-    # every product led by x agrees; only 1 * x shows E12 outside E22 tri
+    # every product led by x agrees; only 1 * x shows E12 outside E22 tri,
+    # and 1 goes to E22, not to the unit
     phi, _ = _corner_leaving_maps()
-    assert phi.validate().violations == [("multiplicativity", (0, 1))]
+    assert phi.validate().violations == [("unit preservation", ()), ("multiplicativity", (0, 1))]
 
 
-# restriction and induction along those maps hit the corner checks, which
-# must survive ``python -O``
-NON_STABLE_CORNER = "\n".join([
+# restriction and induction refuse both maps, also under ``python -O``
+NON_UNITAL = "\n".join([
     "from fractions import Fraction",
-    "from supertower.errors import InternalInconsistencyError",
     "from supertower.superalgebra import (",
     "    AlgebraHom, Degree, SuperAlgebra, induce_module, regular_module, restrict_module)",
     inspect.getsource(_corner_leaving_maps),
-    "restrict_map, induce_map = _corner_leaving_maps()",
-    "try:",
-    "    restrict_module(restrict_map, regular_module(restrict_map.target)).act(1)",
-    "except InternalInconsistencyError as exc:",
-    "    print(exc)",
-    "try:",
-    "    induce_module(induce_map, regular_module(induce_map.source))",
-    "except InternalInconsistencyError as exc:",
-    "    print(exc)",
+    "for phi in _corner_leaving_maps():",
+    "    for functor, mod in [(restrict_module, regular_module(phi.target)),",
+    "                         (induce_module, regular_module(phi.source))]:",
+    "        try:",
+    "            functor(phi, mod)",
+    "        except ValueError as exc:",
+    "            print(exc)",
 ])
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_non_stable_corner_raises(flags):
+def test_non_unital_maps_are_refused(flags):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, *flags, "-c", NON_STABLE_CORNER],
+    proc = subprocess.run([sys.executable, *flags, "-c", NON_UNITAL],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "corner not stable under restricted action\nproduct left the corner\n"
+    assert proc.stdout == "restriction needs a unital map\ninduction needs a unital map\n" * 2

@@ -13,7 +13,6 @@ from supertower.linalg import Mat, rank_of_rows
 from supertower.reporting import all_passed
 from supertower.superalgebra import (
     AlgebraHom,
-    Degree,
     algebra_from_dict,
     generated_dim,
     graded_dim,
@@ -289,6 +288,39 @@ class TestWreathBuild:
             build_wreath(cl, WreathBasis(cl.algebra, 4))
 
 
+def _generator_free_exterior():
+    """The exterior base, its ``generators`` field left out."""
+    data = {k: v for k, v in EXTERIOR_BASE["algebra"].items() if k != "generators"}
+    alg = algebra_from_dict(data, name="exterior")
+    assert alg.generators is None
+    frob = EXTERIOR_BASE["frobenius"]
+    trace = {i: Fraction(*pair) for i, pair in enumerate(frob["trace"]) if pair[0]}
+    return check_frobenius(alg, trace, frob["delta"], frob["sigma"])
+
+
+class TestSlotGenerators:
+    def test_generator_free_base_gives_generator_led_levels(self, monkeypatch):
+        base = _generator_free_exterior()
+        tower = build_wreath_tower(base, 3)
+        for n in range(4):
+            level = tower.level(n)
+            assert level.generators is not None
+            assert generated_dim(level) == level.dim
+            assert validate_algebra(level).ok
+        # a sign of 2 in a transposition's row still fails the build
+        init = WreathBasis.__init__
+
+        def doubled(self, base, n):
+            init(self, base, n)
+            p = self.perm_index[apply_s(identity_perm(3), 1)]
+            sign, u = self.act[p][5]
+            self.act[p][5] = (2 * sign, u)
+
+        monkeypatch.setattr(WreathBasis, "__init__", doubled)
+        with pytest.raises(CocycleError):
+            build_wreath(base, WreathBasis(base.algebra, 3))
+
+
 class TestTowerChecks:
     def test_axioms_nilcoxeter(self, nc4_11):
         recs = check_tower_axioms(nc4_11)
@@ -304,6 +336,16 @@ class TestTowerChecks:
         rho.images[1] = {0: Fraction(1)}  # corrupt the image of a nilpotent generator
         recs = check_tower_axioms(tower)
         assert any(r.check == "TA2-external-multiplication" and not r.passed for r in recs)
+
+    def test_doubled_unit_image_fails_ta2(self):
+        tower = build_nilcoxeter_tower(3, 1, 0, frobenius_cap=0)
+        rho = tower.rho(1, 2)
+        (u,) = rho.source.unit
+        rho.images[u] = {k: 2 * c for k, c in rho.images[u].items()}
+        bad = [r for r in failures(check_tower_axioms(tower))
+               if r.check == "TA2-external-multiplication"]
+        assert [r.indices for r in bad] == [(1, 2)]
+        assert "unit preservation" in bad[0].detail
 
     def test_ta3_fails_on_dependent_rows(self, monkeypatch, sergeev3):
         # a repeated coset representative repeats rows: the rank still reaches
@@ -557,16 +599,13 @@ def _all_pairs_hom_violations(phi):
         for k, c in phi.images[i].items():
             if c and tgt.degrees[k] != src.degrees[i]:
                 bad.append(("degree preservation", (i, k)))
+    if phi.unit_image() != tgt.unit:
+        bad.append(("unit preservation", ()))
     for i in range(src.dim):
         for j in range(src.dim):
             if phi.apply_vec(src.basis_product(i, j)) != \
                     tgt.product_vec(phi.images[i], phi.images[j]):
                 bad.append(("multiplicativity", (i, j)))
-    e = phi.unit_image()
-    if tgt.product_vec(e, e) != e:
-        bad.append(("unit image idempotent", ()))
-    if any(c and tgt.degrees[k] != Degree(0, 0) for k, c in e.items()):
-        bad.append(("unit image degree", ()))
     return bad
 
 
@@ -607,6 +646,13 @@ def _corrupt_image(phi, rng):
 
 
 class TestGeneratorLedValidation:
+    @pytest.mark.parametrize("tower_name", ["nc4_11", "sergeev3"])
+    def test_every_tower_map_is_unital(self, tower_name, request):
+        # TA2: each rho(n, m) sends 1 (x) 1 to 1, and so does each step
+        tower = request.getfixturevalue(tower_name)
+        for phi in _tower_homs(tower):
+            assert phi.unit_image() == phi.target.unit, phi.name
+
     @pytest.mark.parametrize("tower_name", ["nc4_11", "sergeev3"])
     def test_homs_agree_with_all_pairs(self, tower_name, request):
         tower = request.getfixturevalue(tower_name)
