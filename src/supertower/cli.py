@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .errors import InternalInconsistencyError, SupertowerError, ValidationError
 from .frobenius import FrobeniusStructure, check_dual_iso, check_frobenius
@@ -82,20 +81,34 @@ SUITE_NOTES = {
 }
 
 
-@dataclass
 class RunConfig:
-    descriptor: dict
-    suites: list[str]
-    n_max: int | None = None
-    fmt: str = "text"
-    out: str | None = None
-    general_shift: bool = False
+    def __init__(self, descriptor: dict, suites: list[str], n_max: int | None = None,
+                 fmt: str = "text", out: str | None = None, general_shift: bool = False):
+        self.descriptor = descriptor
+        self.suites = suites
+        self.n_max = n_max
+        self.fmt = fmt
+        self.out = out
+        self.general_shift = general_shift
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass
 class Report:
-    records: list[CheckRecord] = field(default_factory=list)
-    elapsed: dict[str, float] = field(default_factory=dict)
+    """The check records, sorted within each suite, and the seconds the build
+    and each suite took, in run order."""
+
+    def __init__(self, records: list[CheckRecord] | None = None):
+        self.records = [] if records is None else records
+        self.elapsed: dict[str, float] = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def passed(self) -> int:
@@ -333,9 +346,11 @@ def run_suites(cfg: RunConfig) -> Report:
     for s in cfg.suites:
         if s not in SUITE_RUNNERS:
             raise ValidationError(f"unknown suite {s!r}")
-    tower = build_tower(cfg)
-    layer = GrothLayer(tower)
     report = Report()
+    t0 = time.monotonic()
+    tower = build_tower(cfg)
+    report.elapsed["build"] = time.monotonic() - t0
+    layer = GrothLayer(tower)
     for name in cfg.suites:
         t0 = time.monotonic()
         recs = SUITE_RUNNERS[name](tower, layer, cfg)

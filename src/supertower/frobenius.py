@@ -9,9 +9,8 @@ equivalent to the kernel of the trace containing no nonzero left ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .errors import InternalInconsistencyError, ValidationError
 from .linalg import Mat, Vec, exact, rank_of_rows, solve
@@ -26,14 +25,15 @@ from .superalgebra import (
 )
 
 
-@dataclass
 class FrobeniusStructure:
-    algebra: SuperAlgebra
-    trace: Vec               # value of the trace on each basis element
-    delta: int               # the form lands in bidegree (delta, sigma)
-    sigma: int
-    gram: Mat                # row i, column j holds tr(e_i e_j)
-    nakayama: Mat
+    def __init__(self, algebra: SuperAlgebra, trace: Vec, delta: int, sigma: int,
+                 gram: Mat, nakayama: Mat):
+        self.algebra = algebra
+        self.trace = trace          # value of the trace on each basis element
+        self.delta = delta          # the form lands in bidegree (delta, sigma)
+        self.sigma = sigma
+        self.gram = gram            # row i, column j holds tr(e_i e_j)
+        self.nakayama = nakayama
 
     def __repr__(self) -> str:
         return f"FrobeniusStructure({self.algebra.name}, degree=({self.delta},{self.sigma}))"

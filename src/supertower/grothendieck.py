@@ -24,7 +24,6 @@ positive multiplicity series read off the head degrees.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import (
     ExactDivisionError,
@@ -53,13 +52,18 @@ G_SIDE = "G"
 BasisKey = tuple[int, int]  # (level, index into the declared basis)
 
 
-@dataclass
 class GrothVector:
     """A finitely supported combination of basis classes on one side, built
     zero-free like every tensor and Heisenberg element, so it compares as a dict."""
 
-    side: str
-    entries: dict[BasisKey, GroundElem] = field(default_factory=dict)
+    def __init__(self, side: str, entries: dict[BasisKey, GroundElem] | None = None):
+        self.side = side
+        self.entries = {} if entries is None else entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def add(self, other: "GrothVector") -> "GrothVector":
         if self.side != other.side:

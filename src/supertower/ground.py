@@ -24,7 +24,6 @@ neither merges terms nor drops zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExactDivisionError, InternalInconsistencyError, ModeError
@@ -41,15 +40,32 @@ def _is_dyadic(x: int | Fraction) -> bool:
     return d & (d - 1) == 0
 
 
-@dataclass(frozen=True)
 class TwistScalar:
-    """The scalar ``q**d * pi**eps`` that twists all Hopf-level identities."""
+    """The scalar ``q**d * pi**eps`` that twists all Hopf-level identities;
+    immutable, equal and hashed by value."""
 
-    d: int
-    eps: int
+    __slots__ = ("d", "eps")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eps", self.eps & 1)
+    def __init__(self, d: int, eps: int):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "eps", eps & 1)
+
+    def __setattr__(self, name, value):  # immutability guard
+        raise AttributeError("TwistScalar is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TwistScalar is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.d == other.d and self.eps == other.eps
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.eps))
+
+    def __repr__(self) -> str:
+        return f"TwistScalar(d={self.d!r}, eps={self.eps!r})"
 
     def power(self, k: int, mode: str = FULL) -> "GroundElem":
         """Return ``(q^d pi^eps)**k`` as a ring element."""

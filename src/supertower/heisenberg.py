@@ -21,8 +21,6 @@ mutated; callers copy their terms into a fresh dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ExactDivisionError, ValidationError
 from .ground import FULL, GroundElem, TwistScalar, divide_exact, qpi_integer
 from .grothendieck import (
@@ -55,30 +53,55 @@ def check_compatibility(twist: "TwistDataSet") -> bool:
     return twist.chi[0] == -twist.gamma[0]
 
 
-@dataclass(frozen=True)
 class TwistDataSet:
-    """All biadditive exponent data for one Heisenberg double."""
+    """All biadditive exponent data for one Heisenberg double; immutable,
+    equal and hashed by value.  ``xi`` and ``compatible`` are derived."""
 
-    c: TwistScalar
-    chi: tuple[int, int]
-    gamma: tuple[int, int]
-    xi: tuple[int, int] = field(init=False)
-    compatible: bool = field(init=False)
+    __slots__ = ("c", "chi", "gamma", "xi", "compatible")
 
-    def __post_init__(self):
-        object.__setattr__(self, "xi", derive_xi(self.chi, self.gamma))
+    def __init__(self, c: TwistScalar, chi: tuple[int, int], gamma: tuple[int, int]):
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "xi", derive_xi(chi, gamma))
         object.__setattr__(self, "compatible", check_compatibility(self))
+
+    def __setattr__(self, name, value):  # immutability guard
+        raise AttributeError("TwistDataSet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TwistDataSet is immutable")
+
+    def _fields(self) -> tuple:
+        return (self.c, self.chi, self.gamma, self.xi, self.compatible)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"TwistDataSet(c={self.c!r}, chi={self.chi!r}, gamma={self.gamma!r}, "
+                f"xi={self.xi!r}, compatible={self.compatible!r})")
 
     @staticmethod
     def for_tower(tower: TowerSpec) -> "TwistDataSet":
         return TwistDataSet(tower.twist, tower.chi, tower.gamma)
 
 
-@dataclass
 class HeisenbergElem:
     """A finitely supported combination of ``simple-class # projective-class`` keys."""
 
-    terms: dict[tuple[BasisKey, BasisKey], GroundElem] = field(default_factory=dict)
+    def __init__(self, terms: dict[tuple[BasisKey, BasisKey], GroundElem] | None = None):
+        self.terms = {} if terms is None else terms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def add(self, other: "HeisenbergElem") -> "HeisenbergElem":
         return HeisenbergElem(tensor_add(self.terms, other.terms))

@@ -29,8 +29,8 @@ sign per edge.  It returns the same free columns and remainders as an
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 Vec = dict[int, int | Fraction]
 

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass
 class CheckRecord:
     """One verified identity: what was checked, at which indices, both sides."""
 
-    check: str
-    indices: tuple
-    passed: bool
-    lhs: str = ""
-    rhs: str = ""
-    detail: str = ""
+    def __init__(self, check: str, indices: tuple, passed: bool,
+                 lhs: str = "", rhs: str = "", detail: str = ""):
+        self.check = check
+        self.indices = indices
+        self.passed = passed
+        self.lhs = lhs
+        self.rhs = rhs
+        self.detail = detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_dict(self) -> dict:
         return {

@@ -12,24 +12,39 @@ matrices of right multiplication, so ``act(ab) == act(b) @ act(a)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
 from .ground import FULL, GroundElem
 from .linalg import Eliminator, Mat, SignedQuotient, Vec, exact, rank_of_rows, vec_axpy
 
 
-@dataclass(frozen=True)
 class Degree:
-    """An (integer, parity) bidegree."""
+    """An (integer, parity) bidegree: immutable, equal and hashed by value."""
 
-    z: int
-    par: int
+    __slots__ = ("z", "par")
 
-    def __post_init__(self):
-        object.__setattr__(self, "par", self.par & 1)
+    def __init__(self, z: int, par: int):
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "par", par & 1)
+
+    def __setattr__(self, name, value):  # immutability guard
+        raise AttributeError("Degree is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Degree is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.z == other.z and self.par == other.par
+
+    def __hash__(self) -> int:
+        return hash((self.z, self.par))
+
+    def __repr__(self) -> str:
+        return f"Degree(z={self.z!r}, par={self.par!r})"
 
     def __add__(self, other: "Degree") -> "Degree":
         return Degree(self.z + other.z, (self.par + other.par) & 1)
@@ -119,10 +134,15 @@ class SuperAlgebra:
         return f"SuperAlgebra({self.name}, dim={self.dim})"
 
 
-@dataclass
 class ValidationReport:
-    subject: str
-    violations: list[tuple[str, tuple]]
+    def __init__(self, subject: str, violations: list[tuple[str, tuple]]):
+        self.subject = subject
+        self.violations = violations
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:

@@ -27,7 +27,6 @@ consumes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import comb, factorial
 
 from .errors import CocycleError, ValidationError
@@ -78,7 +77,9 @@ def perm_length(a: Perm) -> int:
 
 def apply_s(a: Perm, i: int) -> Perm:
     """Left-multiply by the adjacent transposition ``s_i`` (0-based): swap the values i, i+1."""
-    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in a)
+    out = list(a)
+    out[a.index(i)], out[a.index(i + 1)] = i + 1, i
+    return tuple(out)
 
 
 def left_descents(a: Perm) -> list[int]:
@@ -616,43 +617,69 @@ def trivial_level_algebra() -> SuperAlgebra:
 # -- tower data ------------------------------------------------------------------
 
 
-@dataclass
 class DeclaredModule:
     """A declared simple or projective with its label and type tag (M or Q)."""
 
-    label: str
-    module: SuperModule
-    type: str = "M"
+    def __init__(self, label: str, module: SuperModule, type: str = "M"):
+        self.label = label
+        self.module = module
+        self.type = type
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass
 class TowerSpec:
     """A truncated tower: algebras, external products, Frobenius data, twists.
 
     ``chi``, ``gamma`` store the integer multiples defining the biadditive
     twist maps (``chi'(n, m) = chi[0]*n*m`` and so on); ``kappa`` likewise.
     ``shifts`` holds the per-level Frobenius degrees; the Nakayama matrices
-    realizing the conjugation are ``frobenius[n].nakayama``.
+    realizing the conjugation are ``frobenius[n].nakayama``.  The builders
+    fill ``simples`` and ``projectives``, which start empty.
     """
 
-    name: str
-    kind: str                      # "nilcoxeter" | "wreath"
-    n_max: int
-    algebras: list[SuperAlgebra]
-    frobenius: list[FrobeniusStructure | None]
-    twist: TwistScalar
-    chi: tuple[int, int]
-    gamma: tuple[int, int]
-    kappa: int
-    shifts: list[tuple[int, int]]
-    simples: dict[int, list[DeclaredModule]] = field(default_factory=dict)
-    projectives: dict[int, list[DeclaredModule]] = field(default_factory=dict)
-    collapsed: bool = False
-    bases: list[SignedPermBasis | WreathBasis] = field(default_factory=list)
-    base_frob: FrobeniusStructure | None = None
-    _pair_algebras: dict = field(default_factory=dict)
-    _rho: dict = field(default_factory=dict)
-    _level_dims: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        name: str,
+        kind: str,                 # "nilcoxeter" | "wreath"
+        n_max: int,
+        algebras: list[SuperAlgebra],
+        frobenius: list[FrobeniusStructure | None],
+        twist: TwistScalar,
+        chi: tuple[int, int],
+        gamma: tuple[int, int],
+        kappa: int,
+        shifts: list[tuple[int, int]],
+        bases: list[SignedPermBasis | WreathBasis],
+        collapsed: bool = False,
+        base_frob: FrobeniusStructure | None = None,
+    ):
+        self.name = name
+        self.kind = kind
+        self.n_max = n_max
+        self.algebras = algebras
+        self.frobenius = frobenius
+        self.twist = twist
+        self.chi = chi
+        self.gamma = gamma
+        self.kappa = kappa
+        self.shifts = shifts
+        self.simples: dict[int, list[DeclaredModule]] = {}
+        self.projectives: dict[int, list[DeclaredModule]] = {}
+        self.collapsed = collapsed
+        self.bases = bases
+        self.base_frob = base_frob
+        self._pair_algebras: dict = {}
+        self._rho: dict = {}
+        self._level_dims: dict = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def level(self, n: int) -> SuperAlgebra:
         if n > self.n_max:

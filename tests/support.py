@@ -3,7 +3,7 @@
 Module shifts, the all-pairs module validator, induction by row reduction
 alone, the form-invariance audit that associativity implies, the identity
 hom, the matrix sum, scale, product and zero test, the permutation list,
-the nilCoxeter straightening, the wreath sign rules, the Cartan map, the
+the value scan behind ``apply_s``, the nilCoxeter straightening, the wreath sign rules, the Cartan map, the
 unmemoised smash product and Fock action and a failure filter, plus the
 exterior-superalgebra base file.  No ``verify``, ``weyl`` or ``build`` run
 calls them, so they live with the tests.
@@ -102,6 +102,11 @@ def entry(m: Mat, i: int, j: int):
 def all_perms(n: int) -> list[Perm]:
     """S_n in basis order; the list is shared, so callers must not mutate it."""
     return perm_tables(n)[0]
+
+
+def apply_s_by_values(a: Perm, i: int) -> Perm:
+    """``s_i a`` by a scan over every value: the oracle of ``towers.apply_s``."""
+    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in a)
 
 
 def identity_hom(alg: SuperAlgebra) -> AlgebraHom:

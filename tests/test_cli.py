@@ -131,6 +131,25 @@ class TestEmitReport:
         assert "summary:" in text
         assert "[pass]" in text
 
+    def test_text_times_the_build_before_the_suites(self, monkeypatch):
+        import supertower.cli as cli
+        built = []
+        build = cli.build_tower
+
+        def counted_build(cfg):  # the benchmark child stamps setup_s the same way
+            built.append(cfg)
+            return build(cfg)
+
+        monkeypatch.setattr(cli, "build_tower", counted_build)
+        cfg = RunConfig(descriptor=json.loads(NC2), suites=["axioms", "pairing"])
+        report = run_suites(cfg)
+        assert built == [cfg]
+        assert list(report.elapsed) == ["build", "axioms", "pairing"]
+        timings = [line.split(":")[0] for line in emit_report(report, "text").splitlines()
+                   if line.startswith("-- ")]
+        assert timings == ["-- build", "-- axioms", "-- pairing"]
+        assert emit_report(report, "json") == emit_report(cli.Report(report.records), "json")
+
     def test_failing_record_serializes_both_sides(self):
         from supertower.reporting import CheckRecord
         from supertower.cli import Report

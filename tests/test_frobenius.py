@@ -1,6 +1,5 @@
 """Trace forms, Gram matrices, Nakayama maps, tensor structures, dual identification."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -11,6 +10,7 @@ import pytest
 from supertower.cli import RunConfig, build_tower
 from supertower.errors import CocycleError, InternalInconsistencyError, ValidationError
 from supertower.frobenius import (
+    FrobeniusStructure,
     check_dual_iso,
     check_frobenius,
     frobenius_tensor,
@@ -189,7 +189,8 @@ class TestDualIso:
     def test_identity_replacement_fails(self):
         alg, basis = build_nilcoxeter(3, 1, 0)
         frob = nilcoxeter_frobenius(alg, basis)
-        tampered = dataclasses.replace(frob, nakayama=Mat.identity(alg.dim))
+        tampered = FrobeniusStructure(frob.algebra, frob.trace, frob.delta, frob.sigma,
+                                      frob.gram, Mat.identity(alg.dim))
         rep = check_dual_iso(tampered)
         assert not rep.ok
         assert any(kind == "nakayama compatibility" for kind, _ in rep.violations)
@@ -314,9 +315,11 @@ class TestSparseAuditsMatchDenseOracles:
             rng = random.Random(f"{family}{n}{kind}{seed}")
             frob = _fresh_structure(family, n)
             if kind == "gram":
-                frob = dataclasses.replace(frob, gram=_corrupt_entry(frob.gram, rng))
+                frob = FrobeniusStructure(frob.algebra, frob.trace, frob.delta, frob.sigma,
+                                          _corrupt_entry(frob.gram, rng), frob.nakayama)
             elif kind == "nakayama":
-                frob = dataclasses.replace(frob, nakayama=_corrupt_entry(frob.nakayama, rng))
+                frob = FrobeniusStructure(frob.algebra, frob.trace, frob.delta, frob.sigma,
+                                          frob.gram, _corrupt_entry(frob.nakayama, rng))
             else:
                 _corrupt_product(frob.algebra, rng)
             sparse = _invariance_outcome(check_form_invariance, frob.algebra, frob.gram)

@@ -311,6 +311,18 @@ def test_no_unused_imports():
     assert [p for path in paths for p in _unused_imports(path)] == []
 
 
+def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
+    # every verify starts a fresh interpreter, and these three cost most of the
+    # import; -S keeps site hooks (a .pth file may import typing) from hiding one
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import supertower.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-E", "-c", code, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # library definitions that no other part of the package reads: each is API the
 # acceptance criteria import or the README names, which no verify, weyl or build
 # run reaches

@@ -50,6 +50,7 @@ from supertower.towers import (
 from support import (
     EXTERIOR_BASE,
     all_perms,
+    apply_s_by_values,
     failures,
     straightened_product,
     superperm_apply,
@@ -88,6 +89,12 @@ class TestPermCombinatorics:
             ]
             if words:
                 assert canonical_word(w) == min(words)
+
+    def test_apply_s_matches_value_scan(self):
+        for n in range(7):
+            for a in itertools.permutations(range(n)):
+                for i in range(n - 1):
+                    assert apply_s(a, i) == apply_s_by_values(a, i)
 
     def test_coset_reps_counts_and_minimality(self):
         for (n, m) in [(1, 1), (2, 1), (2, 2), (3, 2)]:
