@@ -18,7 +18,9 @@ by -n]``), which keeps the pairing bilinear; the expansion of a restricted
 projective therefore carries the bar of the positive summand-multiplicity
 generating function.  Both readings are exposed: ``basis_delta`` returns the
 class-level coefficients, and ``restriction_multiplicity_genfn`` the
-positive multiplicity series read off the head degrees.
+positive multiplicity series, read off the head degrees as the bar of Hom
+from the restricted projective into the killed one-dimensional simple of
+the pair algebra.
 """
 
 from __future__ import annotations
@@ -27,18 +29,18 @@ import itertools
 
 from .errors import (
     ExactDivisionError,
-    InternalInconsistencyError,
     SupertowerError,
     TruncationError,
     ValidationError,
 )
 from .frobenius import tensor_nakayama_matrix
 from .ground import COLLAPSED, FULL, GroundElem, divide_exact
-from .linalg import Vec, invert, rank_of_rows
+from .linalg import invert
 from .reporting import CheckRecord
 from .superalgebra import (
     SuperModule,
     hom_graded_dim,
+    killed_by_generators,
     outer_tensor,
     restrict_module,
     induce_module,
@@ -318,45 +320,25 @@ class GrothLayer:
 
     def restriction_multiplicity_genfn(self, level: int, a: int) -> GroundElem:
         """Positive generating series of shifted projective summands of one
-        restriction, read off the degrees of the head of the restricted
-        regular representative.  Only meaningful when the pair algebra has a
-        one-dimensional head (single simple with trivial endomorphisms),
-        which holds for the nilCoxeter family.
+        restriction of the declared projective: the bar of Hom from the
+        restricted projective into the outer tensor of the declared simples
+        over the pair algebra.
+
+        That Hom counts the head degrees of the restriction when each level
+        of the splitting declares one simple, one-dimensional and killed by
+        every non-unit generator, as in the nilCoxeter family; any other
+        nontrivial splitting raises ``ValueError``.
         """
         b = level - a
-        proj = self.declared(K_SIDE, level)[0].module
         if a == 0 or b == 0:
             return GroundElem.one(FULL)
-        rho = self.tower.rho(a, b)
-        res = restrict_module(rho, proj)
-        return module_head_genfn(res)
-
-
-def module_head_genfn(mod: SuperModule) -> GroundElem:
-    """Graded dimension of the quotient by the images of positive-degree generators."""
-    alg = mod.algebra
-    by_degree: dict[tuple[int, int], list[Vec]] = {}
-    for g in alg.generating_set():
-        if alg.unit.get(g):
-            continue
-        mat = mod.act(g)
-        for j, col in mat.cols.items():
-            if not col:
-                continue
-            degs = {(mod.degrees[i].z, mod.degrees[i].par) for i in col}
-            if len(degs) != 1:
-                raise InternalInconsistencyError("inhomogeneous generator action column")
-            dkey = degs.pop()
-            by_degree.setdefault(dkey, []).append(col)
-    total = GroundElem.zero(FULL)
-    dims: dict[tuple[int, int], int] = {}
-    for d in mod.degrees:
-        dims[(d.z, d.par)] = dims.get((d.z, d.par), 0) + 1
-    for dkey, count in sorted(dims.items()):
-        rank = rank_of_rows(by_degree.get(dkey, ()))
-        if count - rank:
-            total = total + GroundElem.monomial(dkey[0], dkey[1], count - rank)
-    return total
+        simples = self.declared(G_SIDE, a) + self.declared(G_SIDE, b)
+        if len(simples) != 2 or not all(killed_by_generators(s.module) for s in simples):
+            raise ValueError(f"the declared simples of levels {a} and {b} are not "
+                             "one killed one-dimensional module each")
+        simple = outer_tensor(simples[0].module, simples[1].module, self.tower.pair_algebra(a, b))
+        res = restrict_module(self.tower.rho(a, b), self.declared(K_SIDE, level)[0].module)
+        return hom_graded_dim(res, simple).bar()
 
 
 # -- twisted-structure checks -----------------------------------------------------

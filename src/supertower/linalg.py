@@ -12,9 +12,10 @@ form only; the reduced row echelon form that ``solve`` reads is computed on
 demand by back-substitution, and it is unique, so it does not depend on how
 the echelon rows were reached.  Callers use it in one of three modes:
 
-* rank: ``rank_of_rows``, for every site that needs only the rank of a set
-  of rows.  Rows of at most one entry each are counted without elimination:
-  their rank is the number of distinct supports;
+* rank: ``block_ranks``, the rank of a set of rows within each block of
+  columns, and ``rank_of_rows``, its one-block form.  Rows of at most one
+  entry span the basis vectors of their supports, so they are counted
+  without elimination;
 * canonical remainder: ``Eliminator.add_row``, ``reduce`` and ``pivots``,
   for an incremental span, membership and a quotient basis;
 * solve: ``solve``, the one linear-system kernel.  Its right-hand side is a
@@ -29,8 +30,11 @@ sign per edge.  It returns the same free columns and remainders as an
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import Counter, defaultdict
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
+
+from .errors import InternalInconsistencyError
 
 Vec = dict[int, int | Fraction]
 
@@ -281,20 +285,38 @@ class SignedQuotient:
         return out
 
 
-def rank_of_rows(rows: Iterable[Vec]) -> int:
-    """The rank of the span of ``rows``: the one rank computation of the package.
+def block_ranks(rows: Iterable[Vec], block: Sequence) -> Counter:
+    """The rank of ``rows`` within each block of columns, keyed by block.
 
-    Rows with at most one entry each span the basis vectors of their
-    supports, so their rank is the number of distinct supports; any other
-    list goes through the ``Eliminator``.
+    Column ``k`` lies in block ``block[k]``, and every row must lie in one
+    block: a row that spans two raises ``InternalInconsistencyError``.  Rows
+    of at most one entry span the basis vectors of their supports, so each
+    support counts once; the longer rows of a block, stripped of those
+    supports, go through an ``Eliminator``.
     """
     rows = list(rows)
-    if all(len(r) <= 1 for r in rows):
-        return len({k for r in rows for k in r})
-    el = Eliminator()
-    for r in rows:
-        el.add_row(r)
-    return el.rank
+    singles = [row for row in rows if len(row) == 1]
+    hit: set[int] = set().union(*singles)
+    longer: dict = {}
+    if len(singles) < len(rows):  # some row is empty or longer
+        for row in rows:
+            if len(row) > 1:
+                keys = {block[k] for k in row}
+                if len(keys) != 1:
+                    raise InternalInconsistencyError(f"a row spans the blocks {sorted(keys)}")
+                longer.setdefault(keys.pop(), []).append(row)
+    ranks = Counter(map(block.__getitem__, hit))
+    for key, rows_in in longer.items():
+        el = Eliminator()
+        for row in rows_in:
+            el.add_row({k: c for k, c in row.items() if k not in hit})
+        ranks[key] += el.rank
+    return ranks
+
+
+def rank_of_rows(rows: Iterable[Vec]) -> int:
+    """The rank of the span of ``rows``: ``block_ranks`` with every column in one block."""
+    return sum(block_ranks(rows, defaultdict(int)).values())
 
 
 def solve(mat: Mat, rhs: Mat) -> Mat | None:

@@ -12,12 +12,14 @@ matrices of right multiplication, so ``act(ab) == act(b) @ act(a)``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
+from itertools import chain
 
-from .errors import InternalInconsistencyError, ValidationError
+from .errors import ValidationError
 from .ground import FULL, GroundElem
-from .linalg import Eliminator, Mat, SignedQuotient, Vec, exact, rank_of_rows, vec_axpy
+from .linalg import Eliminator, Mat, SignedQuotient, Vec, block_ranks, exact, rank_of_rows, vec_axpy
 
 
 class Degree:
@@ -86,9 +88,6 @@ class SuperAlgebra:
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    def degree(self, i: int) -> Degree:
-        return self.degrees[i]
 
     def basis_product(self, i: int, j: int) -> Vec:
         key = (i, j)
@@ -333,23 +332,8 @@ class SuperModule:
                     del out.cols[j]
         return out
 
-    def apply(self, v: Vec, m: Vec) -> Vec:
-        """Act by the algebra element ``v`` on the module vector ``m``."""
-        out: Vec = {}
-        for i, c in v.items():
-            if c:
-                vec_axpy_mat(out, c, self.act(i), m)
-        return out
-
     def __repr__(self) -> str:
         return f"SuperModule({self.name}, dim={self.dim}, {self.side})"
-
-
-def vec_axpy_mat(out: Vec, c: int | Fraction, mat: Mat, m: Vec) -> None:
-    for j, x in m.items():
-        col = mat.cols.get(j)
-        if col:
-            vec_axpy(out, c * x, col)
 
 
 def regular_module(alg: SuperAlgebra, name: str = "") -> SuperModule:
@@ -381,17 +365,27 @@ def graded_dim(space: SuperModule | SuperAlgebra) -> GroundElem:
 def hom_graded_dim(src: SuperModule, dst: SuperModule) -> GroundElem:
     """Graded dimension of the space of signed module homomorphisms.
 
-    A homogeneous map of parity ``e`` satisfies
+    A homogeneous map ``f`` of parity ``e`` satisfies
     ``f(b m) == (-1)**(e * par(b)) * b f(m)`` for every generator ``b``.
-    When the source is the left regular module the answer is the graded
-    dimension of the target (the evaluation-at-unit isomorphism).  When one
-    side is a one-dimensional module ``k`` that every non-unit generator
-    kills and the other's generators act with singleton supports, the answer
-    is a support count (``_hom_by_supports``): it is exact because every
-    constraint row then has one entry, so each bidegree's rank is the number
-    of distinct supports in it.  Every other pair goes to
-    ``_hom_by_elimination``, which finds each bidegree's solution space by
-    exact elimination of the generator constraints.
+    These constraints are rows over the coordinates of ``f``, and each
+    bidegree's nullity is read off ``linalg.block_ranks``.  The rows follow
+    the shapes of the two modules:
+
+    * a regular source needs none: evaluation at the unit identifies the
+      Hom space with the target, so the answer is its graded dimension;
+    * when one side is a one-dimensional ``k`` that every non-unit
+      generator kills (``killed_by_generators``), one side of every
+      constraint is zero.  For ``Hom(M, k)`` they read ``f(b e_j) = 0``: the
+      rows are the columns of every ``M.act(b)``, over the coordinates
+      ``f(e_i)`` in bidegree ``deg k - deg e_i``.  For ``Hom(k, M)`` they read
+      ``b f(1) = 0``: the rows are the rows of every ``M.act(b)``, over the
+      coordinates of ``f(1)`` in bidegree ``deg e_j - deg k``.  Their
+      coefficients and entry counts do not matter;
+    * any other pair gets one row per generator, source vector and target
+      vector (``_constraint_rows``).
+
+    A row that spans two bidegrees means a generator acts inhomogeneously,
+    and raises ``InternalInconsistencyError``.
     """
     if src.algebra is not dst.algebra:
         raise ValueError("modules over different algebras")
@@ -399,133 +393,71 @@ def hom_graded_dim(src: SuperModule, dst: SuperModule) -> GroundElem:
         raise ValueError("hom_graded_dim needs two left modules")
     if src.regular:
         return graded_dim(dst)
-    got = _hom_by_supports(src, dst)
-    if got is None:
-        got = _hom_by_elimination(src, dst)
-    return got
-
-
-def _hom_by_supports(src: SuperModule, dst: SuperModule) -> GroundElem | None:
-    """Hom against a killed one-dimensional module, read off generator supports.
-
-    Let ``k`` be one-dimensional with every non-unit generator acting as
-    zero, and ``M`` the other module.  Then every constraint of a generator
-    ``b`` has one side zero:
-
-    * ``Hom(M, k)``: the constraints read ``f(b e_j) = 0``, so ``f`` factors
-      through ``M / sum_b b M``.  When every column of every ``M.act(b)``
-      has at most one entry, of any coefficient, ``sum_b b M`` is spanned by
-      the basis vectors in the union of the supports, and the answer counts
-      the ``e_j`` outside it in bidegree ``deg k - deg e_j``.
-    * ``Hom(k, M)``: the constraints read ``b f(1) = 0``, one per row of
-      ``M.act(b)``.  When every ``M.act(b)`` has at most one entry in each
-      column and each row, each constraint names one coordinate ``f_j``,
-      and the answer counts the ``e_j`` whose column is empty for every
-      generator, in bidegree ``deg e_j - deg k``.
-
-    Both are exact: each constraint row is a single nonzero coefficient, so
-    the rank of a bidegree block is the number of distinct supports in it.
-    Returns None for any other pair.
-    """
-    alg = src.algebra
-    gens = [b for b in alg.generating_set() if not alg.unit.get(b)]
-
-    def killed(mod: SuperModule) -> bool:
-        return mod.dim == 1 and not any(any(mod.act(b).cols.values()) for b in gens)
-
-    hit: set[int] = set()
-    if killed(dst):
-        probe, mod, sign = dst, src, 1
+    gens = _non_unit_generators(src.algebra)
+    if killed_by_generators(dst):
+        p = dst.degrees[0]
+        block = [(p.z - e.z, (p.par + e.par) & 1) for e in src.degrees]
+        rows: Iterable[Vec] = chain.from_iterable(src.act(b).cols.values() for b in gens)
+    elif killed_by_generators(src):
+        p = src.degrees[0]
+        block = [(e.z - p.z, (p.par + e.par) & 1) for e in dst.degrees]
+        rows = []
         for b in gens:
-            for col in mod.act(b).cols.values():
-                if len(col) > 1:
-                    return None
-                hit.update(col)
-    elif killed(src):
-        probe, mod, sign = src, dst, -1
-        for b in gens:
-            rows: set[int] = set()
-            for j, col in mod.act(b).cols.items():
-                if not col:
-                    continue
-                if len(col) > 1 or not rows.isdisjoint(col):
-                    return None
-                rows.update(col)
-                hit.add(j)
+            by_row: dict[int, Vec] = {}
+            for j, col in dst.act(b).cols.items():
+                for r, c in col.items():
+                    by_row.setdefault(r, {})[j] = c
+            rows += by_row.values()
     else:
-        return None
-    p = probe.degrees[0]
-    terms: dict[tuple[int, int], int] = {}
-    for j, e in enumerate(mod.degrees):
-        if j not in hit:
-            key = (sign * (p.z - e.z), (p.par + e.par) & 1)
-            terms[key] = terms.get(key, 0) + 1
-    return GroundElem({key: terms[key] for key in sorted(terms)}, FULL)
+        block, rows = _constraint_rows(src, dst, gens)
+    nullity = Counter(block) - block_ranks(rows, block)  # keeps the nonzero counts
+    return GroundElem(dict(sorted(nullity.items())), FULL)
 
 
-def _hom_by_elimination(src: SuperModule, dst: SuperModule) -> GroundElem:
-    """``hom_graded_dim`` by exact elimination of the generator constraints.
+def _non_unit_generators(alg: SuperAlgebra) -> list[int]:
+    return [b for b in alg.generating_set() if not alg.unit.get(b)]
 
-    Each generator ``b``, source vector ``e_j`` and target vector ``e_r``
-    give one row over the coordinates of ``f``, grouped by bidegree; each
-    block's nullity is its solution space's dimension.
+
+def killed_by_generators(mod: SuperModule) -> bool:
+    """Whether ``mod`` is one-dimensional with every non-unit generator acting as zero."""
+    return mod.dim == 1 and not any(any(mod.act(b).cols.values())
+                                    for b in _non_unit_generators(mod.algebra))
+
+
+def _constraint_rows(src: SuperModule, dst: SuperModule,
+                     gens: list[int]) -> tuple[list[tuple[int, int]], list[Vec]]:
+    """The bidegree of each coordinate of ``f`` and one constraint row per
+    generator ``b``, source vector ``e_j`` and target vector ``e_r``.
+
+    The coordinate ``f_rj``, the ``e_r`` component of ``f(e_j)``, sits in
+    flat column ``r * src.dim + j``.
     """
-    alg = src.algebra
-    gens = alg.generating_set()
-    nd = dst.dim
-
-    def key(r: int, j: int) -> int:
-        return r * src.dim + j
-
-    def bidegree(r: int, j: int) -> tuple[int, int]:
-        d = dst.degrees[r]
-        e = src.degrees[j]
-        return (d.z - e.z, (d.par + e.par) & 1)
-
-    blocks: dict[tuple[int, int], list[int]] = {}
-    for r in range(nd):
-        for j in range(src.dim):
-            blocks.setdefault(bidegree(r, j), []).append(key(r, j))
-
-    rows_by_block: dict[tuple[int, int], list[Vec]] = {}
+    ns = src.dim
+    src_keys = [(e.z, e.par) for e in src.degrees]
+    block = [(d.z - sz, (d.par + spar) & 1) for d in dst.degrees for sz, spar in src_keys]
+    rows: list[Vec] = []
     for b in gens:
-        if alg.unit.get(b):
-            continue  # the unit constraint is vacuous
         asrc = src.act(b)
-        adst = dst.act(b)
-        pb = alg.degrees[b].par
+        pb = src.algebra.degrees[b].par
         # row-major view of the target action for this generator
         dst_rows: dict[int, list[tuple[int, int | Fraction]]] = {}
-        for t, col in adst.cols.items():
+        for t, col in dst.act(b).cols.items():
             for r, c in col.items():
                 dst_rows.setdefault(r, []).append((t, c))
-        for j in range(src.dim):
+        for j in range(ns):
             col = asrc.cols.get(j, {})
-            for r in range(nd):
-                row: Vec = {}
-                for s_idx, c in col.items():
-                    k2 = key(r, s_idx)
-                    row[k2] = row.get(k2, 0) + c
+            for r, d in enumerate(dst.degrees):
+                row: Vec = {r * ns + s: c for s, c in col.items()}
                 # the component of f receiving this constraint has parity
                 # par(r) + par(b) + par(j)
-                par_f = (dst.degrees[r].par + src.degrees[j].par + pb) & 1
-                sign = -1 if (pb and par_f) else 1
+                sign = -1 if (pb and (d.par + src_keys[j][1] + pb) & 1) else 1
                 for t, c in dst_rows.get(r, ()):
-                    k2 = key(t, j)
-                    row[k2] = row.get(k2, 0) - sign * c
-                row = {k2: v for k2, v in row.items() if v}
+                    k = t * ns + j
+                    row[k] = row.get(k, 0) - sign * c
+                row = {k: v for k, v in row.items() if v}
                 if row:
-                    block_keys = {bidegree(k2 // src.dim, k2 % src.dim) for k2 in row}
-                    if len(block_keys) != 1:
-                        raise InternalInconsistencyError("inhomogeneous constraint row")
-                    rows_by_block.setdefault(block_keys.pop(), []).append(row)
-
-    total = GroundElem.zero(FULL)
-    for bk, keys in sorted(blocks.items()):
-        nullity = len(keys) - rank_of_rows(rows_by_block.get(bk, ()))
-        if nullity:
-            total = total + GroundElem.monomial(bk[0], bk[1], nullity)
-    return total
+                    rows.append(row)
+    return block, rows
 
 
 def outer_tensor(
@@ -616,7 +548,7 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
 
     nd = mod.dim
     product = target.basis_product
-    gens = [b for b in source.generating_set() if not source.unit.get(b)]
+    gens = _non_unit_generators(source)
     # per generator b: a phi(b) for every basis vector a of the target, one
     # table lookup each when phi(b) is a basis vector
     lefts = []

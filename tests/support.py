@@ -1,7 +1,8 @@
 """Tools the tests share that the verifier itself never runs.
 
-Module shifts, the all-pairs module validator, induction by row reduction
-alone, the form-invariance audit that associativity implies, the identity
+Module shifts, the action of an algebra element on a module vector, the
+all-pairs module validator, induction by row reduction alone, Hom by
+elimination of every generator constraint, the form-invariance audit that associativity implies, the identity
 hom, the matrix sum, scale, product and zero test, the permutation list,
 the value scan behind ``apply_s``, the nilCoxeter straightening, the wreath sign rules, the Cartan map, the
 unmemoised smash product and Fock action and a failure filter, plus the
@@ -11,7 +12,7 @@ calls them, so they live with the tests.
 
 import functools
 
-from supertower.errors import ValidationError
+from supertower.errors import InternalInconsistencyError, ValidationError
 from supertower.frobenius import _differences, _transposed_products
 from supertower.grothendieck import (
     G_SIDE,
@@ -22,8 +23,9 @@ from supertower.grothendieck import (
     tensor_add,
     tensor_scale,
 )
+from supertower.ground import FULL, GroundElem
 from supertower.heisenberg import HeisenbergDouble, HeisenbergElem
-from supertower.linalg import Eliminator, Mat, exact, vec_axpy, vec_scale
+from supertower.linalg import Eliminator, Mat, Vec, exact, vec_axpy, vec_scale
 from supertower.reporting import CheckRecord
 from supertower.superalgebra import (
     LEFT,
@@ -154,6 +156,23 @@ def shift_module(mod: SuperModule, n: int, s: int = 0) -> SuperModule:
     )
 
 
+def vec_axpy_mat(out: Vec, c, mat: Mat, m: Vec) -> None:
+    """In-place ``out += c * mat @ m``."""
+    for j, x in m.items():
+        col = mat.cols.get(j)
+        if col:
+            vec_axpy(out, c * x, col)
+
+
+def module_apply(mod: SuperModule, v: Vec, m: Vec) -> Vec:
+    """Act by the algebra element ``v`` on the module vector ``m``."""
+    out: Vec = {}
+    for i, c in v.items():
+        if c:
+            vec_axpy_mat(out, c, mod.act(i), m)
+    return out
+
+
 def validate_module(mod: SuperModule, on_generators: bool = True) -> ValidationReport:
     """Check the unit action, homogeneity, and ``act(ab)`` against ``act(a) act(b)``.
 
@@ -224,6 +243,76 @@ def eliminated_induction(phi: AlgebraHom, mod: SuperModule) -> SuperModule:
         return out
 
     return SuperModule(target, degrees, action_fn=action, side=LEFT, name=f"ind({mod.name})")
+
+
+def hom_by_elimination(src: SuperModule, dst: SuperModule) -> GroundElem:
+    """``hom_graded_dim`` by exact elimination of the generator constraints,
+    its oracle: no regular-module shortcut and no killed-module rows.
+
+    Each generator ``b``, source vector ``e_j`` and target vector ``e_r``
+    give one row over the coordinates of ``f``, grouped by bidegree; each
+    block's nullity is its solution space's dimension, with every row of
+    the block fed to an ``Eliminator``.
+    """
+    alg = src.algebra
+    gens = alg.generating_set()
+    nd = dst.dim
+
+    def key(r: int, j: int) -> int:
+        return r * src.dim + j
+
+    def bidegree(r: int, j: int) -> tuple[int, int]:
+        d = dst.degrees[r]
+        e = src.degrees[j]
+        return (d.z - e.z, (d.par + e.par) & 1)
+
+    blocks: dict[tuple[int, int], list[int]] = {}
+    for r in range(nd):
+        for j in range(src.dim):
+            blocks.setdefault(bidegree(r, j), []).append(key(r, j))
+
+    rows_by_block: dict[tuple[int, int], list[Vec]] = {}
+    for b in gens:
+        if alg.unit.get(b):
+            continue  # the unit constraint is vacuous
+        asrc = src.act(b)
+        adst = dst.act(b)
+        pb = alg.degrees[b].par
+        # row-major view of the target action for this generator
+        dst_rows: dict[int, list[tuple[int, int]]] = {}
+        for t, col in adst.cols.items():
+            for r, c in col.items():
+                dst_rows.setdefault(r, []).append((t, c))
+        for j in range(src.dim):
+            col = asrc.cols.get(j, {})
+            for r in range(nd):
+                row: Vec = {}
+                for s_idx, c in col.items():
+                    k2 = key(r, s_idx)
+                    row[k2] = row.get(k2, 0) + c
+                # the component of f receiving this constraint has parity
+                # par(r) + par(b) + par(j)
+                par_f = (dst.degrees[r].par + src.degrees[j].par + pb) & 1
+                sign = -1 if (pb and par_f) else 1
+                for t, c in dst_rows.get(r, ()):
+                    k2 = key(t, j)
+                    row[k2] = row.get(k2, 0) - sign * c
+                row = {k2: v for k2, v in row.items() if v}
+                if row:
+                    block_keys = {bidegree(k2 // src.dim, k2 % src.dim) for k2 in row}
+                    if len(block_keys) != 1:
+                        raise InternalInconsistencyError("inhomogeneous constraint row")
+                    rows_by_block.setdefault(block_keys.pop(), []).append(row)
+
+    total = GroundElem.zero(FULL)
+    for bk, keys in sorted(blocks.items()):
+        el = Eliminator()
+        for row in rows_by_block.get(bk, ()):
+            el.add_row(row)
+        nullity = len(keys) - el.rank
+        if nullity:
+            total = total + GroundElem.monomial(bk[0], bk[1], nullity)
+    return total
 
 
 # -- the nilCoxeter straightening, the oracle of the sign table ----------------------

@@ -557,7 +557,7 @@ def _benchmark_workloads() -> dict:
     return module.WORKLOADS
 
 
-@pytest.mark.parametrize("workload", ["smoke-nc3", "smoke-sergeev2"])
+@pytest.mark.parametrize("workload", ["smoke-nc3", "smoke-sergeev2", "nc5", "sergeev4", "nc6-groth"])
 def test_report_bytes_match_benchmark_reference(workload, tmp_path):
     # the benchmark accepts a report only when its bytes hash to the recorded digest
     job = _benchmark_workloads()[workload]

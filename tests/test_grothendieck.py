@@ -23,11 +23,10 @@ from supertower.grothendieck import (
     check_hopf_pairing,
     check_psi_invariance,
     check_twisted_bialgebra,
-    module_head_genfn,
 )
 from supertower.linalg import Mat
 from supertower.reporting import all_passed
-from supertower.superalgebra import hom_graded_dim, outer_tensor, regular_module, restrict_module
+from supertower.superalgebra import SuperModule, hom_graded_dim, outer_tensor, regular_module, restrict_module
 from supertower.towers import build_nilcoxeter_tower
 
 from support import cartan_map, failures, shift_module
@@ -305,9 +304,12 @@ class TestActionFormulaConsistency:
                     assert lhs == rhs
 
 
-def test_module_head_genfn_of_regular_is_one(layer6_11):
-    reg = regular_module(layer6_11.tower.level(3))
-    assert module_head_genfn(reg) == GroundElem.one()
+def test_head_of_regular_is_one(layer6_11):
+    # the regular module without its regular flag, so the killed rows run
+    alg = layer6_11.tower.level(3)
+    plain = SuperModule(alg, alg.degrees, action_fn=regular_module(alg).act)
+    simple = layer6_11.declared(G_SIDE, 3)[0].module
+    assert hom_graded_dim(plain, simple).bar() == GroundElem.one()
 
 
 # -- oracles: each side's expander, one level and pair at a time, and the

@@ -105,9 +105,8 @@ FORCED_INVARIANTS = "\n".join([
     "import random",
     "from fractions import Fraction",
     "from supertower.errors import InternalInconsistencyError",
-    "from supertower.grothendieck import module_head_genfn",
     "from supertower.linalg import Mat",
-    "from supertower.superalgebra import Degree, SuperModule",
+    "from supertower.superalgebra import Degree, SuperModule, hom_graded_dim",
     "from supertower.towers import (",
     "    SignedPermBasis, WreathBasis, apply_s, build_nilcoxeter, build_wreath, clifford_base,",
     "    identity_perm)",
@@ -141,14 +140,16 @@ FORCED_INVARIANTS = "\n".join([
     "cl = clifford_base()",
     "forced('act', lambda: build_wreath(cl, WreathBasis(cl.algebra, 3)))",
     "WreathBasis.__init__ = wreath_init",
-    # u_0 sends the degree-zero vector into two different degrees
+    # u_0 sends the degree-zero vector into two different degrees; Hom into the
+    # killed simple reads that column as one constraint row
     "alg, _ = build_nilcoxeter(2, 1, 1)",
     "gen = alg.generating_set()[0]",
     "unit = next(iter(alg.unit))",
     "degrees = [Degree(0, 0), Degree(1, 1), Degree(1, 0)]",
     "action = {unit: Mat.identity(3), gen: Mat(3, 3, {0: {1: 1, 2: 1}})}",
     "mod = SuperModule(alg, degrees, action=action)",
-    "forced('head', lambda: module_head_genfn(mod))",
+    "simple = SuperModule(alg, [Degree(0, 0)], action={unit: Mat.identity(1), gen: Mat(1, 1)})",
+    "forced('head', lambda: hom_graded_dim(mod, simple))",
 ])
 
 
@@ -215,7 +216,8 @@ MISUSES = "\n".join([
     "    RIGHT, AlgebraHom, Degree, SuperAlgebra, SuperModule, hom_graded_dim,",
     "    induce_module, outer_tensor, regular_module, restrict_module)",
     "from supertower.towers import (",
-    "    build_nilcoxeter_tower, check_nakayama_closed_form, clifford_base, trivial_level_algebra)",
+    "    build_nilcoxeter_tower, build_wreath_tower, check_nakayama_closed_form, clifford_base,",
+    "    trivial_level_algebra)",
     "from support import cartan_map, identity_hom",
     "def misuse(label, fn):",
     "    try:",
@@ -252,6 +254,9 @@ MISUSES = "\n".join([
     "misuse('fock side', lambda: dbl.fock_act(dbl.unit(), kv))",
     "misuse('nakayama data', lambda: check_nakayama_closed_form(tower, 1))",
     "misuse('psi data', lambda: check_psi_invariance(layer, 1))",
+    # the Sergeev simples are two-dimensional, so Hom into them reads no head
+    "sergeev = GrothLayer(build_wreath_tower(clifford_base(), 2))",
+    "misuse('head simples', lambda: sergeev.restriction_multiplicity_genfn(2, 1))",
 ])
 
 
@@ -265,7 +270,7 @@ def test_misuse_raises(flags):
     labels = ["labels", "images", "hom algebras", "hom sides", "outer sides", "restrict side",
               "restrict algebra", "induce side", "induce algebra", "eval_pi", "divmod",
               "groth add", "nabla sides", "pairing sides", "cartan side", "regular action sides",
-              "fock side", "nakayama data", "psi data"]
+              "fock side", "nakayama data", "psi data", "head simples"]
     assert proc.stdout == "".join(f"{label} ValueError\n" for label in labels)
 
 

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from supertower.errors import InternalInconsistencyError
 from supertower.linalg import (
     Eliminator,
     Mat,
     SignedQuotient,
+    block_ranks,
     exact,
     invert,
     rank_of_rows,
@@ -125,6 +127,26 @@ class TestSingletonRanks:
         assert rank_of_rows([{2: 3}, {2: Fraction(-1, 2)}, {}, {4: 1}, {2: 1}]) == 2
         # the two-entry row joins a support already counted: rank 2, not 3
         assert rank_of_rows([{0: 1}, {1: 2}, {0: 1, 1: -1}]) == 2
+
+
+class TestBlockRanks:
+    """``block_ranks`` ranks the rows of each block of columns on their own and
+    refuses a row that spans two blocks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.lists(hst.integers(0, 2), min_size=SINGLETON_COLS, max_size=SINGLETON_COLS),
+           hst.lists(singleton_rows | wide_rows, max_size=12))
+    def test_each_block_matches_the_dense_oracle(self, block, rows):
+        rows = [r for r in rows if len({block[k] for k in r}) <= 1]
+        ranks = block_ranks(rows, block)
+        assert set(ranks) <= set(block)
+        for key in set(block):
+            inside = [r for r in rows if r and block[min(r)] == key]
+            assert ranks.get(key, 0) == dense_rank_oracle(inside, SINGLETON_COLS)
+
+    def test_a_row_across_two_blocks_raises(self):
+        with pytest.raises(InternalInconsistencyError):
+            block_ranks([{0: 1}, {0: 1, 1: 2}], ["a", "b"])
 
 
 def test_solve_and_invert():

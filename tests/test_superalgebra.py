@@ -1,5 +1,6 @@
 """Supermodule sign calculus: tensors, homs, shifts, induction, restriction."""
 
+import functools
 import inspect
 import os
 import random
@@ -12,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from supertower.ground import GroundElem, TwistScalar, qpi_binomial, qpi_factorial
-from supertower.linalg import Mat
+from supertower.linalg import Mat, invert
 from supertower.superalgebra import (
     AlgebraHom,
     Degree,
     SuperAlgebra,
     SuperModule,
-    _hom_by_elimination,
     algebra_from_dict,
     algebra_to_dict,
     graded_dim,
@@ -42,11 +42,13 @@ from supertower.towers import (
 
 from support import (
     eliminated_induction,
+    hom_by_elimination,
     identity_hom,
     mat_add,
     mat_is_zero,
     mat_mul,
     mat_scale,
+    module_apply,
     shift_module,
     validate_module,
 )
@@ -184,7 +186,7 @@ class TestOuterTensor:
         mm = outer_tensor(regular_module(clifford), regular_module(clifford), ab)
         elem = {0 * 2 + 1: Fraction(1)}  # 1 (x) c
         vec = {1 * 2 + 0: Fraction(1)}   # c (x) 1
-        got = mm.apply(elem, vec)
+        got = module_apply(mm, elem, vec)
         assert got == {1 * 2 + 1: Fraction(-1)}
 
     def test_hom_multiplicativity(self, clifford, n3):
@@ -269,7 +271,6 @@ class TestTwist:
 
     def test_twist_inverse_roundtrip(self):
         from supertower.towers import build_nilcoxeter_tower
-        from supertower.linalg import invert
         tower = build_nilcoxeter_tower(3, 1, 1, frobenius_cap=3)
         psi = tower.frobenius[3].nakayama
         m = regular_module(tower.level(3))
@@ -511,11 +512,11 @@ class TestHomAgainstElimination:
         from supertower.towers import build_nilcoxeter_tower
         tower = build_nilcoxeter_tower(5, d, eps, frobenius_cap=0)
         for src, dst in hom_cases(tower):
-            assert hom_graded_dim(src, dst) == _hom_by_elimination(src, dst), (src.name, dst.name)
+            assert hom_graded_dim(src, dst) == hom_by_elimination(src, dst), (src.name, dst.name)
 
     def test_sergeev_to_level_three(self, sergeev3):
         for src, dst in hom_cases(sergeev3):
-            assert hom_graded_dim(src, dst) == _hom_by_elimination(src, dst), (src.name, dst.name)
+            assert hom_graded_dim(src, dst) == hom_by_elimination(src, dst), (src.name, dst.name)
 
 
 def idempotent_algebra():
@@ -528,11 +529,36 @@ def idempotent_algebra():
 
 
 class TestHomRoute:
-    """Which Hom path ran, seen through the support rule and the elimination."""
+    """Which rows each Hom handed to the rank kernel, ``killed`` or ``general``,
+    and whether any of its bidegree blocks went through the ``Eliminator``
+    (``True``) rather than the support count alone (``False``)."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
-        return spy_on_routes(monkeypatch, "_hom_by_supports", "supports", "_hom_by_elimination")
+        import supertower.linalg as la
+        import supertower.superalgebra as sa
+        ran, general, fed = [], [], []
+        constraint_rows, block_ranks, add_row = sa._constraint_rows, sa.block_ranks, la.Eliminator.add_row
+
+        def spy_rows(*args):
+            general.append(True)
+            return constraint_rows(*args)
+
+        def spy_add_row(self, row):
+            fed.append(row)
+            return add_row(self, row)
+
+        def spy_ranks(rows, block):
+            fed.clear()
+            got = block_ranks(rows, block)
+            ran.append(("general" if general else "killed", bool(fed)))
+            general.clear()
+            return got
+
+        monkeypatch.setattr(sa, "_constraint_rows", spy_rows)
+        monkeypatch.setattr(sa, "block_ranks", spy_ranks)
+        monkeypatch.setattr(la.Eliminator, "add_row", spy_add_row)
+        return ran
 
     @pytest.fixture
     def restricted(self):
@@ -556,14 +582,13 @@ class TestHomRoute:
         from supertower.grothendieck import GrothLayer
         from supertower.towers import build_nilcoxeter_tower
         self.expand_everything(GrothLayer(build_nilcoxeter_tower(3, 1, 1, frobenius_cap=0)), 3)
-        assert routes and set(routes) == {"supports"}
+        assert routes and set(routes) == {("killed", False)}
 
     def test_clifford_modules_fall_back(self, routes):
         from supertower.grothendieck import GrothLayer
         from supertower.towers import build_wreath_tower
         self.expand_everything(GrothLayer(build_wreath_tower(clifford_base(), 2)), 2)
-        assert routes and "supports" not in routes
-        assert routes.count("declined") == routes.count("eliminator")
+        assert routes and {rule for rule, _ in routes} == {"general"}
 
     @pytest.mark.parametrize("way", ["to probe", "from probe"])
     def test_coefficient_two_takes_the_support_rule(self, routes, restricted, way):
@@ -574,23 +599,25 @@ class TestHomRoute:
                    for c in col.values())
         src, dst = (seeded, simple) if way == "to probe" else (simple, seeded)
         got = hom_graded_dim(src, dst)
-        assert routes == ["supports"]
-        assert got == _hom_by_elimination(src, dst)
+        assert routes == [("killed", False)]
+        assert got == hom_by_elimination(src, dst)
         assert got == (hom_graded_dim(mod, simple) if way == "to probe" else hom_graded_dim(simple, mod))
 
     def test_two_entry_column_falls_back(self, routes, restricted):
+        # the killed rows still, but their block falls back to elimination
         mod, simple = restricted
         seeded = conjugated(mod, *basis_change(mod.dim, "sheared"))
         assert validate_module(seeded).ok
         gens = [b for b in mod.algebra.generating_set() if not mod.algebra.unit.get(b)]
         assert any(len(col) > 1 for b in gens for col in seeded.act(b).cols.values())
         got = hom_graded_dim(seeded, simple)
-        assert routes == ["declined", "eliminator"]
-        assert got == _hom_by_elimination(seeded, simple) == hom_graded_dim(mod, simple)
+        assert routes == [("killed", True)]
+        assert got == hom_by_elimination(seeded, simple) == hom_graded_dim(mod, simple)
 
     def test_colliding_rows_fall_back(self, routes):
-        # s e_0 = s e_1 = e_2: singleton columns, but one row with two entries;
-        # Hom(k, M) is two-dimensional, while M has only one empty column
+        # s e_0 = s e_1 = e_2: singleton columns, but one row with two entries,
+        # which falls back to elimination within the killed rows; Hom(k, M) is
+        # two-dimensional, while M has only one empty column
         from supertower.towers import build_nilcoxeter_tower
         tower = build_nilcoxeter_tower(2, 1, 1, frobenius_cap=0)
         alg = tower.level(2)
@@ -602,8 +629,8 @@ class TestHomRoute:
         assert validate_module(mod, on_generators=False).ok
         simple = tower.declared_simples(2)[0].module
         got = hom_graded_dim(simple, mod)
-        assert routes == ["declined", "eliminator"]
-        assert got == _hom_by_elimination(simple, mod)
+        assert routes == [("killed", True)]
+        assert got == hom_by_elimination(simple, mod)
         assert got == GroundElem.one() + GroundElem.monomial(alg.degrees[s].z, alg.degrees[s].par)
 
     @pytest.mark.parametrize("way", ["to probe", "from probe"])
@@ -616,8 +643,52 @@ class TestHomRoute:
         mod = SuperModule(alg, [Degree(0, 0)] * 2, action={0: Mat.identity(2), 1: Mat.identity(2)})
         src, dst = (mod, probe) if way == "to probe" else (probe, mod)
         got = hom_graded_dim(src, dst)
-        assert routes == ["declined", "eliminator"]
-        assert got == _hom_by_elimination(src, dst) == GroundElem.from_int(2)
+        assert [rule for rule, _ in routes] == ["general"]
+        assert got == hom_by_elimination(src, dst) == GroundElem.from_int(2)
+
+
+@functools.lru_cache(maxsize=None)
+def nilcoxeter_four(d, eps):
+    from supertower.towers import build_nilcoxeter_tower
+    return build_nilcoxeter_tower(4, d, eps, frobenius_cap=0)
+
+
+def graded_basis_change(degrees, rng):
+    """A random invertible integer change of basis that keeps every bidegree,
+    and its inverse: within each bidegree a lower triangle of shears in
+    [-2, 2] over a diagonal of ±1, ±2 and ±3."""
+    by_degree = {}
+    for j, d in enumerate(degrees):
+        by_degree.setdefault(d, []).append(j)
+    p = Mat(len(degrees), len(degrees))
+    for members in by_degree.values():
+        for t, j in enumerate(members):
+            p.cols[j] = {j: rng.choice([1, -1, 2, -2, 3, -3])}
+            for i in members[t + 1:]:
+                p.add_entry(i, j, rng.randint(-2, 2))
+    p_inv = invert(p)
+    assert mat_mul(p, p_inv) == Mat.identity(len(degrees))
+    return p, p_inv
+
+
+@settings(max_examples=40, deadline=None)
+@given(twist=hst.sampled_from([(1, 0), (1, 1)]), n=hst.integers(2, 4),
+       rng=hst.randoms(use_true_random=False))
+def test_killed_hom_is_basis_free(twist, n, rng):
+    # a restricted regular module in a random graded basis: generator columns
+    # with several entries and coefficients other than ±1, against the killed
+    # simple of the pair algebra both ways
+    tower = nilcoxeter_four(*twist)
+    a = rng.randint(1, n - 1)
+    pair = tower.pair_algebra(a, n - a)
+    mod = restrict_module(tower.rho(a, n - a), regular_module(tower.level(n)))
+    simple = outer_tensor(tower.declared_simples(a)[0].module,
+                          tower.declared_simples(n - a)[0].module, pair)
+    seeded = conjugated(mod, *graded_basis_change(mod.degrees, rng))
+    for src, dst, plain in ((seeded, simple, (mod, simple)), (simple, seeded, (simple, mod))):
+        got = hom_graded_dim(src, dst)
+        assert got == hom_by_elimination(src, dst)
+        assert got == hom_graded_dim(*plain)
 
 
 def test_double_parity_shift_restores_action(n3):
