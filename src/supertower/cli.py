@@ -45,6 +45,7 @@ from .heisenberg import (
 from .reporting import CheckRecord
 from .superalgebra import algebra_from_dict, algebra_to_dict, read_rational, validate_algebra
 from .towers import (
+    FROBENIUS_CAP,
     SPLIT_UNIT_ERROR,
     TowerSpec,
     build_nilcoxeter_tower,
@@ -172,9 +173,8 @@ def build_tower(cfg: RunConfig) -> TowerSpec:
             if key not in body:
                 raise ValidationError(f"nilcoxeter descriptor missing field {key!r}")
         _check_body(kind, body)
-        n_max = body["n_max"]
-        cap = body.get("frobenius_cap", min(n_max, 6))
-        return build_nilcoxeter_tower(n_max, body["d"], body["eps"], frobenius_cap=cap)
+        cap = body.get("frobenius_cap", FROBENIUS_CAP)
+        return build_nilcoxeter_tower(body["n_max"], body["d"], body["eps"], frobenius_cap=cap)
     if "n_max" not in body or "base" not in body:
         raise ValidationError("wreath descriptor needs fields base and n_max")
     _check_body(kind, body)

@@ -15,8 +15,6 @@ from fractions import Fraction
 from .errors import InternalInconsistencyError, ValidationError
 from .linalg import Mat, Vec, exact, rank_of_rows, solve
 from .superalgebra import (
-    LEFT,
-    RIGHT,
     Degree,
     SuperAlgebra,
     ValidationReport,
@@ -90,6 +88,10 @@ def check_frobenius(
         raise ValidationError("not Frobenius for this trace")
     psi = nakayama_matrix(alg, gram)
     return FrobeniusStructure(alg, trace, delta, sigma, gram, psi)
+
+
+LEFT = "left"
+RIGHT = "right"
 
 
 def _transposed_products(alg: SuperAlgebra, side: str) -> list[Mat]:

@@ -13,10 +13,13 @@ the powers' image.
 
 Both the smash product and the Fock action are bilinear extensions of
 memos kept on the double, not on the layer, because doubles over one layer
-may differ in twist: ``_monomial_product`` maps four basis keys to the
-product of two unit-coefficient monomials, and ``_basis_action`` maps
-three to the action of one on a basis class.  Memo values are never
-mutated; callers copy their terms into a fresh dict.
+may differ in twist.  ``_basis_action`` maps three basis keys to the action
+``a (x -> v)`` of one monomial on a basis class; it holds the one
+contraction of a projective class against a simple class's coproduct.
+``_monomial_product`` maps four basis keys to the product
+``(a # x)(b # y) = sum c**e a (x1 -> b) # x2 y`` of two unit-coefficient
+monomials, built from the contraction memo over the coproduct of ``x``.
+Memo values are never mutated; callers copy their terms into a fresh dict.
 """
 
 from __future__ import annotations
@@ -145,24 +148,6 @@ class HeisenbergDouble:
     def _scalar(self, k: int) -> GroundElem:
         return self.layer.scalar(k)
 
-    # -- the left regular action --------------------------------------------------
-
-    def regular_action(self, x: GrothVector, b: GrothVector) -> GrothVector:
-        """Pairing-adjoint action of a projective-side class on a simple-side class."""
-        if x.side != K_SIDE or b.side != G_SIDE:
-            raise ValueError(f"the regular action takes a {K_SIDE} and a {G_SIDE} vector, "
-                             f"not {x.side} and {b.side}")
-        layer = self.layer
-        g1 = self.twist.gamma[0]
-        out: dict[BasisKey, GroundElem] = {}
-        for (kb1, kb2), cb in layer.delta(b).items():
-            p = layer.pairing(x, layer.basis_vector(G_SIDE, *kb2))
-            if p.is_zero():
-                continue
-            coeff = cb * p * self._scalar(g1 * kb1[0] * kb2[0])
-            out[kb1] = out[kb1] + coeff if kb1 in out else coeff
-        return GrothVector(G_SIDE, nonzero(out))
-
     # -- the smash product ---------------------------------------------------------
 
     def smash_multiply(self, h1: HeisenbergElem, h2: HeisenbergElem) -> HeisenbergElem:
@@ -185,45 +170,31 @@ class HeisenbergDouble:
                           kb: BasisKey, ky: BasisKey) -> dict[tuple[BasisKey, BasisKey], GroundElem]:
         """``(a # x)(b # y)`` for basis classes, memoised per double.
 
-        Sum over the coproducts of ``x`` and ``b`` of the twist power
-        ``gamma''(|b|, |x2|) + xi''(|b| - |x1|, |x2|) + gamma'(|b1|, |b2|)``
-        times ``<x1, b2>  a b1 # x2 y``.  The memo lives on the double, not
-        on the layer, because doubles over one layer may differ in twist;
-        its values are never mutated.
+        Sum over the coproduct of ``x`` of the twist power
+        ``gamma''(|b|, |x2|) + xi''(|b| - |x1|, |x2|)`` times
+        ``a (x1 -> b) # x2 y``, where ``a (x1 -> b)`` is the memoised action
+        ``_basis_action(a, x1, b)``.  Its values are never mutated.
         """
         memo_key = (ka, kx, kb, ky)
         got = self._products.get(memo_key)
         if got is not None:
             return got
         layer = self.layer
-        g1, g2 = self.twist.gamma
+        g2 = self.twist.gamma[1]
         xi2 = self.twist.xi[1]
         out: dict[tuple[BasisKey, BasisKey], GroundElem] = {}
-        db = layer.basis_delta(G_SIDE, kb)
         for (kx1, kx2), cx in layer.basis_delta(K_SIDE, kx).items():
-            for (kb1, kb2), cbb in db.items():
-                p = layer.pairing(
-                    layer.basis_vector(K_SIDE, *kx1),
-                    layer.basis_vector(G_SIDE, *kb2),
-                )
-                if p.is_zero():
-                    continue
-                exp = (
-                    g2 * kb[0] * kx2[0]
-                    + xi2 * (kb[0] - kx1[0]) * kx2[0]
-                    + g1 * kb1[0] * kb2[0]
-                )
-                coeff = cx * cbb * p * self._scalar(exp)
-                left = layer.basis_nabla(G_SIDE, ka, kb1)
-                right = layer.basis_nabla(K_SIDE, kx2, ky)
-                for kg, cg in left.entries.items():
-                    for kk, ck in right.entries.items():
-                        term = coeff * cg * ck
-                        if term.is_zero():
-                            continue
-                        key = (kg, kk)
-                        out[key] = out[key] + term if key in out else term
-        got = self._products[memo_key] = {k: c for k, c in out.items() if not c.is_zero()}
+            left = self._basis_action(ka, kx1, kb)
+            if not left:
+                continue
+            coeff = cx * self._scalar(g2 * kb[0] * kx2[0] + xi2 * (kb[0] - kx1[0]) * kx2[0])
+            right = layer.basis_nabla(K_SIDE, kx2, ky)
+            for kg, cg in left.items():
+                cg = coeff * cg
+                for kk, ck in right.entries.items():
+                    key, term = (kg, kk), cg * ck
+                    out[key] = out[key] + term if key in out else term
+        got = self._products[memo_key] = nonzero(out)
         return got
 
     # -- the Fock space --------------------------------------------------------------
@@ -247,14 +218,24 @@ class HeisenbergDouble:
         return GrothVector(G_SIDE, nonzero(out))
 
     def _basis_action(self, ka: BasisKey, kx: BasisKey, kv: BasisKey) -> dict[BasisKey, GroundElem]:
-        """``(a # x) . v`` for basis classes: ``nabla(a, regular_action(x, v))``,
-        memoised per double beside the monomial products."""
+        """``(a # x) . v = a (x -> v)`` for basis classes, memoised per double.
+
+        The one contraction of the double: ``x -> v`` sums the coproduct
+        terms ``v1 (x) v2`` of ``v`` with ``v2 == x``, each times the norm
+        of ``x`` and the twist power ``gamma'(|v1|, |v2|)``.  The values are
+        never mutated; ``_monomial_product`` reads them too.
+        """
         memo_key = (ka, kx, kv)
         got = self._actions.get(memo_key)
         if got is None:
             layer = self.layer
-            acted = self.regular_action(layer.basis_vector(K_SIDE, *kx), layer.basis_vector(G_SIDE, *kv))
-            got = self._actions[memo_key] = layer.nabla(layer.basis_vector(G_SIDE, *ka), acted).entries
+            g1 = self.twist.gamma[0]
+            out: dict[BasisKey, GroundElem] = {}
+            for (kv1, kv2), cv in layer.basis_delta(G_SIDE, kv).items():
+                if kv2 == kx:
+                    coeff = cv * layer.norm(*kx) * self._scalar(g1 * kv1[0] * kv2[0])
+                    tensor_accumulate(out, layer.basis_nabla(G_SIDE, ka, kv1).entries, coeff)
+            got = self._actions[memo_key] = nonzero(out)
         return got
 
 
@@ -295,11 +276,10 @@ def weyl_check(double: HeisenbergDouble, max_power: int) -> list[CheckRecord]:
         lhs=repr(lhs), rhs=repr(rhs.add(double.unit())),
     ))
     y1 = layer.basis_vector(G_SIDE, 1, 0)
-    x1 = layer.basis_vector(K_SIDE, 1, 0)
     powers = [layer.unit_vector(G_SIDE)]
     for _ in range(max_power):
         powers.append(layer.nabla(powers[-1], y1))
-    lowered = [double.regular_action(x1, e) for e in powers]
+    lowered = [double.fock_act(lower, e) for e in powers]
     failing = [n for n in range(max_power)
                if lowered[n + 1] != powers[n].add(layer.nabla(lowered[n], y1).scale(c1))]
     records.append(CheckRecord(
@@ -395,7 +375,11 @@ def check_action_compat(double: HeisenbergDouble, max_level: int) -> list[CheckR
 
 
 def check_general_relation(double: HeisenbergDouble, max_level: int) -> list[CheckRecord]:
-    """The five-exponent commutation rule for the regular action on products."""
+    """The five-exponent commutation rule for the regular action on products.
+
+    The regular action of a projective class ``x`` is the Fock action of
+    its lowering element ``1 # x``.
+    """
     layer = double.layer
     g1, g2 = double.twist.gamma
     c1, c2 = double.twist.chi
@@ -405,16 +389,16 @@ def check_general_relation(double: HeisenbergDouble, max_level: int) -> list[Che
     for lx in range(max_level + 1):
         kx = _single_key(lx)
         dx = layer.basis_delta(K_SIDE, kx)
+        lower = double.minus_elem(kx)
         for la in range(max_level + 1):
             for lb in range(max_level + 1 - la):
                 a = layer.basis_vector(G_SIDE, la, 0)
                 b = layer.basis_vector(G_SIDE, lb, 0)
-                xv = layer.basis_vector(K_SIDE, *kx)
-                lhs = double.regular_action(xv, layer.nabla(a, b))
+                lhs = double.fock_act(lower, layer.nabla(a, b))
                 rhs: dict[BasisKey, GroundElem] = {}
                 for (kx1, kx2), cx in dx.items():
-                    act_a = double.regular_action(layer.basis_vector(K_SIDE, *kx1), a)
-                    act_b = double.regular_action(layer.basis_vector(K_SIDE, *kx2), b)
+                    act_a = double.fock_act(double.minus_elem(kx1), a)
+                    act_b = double.fock_act(double.minus_elem(kx2), b)
                     if act_a.is_zero() or act_b.is_zero():
                         continue
                     exp = (

@@ -6,8 +6,7 @@ algebra basis element (computed lazily for large algebras).  The module sign
 rules live here: Koszul signs in tensor products and outer tensors, and the
 sign-commutation constraint that defines graded homomorphism spaces.
 
-Left modules satisfy ``act(a) @ act(b) == act(ab)``; right modules store the
-matrices of right multiplication, so ``act(ab) == act(b) @ act(a)``.
+Modules are left modules: ``act(a) @ act(b) == act(ab)``.
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ class Degree:
 
     def __add__(self, other: "Degree") -> "Degree":
         return Degree(self.z + other.z, (self.par + other.par) & 1)
-
-
-LEFT = "left"
-RIGHT = "right"
 
 
 class SuperAlgebra:
@@ -295,7 +290,6 @@ class SuperModule:
         degrees: Sequence[Degree],
         action: dict[int, Mat] | None = None,
         action_fn: Callable[[int], Mat] | None = None,
-        side: str = LEFT,
         regular: bool = False,
         name: str = "",
     ):
@@ -303,7 +297,6 @@ class SuperModule:
         self.degrees = list(degrees)
         self._action: dict[int, Mat] = dict(action or {})
         self._action_fn = action_fn
-        self.side = side
         self.regular = regular
         self.name = name or f"module(dim={len(self.degrees)})"
 
@@ -333,7 +326,7 @@ class SuperModule:
         return out
 
     def __repr__(self) -> str:
-        return f"SuperModule({self.name}, dim={self.dim}, {self.side})"
+        return f"SuperModule({self.name}, dim={self.dim})"
 
 
 def regular_module(alg: SuperAlgebra, name: str = "") -> SuperModule:
@@ -347,10 +340,7 @@ def regular_module(alg: SuperAlgebra, name: str = "") -> SuperModule:
                 m.cols[j] = dict(col)
         return m
 
-    return SuperModule(
-        alg, alg.degrees, action_fn=action, side=LEFT, regular=True,
-        name=name or f"reg({alg.name})",
-    )
+    return SuperModule(alg, alg.degrees, action_fn=action, regular=True, name=name or f"reg({alg.name})")
 
 
 def graded_dim(space: SuperModule | SuperAlgebra) -> GroundElem:
@@ -389,8 +379,6 @@ def hom_graded_dim(src: SuperModule, dst: SuperModule) -> GroundElem:
     """
     if src.algebra is not dst.algebra:
         raise ValueError("modules over different algebras")
-    if not src.side == dst.side == LEFT:
-        raise ValueError("hom_graded_dim needs two left modules")
     if src.regular:
         return graded_dim(dst)
     gens = _non_unit_generators(src.algebra)
@@ -468,8 +456,6 @@ def outer_tensor(
     ``algebra`` may supply a previously built tensor algebra so repeated
     outer tensors over the same pair share one product table.
     """
-    if not left.side == right.side == LEFT:
-        raise ValueError("outer_tensor needs two left modules")
     ab = algebra if algebra is not None else tensor_algebra(left.algebra, right.algebra)
     dim_b = right.algebra.dim
     dim_n = right.dim
@@ -496,17 +482,12 @@ def outer_tensor(
                     out.cols[jm * dim_n + jn] = col
         return out
 
-    return SuperModule(
-        ab, degrees, action_fn=action, side=LEFT,
-        regular=(left.regular and right.regular),
-        name=name or f"{left.name}(box){right.name}",
-    )
+    return SuperModule(ab, degrees, action_fn=action, regular=(left.regular and right.regular),
+                       name=name or f"{left.name}(box){right.name}")
 
 
 def restrict_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperModule:
     """Restriction along the unital map ``phi``: the same space, the pulled-back action."""
-    if mod.side != LEFT:
-        raise ValueError("restriction needs a left module")
     if mod.algebra is not phi.target:
         raise ValueError("restriction needs a module over the target of phi")
     if phi.unit_image() != phi.target.unit:
@@ -515,10 +496,7 @@ def restrict_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperM
     def action(b: int) -> Mat:
         return mod.act_vec(phi.images[b])
 
-    return SuperModule(
-        phi.source, mod.degrees, action_fn=action, side=LEFT,
-        name=name or f"res({mod.name})",
-    )
+    return SuperModule(phi.source, mod.degrees, action_fn=action, name=name or f"res({mod.name})")
 
 
 def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperModule:
@@ -536,8 +514,6 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
     and does not depend on the route.  The regular module of ``B`` induces
     to the regular module of ``A``.
     """
-    if mod.side != LEFT:
-        raise ValueError("induction needs a left module")
     source, target = phi.source, phi.target
     if mod.algebra is not source:
         raise ValueError("induction needs a module over the source of phi")
@@ -579,7 +555,7 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
                 out.cols[t] = col
         return out
 
-    return SuperModule(target, degrees, action_fn=action, side=LEFT, name=name or f"ind({mod.name})")
+    return SuperModule(target, degrees, action_fn=action, name=name or f"ind({mod.name})")
 
 
 def _signed_relations(lefts: list[list[Vec]], acts: list[Mat], flat_dim: int,
@@ -687,10 +663,7 @@ def twist_module(mod: SuperModule, tau: Mat, name: str = "") -> SuperModule:
     def action(b: int) -> Mat:
         return mod.act_vec(tau.col(b))
 
-    return SuperModule(
-        mod.algebra, list(mod.degrees), action_fn=action, side=mod.side,
-        name=name or f"twist({mod.name})",
-    )
+    return SuperModule(mod.algebra, list(mod.degrees), action_fn=action, name=name or f"twist({mod.name})")
 
 
 # -- serialization (text, JSON-shaped) ----------------------------------------

@@ -35,7 +35,6 @@ from .ground import FULL, GroundElem, TwistScalar
 from .linalg import Mat, Vec, rank_of_rows
 from .reporting import CheckRecord
 from .superalgebra import (
-    LEFT,
     AlgebraHom,
     Degree,
     SuperAlgebra,
@@ -762,10 +761,15 @@ def _nilcoxeter_simple(alg: SuperAlgebra) -> SuperModule:
             m.add_entry(0, 0, 1)
         return m
 
-    return SuperModule(alg, [Degree(0, 0)], action_fn=action, side=LEFT, name="trivial")
+    return SuperModule(alg, [Degree(0, 0)], action_fn=action, name="trivial")
 
 
-def build_nilcoxeter_tower(n_max: int, d: int, eps: int, frobenius_cap: int = 6) -> TowerSpec:
+# the default top level with Frobenius data in a nilCoxeter tower
+FROBENIUS_CAP = 6
+
+
+def build_nilcoxeter_tower(n_max: int, d: int, eps: int,
+                           frobenius_cap: int = FROBENIUS_CAP) -> TowerSpec:
     """All levels of the signed nilCoxeter tower up to the truncation bound.
 
     Frobenius data (Gram form, Nakayama map) is materialized through
@@ -839,7 +843,7 @@ def _sergeev_level2_simple(alg: SuperAlgebra, basis: WreathBasis) -> SuperModule
                 out.add_entry(t, j, sgn * c)
         return out
 
-    return SuperModule(alg, tensor.degrees, action_fn=action, side=LEFT, name="V2")
+    return SuperModule(alg, tensor.degrees, action_fn=action, name="V2")
 
 
 def build_wreath_tower(base_frob: FrobeniusStructure, n_max: int) -> TowerSpec:

@@ -13,7 +13,7 @@ calls them, so they live with the tests.
 import functools
 
 from supertower.errors import InternalInconsistencyError, ValidationError
-from supertower.frobenius import _differences, _transposed_products
+from supertower.frobenius import LEFT, _differences, _transposed_products
 from supertower.grothendieck import (
     G_SIDE,
     K_SIDE,
@@ -28,7 +28,6 @@ from supertower.heisenberg import HeisenbergDouble, HeisenbergElem
 from supertower.linalg import Eliminator, Mat, Vec, exact, vec_axpy, vec_scale
 from supertower.reporting import CheckRecord
 from supertower.superalgebra import (
-    LEFT,
     AlgebraHom,
     Degree,
     SuperAlgebra,
@@ -137,20 +136,19 @@ def check_form_invariance(alg: SuperAlgebra, gram: Mat) -> None:
 def shift_module(mod: SuperModule, n: int, s: int = 0) -> SuperModule:
     """Degree shift by ``n`` and parity shift by ``s``.
 
-    A parity shift negates the action of odd algebra elements on left
-    modules; right-module parity shifts leave the action unchanged.
+    A parity shift negates the action of odd algebra elements.
     """
     s &= 1
     degrees = [Degree(d.z + n, d.par + s) for d in mod.degrees]
 
     def action(i: int) -> Mat:
         base = mod.act(i)
-        if s and mod.side == LEFT and mod.algebra.degrees[i].par:
+        if s and mod.algebra.degrees[i].par:
             return mat_scale(base, -1)
         return base
 
     return SuperModule(
-        mod.algebra, degrees, action_fn=action, side=mod.side,
+        mod.algebra, degrees, action_fn=action,
         regular=(mod.regular and n == 0 and s == 0),
         name=f"{mod.name}{{{n},{s}}}",
     )
@@ -177,7 +175,7 @@ def validate_module(mod: SuperModule, on_generators: bool = True) -> ValidationR
     """Check the unit action, homogeneity, and ``act(ab)`` against ``act(a) act(b)``.
 
     ``a`` runs over leading factors (every basis element if ``on_generators``
-    is false), ``b`` over the basis; right modules reverse the product.
+    is false), ``b`` over the basis.
     """
     alg = mod.algebra
     bad: list[tuple[str, tuple]] = []
@@ -193,11 +191,7 @@ def validate_module(mod: SuperModule, on_generators: bool = True) -> ValidationR
                     bad.append(("homogeneity", (a, i, j)))
         for b in range(alg.dim):
             expected = mod.act_vec(alg.basis_product(a, b))
-            if mod.side == LEFT:
-                got = mat_mul(mod.act(a), mod.act(b))
-            else:
-                got = mat_mul(mod.act(b), mod.act(a))
-            if got != expected:
+            if mat_mul(mod.act(a), mod.act(b)) != expected:
                 bad.append(("structure constants", (a, b)))
     return ValidationReport(mod.name, bad)
 
@@ -242,7 +236,7 @@ def eliminated_induction(phi: AlgebraHom, mod: SuperModule) -> SuperModule:
                 out.cols[t] = col
         return out
 
-    return SuperModule(target, degrees, action_fn=action, side=LEFT, name=f"ind({mod.name})")
+    return SuperModule(target, degrees, action_fn=action, name=f"ind({mod.name})")
 
 
 def hom_by_elimination(src: SuperModule, dst: SuperModule) -> GroundElem:
@@ -471,6 +465,12 @@ def rebuilt_regular_action(double: HeisenbergDouble, x: GrothVector, b: GrothVec
         coeff = cb * p * layer.scalar(double.twist.gamma[0] * kb1[0] * kb2[0])
         out = out.add(layer.basis_vector(G_SIDE, *kb1).scale(coeff))
     return out
+
+
+def lowering_elem(x: GrothVector) -> HeisenbergElem:
+    """The lowering element ``sum c_k (1 # k)`` of a projective-side vector
+    ``x``: its Fock action is the regular action of ``x``."""
+    return HeisenbergElem({((0, 0), k): c for k, c in x.entries.items()})
 
 
 def unmemoised_smash(double: HeisenbergDouble, h1: HeisenbergElem, h2: HeisenbergElem) -> HeisenbergElem:

@@ -567,3 +567,24 @@ def test_report_bytes_match_benchmark_reference(workload, tmp_path):
                  "--suites", ",".join(job["suites"]), "--out", str(out)])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == reference["bytes_sha256"]
+
+
+# digests of the Heisenberg suites at the twists the benchmark does not run
+HEISENBERG_DIGESTS = {
+    (0, 0): "524d0f001a64dd3760ab2c551fcb17b96ed3ec806efa4e2c6db653b0223e2baa",
+    (0, 1): "1944afd65a346a831edea58867beaad21a944a7e781aded86a5f07f6c82df0b7",
+    (2, 0): "5d8e412b2ad2ecec0d64b4e04d1375524344de4e7de0409344becc47504efcba",
+    (2, 1): "4e15c2d6ce83ae68d4f2b356de583351be65b5fe224689b14d55c486c23c4829",
+}
+
+
+@pytest.mark.parametrize("d,eps", sorted(HEISENBERG_DIGESTS))
+def test_heisenberg_report_bytes_at_other_twists(d, eps, tmp_path):
+    out = tmp_path / "report.json"
+    desc = {"nilcoxeter": {"n_max": 4, "d": d, "eps": eps}}
+    code = main(["verify", json.dumps(desc), "--format", "json", "--suites", "weyl,fock,faithfulness",
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["summary"] == {"fail": 0, "pass": 8, "total": 8}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HEISENBERG_DIGESTS[(d, eps)]

@@ -29,7 +29,7 @@ from supertower.reporting import all_passed
 from supertower.superalgebra import SuperModule, hom_graded_dim, outer_tensor, regular_module, restrict_module
 from supertower.towers import build_nilcoxeter_tower
 
-from support import cartan_map, failures, shift_module
+from support import cartan_map, failures, lowering_elem, shift_module
 
 
 class TestClasses:
@@ -299,7 +299,7 @@ class TestActionFormulaConsistency:
                     r = layer4_11.basis_vector(K_SIDE, lr, 0)
                     p = layer4_11.basis_vector(K_SIDE, lp, 0)
                     nvec = layer4_11.basis_vector(G_SIDE, ln, 0)
-                    lhs = layer4_11.pairing(r, dbl.regular_action(p, nvec))
+                    lhs = layer4_11.pairing(r, dbl.fock_act(lowering_elem(p), nvec))
                     rhs = layer4_11.pairing(layer4_11.nabla(r, p), nvec)
                     assert lhs == rhs
 

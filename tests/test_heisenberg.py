@@ -26,6 +26,7 @@ from supertower.towers import build_nilcoxeter_tower
 
 from support import (
     failures,
+    lowering_elem,
     rebuilt_delta,
     rebuilt_nabla,
     rebuilt_regular_action,
@@ -75,7 +76,7 @@ class TestRegularAction:
         layer = dbl11.layer
         x = layer.basis_vector(K_SIDE, 1, 0)
         for m in (1, 2, 3, 4):
-            got = dbl11.regular_action(x, layer.basis_vector(G_SIDE, m, 0))
+            got = dbl11.fock_act(lowering_elem(x), layer.basis_vector(G_SIDE, m, 0))
             assert got == layer.basis_vector(G_SIDE, m - 1, 0)
 
     def test_lowering_powers(self, dbl11):
@@ -86,19 +87,19 @@ class TestRegularAction:
         prev = layer.unit_vector(G_SIDE)
         for n in (1, 2, 3, 4):
             power = layer.nabla(prev, y)
-            assert dbl11.regular_action(x, power) == prev.scale(qpi_integer(n, c))
+            assert dbl11.fock_act(lowering_elem(x), power) == prev.scale(qpi_integer(n, c))
             prev = power
 
     def test_unit_acts_as_identity(self, dbl11):
         layer = dbl11.layer
         one = layer.unit_vector(K_SIDE)
         v = layer.basis_vector(G_SIDE, 3, 0)
-        assert dbl11.regular_action(one, v) == v
+        assert dbl11.fock_act(lowering_elem(one), v) == v
 
     def test_vacuum_annihilation(self, dbl11):
         layer = dbl11.layer
         x = layer.basis_vector(K_SIDE, 1, 0)
-        assert dbl11.regular_action(x, layer.unit_vector(G_SIDE)).is_zero()
+        assert dbl11.fock_act(lowering_elem(x), layer.unit_vector(G_SIDE)).is_zero()
 
 
 class TestSmash:
@@ -321,7 +322,7 @@ def oracle_action_compat(double, max_level):
     return records
 
 
-TWISTS4 = [(0, 0), (1, 0), (1, 1), (2, 0)]
+TWISTS4 = [(0, 0), (1, 0), (1, 1), (2, 0), (0, 1), (2, 1)]
 _doubles4 = {}
 
 
@@ -342,29 +343,35 @@ def _random_vector(layer, rng, max_level):
     return GrothVector(G_SIDE, entries)
 
 
+def assert_every_bounded_product_matches(double):
+    monos = _monomials(double.layer, 4)
+    for (ka, kx), (kb, ky) in itertools.product(monos, repeat=2):
+        if ka[0] + kb[0] > 4 or kx[0] + ky[0] > 4:
+            continue
+        h1, h2 = double.monomial(ka, kx), double.monomial(kb, ky)
+        assert double.smash_multiply(h1, h2) == unmemoised_smash(double, h1, h2), (ka, kx, kb, ky)
+
+
+def assert_every_bounded_action_matches(double):
+    layer = double.layer
+    for ka, kx in _monomials(layer, 4):
+        for m in range(5):
+            if ka[0] + m - kx[0] > 4:
+                continue
+            h, v = double.monomial(ka, kx), layer.basis_vector(G_SIDE, m, 0)
+            got = double.fock_act(h, v)
+            assert got == unmemoised_fock_act(double, h, v), (ka, kx, m)
+            assert not any(c.is_zero() for c in got.entries.values())
+
+
 class TestFockAgainstOracles:
     @pytest.mark.parametrize("d,eps", TWISTS4)
     def test_every_bounded_monomial_pair(self, d, eps):
-        double = nc4_double(d, eps)
-        monos = _monomials(double.layer, 4)
-        for (ka, kx), (kb, ky) in itertools.product(monos, repeat=2):
-            if ka[0] + kb[0] > 4 or kx[0] + ky[0] > 4:
-                continue
-            h1, h2 = double.monomial(ka, kx), double.monomial(kb, ky)
-            assert double.smash_multiply(h1, h2) == unmemoised_smash(double, h1, h2), (ka, kx, kb, ky)
+        assert_every_bounded_product_matches(nc4_double(d, eps))
 
     @pytest.mark.parametrize("d,eps", TWISTS4)
     def test_every_bounded_monomial_on_every_class(self, d, eps):
-        double = nc4_double(d, eps)
-        layer = double.layer
-        for ka, kx in _monomials(layer, 4):
-            for m in range(5):
-                if ka[0] + m - kx[0] > 4:
-                    continue
-                h, v = double.monomial(ka, kx), layer.basis_vector(G_SIDE, m, 0)
-                got = double.fock_act(h, v)
-                assert got == unmemoised_fock_act(double, h, v), (ka, kx, m)
-                assert not any(c.is_zero() for c in got.entries.values())
+        assert_every_bounded_action_matches(nc4_double(d, eps))
 
     @pytest.mark.parametrize("d,eps", TWISTS4)
     def test_seeded_multi_term_elements(self, d, eps):
@@ -382,7 +389,16 @@ class TestFockAgainstOracles:
             assert layer.nabla(u, v) == rebuilt_nabla(layer, u, v)
             assert layer.delta(u) == rebuilt_delta(layer, u)
             x = GrothVector(K_SIDE, {(k, 0): c for (k, _), c in u.entries.items()})
-            assert double.regular_action(x, v) == rebuilt_regular_action(double, x, v)
+            assert double.fock_act(lowering_elem(x), v) == rebuilt_regular_action(double, x, v)
+
+    def test_twist_exponents_the_towers_leave_zero(self):
+        # every registered tower has gamma' == xi'' == 0; a compatible twist
+        # with both nonzero reaches every exponent of the contraction
+        twist = TwistDataSet(TwistScalar(1, 1), (-1, 1), (1, 1))
+        assert twist.gamma[0] and twist.xi[1]
+        double = HeisenbergDouble(nc4_double(1, 1).layer, twist)
+        assert_every_bounded_product_matches(double)
+        assert_every_bounded_action_matches(double)
 
     def test_zero_coefficients_are_dropped(self):
         double = nc4_double(1, 1)
@@ -427,6 +443,24 @@ class TestFockAgainstOracles:
         assert got == oracle_action_compat(nc4_double(d, eps), 3)
         assert all_passed(got), failures(got)
 
+    @pytest.mark.parametrize("d,eps", TWISTS4)
+    def test_general_relation_records_match_the_unmemoised_action(self, d, eps):
+        oracle = nc4_double(d, eps)
+        oracle.fock_act = lambda h, v: unmemoised_fock_act(oracle, h, v)
+        got = check_general_relation(nc4_double(d, eps), 3)
+        assert got == check_general_relation(oracle, 3)
+        assert all_passed(got), failures(got)
+
+    def test_doubled_basis_action_fails_product_rule(self):
+        # (1 # x) . y_2 = y_1, doubled: x acting on y_1 y_1 = [2] y_2 no longer
+        # matches the product rule, which acts on each factor y_1 alone
+        bad = nc4_double(1, 1)
+        seeded = bad._basis_action((0, 0), (1, 0), (2, 0))
+        seeded[(1, 0)] = seeded[(1, 0)] + seeded[(1, 0)]
+        recs = check_general_relation(bad, 3)
+        assert [r.check for r in failures(recs)] == ["regular-action-product-rule"]
+        assert recs[0].detail == "first failing levels (1, 1, 1)"
+
     @pytest.mark.parametrize("memo_key,key", [
         (((0, 0), (1, 0), (1, 0)), (0, 0)),     # (1 # x) . y = 1
         (((1, 0), (0, 0), (1, 0)), (2, 0)),     # (y # 1) . y = [2] y_2
@@ -439,7 +473,11 @@ class TestFockAgainstOracles:
         recs = check_action_compat(bad, 2)
         by_check = {r.check: r for r in recs}
         assert not by_check["fock-module-law"].passed
-        assert by_check["smash-associativity"].passed
+        # the monomial products read the action memo, so the corruption
+        # reaches (a # x)(v # 1), built from the seeded key
+        ka, kx, kv = memo_key
+        h1, h2 = bad.monomial(ka, kx), bad.plus_elem(kv)
+        assert bad.smash_multiply(h1, h2) != unmemoised_smash(bad, h1, h2)
         # the reuse of pair products reports the same first failure as the plain loop
         assert recs == oracle_action_compat(bad, 2)
 
@@ -484,7 +522,7 @@ class OraclePowerBasis:
 
     def lower_op(self, coeffs):
         x = self.layer.basis_vector(K_SIDE, 1, 0)
-        return self.to_powers(self.double.regular_action(x, self.from_powers(coeffs)))
+        return self.to_powers(self.double.fock_act(lowering_elem(x), self.from_powers(coeffs)))
 
     def raise_op(self, coeffs):
         return {n + 1: c for n, c in coeffs.items()}

@@ -60,8 +60,7 @@ def hom_dim_by_full_basis(src, dst):
     saved = alg.generators
     try:
         alg.generators = None
-        unshifted = SuperModule(alg, src.degrees,
-                                action={i: src.act(i) for i in range(alg.dim)}, side=src.side)
+        unshifted = SuperModule(alg, src.degrees, action={i: src.act(i) for i in range(alg.dim)})
         return hom_graded_dim(unshifted, dst)
     finally:
         alg.generators = saved
@@ -394,7 +393,7 @@ class TestInduceFastPathAgainstGeneric:
 
 def conjugated(mod, p, p_inv):
     """The module ``mod`` in the basis given by the columns of ``p``."""
-    return SuperModule(mod.algebra, mod.degrees, side=mod.side, name=f"conj({mod.name})",
+    return SuperModule(mod.algebra, mod.degrees, name=f"conj({mod.name})",
                        action={i: mat_mul(p_inv, mat_mul(mod.act(i), p))
                                for i in range(mod.algebra.dim)})
 
