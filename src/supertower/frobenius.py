@@ -62,10 +62,11 @@ def check_frobenius(
 
     ``partners(i)`` lists, ascending, every ``j`` for which ``e_i e_j`` can
     reach the trace; only those pairs enter the Gram matrix.  A family whose
-    basis knows where products land (the permutation bases put the trace on
-    ``w0``) supplies it; otherwise every ``j`` is a partner.  Since
-    ``tr(e_j) == (1, e_j)``, every trace key must be a partner of the unit,
-    or the rule is wrong.
+    basis knows where products land supplies it: the permutation bases put
+    the trace on ``w0``, and a wreath level also matches tensor tuples slot
+    by slot against the base Gram rows (``WreathBasis.gram_partners``);
+    otherwise every ``j`` is a partner.  Since ``tr(e_j) == (1, e_j)``,
+    every trace key must be a partner of the unit, or the rule is wrong.
     """
     sigma &= 1
     trace = {i: exact(c) for i, c in trace.items() if c}

@@ -14,7 +14,8 @@ the symmetric group acting by superpermutations.  Each level keeps the
 tensor power ``B^(x)n`` as a superalgebra, whose products carry the Koszul
 sign, and one table of how every permutation moves every tensor tuple and at
 what sign, filled in length order one adjacent swap at a time; a product is
-one table lookup and one tensor-power product.
+one lookup there, one in a table of permutation products and one
+tensor-power product.
 
 Neither family trusts its tables: every level is built with a certificate,
 read off them, that its product is associative.
@@ -386,6 +387,9 @@ class WreathBasis:
     ``s_k v`` with slots ``k, k+1`` of each target swapped, the sign negated
     when both swapped factors are odd.
 
+    ``perm_row(vx)[vy]`` is the rank of ``perms[vx] perms[vy]``, each row
+    filled on first use, so products and Gram partners compose no tuples.
+
     Embeddings of smaller levels fill the free slots with the base unit,
     which must then be a single basis vector.
     """
@@ -395,6 +399,9 @@ class WreathBasis:
         self.tuples = list(itertools.product(range(base.dim), repeat=n))
         self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
         self.perms, self.perm_index, self.words, self.lengths = perm_tables(n)
+        self.inverse = [self.perm_index[perm_inverse(p)] for p in self.perms]
+        self.w0 = self.perm_index[longest_element(n)]
+        self._perm_rows: list[list[int] | None] = [None] * len(self.perms)
         self.unit_b = unit_basis_index(base)
         self.tensor = trivial_level_algebra()
         for _ in range(n):
@@ -430,17 +437,28 @@ class WreathBasis:
         """The basis index of the permutation ``w`` over the unit tensor."""
         return self.index(self._unit_padded((), 0), w)
 
-    def gram_partners(self, i: int) -> range:
-        """Every ``j`` whose product with ``e_i`` can reach the trace on ``w0``.
+    def perm_row(self, vx: int) -> list[int]:
+        row = self._perm_rows[vx]
+        if row is None:
+            left, index = self.perms[vx], self.perm_index
+            row = self._perm_rows[vx] = [index[perm_mult(left, p)] for p in self.perms]
+        return row
 
-        A product's permutation is the product of its factors' permutations,
-        so ``j`` carries ``v^-1 w0`` for ``e_i`` at ``v``, over every tuple,
-        in ascending index order.
+    def gram_partners(self, i: int, rows: dict[int, Vec]) -> list[int]:
+        """Every ``j`` with ``tr(e_i e_j)`` nonzero, ascending, for the trace
+        ``tr_B^(x)n (x) tr_{S_n}`` whose base Gram rows are ``rows``.
+
+        ``(tx, v)(ty, w)`` is ``±(tx * u, v w)`` with ``u`` the tuple ``v``
+        moves ``ty`` to, and a tensor's trace is the product of its slots'
+        traces.  So ``w`` is ``v^-1 w0``, and ``ty`` is ``u`` moved back by
+        ``v^-1`` for ``u`` with each slot ``u_k`` in base Gram row ``tx_k``.
         """
-        _, v = self.unindex(i)
-        step = len(self.perms)
-        p = self.perm_index[perm_mult(perm_inverse(v), longest_element(self.n))]
-        return range(p, len(self.tuples) * step, step)
+        tx, v = divmod(i, len(self.perms))
+        inv = self.inverse[v]
+        p = self.perm_row(inv)[self.w0]
+        back, index, step = self.act[inv], self.tuple_index, len(self.perms)
+        slots = [rows.get(b, ()) for b in self.tuples[tx]]
+        return sorted(back[index[u]][1] * step + p for u in itertools.product(*slots))
 
     def embed(self, inner: "WreathBasis", i: int, offset: int) -> int:
         """Basis element ``i`` of a smaller level, placed on the slots from ``offset``."""
@@ -454,12 +472,14 @@ def build_wreath(base_frob: FrobeniusStructure,
 
     Basis: (pure tensor of base basis) x (permutation); the symmetric group
     sits in bidegree zero and conjugation acts by superpermutations.  Every
-    product reads the basis's two tables: ``(tx, vx)(ty, vy)`` is
-    ``sign * (tx * u, vx vy)`` with ``(sign, u) = act[vx][ty]`` and ``tx * u``
-    the product in ``tensor``.  The unit, the degrees and the slot generators
-    are those of ``tensor`` over the identity permutation; the Coxeter
-    generators follow.  The returned Frobenius structure has trace
-    tr_B^n (x) tr_{S_n} and degree ``(n*delta, n*sigma)``.
+    product reads the basis's tables: ``(tx, vx)(ty, vy)`` is
+    ``sign * (tx * u, vx vy)`` with ``(sign, u) = act[vx][ty]``, ``tx * u``
+    the product in ``tensor`` and ``vx vy`` read off ``perm_row(vx)``.  The
+    unit, the degrees and the slot generators are those of ``tensor`` over
+    the identity permutation; the Coxeter generators follow.  The returned
+    Frobenius structure has trace tr_B^n (x) tr_{S_n} and degree
+    ``(n*delta, n*sigma)``; its Gram matrix is read from
+    ``basis.gram_partners`` over the base Gram rows.
 
     ``basis`` is the level's ``WreathBasis(base_frob.algebra, n)``; a tower
     shares one per level, so its tables and tensor-power products are filled
@@ -505,7 +525,7 @@ def build_wreath(base_frob: FrobeniusStructure,
         tx, vx = divmod(x, nf)
         ty, vy = divmod(y, nf)
         sign, u = act[vx][ty]
-        w = perm_index[perm_mult(perms[vx], perms[vy])]
+        w = basis.perm_row(vx)[vy]
         return {t * nf + w: sign * c for t, c in tensor.basis_product(tx, u).items() if c}
 
     gens = None
@@ -519,16 +539,17 @@ def build_wreath(base_frob: FrobeniusStructure,
         name=f"wreath({base.name},n={n})",
     )
 
-    w0 = perm_index[longest_element(n)]
     trace: Vec = {}
     for ti, t in enumerate(basis.tuples):
         val = 1
         for b in t:
             val *= base_frob.trace.get(b, 0)
         if val:
-            trace[ti * nf + w0] = val
+            trace[ti * nf + basis.w0] = val
+    rows = base_frob.gram.transpose().cols
     frob = check_frobenius(
-        alg, trace, n * base_frob.delta, (n * base_frob.sigma) & 1, partners=basis.gram_partners,
+        alg, trace, n * base_frob.delta, (n * base_frob.sigma) & 1,
+        partners=lambda i: basis.gram_partners(i, rows),
     )
     return alg, frob
 

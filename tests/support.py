@@ -3,10 +3,10 @@
 Module shifts, the action of an algebra element on a module vector, the
 all-pairs module validator, induction by row reduction alone, Hom by
 elimination of every generator constraint, the form-invariance audit that associativity implies, the identity
-hom, the matrix sum, scale, product and zero test, the permutation list,
+hom, the algebra-map check without index reads, the matrix sum, scale, product and zero test, the permutation list,
 the value scan behind ``apply_s``, the nilCoxeter straightening, the wreath sign rules, the Cartan map, the
 unmemoised smash product and Fock action and a failure filter, plus the
-exterior-superalgebra base file.  No ``verify``, ``weyl`` or ``build`` run
+exterior-superalgebra and Z/3 base files.  No ``verify``, ``weyl`` or ``build`` run
 calls them, so they live with the tests.
 """
 
@@ -112,6 +112,26 @@ def apply_s_by_values(a: Perm, i: int) -> Perm:
 
 def identity_hom(alg: SuperAlgebra) -> AlgebraHom:
     return AlgebraHom(alg, alg, [{i: 1} for i in range(alg.dim)], name=f"id({alg.name})")
+
+
+def dict_path_violations(phi: AlgebraHom) -> list[tuple[str, tuple]]:
+    """``AlgebraHom.validate`` with every product formed through dicts: the
+    oracle of its one-entry index reads."""
+    bad: list[tuple[str, tuple]] = []
+    for i in range(phi.source.dim):
+        di = phi.source.degrees[i]
+        for k, c in phi.images[i].items():
+            if c and phi.target.degrees[k] != di:
+                bad.append(("degree preservation", (i, k)))
+    if phi.unit_image() != phi.target.unit:
+        bad.append(("unit preservation", ()))
+    for a in phi.source.leading_factors():
+        for b in range(phi.source.dim):
+            lhs = phi.apply_vec(phi.source.basis_product(a, b))
+            rhs = phi.target.product_vec(phi.images[a], phi.images[b])
+            if lhs != rhs:
+                bad.append(("multiplicativity", (a, b)))
+    return bad
 
 
 def check_form_invariance(alg: SuperAlgebra, gram: Mat) -> None:
@@ -528,4 +548,14 @@ EXTERIOR_BASE = {
         + [[1, 2, 3, 1, 1], [2, 1, 3, -1, 1]],
     },
     "frobenius": {"trace": [[0, 1], [0, 1], [0, 1], [1, 1]], "delta": 2, "sigma": 0},
+}
+
+# the group algebra of Z/3 with trace 1* + g*: every Gram row has two entries
+Z3_BASE = {
+    "algebra": {
+        "labels": ["1", "g", "g2"], "degrees": [[0, 0], [0, 0], [0, 0]],
+        "unit": [[1, 1], [0, 1], [0, 1]], "generators": [1],
+        "structure": [[a, b, (a + b) % 3, 1, 1] for a in range(3) for b in range(3)],
+    },
+    "frobenius": {"trace": [[1, 1], [1, 1], [0, 1]], "delta": 0, "sigma": 0},
 }

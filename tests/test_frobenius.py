@@ -32,7 +32,7 @@ from supertower.towers import (
     wreath_nakayama_closed_form,
 )
 
-from support import EXTERIOR_BASE, all_perms, check_form_invariance, entry
+from support import EXTERIOR_BASE, Z3_BASE, all_perms, check_form_invariance, entry
 
 
 @pytest.fixture(scope="module")
@@ -427,7 +427,7 @@ def _same_layout(got, want):
 
 
 PARTNER_CASES = ([("nilcoxeter", n, eps) for n in (1, 2, 3, 4, 5) for eps in (0, 1)]
-                 + [("sergeev", n, None) for n in (1, 2, 3)])
+                 + [("sergeev", n, None) for n in (1, 2, 3, 4)])
 
 
 class TestGramPartnersMatchDenseOracles:
@@ -452,6 +452,21 @@ class TestGramPartnersMatchDenseOracles:
             _same_layout(frob.gram, dense_gram(frob.algebra, frob.trace))
             _same_layout(frob.nakayama, column_nakayama(frob.algebra, frob.gram))
 
+    def test_base_file_with_two_entry_gram_rows(self, tmp_path):
+        # Z/3 with trace 1* + g*: tr(g^a g^b) is nonzero for two b per a, so
+        # each wreath partner list is a product of two-element slot supports
+        path = tmp_path / "z3.json"
+        path.write_text(json.dumps(Z3_BASE))
+        tower = build_tower(RunConfig(descriptor={"wreath": {"base": str(path), "n_max": 3}},
+                                      suites=["axioms"]))
+        for lv in (1, 2, 3):
+            frob = tower.frobenius[lv]
+            basis = tower.bases[lv]
+            rows = tower.base_frob.gram.transpose().cols
+            assert all(len(basis.gram_partners(i, rows)) == 2 ** lv for i in range(frob.algebra.dim))
+            _same_layout(frob.gram, dense_gram(frob.algebra, frob.trace))
+            _same_layout(frob.nakayama, column_nakayama(frob.algebra, frob.gram))
+
     def test_nilcoxeter_partner_is_the_complement_to_w0(self):
         alg, basis = build_nilcoxeter(4, 1, 1)
         w0 = basis.index[longest_element(4)]
@@ -465,8 +480,10 @@ class TestGramPartnersMatchDenseOracles:
         alg, frob = build_wreath(clifford, WreathBasis(clifford.algebra, 2))
         basis = WreathBasis(clifford.algebra, 2)
         moved = {basis.index(basis.unindex(k)[0], identity_perm(2)): c for k, c in frob.trace.items()}
+        rows = clifford.gram.transpose().cols
         with pytest.raises(InternalInconsistencyError, match="Gram partners"):
-            check_frobenius(alg, moved, frob.delta, frob.sigma, partners=basis.gram_partners)
+            check_frobenius(alg, moved, frob.delta, frob.sigma,
+                            partners=lambda i: basis.gram_partners(i, rows))
         # it is the group-algebra trace there, a Frobenius form the generic loop finds
         generic = check_frobenius(alg, moved, frob.delta, frob.sigma)
         _same_layout(generic.gram, dense_gram(alg, moved))

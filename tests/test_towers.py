@@ -13,6 +13,7 @@ from supertower.linalg import Mat, rank_of_rows
 from supertower.reporting import all_passed
 from supertower.superalgebra import (
     AlgebraHom,
+    SuperAlgebra,
     algebra_from_dict,
     generated_dim,
     graded_dim,
@@ -51,6 +52,7 @@ from support import (
     EXTERIOR_BASE,
     all_perms,
     apply_s_by_values,
+    dict_path_violations,
     failures,
     straightened_product,
     superperm_apply,
@@ -217,6 +219,31 @@ class TestWreathBuild:
         cc = (1 * 2 + 1) * np_ + perms.index((0, 1))
         left = alg.product_vec(alg.basis_product(s1, cc), {s1: Fraction(1)})
         assert left == {cc: Fraction(-1)}
+
+    def test_perm_rows_match_perm_mult(self):
+        for n in range(5):
+            basis = WreathBasis(clifford_base().algebra, n)
+            for vx, p in enumerate(basis.perms):
+                assert basis.perm_row(vx) == [basis.perm_index[perm_mult(p, q)] for q in basis.perms]
+
+    def test_sergeev4_build_fill_count(self, monkeypatch):
+        # the Gram loop reads one partner per row and the closure reads the
+        # permutation rows, so a widened partner screen shows up here
+        fills = []
+        init = SuperAlgebra.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            fill = self._product_fn
+            if fill is not None:
+                def counted_fill(i, j):
+                    fills.append((i, j))
+                    return fill(i, j)
+                self._product_fn = counted_fill
+
+        monkeypatch.setattr(SuperAlgebra, "__init__", counted)
+        build_wreath_tower(clifford_base(), 4)
+        assert len(fills) <= 4036
 
     def test_wreath_algebra_validates(self, sergeev3):
         assert validate_algebra(sergeev3.level(2)).ok
@@ -711,3 +738,106 @@ class TestGeneratorLedValidation:
                     pair = tower.pair_algebra(n, m)
                     assert pair.generators is not None
                     assert generated_dim(pair) == pair.dim
+
+
+# -- the one-entry index reads of AlgebraHom.validate against the dict path ------------
+
+
+HOM_TWISTS = [(1, 0), (1, 1), (0, 1), (2, 1)]
+
+
+@pytest.fixture(scope="module")
+def hom_towers():
+    towers = {f"nc5_{d}{eps}": build_nilcoxeter_tower(5, d, eps) for d, eps in HOM_TWISTS}
+    towers["sergeev3"] = build_wreath_tower(clifford_base(), 3)
+    return towers
+
+
+def _nakayama_hom(frob):
+    alg, psi = frob.algebra, frob.nakayama
+    return AlgebraHom(alg, alg, [psi.col(j) for j in range(alg.dim)], name=f"psi({alg.name})")
+
+
+def _every_map(tower):
+    yield from _tower_homs(tower)
+    for frob in tower.frobenius:
+        if frob is not None:
+            yield _nakayama_hom(frob)
+
+
+def _flip_sign(phi, t):
+    images = [dict(v) for v in phi.images]
+    images[t] = {k: -c for k, c in images[t].items()}
+    return AlgebraHom(phi.source, phi.target, images)
+
+
+def _swap(phi, t, u):
+    images = [dict(v) for v in phi.images]
+    images[t], images[u] = images[u], images[t]
+    return AlgebraHom(phi.source, phi.target, images)
+
+
+def _changed_constant(phi, a, b, k):
+    """``phi`` on a copy of its source whose ``e_a e_b`` has its ``e_k`` coefficient doubled."""
+    src = phi.source
+    products = {key: dict(v) for key, v in src.struct_consts().items()}
+    products[(a, b)][k] *= 2
+    changed = SuperAlgebra(src.labels, src.degrees, src.unit, products=products,
+                           generators=src.generators, name=f"{src.name}*")
+    return AlgebraHom(changed, phi.target, phi.images)
+
+
+class TestIndexReadsMatchDictPath:
+    @pytest.mark.parametrize("name", [f"nc5_{d}{eps}" for d, eps in HOM_TWISTS] + ["sergeev3"])
+    def test_tower_maps(self, name, hom_towers):
+        # every rho, every step and every solved Nakayama map
+        for phi in _every_map(hom_towers[name]):
+            assert phi.validate().violations == dict_path_violations(phi) == [], phi.name
+
+    @pytest.mark.parametrize("name", [f"nc5_{d}{eps}" for d, eps in HOM_TWISTS] + ["sergeev3"])
+    def test_seeded_corruptions_are_caught(self, name, hom_towers):
+        # each corruption breaks an injective map at a pair the validator
+        # checks: the flipped or swapped images belong to products of a
+        # generator, and the changed constant is a generator's
+        rng = random.Random(23)
+        checked = 0
+        for phi in _every_map(hom_towers[name]):
+            src = phi.source
+            leading = src.leading_factors()
+            inner = [t for t in range(src.dim) if t not in leading]
+            if len(inner) < 2:
+                continue
+            t, u = rng.sample(inner, 2)
+            a = rng.choice([g for g in leading if g not in src.unit])
+            b = rng.choice([b for b in range(src.dim) if src.basis_product(a, b)])
+            k = rng.choice(sorted(src.basis_product(a, b)))
+            for bad in (_flip_sign(phi, t), _swap(phi, t, u), _changed_constant(phi, a, b, k)):
+                got = bad.validate().violations
+                assert got, phi.name
+                assert got == dict_path_violations(bad), phi.name
+                checked += 1
+        assert checked >= 24
+
+    def test_stored_zero_structure_constant(self):
+        # x x = 0 xy stored explicitly: the one-entry reads must drop the zero
+        # on whichever side it appears, as vec_axpy does
+        data = dict(EXTERIOR_BASE["algebra"])
+        plain = algebra_from_dict(data, name="exterior")
+        data["structure"] = data["structure"] + [[1, 1, 3, 0, 1]]
+        zeroed = algebra_from_dict(data, name="exterior0")
+        assert zeroed.basis_product(1, 1) == {3: 0}
+        ident = [{i: 1} for i in range(4)]
+        for src, tgt in ((zeroed, plain), (plain, zeroed), (zeroed, zeroed)):
+            phi = AlgebraHom(src, tgt, ident)
+            assert phi.validate().violations == dict_path_violations(phi) == []
+
+    def test_image_coefficient_two(self):
+        ext = algebra_from_dict(EXTERIOR_BASE["algebra"], name="exterior")
+        scaled = AlgebraHom(ext, ext, [{0: 1}, {1: 2}, {2: 1}, {3: 2}])
+        assert scaled.validate().violations == dict_path_violations(scaled) == []
+        # the same map with a stored zero in the image of x
+        padded = AlgebraHom(ext, ext, [{0: 1}, {1: 2, 2: 0}, {2: 1}, {3: 2}])
+        assert padded.validate().violations == dict_path_violations(padded) == []
+        bad = AlgebraHom(ext, ext, [{0: 1}, {1: 2}, {2: 1}, {3: 1}])
+        assert bad.validate().violations == dict_path_violations(bad) == [
+            ("multiplicativity", (1, 2)), ("multiplicativity", (2, 1))]
