@@ -58,6 +58,7 @@ from .towers import (
     clifford_base,
     unit_basis_index,
 )
+from .values import Record
 
 USAGE_ERROR = 64
 OUTPUT_DIR_ENV = "SUPERTOWER_OUT"
@@ -82,7 +83,7 @@ SUITE_NOTES = {
 }
 
 
-class RunConfig:
+class RunConfig(Record):
     def __init__(self, descriptor: dict, suites: list[str], n_max: int | None = None,
                  fmt: str = "text", out: str | None = None, general_shift: bool = False):
         self.descriptor = descriptor
@@ -92,24 +93,14 @@ class RunConfig:
         self.out = out
         self.general_shift = general_shift
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
-
-class Report:
+class Report(Record):
     """The check records, sorted within each suite, and the seconds the build
     and each suite took, in run order."""
 
     def __init__(self, records: list[CheckRecord] | None = None):
         self.records = [] if records is None else records
         self.elapsed: dict[str, float] = {}
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     @property
     def passed(self) -> int:

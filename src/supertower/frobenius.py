@@ -137,15 +137,15 @@ def nakayama_matrix(alg: SuperAlgebra, gram: Mat) -> Mat:
     return psi
 
 
-def frobenius_tensor(f1: FrobeniusStructure, f2: FrobeniusStructure, algebra: SuperAlgebra | None = None) -> FrobeniusStructure:
+def frobenius_tensor(f1: FrobeniusStructure, f2: FrobeniusStructure) -> FrobeniusStructure:
     """The structure on the tensor algebra, with trace ``tr1 (x) tr2``."""
-    ab = algebra if algebra is not None else tensor_algebra(f1.algebra, f2.algebra)
     dim2 = f2.algebra.dim
     trace: Vec = {}
     for i, a in f1.trace.items():
         for j, b in f2.trace.items():
             trace[i * dim2 + j] = a * b
-    return check_frobenius(ab, trace, f1.delta + f2.delta, (f1.sigma + f2.sigma) & 1)
+    return check_frobenius(tensor_algebra(f1.algebra, f2.algebra), trace,
+                           f1.delta + f2.delta, (f1.sigma + f2.sigma) & 1)
 
 
 def tensor_nakayama_matrix(f1: FrobeniusStructure, f2: FrobeniusStructure) -> Mat:

@@ -47,6 +47,7 @@ from .superalgebra import (
     twist_module,
 )
 from .towers import DeclaredModule, TowerSpec, tower_pairing_entry
+from .values import Record
 
 K_SIDE = "K"
 G_SIDE = "G"
@@ -54,18 +55,13 @@ G_SIDE = "G"
 BasisKey = tuple[int, int]  # (level, index into the declared basis)
 
 
-class GrothVector:
+class GrothVector(Record):
     """A finitely supported combination of basis classes on one side, built
     zero-free like every tensor and Heisenberg element, so it compares as a dict."""
 
     def __init__(self, side: str, entries: dict[BasisKey, GroundElem] | None = None):
         self.side = side
         self.entries = {} if entries is None else entries
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     def add(self, other: "GrothVector") -> "GrothVector":
         if self.side != other.side:

@@ -13,7 +13,9 @@ coefficient`` with no zero coefficients stored; ``pi_exponent`` is always
 Canonical term order (``q`` exponent ascending, then ``pi`` exponent)
 governs printing.
 
-Elements are immutable, and values are shared: ``one()`` and ``zero()``
+Elements are immutable: like ``TwistScalar`` they are ``values.Frozen``,
+which refuses assigning or deleting a field, but they keep their own
+equality, hash and printing.  Values are shared: ``one()`` and ``zero()``
 return one instance per mode, and a product by one returns the other factor
 itself.  So the ``terms`` dict of an element must never be mutated.  The
 constructor validates and normalises terms that come from outside the ring;
@@ -28,6 +30,7 @@ from fractions import Fraction
 
 from .errors import ExactDivisionError, InternalInconsistencyError, ModeError
 from .linalg import exact
+from .values import Frozen
 
 FULL = "full"
 COLLAPSED = "collapsed"
@@ -40,7 +43,7 @@ def _is_dyadic(x: int | Fraction) -> bool:
     return d & (d - 1) == 0
 
 
-class TwistScalar:
+class TwistScalar(Frozen):
     """The scalar ``q**d * pi**eps`` that twists all Hopf-level identities;
     immutable, equal and hashed by value."""
 
@@ -50,29 +53,12 @@ class TwistScalar:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "eps", eps & 1)
 
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("TwistScalar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("TwistScalar is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.d == other.d and self.eps == other.eps
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.eps))
-
-    def __repr__(self) -> str:
-        return f"TwistScalar(d={self.d!r}, eps={self.eps!r})"
-
     def power(self, k: int, mode: str = FULL) -> "GroundElem":
         """Return ``(q^d pi^eps)**k`` as a ring element."""
         return GroundElem.monomial(self.d * k, self.eps * k, 1, mode)
 
 
-class GroundElem:
+class GroundElem(Frozen):
     """An element of the full or collapsed coefficient ring."""
 
     __slots__ = ("terms", "mode")
@@ -100,9 +86,6 @@ class GroundElem:
                     del clean[key]
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("GroundElem is immutable")
 
     # -- constructors ------------------------------------------------------
 

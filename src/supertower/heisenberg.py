@@ -40,6 +40,7 @@ from .grothendieck import (
 from .reporting import CheckRecord
 from .superalgebra import graded_dim, induce_module, restrict_module
 from .towers import TowerSpec
+from .values import Frozen, Record
 
 
 def derive_xi(chi: tuple[int, int], gamma: tuple[int, int]) -> tuple[int, int]:
@@ -56,7 +57,7 @@ def check_compatibility(twist: "TwistDataSet") -> bool:
     return twist.chi[0] == -twist.gamma[0]
 
 
-class TwistDataSet:
+class TwistDataSet(Frozen):
     """All biadditive exponent data for one Heisenberg double; immutable,
     equal and hashed by value.  ``xi`` and ``compatible`` are derived."""
 
@@ -69,42 +70,16 @@ class TwistDataSet:
         object.__setattr__(self, "xi", derive_xi(chi, gamma))
         object.__setattr__(self, "compatible", check_compatibility(self))
 
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("TwistDataSet is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("TwistDataSet is immutable")
-
-    def _fields(self) -> tuple:
-        return (self.c, self.chi, self.gamma, self.xi, self.compatible)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"TwistDataSet(c={self.c!r}, chi={self.chi!r}, gamma={self.gamma!r}, "
-                f"xi={self.xi!r}, compatible={self.compatible!r})")
-
     @staticmethod
     def for_tower(tower: TowerSpec) -> "TwistDataSet":
         return TwistDataSet(tower.twist, tower.chi, tower.gamma)
 
 
-class HeisenbergElem:
+class HeisenbergElem(Record):
     """A finitely supported combination of ``simple-class # projective-class`` keys."""
 
     def __init__(self, terms: dict[tuple[BasisKey, BasisKey], GroundElem] | None = None):
         self.terms = {} if terms is None else terms
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     def add(self, other: "HeisenbergElem") -> "HeisenbergElem":
         return HeisenbergElem(tensor_add(self.terms, other.terms))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from .values import Record
 
-class CheckRecord:
+
+class CheckRecord(Record):
     """One verified identity: what was checked, at which indices, both sides."""
 
     def __init__(self, check: str, indices: tuple, passed: bool,
@@ -14,11 +16,6 @@ class CheckRecord:
         self.lhs = lhs
         self.rhs = rhs
         self.detail = detail
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     def to_dict(self) -> dict:
         return {

@@ -19,9 +19,10 @@ from itertools import chain
 from .errors import ValidationError
 from .ground import FULL, GroundElem
 from .linalg import Eliminator, Mat, SignedQuotient, Vec, block_ranks, exact, rank_of_rows, vec_axpy
+from .values import Frozen, Record
 
 
-class Degree:
+class Degree(Frozen):
     """An (integer, parity) bidegree: immutable, equal and hashed by value."""
 
     __slots__ = ("z", "par")
@@ -29,23 +30,6 @@ class Degree:
     def __init__(self, z: int, par: int):
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "par", par & 1)
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("Degree is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Degree is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.z == other.z and self.par == other.par
-
-    def __hash__(self) -> int:
-        return hash((self.z, self.par))
-
-    def __repr__(self) -> str:
-        return f"Degree(z={self.z!r}, par={self.par!r})"
 
     def __add__(self, other: "Degree") -> "Degree":
         return Degree(self.z + other.z, (self.par + other.par) & 1)
@@ -128,15 +112,10 @@ class SuperAlgebra:
         return f"SuperAlgebra({self.name}, dim={self.dim})"
 
 
-class ValidationReport:
+class ValidationReport(Record):
     def __init__(self, subject: str, violations: list[tuple[str, tuple]]):
         self.subject = subject
         self.violations = violations
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:
@@ -203,7 +182,7 @@ def validate_algebra(alg: SuperAlgebra) -> ValidationReport:
     return ValidationReport(alg.name, bad)
 
 
-def tensor_algebra(a: SuperAlgebra, b: SuperAlgebra, name: str = "") -> SuperAlgebra:
+def tensor_algebra(a: SuperAlgebra, b: SuperAlgebra) -> SuperAlgebra:
     """The super tensor product; products carry the Koszul sign."""
     dim_b = b.dim
     labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
@@ -234,7 +213,7 @@ def tensor_algebra(a: SuperAlgebra, b: SuperAlgebra, name: str = "") -> SuperAlg
             [ua * dim_b + g for g in b.generating_set() if g != ub]
     return SuperAlgebra(
         labels, degrees, unit, product_fn=product, generators=gens,
-        name=name or f"{a.name}(x){b.name}",
+        name=f"{a.name}(x){b.name}",
     )
 
 
@@ -379,16 +358,13 @@ def hom_graded_dim(src: SuperModule, dst: SuperModule) -> GroundElem:
 
     * a regular source needs none: evaluation at the unit identifies the
       Hom space with the target, so the answer is its graded dimension;
-    * when one side is a one-dimensional ``k`` that every non-unit
-      generator kills (``killed_by_generators``), one side of every
-      constraint is zero.  For ``Hom(M, k)`` they read ``f(b e_j) = 0``: the
-      rows are the columns of every ``M.act(b)``, over the coordinates
-      ``f(e_i)`` in bidegree ``deg k - deg e_i``.  For ``Hom(k, M)`` they read
-      ``b f(1) = 0``: the rows are the rows of every ``M.act(b)``, over the
-      coordinates of ``f(1)`` in bidegree ``deg e_j - deg k``.  Their
+    * ``Hom(M, k)`` into a one-dimensional ``k`` that every non-unit
+      generator kills (``killed_by_generators``) has constraints
+      ``f(b e_j) = 0``: the rows are the columns of every ``M.act(b)``, over
+      the coordinates ``f(e_i)`` in bidegree ``deg k - deg e_i``.  Their
       coefficients and entry counts do not matter;
-    * any other pair gets one row per generator, source vector and target
-      vector (``_constraint_rows``).
+    * any other pair, ``Hom(k, M)`` included, gets one row per generator,
+      source vector and target vector (``_constraint_rows``).
 
     A row that spans two bidegrees means a generator acts inhomogeneously,
     and raises ``InternalInconsistencyError``.
@@ -403,16 +379,6 @@ def hom_graded_dim(src: SuperModule, dst: SuperModule) -> GroundElem:
         p = dst.degrees[0]
         block = [2 * (p.z - e.z) + ((p.par + e.par) & 1) for e in src.degrees]
         rows: Iterable[Vec] = chain.from_iterable(src.act(b).cols.values() for b in gens)
-    elif killed_by_generators(src):
-        p = src.degrees[0]
-        block = [2 * (e.z - p.z) + ((p.par + e.par) & 1) for e in dst.degrees]
-        rows = []
-        for b in gens:
-            by_row: dict[int, Vec] = {}
-            for j, col in dst.act(b).cols.items():
-                for r, c in col.items():
-                    by_row.setdefault(r, {})[j] = c
-            rows += by_row.values()
     else:
         block, rows = _constraint_rows(src, dst, gens)
     nullity = Counter(block) - block_ranks(rows, block)  # keeps the nonzero counts
@@ -465,15 +431,10 @@ def _constraint_rows(src: SuperModule, dst: SuperModule,
     return block, rows
 
 
-def outer_tensor(
-    left: SuperModule, right: SuperModule, algebra: SuperAlgebra | None = None, name: str = ""
-) -> SuperModule:
-    """Outer tensor of left modules; the action carries the Koszul sign.
-
-    ``algebra`` may supply a previously built tensor algebra so repeated
-    outer tensors over the same pair share one product table.
-    """
-    ab = algebra if algebra is not None else tensor_algebra(left.algebra, right.algebra)
+def outer_tensor(left: SuperModule, right: SuperModule, algebra: SuperAlgebra) -> SuperModule:
+    """Outer tensor of left modules over ``algebra``, their tensor algebra,
+    which is built once per pair so that outer tensors share one product
+    table; the action carries the Koszul sign."""
     dim_b = right.algebra.dim
     dim_n = right.dim
     degrees = [dm + dn for dm in left.degrees for dn in right.degrees]
@@ -499,11 +460,11 @@ def outer_tensor(
                     out.cols[jm * dim_n + jn] = col
         return out
 
-    return SuperModule(ab, degrees, action_fn=action, regular=(left.regular and right.regular),
-                       name=name or f"{left.name}(box){right.name}")
+    return SuperModule(algebra, degrees, action_fn=action, regular=(left.regular and right.regular),
+                       name=f"{left.name}(box){right.name}")
 
 
-def restrict_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperModule:
+def restrict_module(phi: AlgebraHom, mod: SuperModule) -> SuperModule:
     """Restriction along the unital map ``phi``: the same space, the pulled-back action."""
     if mod.algebra is not phi.target:
         raise ValueError("restriction needs a module over the target of phi")
@@ -513,10 +474,10 @@ def restrict_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperM
     def action(b: int) -> Mat:
         return mod.act_vec(phi.images[b])
 
-    return SuperModule(phi.source, mod.degrees, action_fn=action, name=name or f"res({mod.name})")
+    return SuperModule(phi.source, mod.degrees, action_fn=action, name=f"res({mod.name})")
 
 
-def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperModule:
+def induce_module(phi: AlgebraHom, mod: SuperModule) -> SuperModule:
     """Induction along the unital map ``phi: B -> A``: the module ``A (x)_B N``.
 
     The result is presented as the quotient of ``A (x) N`` by the span of
@@ -537,7 +498,7 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
     if phi.unit_image() != target.unit:
         raise ValueError("induction needs a unital map")
     if mod.regular:
-        return regular_module(target, name=name or f"ind({mod.name})")
+        return regular_module(target, name=f"ind({mod.name})")
 
     nd = mod.dim
     product = target.basis_product
@@ -572,7 +533,7 @@ def induce_module(phi: AlgebraHom, mod: SuperModule, name: str = "") -> SuperMod
                 out.cols[t] = col
         return out
 
-    return SuperModule(target, degrees, action_fn=action, name=name or f"ind({mod.name})")
+    return SuperModule(target, degrees, action_fn=action, name=f"ind({mod.name})")
 
 
 def _signed_relations(lefts: list[list[Vec]], acts: list[Mat], flat_dim: int,
@@ -671,7 +632,7 @@ def validate_automorphism(alg: SuperAlgebra, tau: Mat) -> ValidationReport:
     return ValidationReport(name, bad)
 
 
-def twist_module(mod: SuperModule, tau: Mat, name: str = "") -> SuperModule:
+def twist_module(mod: SuperModule, tau: Mat) -> SuperModule:
     """Precompose the action with the algebra automorphism ``tau``.
 
     ``tau`` is trusted: check it with ``validate_automorphism`` first.
@@ -680,7 +641,7 @@ def twist_module(mod: SuperModule, tau: Mat, name: str = "") -> SuperModule:
     def action(b: int) -> Mat:
         return mod.act_vec(tau.col(b))
 
-    return SuperModule(mod.algebra, list(mod.degrees), action_fn=action, name=name or f"twist({mod.name})")
+    return SuperModule(mod.algebra, list(mod.degrees), action_fn=action, name=f"twist({mod.name})")
 
 
 # -- serialization (text, JSON-shaped) ----------------------------------------

@@ -47,6 +47,7 @@ from .superalgebra import (
     validate_algebra,
     validate_automorphism,
 )
+from .values import Record
 
 Perm = tuple[int, ...]
 SignedStep = tuple[int, int] | None  # (sign, basis index), or None for zero
@@ -587,17 +588,18 @@ def wreath_nakayama_closed_form(base_frob: FrobeniusStructure, basis: WreathBasi
 
 
 def nilcoxeter_nakayama_closed_form(alg: SuperAlgebra, basis: SignedPermBasis) -> Mat:
-    """Multiplicative extension of ``u_i -> u_(n-i)`` along canonical words."""
-    n = basis.n
+    """Multiplicative extension of ``u_i -> u_(n-i)`` along canonical words.
+
+    The image of ``u_w`` is the product of the mirrored letters, read off
+    the sign table: the letters act on the unit from the last one back.
+    """
     out = Mat(alg.dim, alg.dim)
-    e = identity_perm(n)
     for src, w in enumerate(basis.perms):
-        vec: Vec = {basis.index[e]: 1}
-        for i in basis.words[w]:
-            gen = basis.index[apply_s(e, n - 2 - i)]
-            vec = alg.product_vec(vec, {gen: 1})
-        for k, c in vec.items():
-            out.add_entry(k, src, c)
+        step: SignedStep = (1, 0)  # the unit: the identity is basis vector 0
+        for i in reversed(basis.words[w]):
+            step = _after(basis._left[basis.n - 2 - i], step)
+        sign, t = step  # a mirrored reduced word is reduced, so never zero
+        out.add_entry(t, src, sign)
     return out
 
 
@@ -637,7 +639,7 @@ def trivial_level_algebra() -> SuperAlgebra:
 # -- tower data ------------------------------------------------------------------
 
 
-class DeclaredModule:
+class DeclaredModule(Record):
     """A declared simple or projective with its label and type tag (M or Q)."""
 
     def __init__(self, label: str, module: SuperModule, type: str = "M"):
@@ -645,13 +647,8 @@ class DeclaredModule:
         self.module = module
         self.type = type
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
-
-class TowerSpec:
+class TowerSpec(Record):
     """A truncated tower: algebras, external products, Frobenius data, twists.
 
     ``chi``, ``gamma`` store the integer multiples defining the biadditive
@@ -695,11 +692,6 @@ class TowerSpec:
         self._pair_algebras: dict = {}
         self._rho: dict = {}
         self._level_dims: dict = {}
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     def level(self, n: int) -> SuperAlgebra:
         if n > self.n_max:

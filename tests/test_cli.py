@@ -569,6 +569,21 @@ def test_report_bytes_match_benchmark_reference(workload, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == reference["bytes_sha256"]
 
 
+@pytest.mark.parametrize("workload", ["smoke-nc3", "smoke-sergeev2"])
+def test_report_bytes_match_benchmark_reference_under_optimize(workload, tmp_path):
+    # python -O strips asserts; the recorded digest must not depend on one
+    job = _benchmark_workloads()[workload]
+    reference = json.loads((PERFBENCH / "reference.json").read_text())[workload]
+    out = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-m", "supertower.cli", "verify",
+                           json.dumps(job["descriptor"]), "--format", "json", "--jobs", "1",
+                           "--suites", ",".join(job["suites"]), "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == reference["bytes_sha256"]
+
+
 # digests of the Heisenberg suites at the twists the benchmark does not run
 HEISENBERG_DIGESTS = {
     (0, 0): "524d0f001a64dd3760ab2c551fcb17b96ed3ec806efa4e2c6db653b0223e2baa",

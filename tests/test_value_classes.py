@@ -2,8 +2,10 @@
 
 ``Degree``, ``TwistScalar`` and ``TwistDataSet`` are compared with frozen
 dataclass copies declared here: equality, hash, dictionary keys,
-normalisation and ``repr``.  The mutable records compare by fields, stay
-unhashable and get fresh containers per instance.
+normalisation and ``repr``.  They and ``GroundElem``, whose ``one()`` and
+``zero()`` are shared instances, refuse assignment and deletion.  The
+mutable records compare by fields, stay unhashable and get fresh
+containers per instance.
 """
 
 import dataclasses
@@ -119,6 +121,32 @@ def test_value_types_refuse_assignment(flags):
     assert proc.stdout == ("[Degree(z=1, par=1), TwistScalar(d=1, eps=1), "
                            "TwistDataSet(c=TwistScalar(d=1, eps=0), chi=(0, 1), gamma=(0, 1), "
                            "xi=(-1, 0), compatible=True)]\n")
+
+
+GROUND_DELETES = "\n".join([
+    "from supertower.ground import COLLAPSED, FULL, GroundElem",
+    "elems = [GroundElem({(1, 1): 2}, FULL), GroundElem({(1, 0): 3}, COLLAPSED)]",
+    "elems += [make(mode) for make in (GroundElem.one, GroundElem.zero) for mode in (FULL, COLLAPSED)]",
+    "for e in elems:",
+    "    for field in ('terms', 'mode'):",
+    "        try:",
+    "            delattr(e, field)",
+    "        except AttributeError:",
+    "            continue",
+    "        print('deleted', field)",
+    "print(GroundElem.one(FULL) * GroundElem.one(FULL))",
+])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_ground_elements_refuse_deletion(flags):
+    # one() and zero() are shared per mode: a deleted field would break every later use
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *flags, "-c", GROUND_DELETES],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
 
 
 # -- mutable records: equal by fields and unhashable, like a dataclass with eq
