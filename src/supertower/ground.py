@@ -118,26 +118,17 @@ class GroundElem(Frozen):
             raise ModeError("ring mode conflict")
 
     def __add__(self, other: "GroundElem") -> "GroundElem":
-        if isinstance(other, int):
-            other = GroundElem.from_int(other, self.mode)
         self._check_mode(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
             terms[k] = terms.get(k, 0) + c
         return _canonical(terms, self.mode)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "GroundElem":
         return _canonical({k: -c for k, c in self.terms.items()}, self.mode)
 
     def __sub__(self, other: "GroundElem") -> "GroundElem":
-        if isinstance(other, int):
-            other = GroundElem.from_int(other, self.mode)
         return self + (-other)
-
-    def __rsub__(self, other) -> "GroundElem":
-        return (-self) + other
 
     def __mul__(self, other) -> "GroundElem":
         if isinstance(other, int):
@@ -160,17 +151,7 @@ class GroundElem(Frozen):
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "GroundElem":
-        if k < 0:
-            raise ValueError("negative powers require a unit; use GroundElem.monomial")
-        out = GroundElem.one(self.mode)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = GroundElem.from_int(other, self.mode)
         if not isinstance(other, GroundElem):
             return NotImplemented
         return self.mode == other.mode and self.terms == other.terms

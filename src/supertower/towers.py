@@ -655,7 +655,8 @@ class TowerSpec(Record):
     twist maps (``chi'(n, m) = chi[0]*n*m`` and so on); ``kappa`` likewise.
     ``shifts`` holds the per-level Frobenius degrees; the Nakayama matrices
     realizing the conjugation are ``frobenius[n].nakayama``.  The builders
-    fill ``simples`` and ``projectives``, which start empty.
+    fill ``simples`` and ``projectives``, which start empty; a declared
+    type-Q simple makes the tower ``collapsed``.
     """
 
     def __init__(
@@ -671,7 +672,6 @@ class TowerSpec(Record):
         kappa: int,
         shifts: list[tuple[int, int]],
         bases: list[SignedPermBasis | WreathBasis],
-        collapsed: bool = False,
         base_frob: FrobeniusStructure | None = None,
     ):
         self.name = name
@@ -686,12 +686,16 @@ class TowerSpec(Record):
         self.shifts = shifts
         self.simples: dict[int, list[DeclaredModule]] = {}
         self.projectives: dict[int, list[DeclaredModule]] = {}
-        self.collapsed = collapsed
         self.bases = bases
         self.base_frob = base_frob
         self._pair_algebras: dict = {}
         self._rho: dict = {}
         self._level_dims: dict = {}
+
+    @property
+    def collapsed(self) -> bool:
+        """Whether the coefficient ring sets ``pi = 1``: a type-Q simple is declared."""
+        return any(s.type == "Q" for decls in self.simples.values() for s in decls)
 
     def level(self, n: int) -> SuperAlgebra:
         if n > self.n_max:
@@ -706,6 +710,15 @@ class TowerSpec(Record):
         return got
 
     def pair_algebra(self, n: int, m: int) -> SuperAlgebra:
+        """The source ``A_n (x) A_m`` of ``rho(n, m)``, built on first use.
+
+        A trivial splitting returns the level ``A_{n+m}`` itself: ``A_0`` is
+        the ground field (one even basis vector, the unit), so the super
+        tensor product with it has that level's basis order, degrees, unit,
+        leading factors and products index for index.
+        """
+        if n == 0 or m == 0:
+            return self.level(n + m)
         key = (n, m)
         if key not in self._pair_algebras:
             self._pair_algebras[key] = tensor_algebra(self.level(n), self.level(m))
@@ -814,7 +827,6 @@ def build_nilcoxeter_tower(n_max: int, d: int, eps: int,
         gamma=(0, 1),
         kappa=1,
         shifts=shifts,
-        collapsed=False,
         bases=bases,
     )
     s0, p0 = _trivial_declared(algebras[0])
@@ -894,7 +906,6 @@ def build_wreath_tower(base_frob: FrobeniusStructure, n_max: int) -> TowerSpec:
         gamma=(0, 0),
         kappa=0,
         shifts=shifts,
-        collapsed=clifford,
         bases=bases,
         base_frob=base_frob,
     )

@@ -438,20 +438,6 @@ def test_base_with_bad_generators_is_usage_error(generators, message, tmp_path, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("desc", [NC3, '{"wreath": {"base": "clifford", "n_max": 2}}'])
-def test_json_report_unchanged_under_optimize(desc):
-    # python -O strips asserts; no invariant may depend on one
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    outputs = []
-    for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable, *flags, "-m", "supertower.cli", "verify", desc,
-                               "--format", "json"], capture_output=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
-
-
 def test_empty_report_text():
     from supertower.cli import Report
     text = emit_report(Report(), "text")

@@ -195,6 +195,25 @@ class TestDualIso:
         assert not rep.ok
         assert any(kind == "nakayama compatibility" for kind, _ in rep.violations)
 
+    @pytest.mark.parametrize("family,n", [("sergeev", 1), ("nilcoxeter", 3), ("sergeev", 2)])
+    def test_off_degree_gram_entry_fails_degree_zero(self, family, n):
+        # one Gram entry planted where the form cannot land: phi(e_j) is then
+        # nonzero on e_i outside the shifted dual's degree
+        rng = random.Random(f"degree-zero{family}{n}")
+        for _ in range(3):
+            frob = _fresh_structure(family, n)
+            alg, target = frob.algebra, Degree(frob.delta, frob.sigma)
+            i, j = rng.choice([(i, j) for i in range(alg.dim) for j in range(alg.dim)
+                               if alg.degrees[i] + alg.degrees[j] != target])
+            gram = Mat(frob.gram.nrows, frob.gram.ncols, frob.gram.cols)
+            gram.add_entry(i, j, Fraction(rng.choice([-1, 1, 2])))
+            tampered = FrobeniusStructure(alg, frob.trace, frob.delta, frob.sigma,
+                                          gram, frob.nakayama)
+            violations = check_dual_iso(tampered).violations
+            assert [v for v in violations if v[0] == "degree zero"] == [("degree zero", (j, i))]
+            assert violations[0] == ("degree zero", (j, i))
+            assert violations == dense_dual_iso(tampered)
+
 
 # -- dense oracles for the row-sparse audits --------------------------------------
 

@@ -12,6 +12,7 @@ from supertower.heisenberg import (
     HeisenbergDouble,
     HeisenbergElem,
     TwistDataSet,
+    _laurent_rows_rank,
     _ring_multiple,
     categorified_weyl_shadow,
     check_action_compat,
@@ -206,6 +207,34 @@ class TestFaithfulness:
             for m in range(4)
         )
         assert hit
+
+    def test_rows_sharing_a_pivot(self):
+        # both rows lead at column 0: the second reduces to -q^2 at column 1
+        # and 1 at column 2, and in the swapped pair to q^2 - 1 at column 1
+        q, one = GroundElem.monomial(1), GroundElem.one()
+        assert _laurent_rows_rank([{0: one, 1: q}, {0: q, 2: one}]) == 2
+        assert _laurent_rows_rank([{0: q, 1: one}, {0: one, 1: q}]) == 2
+
+    def test_dependent_rows(self):
+        q, one = GroundElem.monomial(1), GroundElem.one()
+        # the second row is q times the first
+        assert _laurent_rows_rank([{0: one, 1: q}, {0: q, 1: q * q}]) == 1
+        # the third row is the first minus q times the second, found only
+        # after reducing against both pivots in turn
+        rows = [{0: one, 1: q}, {1: one, 2: q}, {0: one, 2: -(q * q)}]
+        assert _laurent_rows_rank(rows) == 2
+        # empty rows count for nothing
+        assert _laurent_rows_rank([{}, {3: q}, {}]) == 1
+
+    def test_two_monomials_acting_alike_fail(self, layer6_11):
+        # (y # y) made to act as (1 # y) on every class its row reads: the
+        # two rows coincide at both evaluations of pi
+        bad = HeisenbergDouble(layer6_11)
+        for m in (1, 2):
+            bad._actions[((1, 0), (1, 0), (m, 0))] = bad._basis_action((0, 0), (1, 0), (m, 0))
+        assert check_faithfulness_truncated(bad, 1) == [CheckRecord(
+            "truncated-faithfulness", (1,), False, lhs="ranks (3,3)", rhs="4 monomials")]
+        assert all_passed(check_faithfulness_truncated(HeisenbergDouble(layer6_11), 1))
 
 
 class TestCategorifiedShadow:

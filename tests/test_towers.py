@@ -1,16 +1,20 @@
 """Tower builders, permutation combinatorics, and the tower-level verifications."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 from supertower.errors import CocycleError, ValidationError
-from supertower.ground import GroundElem, TwistScalar, qpi_factorial
+from supertower.ground import COLLAPSED, FULL, GroundElem, TwistScalar, qpi_factorial
 from supertower.linalg import Mat, rank_of_rows
-from supertower.reporting import all_passed
+from supertower.reporting import CheckRecord, all_passed
 from supertower.superalgebra import (
     AlgebraHom,
     SuperAlgebra,
@@ -18,12 +22,15 @@ from supertower.superalgebra import (
     generated_dim,
     graded_dim,
     regular_module,
+    tensor_algebra,
     validate_algebra,
     validate_automorphism,
 )
 from supertower.frobenius import check_frobenius
 from supertower.towers import (
+    DeclaredModule,
     WreathBasis,
+    _ground_det,
     apply_s,
     block_perm,
     build_nilcoxeter,
@@ -45,6 +52,7 @@ from supertower.towers import (
     perm_length,
     perm_mult,
     perm_tables,
+    tower_pairing_entry,
     trivial_level_algebra,
 )
 
@@ -841,3 +849,160 @@ class TestIndexReadsMatchDictPath:
         bad = AlgebraHom(ext, ext, [{0: 1}, {1: 2}, {2: 1}, {3: 1}])
         assert bad.validate().violations == dict_path_violations(bad) == [
             ("multiplicativity", (1, 2)), ("multiplicativity", (2, 1))]
+
+
+# -- trivial splittings: the level is its own pair algebra ---------------------------
+
+
+TRIVIAL_SPLIT_TOWERS = {
+    "nc4_11": lambda: build_nilcoxeter_tower(4, 1, 1, frobenius_cap=0),
+    "nc4_20": lambda: build_nilcoxeter_tower(4, 2, 0, frobenius_cap=0),
+    "sergeev3": lambda: build_wreath_tower(clifford_base(), 3),
+}
+
+# doubles the image of one generator of level m in rho(0, m) and rho(m, 0)
+# and prints each failing TA2 record as (indices, detail)
+CORRUPT_TRIVIAL_RHO = """
+import json
+from supertower.towers import build_nilcoxeter_tower, build_wreath_tower, check_tower_axioms, clifford_base
+out = []
+for tower, m in ((build_nilcoxeter_tower(3, 1, 1, frobenius_cap=0), 3),
+                 (build_wreath_tower(clifford_base(), 2), 2)):
+    g = tower.level(m).generating_set()[-1]
+    for key in ((0, m), (m, 0)):
+        rho = tower.rho(*key)
+        rho.images[g] = {k: 2 * c for k, c in rho.images[g].items()}
+    out.append([[list(r.indices), r.detail] for r in check_tower_axioms(tower)
+                if r.check == "TA2-external-multiplication" and not r.passed])
+print(json.dumps(out))
+"""
+
+
+class TestTrivialSplitting:
+    @pytest.mark.parametrize("name", sorted(TRIVIAL_SPLIT_TOWERS))
+    def test_koszul_tensor_with_the_ground_level_is_the_level(self, name):
+        tower = TRIVIAL_SPLIT_TOWERS[name]()
+        ground = tower.level(0)
+        for n in range(tower.n_max + 1):
+            alg = tower.level(n)
+            assert tower.pair_algebra(0, n) is alg and tower.pair_algebra(n, 0) is alg
+            assert tower.rho(0, n).source is alg and tower.rho(n, 0).source is alg
+            for pair in (tensor_algebra(ground, alg), tensor_algebra(alg, ground)):
+                assert pair.dim == alg.dim
+                assert pair.degrees == alg.degrees
+                assert pair.unit == alg.unit
+                assert pair.generating_set() == alg.generating_set()
+                assert pair.leading_factors() == alg.leading_factors()
+                for i in range(alg.dim):
+                    for j in range(alg.dim):
+                        got, want = pair.basis_product(i, j), alg.basis_product(i, j)
+                        assert got == want and list(got) == list(want), (name, n, i, j)
+        assert not tower._pair_algebras
+
+    def test_corrupted_trivial_split_rho_fails_ta2_as_over_the_koszul_pair(self):
+        expected = []
+        for tower, m in ((build_nilcoxeter_tower(3, 1, 1, frobenius_cap=0), 3),
+                         (build_wreath_tower(clifford_base(), 2), 2)):
+            g = tower.level(m).generating_set()[-1]
+            records = []
+            for n, k in ((0, m), (m, 0)):
+                images = [dict(v) for v in tower.rho(n, k).images]
+                images[g] = {t: 2 * c for t, c in images[g].items()}
+                koszul = tensor_algebra(tower.level(n), tower.level(k))
+                violations = AlgebraHom(koszul, tower.level(m), images).validate().violations
+                assert violations
+                records.append([[n, k], str(violations[:3])])
+            expected.append(records)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, "-c", CORRUPT_TRIVIAL_RHO],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == expected, flags
+
+
+# -- TA4 and the crossing relation on corrupted data ------------------------------------
+
+
+Q, PI, ONE, ZERO = (GroundElem.monomial(1), GroundElem.monomial(0, 1),
+                    GroundElem.one(), GroundElem.zero())
+
+
+class TestGroundDeterminant:
+    def test_two_by_two(self):
+        # q * q - pi * 1
+        assert _ground_det([[Q, PI], [ONE, Q]]) == GroundElem({(2, 0): 1, (0, 1): -1})
+
+    def test_three_by_three(self):
+        # expansion along the first row: 1 * (1 - 0) - q * (pi - q^2) + 0
+        rows = [[ONE, Q, ZERO], [PI, ONE, Q], [Q, ZERO, ONE]]
+        assert _ground_det(rows) == GroundElem({(0, 0): 1, (3, 0): 1, (1, 1): -1})
+
+    def test_dependent_rows_give_zero(self):
+        # the second row is q times the first
+        rows = [[ONE, Q, PI], [Q, Q * Q, Q * PI], [PI, ONE, Q]]
+        assert _ground_det(rows).is_zero()
+
+    def test_collapsed_two_by_two(self):
+        half = GroundElem({(0, 0): Fraction(1, 2)}, COLLAPSED)
+        two = GroundElem.from_int(2, COLLAPSED)
+        q = GroundElem.monomial(1, 0, 1, COLLAPSED)
+        # 2 * 2 - q * (1/2): not a unit, unlike either diagonal entry
+        det = _ground_det([[two, q], [half, two]])
+        assert det == GroundElem({(0, 0): 4, (1, 0): Fraction(-1, 2)}, COLLAPSED)
+        assert not det.is_unit()
+
+
+class TestCorruptedTowerData:
+    @pytest.mark.parametrize("build,level,mode", [
+        (lambda: build_nilcoxeter_tower(2, 1, 1, frobenius_cap=0), 2, FULL),
+        (lambda: build_wreath_tower(clifford_base(), 2), 1, COLLAPSED),
+    ])
+    def test_twice_declared_pair_fails_ta4(self, build, level, mode):
+        tower = build()
+        assert all_passed(check_tower_axioms(tower))
+        tower.simples[level] = tower.simples[level] * 2
+        tower.projectives[level] = tower.projectives[level] * 2
+        bad = failures(check_tower_axioms(tower))
+        assert [(r.check, r.indices, r.lhs, r.rhs) for r in bad] == [
+            ("TA4-perfect-pairing", (level,), "0", "a unit of the coefficient ring")]
+        entry = tower_pairing_entry(tower, tower.projectives[level][0], tower.simples[level][0])
+        assert entry.mode == mode and entry.is_unit()
+
+    @pytest.mark.parametrize("build,args,count,first", [
+        (lambda: build_wreath_tower(clifford_base(), 2), (1, 1, 1, 1, 0), 4, (None, 1, None, None)),
+        (lambda: build_nilcoxeter_tower(4, 1, 1, frobenius_cap=0), (2, 2, 2, 2, 0), 4,
+         (None, 1, None, None)),
+    ])
+    def test_negated_crossing_product_fails_commutation(self, build, args, count, first):
+        # negate u_w times the second block's first generator: the first
+        # tuple that reads this product carries that generator alone
+        tower = build()
+        n, m, k, l, r = args
+        alg = tower.level(n + m)
+        assert all_passed(check_wr_commutation(tower, *args))
+        uw = tower.perm_element_index(n + m, double_coset_wr(*args))
+        g = tower.level(n - r).generating_set()[0]
+        idx = tower.shift_basis_index(n - r, g, r, n + m)
+        prod = alg.basis_product(uw, idx)
+        assert prod
+        alg._products[(uw, idx)] = {t: -c for t, c in prod.items()}
+        (rec,) = check_wr_commutation(tower, *args)
+        assert rec == CheckRecord(
+            "crossing-commutation", args, False, lhs=f"{count} generator tuples",
+            rhs="crossing relation with predicted sign", detail=f"first failing tuple {first}",
+        )
+
+
+class TestCollapsedRing:
+    def test_type_q_simples_collapse_the_ring(self, nc4_11, sergeev3):
+        assert sergeev3.collapsed and build_wreath_tower(clifford_base(), 1).collapsed
+        assert not nc4_11.collapsed
+        assert not build_wreath_tower(_generator_free_exterior(), 2).collapsed
+
+    def test_declaring_a_type_q_simple_collapses(self):
+        tower = build_nilcoxeter_tower(2, 1, 1, frobenius_cap=0)
+        (simple,) = tower.simples[1]
+        tower.simples[1] = [DeclaredModule(simple.label, simple.module, "Q")]
+        assert tower.collapsed

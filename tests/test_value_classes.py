@@ -164,7 +164,7 @@ def _record_args(alg, module):
         cli.Report: ([reporting.CheckRecord("a", (), True)],),
         towers.DeclaredModule: ("P1", module, "Q"),
         towers.TowerSpec: ("t", "nilcoxeter", 1, [alg], [None], ground.TwistScalar(1, 1),
-                           (0, 1), (0, 1), 1, [(0, 0), (1, 1)], [None, None], True, None),
+                           (0, 1), (0, 1), 1, [(0, 0), (1, 1)], [None, None], None),
     }
 
 
