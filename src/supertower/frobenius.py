@@ -18,6 +18,7 @@ from .superalgebra import (
     Degree,
     SuperAlgebra,
     ValidationReport,
+    kron,
     tensor_algebra,
     validate_automorphism,
 )
@@ -139,29 +140,20 @@ def nakayama_matrix(alg: SuperAlgebra, gram: Mat) -> Mat:
 
 def frobenius_tensor(f1: FrobeniusStructure, f2: FrobeniusStructure) -> FrobeniusStructure:
     """The structure on the tensor algebra, with trace ``tr1 (x) tr2``."""
-    dim2 = f2.algebra.dim
-    trace: Vec = {}
-    for i, a in f1.trace.items():
-        for j, b in f2.trace.items():
-            trace[i * dim2 + j] = a * b
+    trace = kron(f1.trace, f2.trace, f2.algebra.dim)
     return check_frobenius(tensor_algebra(f1.algebra, f2.algebra), trace,
                            f1.delta + f2.delta, (f1.sigma + f2.sigma) & 1)
 
 
 def tensor_nakayama_matrix(f1: FrobeniusStructure, f2: FrobeniusStructure) -> Mat:
     """The factorwise tensor ``psi1 (x) psi2`` (both maps are even, so no sign)."""
-    dim1, dim2 = f1.algebra.dim, f2.algebra.dim
-    out = Mat(dim1 * dim2, dim1 * dim2)
-    for a in range(dim1):
-        ca = f1.nakayama.cols.get(a, {})
-        for b in range(dim2):
-            cb = f2.nakayama.cols.get(b, {})
-            col: Vec = {}
-            for i, x in ca.items():
-                for j, y in cb.items():
-                    col[i * dim2 + j] = x * y
-            if col:
-                out.cols[a * dim2 + b] = col
+    dim2 = f2.algebra.dim
+    out = Mat(f1.algebra.dim * dim2, f1.algebra.dim * dim2)
+    for k in range(out.ncols):
+        a, b = divmod(k, dim2)
+        col = kron(f1.nakayama.cols.get(a, {}), f2.nakayama.cols.get(b, {}), dim2)
+        if col:
+            out.cols[k] = col
     return out
 
 

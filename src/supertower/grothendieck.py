@@ -95,12 +95,11 @@ def tensor_add(a: GrothTensor, b: GrothTensor) -> GrothTensor:
 def tensor_accumulate(out: GrothTensor, a: GrothTensor, c: GroundElem) -> None:
     """Add ``c * a`` into ``out`` in place; ``a`` is only read.
 
-    A multiplication by one is skipped.  Sums may leave zero coefficients
-    in ``out``, so the caller drops them once, with ``nonzero``, at the end.
+    Sums may leave zero coefficients in ``out``, so the caller drops them
+    once, with ``nonzero``, at the end.
     """
-    one = c.is_one()
     for k, v in a.items():
-        term = v if one else v * c
+        term = v * c
         out[k] = out[k] + term if k in out else term
 
 

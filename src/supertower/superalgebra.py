@@ -182,6 +182,12 @@ def validate_algebra(alg: SuperAlgebra) -> ValidationReport:
     return ValidationReport(alg.name, bad)
 
 
+def kron(u: Vec, v: Vec, dim_v: int, sign: int = 1) -> Vec:
+    """The tensor ``sign * u (x) v``, with the pair ``(i, j)`` at ``i * dim_v + j``:
+    the one layout of every tensor product of algebras, modules, traces and maps."""
+    return {i * dim_v + j: sign * a * b for i, a in u.items() for j, b in v.items()}
+
+
 def tensor_algebra(a: SuperAlgebra, b: SuperAlgebra) -> SuperAlgebra:
     """The super tensor product; products carry the Koszul sign."""
     dim_b = b.dim
@@ -192,18 +198,9 @@ def tensor_algebra(a: SuperAlgebra, b: SuperAlgebra) -> SuperAlgebra:
         ia, ib = divmod(x, dim_b)
         ja, jb = divmod(y, dim_b)
         sign = -1 if (b.degrees[ib].par and a.degrees[ja].par) else 1
-        out: Vec = {}
-        pa = a.basis_product(ia, ja)
-        pb = b.basis_product(ib, jb)
-        for ka, ca in pa.items():
-            for kb, cb in pb.items():
-                out[ka * dim_b + kb] = sign * ca * cb
-        return out
+        return kron(a.basis_product(ia, ja), b.basis_product(ib, jb), dim_b, sign)
 
-    unit: Vec = {}
-    for ia, ca in a.unit.items():
-        for ib, cb in b.unit.items():
-            unit[ia * dim_b + ib] = ca * cb
+    unit = kron(a.unit, b.unit, dim_b)
     # the slot generators g (x) 1 and 1 (x) h are basis vectors only when
     # both units are; a factor without declared generators lends its basis
     gens = None
@@ -441,21 +438,13 @@ def outer_tensor(left: SuperModule, right: SuperModule, algebra: SuperAlgebra) -
 
     def action(t: int) -> Mat:
         ia, ib = divmod(t, dim_b)
-        am = left.act(ia)
-        an = right.act(ib)
+        right_cols = right.act(ib).cols
         pb = right.algebra.degrees[ib].par
         out = Mat(len(degrees), len(degrees))
-        for jm in range(left.dim):
-            colm = am.cols.get(jm)
+        for jm, colm in left.act(ia).cols.items():
             sign = -1 if (pb and left.degrees[jm].par) else 1
-            for jn in range(right.dim):
-                coln = an.cols.get(jn)
-                if colm is None or coln is None:
-                    continue
-                col: Vec = {}
-                for rm, cm in colm.items():
-                    for rn, cn in coln.items():
-                        col[rm * dim_n + rn] = sign * cm * cn
+            for jn, coln in right_cols.items():
+                col = kron(colm, coln, dim_n, sign)
                 if col:
                     out.cols[jm * dim_n + jn] = col
         return out

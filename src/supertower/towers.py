@@ -42,6 +42,7 @@ from .superalgebra import (
     SuperModule,
     graded_dim,
     hom_graded_dim,
+    kron,
     regular_module,
     tensor_algebra,
     validate_algebra,
@@ -540,13 +541,10 @@ def build_wreath(base_frob: FrobeniusStructure,
         name=f"wreath({base.name},n={n})",
     )
 
-    trace: Vec = {}
-    for ti, t in enumerate(basis.tuples):
-        val = 1
-        for b in t:
-            val *= base_frob.trace.get(b, 0)
-        if val:
-            trace[ti * nf + basis.w0] = val
+    tensor_trace: Vec = {0: 1}  # tr_B^(x)n, keyed by tuple rank
+    for _ in range(n):
+        tensor_trace = kron(tensor_trace, base_frob.trace, base.dim)
+    trace = {ti * nf + basis.w0: c for ti, c in tensor_trace.items()}
     rows = base_frob.gram.transpose().cols
     frob = check_frobenius(
         alg, trace, n * base_frob.delta, (n * base_frob.sigma) & 1,
@@ -567,23 +565,20 @@ def wreath_nakayama_closed_form(base_frob: FrobeniusStructure, basis: WreathBasi
     w0 = longest_element(basis.n)
     reversal = basis.act[basis.perm_index[w0]]
     sigma = base_frob.sigma & 1
-    dim = len(basis.tuples) * len(basis.perms)
+    nf = len(basis.perms)
+    psi_b, dim_b = base_frob.nakayama.cols, base_frob.algebra.dim
 
-    out = Mat(dim, dim)
-    for t, (sign, u) in zip(basis.tuples, reversal):
-        # expand psi_B factorwise on the reversed tuple
-        expansions = [(tuple(), sign)]
+    out = Mat(len(basis.tuples) * nf, len(basis.tuples) * nf)
+    for ti, (sign, u) in enumerate(reversal):
+        # expand psi_B factorwise on the reversed tuple, keyed by tuple rank
+        image: Vec = {0: sign}
         for b in basis.tuples[u]:
-            col = base_frob.nakayama.cols.get(b, {})
-            expansions = [
-                (prefix + (k,), c * ck) for prefix, c in expansions for k, ck in col.items()
-            ]
-        for p in basis.perms:
+            image = kron(image, psi_b.get(b, {}), dim_b)
+        for pi, p in enumerate(basis.perms):
             psign = -1 if (sigma * basis.lengths[p]) & 1 else 1
-            target_perm = perm_mult(perm_mult(w0, p), w0)
-            src = basis.index(t, p)
-            for tt, c in expansions:
-                out.add_entry(basis.index(tt, target_perm), src, c * psign)
+            target = basis.perm_index[perm_mult(perm_mult(w0, p), w0)]
+            for tt, c in image.items():
+                out.add_entry(tt * nf + target, ti * nf + pi, c * psign)
     return out
 
 

@@ -321,7 +321,9 @@ def test_wreath_base_with_split_unit_is_usage_error(tmp_path, capsys):
     ('{"wreath": {"base": "clifford", "n_max": 2, "frobenius_cap": 0}}',
      "wreath descriptor has unknown field 'frobenius_cap'"),
     ('{"wreath": {"base": 5, "n_max": 2}}', "wreath field 'base' must be a string"),
-])
+], ids=["nc-n_max-zero", "nc-n_max-string", "nc-cap-string", "nc-d-bool", "nc-not-object",
+        "wreath-n_max-zero", "nc-unknown-capp", "nc-unknown-base", "wreath-unknown-d",
+        "wreath-unknown-cap", "wreath-base-int"])
 def test_malformed_descriptor_is_usage_error(desc, message, capsys):
     assert main(["verify", desc, "--suites", "axioms"]) == 64
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -391,7 +393,12 @@ def _without(data, key):
      "structure row (1,1,0) appears twice"),
     ({"algebra": dict(CLIFFORD_ALGEBRA, unit=[[1, 0], [0, 1]]), "frobenius": CLIFFORD_FROBENIUS},
      "unit entry 0 must be [num, den] with integers num and den != 0"),
-])
+], ids=["not-object", "no-frobenius", "no-algebra", "algebra-string", "frobenius-list",
+        "algebra-empty", "no-structure", "no-trace", "no-delta", "no-sigma", "trace-flat",
+        "delta-word", "structure-float-index", "generators-float", "degree-string",
+        "label-none", "trace-too-long", "unit-too-long", "delta-float", "delta-digit-string",
+        "sigma-bool", "unit-bool", "unit-three-fields", "trace-bool", "trace-three-fields",
+        "structure-bool-value", "structure-twice", "unit-zero-den"])
 def test_malformed_base_file_is_usage_error(spec, message, tmp_path, capsys):
     path = tmp_path / "base.json"
     path.write_text(json.dumps(spec))
@@ -427,7 +434,7 @@ def test_unexpected_exception_exits_two(exc, capsys, monkeypatch):
 @pytest.mark.parametrize("generators,message", [
     ([], "base algebra invalid: generators do not span at ()"),
     ([1, 2], "generators [1, 2] out of range"),
-])
+], ids=["generators-empty", "generators-out-of-range"])
 def test_base_with_bad_generators_is_usage_error(generators, message, tmp_path, capsys):
     algebra = dict(algebra_to_dict(clifford_base().algebra), generators=generators)
     spec = {"algebra": algebra, "frobenius": {"trace": [[0, 1], [1, 1]], "delta": 0, "sigma": 1}}

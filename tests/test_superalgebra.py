@@ -24,6 +24,7 @@ from supertower.superalgebra import (
     graded_dim,
     hom_graded_dim,
     induce_module,
+    kron,
     outer_tensor,
     regular_module,
     restrict_module,
@@ -121,6 +122,12 @@ class TestTensorAlgebra:
     def test_dimension(self, clifford, n3):
         assert tensor_algebra(n3, clifford).dim == n3.dim * clifford.dim
 
+    def test_kron_by_hand(self):
+        # -(2 e_0 + 3 e_1) (x) (5 e_2 + e_0/2) in a 3-dimensional right factor
+        got = kron({0: 2, 1: 3}, {2: 5, 0: Fraction(1, 2)}, 3, sign=-1)
+        assert got == {2: -10, 0: -1, 5: -15, 3: Fraction(-3, 2)}
+        assert kron({}, {0: 1}, 4) == {}
+
 
 class TestGradedDim:
     def test_rank_two_regular(self):
@@ -200,6 +207,19 @@ class TestOuterTensor:
                              outer_tensor(cl_reg, shift_module(n_reg, 1, 0), ab))
         rhs = hom_graded_dim(cl_plain, cl_reg) * hom_graded_dim(n_plain, shift_module(n_reg, 1, 0))
         assert lhs == rhs
+
+    @pytest.mark.parametrize("pair", ["clifford-clifford", "nc3-clifford", "nc2-nc3"])
+    def test_regular_outer_tensor_is_regular_tensor(self, pair):
+        """The outer tensor's Koszul sign agrees with the tensor algebra's:
+        reg(A) (box) reg(B) is reg(A (x) B), action matrix by action matrix."""
+        algebras = {"clifford": clifford_base().algebra, "nc2": build_nilcoxeter(2, 1, 1)[0],
+                    "nc3": build_nilcoxeter(3, 1, 1)[0]}
+        a, b = (algebras[name] for name in pair.split("-"))
+        ab = tensor_algebra(a, b)
+        boxed = outer_tensor(regular_module(a), regular_module(b), ab)
+        reg = regular_module(ab)
+        for t in range(ab.dim):
+            assert boxed.act(t) == reg.act(t), t
 
     def test_module_law_holds(self, clifford):
         ab = tensor_algebra(clifford, clifford)
