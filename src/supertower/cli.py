@@ -198,11 +198,10 @@ def _load_base(path: str) -> FrobeniusStructure:
     try:
         alg = algebra_from_dict(spec["algebra"], name=spec.get("name", "base"))
         trace = {i: c for i, p in enumerate(fr["trace"]) if (c := read_rational(p, f"trace entry {i}"))}
-        delta, sigma = int(fr["delta"]), int(fr["sigma"])
     except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed base algebra file: {type(exc).__name__}: {exc}") from exc
     for key in ("delta", "sigma"):
-        if type(fr[key]) is not int:  # int() above also takes 0.5 and "0"
+        if type(fr[key]) is not int:  # not bool, float or a string of digits
             raise ValidationError(f"base frobenius field {key!r} must be an integer")
     if len(fr["trace"]) != alg.dim:
         raise ValidationError("base frobenius trace and algebra disagree in length")
@@ -212,7 +211,7 @@ def _load_base(path: str) -> FrobeniusStructure:
         raise ValidationError(f"base algebra invalid: {kind} at {idx}")
     if unit_basis_index(alg) is None:
         raise ValidationError(SPLIT_UNIT_ERROR)
-    return check_frobenius(alg, trace, delta, sigma)
+    return check_frobenius(alg, trace, fr["delta"], fr["sigma"])
 
 
 # -- suites ---------------------------------------------------------------------

@@ -352,7 +352,7 @@ def _without(data, key):
     ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, trace=[0, 1])},
      "trace entry 0 must be [num, den] with integers num and den != 0"),
     ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, delta="one")},
-     "malformed base algebra file: ValueError: invalid literal for int() with base 10: 'one'"),
+     "base frobenius field 'delta' must be an integer"),
     # non-integer indices, degrees, generators and Frobenius degrees, non-string labels,
     # over-long unit and trace
     ({"algebra": dict(CLIFFORD_ALGEBRA, structure=[[0, 0, 0.0, 1, 1], *CLIFFORD_ALGEBRA["structure"][1:]]),

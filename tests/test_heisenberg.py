@@ -189,6 +189,40 @@ class TestWeyl:
         assert not _ring_multiple(e2.add(y1), e2, (2, 0))
         assert _ring_multiple(e2.scale(GroundElem.monomial(1, 0, 3)), e2, (2, 0))
 
+    def test_doubled_commutator_term_fails_element_identity(self):
+        # (1 # x)(y # 1) = 1 # 1 + q pi (y # x), with the 1 # 1 term doubled
+        bad = nc4_double(1, 1)
+        seeded = bad._monomial_product((0, 0), (1, 0), (1, 0), (0, 0))
+        seeded[((0, 0), (0, 0))] = seeded[((0, 0), (0, 0))] + seeded[((0, 0), (0, 0))]
+        recs = weyl_check(bad, 4)
+        assert failures(recs) == [CheckRecord(
+            "weyl-element-identity", (), False,
+            lhs="(2)*[0:0#0:0] + (q*pi)*[1:0#1:0]", rhs="(1)*[0:0#0:0] + (q*pi)*[1:0#1:0]")]
+
+    def test_doubled_lowering_of_y2_fails_operator_identity(self):
+        # (1 # x) . y_2 = y_1, doubled: lowering e_2 = [2] y_2 gives 2 [2] e_1,
+        # still a ring multiple of e_1, so only the identity and the rule fail
+        bad = nc4_double(1, 1)
+        seeded = bad._basis_action((0, 0), (1, 0), (2, 0))
+        seeded[(1, 0)] = seeded[(1, 0)] + seeded[(1, 0)]
+        recs = weyl_check(bad, 4)
+        assert failures(recs) == [
+            CheckRecord("weyl-operator-identity", (4,), False, detail="first failing power 1"),
+            CheckRecord("weyl-lowering-rule", (4,), False, rhs="[n] times the previous power"),
+        ]
+
+    def test_vacuum_term_in_lowering_of_y2_fails_power_image_invariance(self):
+        # (1 # x) . y_2 = y_1 + 1: lowering e_2 leaves the image of the powers
+        bad = nc4_double(1, 1)
+        seeded = bad._basis_action((0, 0), (1, 0), (2, 0))
+        seeded[(0, 0)] = bad.layer.one()
+        recs = weyl_check(bad, 4)
+        assert failures(recs) == [
+            CheckRecord("weyl-operator-identity", (4,), False, detail="first failing power 1"),
+            CheckRecord("weyl-lowering-rule", (4,), False, rhs="[n] times the previous power"),
+            CheckRecord("power-image-invariance", (4,), False, rhs="lowering keeps the projective image"),
+        ]
+
 
 class TestFaithfulness:
     def test_small_window_full_rank(self, dbl11):
@@ -509,6 +543,58 @@ class TestFockAgainstOracles:
         assert bad.smash_multiply(h1, h2) != unmemoised_smash(bad, h1, h2)
         # the reuse of pair products reports the same first failure as the plain loop
         assert recs == oracle_action_compat(bad, 2)
+
+
+# -- smash associativity from pure leading factors, against the full loop ----------
+
+
+def _associativity(recs):
+    return next(r for r in recs if r.check == "smash-associativity")
+
+
+class TestAssociativityCertificate:
+    def test_corrupted_factorization_is_named(self):
+        # (y_1 # 1)(1 # x_1) = y_1 # x_1, doubled
+        bad = nc4_double(1, 1)
+        seeded = bad._monomial_product((1, 0), (0, 0), (0, 0), (1, 0))
+        seeded[((1, 0), (1, 0))] = seeded[((1, 0), (1, 0))] + seeded[((1, 0), (1, 0))]
+        assert _associativity(check_action_compat(bad, 2)) == CheckRecord(
+            "smash-associativity", (2,), False, detail="(a # 1)(1 # x) is not a # x at (1, 1)")
+        assert not _associativity(oracle_action_compat(bad, 2)).passed
+
+    @pytest.mark.parametrize("stray", [((3, 0), (0, 0)), ((2, 1), (0, 0))])
+    def test_product_term_past_the_level_bound_is_named(self, stray):
+        # (y_1 # 1)(y_1 # 1) = [2] y_2 # 1, plus a term above level 2 or off index 0
+        bad = nc4_double(1, 1)
+        bad._monomial_product((1, 0), (0, 0), (1, 0), (0, 0))[stray] = bad.layer.one()
+        assert _associativity(check_action_compat(bad, 2)) == CheckRecord(
+            "smash-associativity", (2,), False,
+            detail=f"product (1, 0)*(1, 0) has key {stray} past the level bound")
+
+    def test_every_scaled_product_entry_gets_the_full_loops_verdict(self):
+        # double or negate one coefficient of one memoised monomial product at
+        # a time; the certificate must fail exactly when some bounded triple does
+        filled = nc4_double(1, 1)
+        oracle_action_compat(filled, 2)
+        cases = [(memo_key, key) for memo_key, terms in filled._products.items() for key in terms]
+        assert len(cases) == 46
+        for memo_key, key in cases:
+            for factor in (2, -1):
+                bad = nc4_double(1, 1)
+                seeded = bad._monomial_product(*memo_key)
+                seeded[key] = seeded[key] * GroundElem.from_int(factor)
+                got = _associativity(check_action_compat(bad, 2)).passed
+                assert got == _associativity(oracle_action_compat(bad, 2)).passed, (memo_key, key, factor)
+
+    def test_smash_multiply_calls_at_bound_five(self):
+        # work, not time: the full loop made 6,713 calls here
+        double = HeisenbergDouble(GrothLayer(build_nilcoxeter_tower(5, 1, 1, frobenius_cap=0)))
+        calls = []
+        smash = double.smash_multiply
+        double.smash_multiply = lambda h1, h2: calls.append(None) or smash(h1, h2)
+        recs = check_action_compat(double, 5)
+        assert all_passed(recs), failures(recs)
+        assert len(calls) <= 4300
 
 
 # -- the power-coordinate Weyl check, kept as an oracle for the class-vector one --
