@@ -137,11 +137,15 @@ BODY_FIELDS = {
 }
 
 
+def _check_fields(what: str, data: dict, known) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValidationError(f"{what} has unknown field {unknown[0]!r}")
+
+
 def _check_body(kind: str, body: dict) -> None:
     """Only known fields, integer fields integers and ``n_max`` at least one."""
-    unknown = sorted(set(body) - set(BODY_FIELDS[kind]))
-    if unknown:
-        raise ValidationError(f"{kind} descriptor has unknown field {unknown[0]!r}")
+    _check_fields(f"{kind} descriptor", body, BODY_FIELDS[kind])
     for key in ("n_max", "d", "eps", "frobenius_cap"):
         if key in body and type(body[key]) is not int:  # bool is no integer here
             raise ValidationError(f"{kind} field {key!r} must be an integer")
@@ -191,6 +195,11 @@ def _load_base(path: str) -> FrobeniusStructure:
     for key in ("algebra", "frobenius"):
         if not isinstance(spec.get(key), dict):
             raise ValidationError(f"base algebra file needs an object {key!r}")
+    _check_fields("base algebra file", spec, ("algebra", "frobenius", "name"))
+    _check_fields("base algebra", spec["algebra"], ("labels", "degrees", "unit", "structure", "generators"))
+    _check_fields("base frobenius data", spec["frobenius"], ("trace", "delta", "sigma"))
+    if not isinstance(spec.get("name", ""), str):
+        raise ValidationError("base algebra file field 'name' must be a string")
     fr = spec["frobenius"]
     for key in ("trace", "delta", "sigma"):
         if key not in fr:

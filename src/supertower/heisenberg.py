@@ -532,8 +532,7 @@ def categorified_weyl_shadow(tower: TowerSpec, max_level: int,
     the general-twist shift is an extrapolation enabled separately and
     reported as such.  The inductions here are of declared modules and their
     restrictions, whose generators act by signed partial permutations, so
-    ``induce_module`` quotients their relations by signed supports rather
-    than by row reduction.
+    every relation of ``induce_module`` is a signed edge or a kill.
     """
     records = []
     if general_shift:

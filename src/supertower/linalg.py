@@ -17,15 +17,14 @@ the echelon rows were reached.  Callers use it in one of three modes:
   entry span the basis vectors of their supports, so they are counted
   without elimination;
 * canonical remainder: ``Eliminator.add_row``, ``reduce`` and ``pivots``,
-  for an incremental span, membership and a quotient basis;
+  for an incremental span, membership and a quotient basis.
+  ``SignedQuotient``, the kernel of induction, puts a union-find over
+  columns in front of it for the relations ``x_i = ±x_j`` and ``x_i = 0``,
+  and gives the free columns and remainders of an ``Eliminator`` fed every
+  relation;
 * solve: ``solve``, the one linear-system kernel.  Its right-hand side is a
   matrix, and every column rides through a single elimination of
   ``[mat | rhs]``; ``invert`` is ``solve`` against the identity.
-
-``SignedQuotient`` is the canonical-remainder mode for relations of signed
-support, ``x_i = ±x_j`` and ``x_i = 0``: a union-find over columns with a
-sign per edge.  It returns the same free columns and remainders as an
-``Eliminator`` fed the same rows, without row reduction.
 """
 
 from __future__ import annotations
@@ -120,9 +119,6 @@ class Mat:
         keys = set(self.cols) | set(other.cols)
         return all(self.cols.get(j, {}) == other.cols.get(j, {}) for j in keys)
 
-    def __hash__(self):
-        raise TypeError("Mat is not hashable")
-
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols.values())
 
@@ -193,34 +189,41 @@ class Eliminator:
 
 
 class SignedQuotient:
-    """The quotient of the span of ``x_0 .. x_{n-1}`` by signed-support relations.
+    """The quotient of the span of ``x_0 .. x_{n-1}`` by relations, signed ones apart.
 
-    ``relate(i, j, s)`` imposes ``x_i = s x_j`` with ``s`` one of ±1 and
-    ``kill(i)`` imposes ``x_i = 0``.  Columns joined by relations form a
-    class whose members are ± one another; a class dies when a member is
-    killed or a cycle of relations has inconsistent signs (``x = -x``, so
-    ``2x = 0`` over the rationals).  Feed every relation before the first
-    ``free`` or ``reduce``.
+    ``relate(i, j, s)`` imposes ``x_i = s x_j`` with ``s`` one of ±1,
+    ``kill(i)`` imposes ``x_i = 0`` and ``add_row(row)`` keeps any other
+    relation ``row = 0``.  Signed relations join columns into classes whose
+    members are ± one another; a class dies when a member is killed or a
+    cycle has inconsistent signs (``x = -x``, so ``2x = 0``).  ``free``
+    reduces the kept rows modulo the classes and eliminates the results with
+    an ``Eliminator``; ``reduce`` takes a vector through both steps.  Feed
+    every relation before the first ``free`` or ``reduce``.
 
-    The answer is the ``Eliminator``'s, fed the rows ``x_i - s x_j`` and
-    ``x_i`` in any order.  With first-nonzero-column pivoting the pivot set
-    is the set of leading columns of the relation space, which does not
-    depend on row order.  A dead class lies in that space, so all its
-    columns are pivots.  The relations of a live class are the vectors
-    on it whose signed coefficients sum to zero, whose leading columns are
-    all its columns but the largest.  So each live class keeps only its
-    largest column free, and the canonical remainder of ``x_k`` is
-    ``±x_max``.
+    The answer is an ``Eliminator``'s fed every relation in any order: its
+    pivots are the leading columns of the relation space ``R``, and the
+    remainder of ``v`` is the one vector on the other columns that differs
+    from ``v`` by a relation.  The signed relations span ``S``.  A dead
+    class lies in ``S``.  The relations on a live class are the vectors
+    whose signed coefficients sum to zero, which lead at every column but
+    the largest, ``x_max``; so the remainder ``p(x_k)`` modulo ``S`` is
+    ``±x_max``.  Let ``F`` be these largest columns and ``E`` the span of
+    the kept rows reduced by ``p``, which lies on ``F``.  Then ``R = S + E``,
+    as ``v - p(v)`` lies in ``S``.  The leading columns of ``S`` avoid
+    ``F``, those of ``E`` lie in it, and both lead in ``R``; so the sum is
+    direct and they are all ``dim R`` leading columns of ``R``.  The free
+    columns are ``F`` less the pivots of ``E``; the ``Eliminator``'s
+    remainder ``r`` of ``p(v)`` lies on them, and ``v - r`` lies in ``R``.
     """
 
     def __init__(self, n: int):
         self._parent = list(range(n))
         self._sign = [1] * n  # x_i = sign[i] * x_parent[i]
         self._killed = bytearray(n)
-        self._classes: list[tuple[int, int]] = []  # per column: its root and sign
-        self._top: dict[int, int] | None = None  # live root -> largest column
-        self._free: list[int] = []
-        self._image: list[tuple[int, int] | None] | None = None
+        self._rows: list[Vec] = []
+        self._rest = Eliminator()  # the kept rows, reduced modulo the signed classes
+        self._top: dict[int, int] = {}  # live root -> largest column
+        self._free: list[int] | None = None
 
     def _find(self, i: int) -> tuple[int, int]:
         """The root of ``i``'s class and the sign ``s`` with ``x_i = s x_root``."""
@@ -249,40 +252,44 @@ class SignedQuotient:
     def kill(self, i: int) -> None:
         self._killed[i] = 1
 
+    def add_row(self, row: Vec) -> None:
+        """Keep the relation ``row = 0``, one that is not signed."""
+        self._rows.append(row)
+
     def free(self) -> list[int]:
         """The columns the quotient keeps, ascending: the non-pivot columns."""
-        if self._top is None:
+        if self._free is None:
             parent, find = self._parent, self._find
-            self._classes = classes = [(k, 1) if parent[k] == k else find(k)
-                                       for k in range(len(parent))]
+            classes = [(k, 1) if parent[k] == k else find(k) for k in range(len(parent))]
             dead = {classes[k][0] for k, hit in enumerate(self._killed) if hit}
-            top: dict[int, int] = {}
-            for k, (root, _) in enumerate(classes):
-                top[root] = k  # columns ascend, so the last one seen is the largest
-            self._top = {root: k for root, k in top.items() if root not in dead}
-            self._free = sorted(self._top.values())
+            # columns ascend, so the last one of a class wins
+            self._top = top = {root: k for k, (root, _) in enumerate(classes) if root not in dead}
+            for row in self._rows:
+                self._rest.add_row(self._reduce_signed(row))
+            self._free = [k for k in sorted(top.values()) if k not in self._rest.pivots]
         return self._free
 
-    def reduce(self, row: Vec) -> Vec:
-        """The canonical remainder of ``row``, on free columns."""
-        image = self._image
-        if image is None:
-            # per column: its class's free column and the sign of its remainder
-            self.free()
-            top, classes = self._top, self._classes
-            image = self._image = [None if (k := top.get(root)) is None else (k, s * classes[k][1])
-                                   for root, s in classes]
+    def _reduce_signed(self, row: Vec) -> Vec:
+        """The remainder of ``row`` modulo the signed relations alone:
+        ``x_k = s x_root`` and ``x_t = s_t x_root`` give ``x_k = s s_t x_t``."""
+        top, find = self._top, self._find
         out: Vec = {}
         for k, c in row.items():
-            got = image[k]
-            if got is not None:
-                t, s = got
-                v = out.get(t, 0) + s * c
+            root, s = find(k)
+            t = top.get(root)
+            if t is not None:
+                v = out.get(t, 0) + s * find(t)[1] * c
                 if v:
                     out[t] = v
                 else:
                     del out[t]
         return out
+
+    def reduce(self, row: Vec) -> Vec:
+        """The canonical remainder of ``row``, on free columns."""
+        self.free()
+        out = self._reduce_signed(row)
+        return self._rest.reduce(out) if self._rest.pivots else out
 
 
 def block_ranks(rows: Iterable[Vec], block: Sequence) -> Counter:

@@ -469,17 +469,12 @@ def restrict_module(phi: AlgebraHom, mod: SuperModule) -> SuperModule:
 def induce_module(phi: AlgebraHom, mod: SuperModule) -> SuperModule:
     """Induction along the unital map ``phi: B -> A``: the module ``A (x)_B N``.
 
-    The result is presented as the quotient of ``A (x) N`` by the span of
+    The result is the quotient of ``A (x) N`` by the span of
     ``a phi(b) (x) n  -  a (x) b n`` with ``a`` running over the basis of
-    ``A`` and ``b`` over a generating set of ``B``.  When every
-    ``a phi(b)`` and every column of every generator's action has at most
-    one entry, equal to ±1, each relation reads ``x_i = ±x_j`` or
-    ``x_i = 0``, and a ``SignedQuotient`` takes them as they are; the
-    signed-permutation bases of the towers make this the common case.  Any
-    other module goes through an ``Eliminator``.  Both give the quotient
-    basis of first-nonzero-column pivoting, so the result is reproducible
-    and does not depend on the route.  The regular module of ``B`` induces
-    to the regular module of ``A``.
+    ``A`` and ``b`` over a generating set of ``B``, in one
+    ``SignedQuotient``, so its basis is that of first-nonzero-column
+    pivoting.  On the towers' signed-permutation bases every relation is
+    signed.  The regular module of ``B`` induces to the regular module of ``A``.
     """
     source, target = phi.source, phi.target
     if mod.algebra is not source:
@@ -490,25 +485,8 @@ def induce_module(phi: AlgebraHom, mod: SuperModule) -> SuperModule:
         return regular_module(target, name=f"ind({mod.name})")
 
     nd = mod.dim
-    product = target.basis_product
-    gens = _non_unit_generators(source)
-    # per generator b: a phi(b) for every basis vector a of the target, one
-    # table lookup each when phi(b) is a basis vector
-    lefts = []
-    for b in gens:
-        image = phi.images[b]
-        if list(image.values()) == [1]:
-            (i,) = image
-            lefts.append([product(a, i) for a in range(target.dim)])
-        else:
-            lefts.append([target.product_vec({a: 1}, image) for a in range(target.dim)])
-    acts = [mod.act(b) for b in gens]
-    relations = _signed_relations(lefts, acts, target.dim * nd, nd)
-    if relations is not None:
-        free = relations.free()
-    else:
-        relations = _eliminated_relations(lefts, acts, nd)
-        free = [k for k in range(target.dim * nd) if k not in relations.pivots]
+    relations = _induction_relations(phi, mod)
+    free = relations.free()
     free_pos = {k: t for t, k in enumerate(free)}
     degrees = [target.degrees[k // nd] + mod.degrees[k % nd] for k in free]
 
@@ -516,7 +494,7 @@ def induce_module(phi: AlgebraHom, mod: SuperModule) -> SuperModule:
         out = Mat(len(free), len(free))
         for t, k in enumerate(free):
             c, n = divmod(k, nd)
-            lifted = {cc * nd + n: coeff for cc, coeff in product(a, c).items()}
+            lifted = {cc * nd + n: coeff for cc, coeff in target.basis_product(a, c).items()}
             col = {free_pos[k2]: v for k2, v in relations.reduce(lifted).items()}
             if col:
                 out.cols[t] = col
@@ -525,86 +503,71 @@ def induce_module(phi: AlgebraHom, mod: SuperModule) -> SuperModule:
     return SuperModule(target, degrees, action_fn=action, name=f"ind({mod.name})")
 
 
-def _signed_relations(lefts: list[list[Vec]], acts: list[Mat], flat_dim: int,
-                      nd: int) -> SignedQuotient | None:
-    """The induction relations as signed edges, or None unless every
-    product ``a phi(b)`` and every action column has at most one entry, ±1;
-    the products of a generator that kills the module may have any one
-    coefficient.
+def _induction_relations(phi: AlgebraHom, mod: SuperModule) -> SignedQuotient:
+    """The relations of ``induce_module`` in a ``SignedQuotient``; target basis
+    vector ``c`` and module vector ``n`` sit in flat column ``c * mod.dim + n``.
 
-    Target basis vector ``c`` and module vector ``n`` sit in flat column
-    ``c * nd + n``.
-    The relation ``s_l x_p - s x_q`` of ``a phi(b) = s_l x_p`` and
-    ``b n = s x_q`` reads ``x_p = s_l s x_q``; a missing side makes it a kill.
+    The relation of ``a phi(b) = s_l x_p`` and ``b n = s x_q``, with ``s_l``
+    and ``s`` each ±1, reads ``x_p = s_l s x_q``, and a missing side makes
+    it a kill.  Any other relation is a kill when it has one entry, whatever
+    its coefficient, and a kept row otherwise.
     """
-    moves_by_gen = []
-    for bn in acts:
-        moves = []  # per module vector n: the one entry (q, s) of b n, or None
-        for n in range(nd):
-            col = bn.cols.get(n)
-            if not col:
-                moves.append(None)
-                continue
-            if len(col) != 1:
-                return None
-            ((q, s),) = col.items()
-            if s * s != 1:
-                return None
-            moves.append((q, s))
-        moves_by_gen.append(moves)
-    quot = SignedQuotient(flat_dim)
+    target, nd = phi.target, mod.dim
+    quot = SignedQuotient(target.dim * nd)
     kill, relate = quot.kill, quot.relate
-    # target basis vectors cc with every cc (x) n killed: where some b kills the
-    # module, each relation is the single term a phi(b) (x) n, which kills
-    # its column whatever its coefficient
-    hit: set[int] = set()
-    for left_b, moves in zip(lefts, moves_by_gen):
-        if not any(moves):
-            if max(map(len, left_b), default=0) > 1:
-                return None
-            hit.update(*left_b)
+    hit: set[int] = set()  # target basis vectors cc with every cc (x) n killed
+    for b in _non_unit_generators(phi.source):
+        # a phi(b) for every basis vector a: one table lookup each when phi(b) is one
+        image, bn = phi.images[b], mod.act(b)
+        if list(image.values()) == [1]:
+            (i,) = image
+            left_b = [target.basis_product(a, i) for a in range(target.dim)]
+        else:
+            left_b = [target.product_vec({a: 1}, image) for a in range(target.dim)]
+        if not any(bn.cols.values()) and max(map(len, left_b), default=0) <= 1:
+            hit.update(*left_b)  # b kills the module: each relation is its term a phi(b) (x) n
             continue
+        cols = [bn.cols.get(n, {}) for n in range(nd)]
+        moves = [_signed_entry(col) for col in cols]
         for c, left in enumerate(left_b):
-            if not left:
-                at = c * nd
-                for move in moves:
-                    if move is not None:
+            at = c * nd
+            lead = _signed_entry(left)
+            if not lead:  # a phi(b) is zero or not signed
+                for n, move in enumerate(moves):
+                    if lead is None or move is None:
+                        _relation_row(quot, left, cols[n], at, n, nd)
+                    elif move:
                         kill(at + move[0])
                 continue
-            try:
-                ((cc, sl),) = left.items()
-            except ValueError:
-                return None
-            if sl * sl != 1:
-                return None
-            base, at = cc * nd, c * nd
+            base, sl = lead[0] * nd, lead[1]
             for n, move in enumerate(moves):
-                if move is None:
-                    kill(base + n)
-                else:
+                if move:
                     relate(base + n, at + move[0], sl * move[1])
+                elif move is None:
+                    _relation_row(quot, left, cols[n], at, n, nd)
+                else:
+                    kill(base + n)
     for k in hit if nd == 1 else [cc * nd + n for cc in hit for n in range(nd)]:
         kill(k)
     return quot
 
 
-def _eliminated_relations(lefts: list[list[Vec]], acts: list[Mat], nd: int) -> Eliminator:
-    """The induction relation rows, reduced in the order generator, target
-    basis vector, module vector."""
-    relations = Eliminator()
-    for left_b, bn in zip(lefts, acts):
-        for c, left in enumerate(left_b):
-            for n in range(nd):
-                row: Vec = {}
-                for cc, coeff in left.items():
-                    row[cc * nd + n] = coeff
-                for nn, coeff in bn.cols.get(n, {}).items():
-                    k = c * nd + nn
-                    row[k] = row.get(k, 0) - coeff
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    relations.add_row(row)
-    return relations
+def _signed_entry(vec: Vec) -> tuple | None:
+    """The one entry ``(k, s)`` of ``vec`` if ``s`` is ±1, ``()`` if it is empty, else None."""
+    if len(vec) != 1:
+        return None if vec else ()
+    ((k, s),) = vec.items()
+    return (k, s) if s * s == 1 else None
+
+
+def _relation_row(quot: SignedQuotient, left: Vec, col: Vec, at: int, n: int, nd: int) -> None:
+    """Impose ``left (x) n - c (x) col`` on ``quot``, with ``at == c * nd``."""
+    row: Vec = {cc * nd + n: coeff for cc, coeff in left.items() if coeff}
+    vec_axpy(row, -1, {at + nn: coeff for nn, coeff in col.items()})
+    if len(row) == 1:
+        quot.kill(*row)
+    elif row:
+        quot.add_row(row)
 
 
 def validate_automorphism(alg: SuperAlgebra, tau: Mat) -> ValidationReport:
@@ -669,9 +632,9 @@ def read_rational(pair, what: str) -> int | Fraction:
 
 
 def algebra_from_dict(data: dict, name: str = "") -> SuperAlgebra:
-    labels = list(data["labels"])
-    if not all(isinstance(label, str) for label in labels):
-        raise ValidationError("labels must be strings")
+    labels = data["labels"]
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+        raise ValidationError("labels must be a list of strings")
     if not all(_all_int(deg) for deg in data["degrees"]):
         raise ValidationError("degrees must be pairs of integers")
     degrees = [Degree(z, par) for z, par in data["degrees"]]

@@ -1168,9 +1168,7 @@ def check_nakayama_closed_form(tower: TowerSpec, level: int) -> CheckRecord:
     frob = tower.frobenius[level]
     if frob is None:
         raise ValueError(f"level {level} has no Frobenius data")
-    if level == 0:
-        expected = Mat.identity(1)
-    elif tower.kind == "nilcoxeter":
+    if tower.kind == "nilcoxeter":
         expected = nilcoxeter_nakayama_closed_form(tower.level(level), tower.bases[level])
     else:
         expected = wreath_nakayama_closed_form(tower.base_frob, tower.bases[level])

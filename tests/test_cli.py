@@ -363,7 +363,7 @@ def _without(data, key):
     ({"algebra": dict(CLIFFORD_ALGEBRA, degrees=[["a", 0], [0, 1]]), "frobenius": CLIFFORD_FROBENIUS},
      "degrees must be pairs of integers"),
     ({"algebra": dict(CLIFFORD_ALGEBRA, labels=[None, "c"]), "frobenius": CLIFFORD_FROBENIUS},
-     "labels must be strings"),
+     "labels must be a list of strings"),
     ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, trace=[[0, 1], [1, 1], [1, 1]])},
      "base frobenius trace and algebra disagree in length"),
     ({"algebra": dict(CLIFFORD_ALGEBRA, unit=[[1, 1], [0, 1], [1, 1]]), "frobenius": CLIFFORD_FROBENIUS},
@@ -393,12 +393,27 @@ def _without(data, key):
      "structure row (1,1,0) appears twice"),
     ({"algebra": dict(CLIFFORD_ALGEBRA, unit=[[1, 0], [0, 1]]), "frobenius": CLIFFORD_FROBENIUS},
      "unit entry 0 must be [num, den] with integers num and den != 0"),
+    # a misspelt field is an error, not a field left out; labels are a list
+    ({"algebra": CLIFFORD_ALGEBRA, "frobenius": CLIFFORD_FROBENIUS, "nmae": "clifford"},
+     "base algebra file has unknown field 'nmae'"),
+    ({"algebra": dict(CLIFFORD_ALGEBRA, generator=[1]), "frobenius": CLIFFORD_FROBENIUS},
+     "base algebra has unknown field 'generator'"),
+    ({"algebra": CLIFFORD_ALGEBRA, "frobenius": dict(CLIFFORD_FROBENIUS, delt=0)},
+     "base frobenius data has unknown field 'delt'"),
+    ({"algebra": dict(CLIFFORD_ALGEBRA, labels="1c"), "frobenius": CLIFFORD_FROBENIUS},
+     "labels must be a list of strings"),
+    ({"algebra": dict(CLIFFORD_ALGEBRA, labels={"1": 0, "c": 1}), "frobenius": CLIFFORD_FROBENIUS},
+     "labels must be a list of strings"),
+    ({"algebra": CLIFFORD_ALGEBRA, "frobenius": CLIFFORD_FROBENIUS, "name": 3},
+     "base algebra file field 'name' must be a string"),
 ], ids=["not-object", "no-frobenius", "no-algebra", "algebra-string", "frobenius-list",
         "algebra-empty", "no-structure", "no-trace", "no-delta", "no-sigma", "trace-flat",
         "delta-word", "structure-float-index", "generators-float", "degree-string",
         "label-none", "trace-too-long", "unit-too-long", "delta-float", "delta-digit-string",
         "sigma-bool", "unit-bool", "unit-three-fields", "trace-bool", "trace-three-fields",
-        "structure-bool-value", "structure-twice", "unit-zero-den"])
+        "structure-bool-value", "structure-twice", "unit-zero-den", "top-unknown-field",
+        "algebra-unknown-field", "frobenius-unknown-field", "labels-string", "labels-object",
+        "name-not-string"])
 def test_malformed_base_file_is_usage_error(spec, message, tmp_path, capsys):
     path = tmp_path / "base.json"
     path.write_text(json.dumps(spec))

@@ -24,6 +24,7 @@ from supertower.towers import (
     apply_s,
     build_nilcoxeter,
     build_wreath,
+    check_nakayama_closed_form,
     clifford_base,
     identity_perm,
     longest_element,
@@ -110,6 +111,22 @@ class TestNakayama:
                 lhs = entry(frob.gram, a, b)
                 rhs = sign * sum(c * entry(frob.gram, b, t) for t, c in frob.nakayama.col(a).items())
                 assert lhs == rhs
+
+
+@pytest.mark.parametrize("desc", [
+    {"nilcoxeter": {"n_max": 1, "d": 1, "eps": 1}},
+    {"nilcoxeter": {"n_max": 1, "d": 3, "eps": 0}},
+    {"wreath": {"base": "clifford", "n_max": 1}},
+], ids=["nilcoxeter-11", "nilcoxeter-30", "clifford-wreath"])
+def test_level_zero_closed_form_is_the_identity(desc):
+    # the closed forms need no level-0 special case: both give the 1 x 1 identity
+    tower = build_tower(RunConfig(descriptor=desc, suites=["frobenius"]))
+    if tower.kind == "nilcoxeter":
+        closed = nilcoxeter_nakayama_closed_form(tower.level(0), tower.bases[0])
+    else:
+        closed = wreath_nakayama_closed_form(tower.base_frob, tower.bases[0])
+    assert closed == Mat.identity(1) == tower.frobenius[0].nakayama
+    assert check_nakayama_closed_form(tower, 0).passed
 
 
 class TestWreathNakayama:

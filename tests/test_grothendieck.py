@@ -202,6 +202,11 @@ class TestTwistedBialgebra:
         # first mixed-level pair already fails
         assert any(r.indices[0][0] >= 1 and r.indices[1][0] >= 1 for r in bad)
 
+    def test_wrong_chi_fails_on_the_projective_side(self):
+        layer = GrothLayer(build_nilcoxeter_tower(4, 1, 1, frobenius_cap=0))
+        bad = failures(check_twisted_bialgebra(layer, K_SIDE, 3, chi=(1, 0)))
+        assert (bad[0].check, bad[0].indices) == ("twisted-bialgebra-K", ((1, 0), (1, 0), (1, 0)))
+
     def test_trivial_tower_trivially_passes(self, sergeev_layer):
         assert all_passed(check_twisted_bialgebra(sergeev_layer, G_SIDE, 2))
         assert all_passed(check_twisted_bialgebra(sergeev_layer, K_SIDE, 2))
@@ -223,6 +228,22 @@ class TestHopfPairing:
                 if r.check in ("pairing-unit-counit", "pairing-counit-unit")]
         assert recs and all_passed(recs)
 
+    @pytest.mark.parametrize("kind", ["pairing-unit-counit", "pairing-counit-unit"])
+    def test_doubled_unit_norm_fails_unit_counit(self, kind):
+        layer = GrothLayer(build_nilcoxeter_tower(4, 1, 1, frobenius_cap=0))
+        layer._norms[(0, 0)] = layer.norm(0, 0) * 2
+        bad = [r for r in failures(check_hopf_pairing(layer, 4)) if r.check == kind]
+        assert bad[0].indices == ((0, 0),)
+        assert (bad[0].lhs, bad[0].rhs) == (repr(layer.one() * 2), repr(layer.one()))
+
+    def test_orthogonality_checks_the_library_pairing(self, monkeypatch):
+        # GrothLayer.pairing pairs only equal keys, so no tower data can fail
+        # this record; a pairing that crosses levels does
+        monkeypatch.setattr(GrothLayer, "pairing", lambda self, k, g: self.one())
+        layer = GrothLayer(build_nilcoxeter_tower(4, 1, 1, frobenius_cap=0))
+        bad = [r for r in failures(check_hopf_pairing(layer, 4)) if r.check == "pairing-orthogonality"]
+        assert bad[0].indices == ((0, 0), (1, 0))
+
 
 class TestAdjunction:
     def test_nilcoxeter(self, layer4_11):
@@ -234,6 +255,12 @@ class TestAdjunction:
 
     def test_sergeev_trivial_twist(self, sergeev_layer):
         assert all_passed(check_adjunction_kappa(sergeev_layer, 2))
+
+    def test_wrong_kappa_fails(self):
+        tower = build_nilcoxeter_tower(4, 1, 1, frobenius_cap=0)
+        tower.kappa = 2
+        bad = failures(check_adjunction_kappa(GrothLayer(tower), 4))
+        assert (bad[0].check, bad[0].indices) == ("adjunction-twist", ((2, 0), (1, 0), (1, 0)))
 
 
 class TestPsiInvariance:

@@ -500,19 +500,23 @@ def signed_rows(edges, kills):
     return rows + [{i: 1} for i in kills]
 
 
-def quotient_of(n, edges, kills):
+def quotient_of(n, edges, kills, rows=()):
     quot = SignedQuotient(n)
     for i, j, s in edges:
         quot.relate(i, j, s)
     for i in kills:
         quot.kill(i)
+    for row in rows:
+        quot.add_row(row)
     return quot
 
 
-def assert_matches_elimination(n, edges, kills, probes=()):
-    quot = quotient_of(n, edges, kills)
+def assert_matches_elimination(n, edges, kills, probes=(), rows=()):
+    """The quotient's free columns and remainders are those of an ``Eliminator``
+    fed every relation: the signed ones as rows, and the kept ``rows``."""
+    quot = quotient_of(n, edges, kills, rows)
     el = Eliminator()
-    for row in signed_rows(edges, kills):
+    for row in signed_rows(edges, kills) + list(rows):
         if row:
             el.add_row(row)
     assert quot.free() == [k for k in range(n) if k not in el.pivots]
@@ -528,7 +532,11 @@ def signed_systems(draw):
     kills = draw(hst.lists(col, max_size=3))
     probes = draw(hst.lists(hst.dictionaries(col, hst.integers(-3, 3).filter(bool), max_size=4),
                             max_size=3))
-    return n, edges, kills, probes
+    # relations that are not signed: two or more entries, any coefficients
+    coeffs = hst.one_of(hst.integers(-4, 4).filter(bool), rationals)
+    rows = draw(hst.lists(hst.dictionaries(col, coeffs, min_size=2, max_size=4),
+                          max_size=3)) if n > 1 else []
+    return n, edges, kills, probes, rows
 
 
 class TestSignedQuotient:
@@ -536,9 +544,9 @@ class TestSignedQuotient:
     @given(system=signed_systems())
     def test_matches_elimination(self, system):
         # free columns and every remainder are the Eliminator's, in any order of feeding
-        n, edges, kills, probes = system
-        assert_matches_elimination(n, edges, kills, probes)
-        assert_matches_elimination(n, edges[::-1], kills[::-1], probes)
+        n, edges, kills, probes, rows = system
+        assert_matches_elimination(n, edges, kills, probes, rows)
+        assert_matches_elimination(n, edges[::-1], kills[::-1], probes, rows[::-1])
 
     def test_odd_sign_cycle_dies(self):
         # x0 = x1 = x2 = -x0: the class is 2x = 0, so nothing of it survives
@@ -586,6 +594,14 @@ class TestSignedQuotient:
         assert quot.free() == [2, 4]
         assert quot.reduce({0: 1, 3: 2, 5: 1, 1: 4}) == {2: 4}
         assert_matches_elimination(6, [(3, 5, -1), (0, 3, 1), (1, 2, 1)], [0])
+
+    def test_kept_row_is_reduced_by_the_signed_classes(self):
+        # x0 = x2 makes x0 + 2 x1 read 2 x1 + x2, whose pivot 1 is dropped
+        quot = quotient_of(4, [(0, 2, 1)], [], [{0: 1, 1: 2}])
+        assert quot.free() == [2, 3]
+        assert quot.reduce({1: 1}) == {2: Fraction(-1, 2)}
+        assert quot.reduce({0: 1, 3: 1}) == {2: 1, 3: 1}
+        assert_matches_elimination(4, [(0, 2, 1)], [], rows=[{0: 1, 1: 2}])
 
     def test_cancelling_remainders_are_dropped(self):
         quot = quotient_of(3, [(0, 2, 1), (1, 2, -1)], [])

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -419,28 +420,6 @@ def conjugated(mod, p, p_inv):
                                for i in range(mod.algebra.dim)})
 
 
-def spy_on_routes(monkeypatch, fast, label, fallback):
-    """Record which of two paths of ``superalgebra`` ran, in order: ``label``
-    when ``fast`` answers, ``declined`` when it returns None, and
-    ``eliminator`` for ``fallback``."""
-    import supertower.superalgebra as sa
-    ran = []
-    fast_fn, fallback_fn = getattr(sa, fast), getattr(sa, fallback)
-
-    def spy_fast(*args):
-        got = fast_fn(*args)
-        ran.append(label if got is not None else "declined")
-        return got
-
-    def spy_fallback(*args):
-        ran.append("eliminator")
-        return fallback_fn(*args)
-
-    monkeypatch.setattr(sa, fast, spy_fast)
-    monkeypatch.setattr(sa, fallback, spy_fallback)
-    return ran
-
-
 def basis_change(n, seed):
     """A change of basis of ``n`` vectors and its inverse: ``scaled`` doubles
     ``e_1``, ``sheared`` replaces ``e_2`` by ``e_1 + e_2``."""
@@ -456,11 +435,28 @@ def basis_change(n, seed):
 
 
 class TestInduceRoute:
-    """Which relation kernel ran, seen through the two relation builders."""
+    """How each induction imposed its relations, seen through ``SignedQuotient``:
+    ``signed`` counts the edges and kills, ``rows`` the relations kept for
+    elimination, and ``quotients`` the inductions that built a quotient."""
 
     @pytest.fixture
-    def routes(self, monkeypatch):
-        return spy_on_routes(monkeypatch, "_signed_relations", "signed", "_eliminated_relations")
+    def imposed(self, monkeypatch):
+        import supertower.linalg as la
+        seen = Counter()
+
+        def spy(method, key):
+            original = getattr(la.SignedQuotient, method)
+
+            def wrapper(self, *args):
+                seen[key] += 1
+                return original(self, *args)
+            monkeypatch.setattr(la.SignedQuotient, method, wrapper)
+
+        spy("__init__", "quotients")
+        spy("relate", "signed")
+        spy("kill", "signed")
+        spy("add_row", "rows")
+        return seen
 
     @pytest.fixture
     def restricted(self):
@@ -469,26 +465,38 @@ class TestInduceRoute:
         phi = tower.step_hom(2)
         return phi, restrict_module(phi, regular_module(tower.level(3)))
 
-    def test_signed_monomial_data_take_the_signed_quotient(self, routes, restricted):
-        phi, mod = restricted
-        got = induce_module(phi, mod)
-        assert routes == ["signed"]
-        assert_induction_matches_oracle(phi, mod)
-        assert got.dim == 18
+    @pytest.mark.parametrize("descriptor", [
+        {"nilcoxeter": {"n_max": 5, "d": 1, "eps": 0}},
+        {"nilcoxeter": {"n_max": 5, "d": 1, "eps": 1}},
+        {"wreath": {"base": "clifford", "n_max": 3}},
+    ], ids=["nc5-10", "nc5-11", "sergeev3"])
+    def test_verify_inductions_keep_no_rows(self, imposed, descriptor):
+        # the towers' signed-permutation bases make every relation signed
+        from supertower.cli import ALL_SUITES, RunConfig, run_suites
+        report = run_suites(RunConfig(descriptor=descriptor, suites=ALL_SUITES))
+        assert report.failed == 0
+        assert imposed["rows"] == 0
+        # the Sergeev tower induces only regular modules, which need no quotient
+        assert (imposed["quotients"] > 0 and imposed["signed"] > 0) == ("nilcoxeter" in descriptor)
 
     @pytest.mark.parametrize("seed", ["scaled", "sheared"])
-    def test_seeded_non_monomial_action_falls_back(self, routes, restricted, seed):
+    def test_seeded_non_monomial_action_keeps_some_rows(self, imposed, restricted, seed):
         # the same module in another basis: a coefficient 2 or a two-entry column
         phi, mod = restricted
+        plain = induce_module(phi, mod)
+        assert plain.dim == 18 and imposed["rows"] == 0 < imposed["signed"]
+        imposed.clear()
         seeded = conjugated(mod, *basis_change(mod.dim, seed))
         assert validate_module(seeded).ok
         gens = [b for b in phi.source.generating_set() if not phi.source.unit.get(b)]
         assert any(len(col) > 1 or any(c not in (1, -1) for c in col.values())
                    for b in gens for col in seeded.act(b).cols.values())
         got = induce_module(phi, seeded)
-        assert routes == ["declined", "eliminator"]
+        # one quotient that keeps some of its relations as rows, not all
+        assert imposed["quotients"] == 1
+        assert imposed["rows"] > 0 and imposed["signed"] > 0
         assert_induction_matches_oracle(phi, seeded)
-        assert graded_dim(got) == graded_dim(induce_module(phi, mod))
+        assert graded_dim(got) == graded_dim(plain)
 
 
 def hom_cases(tower):
