@@ -15,6 +15,7 @@ from fractions import Fraction
 from .errors import InternalInconsistencyError, ValidationError
 from .linalg import Mat, Vec, exact, rank_of_rows, solve
 from .superalgebra import (
+    AlgebraHom,
     Degree,
     SuperAlgebra,
     ValidationReport,
@@ -92,20 +93,13 @@ def check_frobenius(
     return FrobeniusStructure(alg, trace, delta, sigma, gram, psi)
 
 
-LEFT = "left"
-RIGHT = "right"
-
-
-def _transposed_products(alg: SuperAlgebra, side: str) -> list[Mat]:
-    """The transposed multiplication matrices: row ``k``, column ``t`` of
-    ``out[j]`` is the coefficient of ``e_t`` in ``e_j e_k`` (in ``e_k e_j``
-    for ``RIGHT``)."""
-    out = [Mat(alg.dim, alg.dim) for _ in range(alg.dim)]
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            a, k = (i, j) if side == LEFT else (j, i)
-            for t, c in alg.basis_product(i, j).items():
-                out[a].cols.setdefault(t, {})[k] = c
+def _multiplication(alg: SuperAlgebra, c: int, right: bool = False) -> Mat:
+    """Multiplication by ``e_c``, transposed: row ``x``, column ``t`` holds the
+    coefficient of ``e_t`` in ``e_c e_x`` (in ``e_x e_c`` when ``right``)."""
+    out = Mat(alg.dim, alg.dim)
+    for x in range(alg.dim):
+        for t, v in (alg.basis_product(x, c) if right else alg.basis_product(c, x)).items():
+            out.cols.setdefault(t, {})[x] = v
     return out
 
 
@@ -158,21 +152,32 @@ def tensor_nakayama_matrix(f1: FrobeniusStructure, f2: FrobeniusStructure) -> Ma
 
 
 def check_dual_iso(frob: FrobeniusStructure) -> ValidationReport:
-    """Exhaustive check that the form identifies the algebra with its shifted dual.
+    """Check that the form identifies the algebra with its shifted dual.
 
-    The candidate map sends ``b`` to the functional
-    ``a -> (-1)**(par(a) par(b)) (a, b)``; it must be a degree-zero map of
-    left modules, and composing with the right action must match
-    multiplication through the nakayama automorphism:
-    ``phi(b) . a == phi(b psi(a))`` evaluated against every basis element.
-    Every basis pair and triple is covered, evaluated row-sparse: ``phi(b)``
-    is read off Gram column ``b`` and both sides of each identity are
-    accumulated through transposed multiplication tables.
+    The candidate map sends ``b`` to the functional ``phi(b): a ->
+    (-1)**(par(a) par(b)) (a, b)``, read off Gram column ``b``.  It must be
+    degree-zero (checked on every pair), a left-module map, ``phi(c b) ==
+    c . phi(b)`` with ``(c . f)(e_a) == (-1)**(p_c p_f + p_c p_a) f(e_a c)``,
+    and twist the right action ``(f . a)(e_x) == f(a e_x)`` by the nakayama
+    map: ``phi(b) . a == phi(b psi(a))``.  Both identities run over every
+    ``b`` and leading ``c`` or ``a`` only, and ``psi`` is validated as a
+    unital, degree-preserving algebra map.
+
+    Premise: the algebra is associative (the tower builders certify it,
+    ``validate_algebra`` checks it) and its generators span.  Then the
+    subspace of ``c`` with ``phi(c b) == c . phi(b)`` for all ``b`` holds the
+    unit and is closed under products, as the sign rule is a module action
+    (``f((e_a c) c') == f(e_a (c c'))``; the ``p_c p_c'`` signs cancel).  The
+    subspace of ``a`` with ``phi(b) . a == phi(b psi(a))`` for all ``b`` is
+    closed under products once ``psi`` is multiplicative: ``phi(b) . a a' ==
+    phi(b psi(a)) . a' == phi(b psi(a) psi(a'))``.  So each identity holds
+    on every basis pair exactly when it holds on the leading factors.
     """
     alg = frob.algebra
     bad: list[tuple[str, tuple]] = []
     dim = alg.dim
     par = [deg.par for deg in alg.degrees]
+    leading = alg.leading_factors()
     # functional coordinates: phi.cols[b][a] == phi(e_b)(e_a), ascending in a
     phi = Mat(dim, dim, {b: {a: -g if (par[a] and par[b]) else g for a, g in sorted(col.items())}
                          for b, col in frob.gram.cols.items()})
@@ -185,24 +190,26 @@ def check_dual_iso(frob: FrobeniusStructure) -> ValidationReport:
             if alg.degrees[a] + alg.degrees[b] != target:
                 bad.append(("degree zero", (b, a)))
 
-    # left-module map: phi(c b) == (-1)**(par(c) par(phi(b))) phi(b) o rho^r_c, where
-    # (c . f)(e_a) = (-1)^(pc*pf + pc*par(a)) f(e_a c) and phi(b) has b's parity
-    right = _transposed_products(alg, RIGHT)
-    for c in range(dim):
+    # left-module map: phi(c b) == c . phi(b), read through phi(b) o rho^r_c,
+    # where phi(b) has b's parity
+    for c in leading:
+        right = _multiplication(alg, c, right=True)
         for b in range(dim):
             lhs = phi.apply(alg.basis_product(c, b))
-            rhs = right[c].apply(phi.cols.get(b, {}))
+            rhs = right.apply(phi.cols.get(b, {}))
             if par[c]:
                 rhs = {a: -v if (par[b] + par[a]) & 1 else v for a, v in rhs.items()}
             if lhs != rhs:
                 bad.append(("left module map", (c, b)))
 
     # right action versus nakayama twist: (phi(b) . a)(e_x) = phi(b)(a e_x) == phi(b psi(a))(e_x)
-    left = _transposed_products(alg, LEFT)
+    left = {a: (_multiplication(alg, a), frob.nakayama.col(a)) for a in leading}
     for b in range(dim):
-        for a in range(dim):
-            acted = left[a].apply(phi.cols.get(b, {}))
-            twisted = phi.apply(alg.product_vec({b: 1}, frob.nakayama.col(a)))
+        for a, (left_a, psi_a) in left.items():
+            acted = left_a.apply(phi.cols.get(b, {}))
+            twisted = phi.apply(alg.product_vec({b: 1}, psi_a))
             for x in _differences(acted, twisted):
                 bad.append(("nakayama compatibility", (b, a, x)))
+    psi = AlgebraHom(alg, alg, [frob.nakayama.col(j) for j in range(dim)]).validate()
+    bad += [(f"nakayama {kind}", where) for kind, where in psi.violations]
     return ValidationReport(f"dual bimodule iso for {alg.name}", bad)

@@ -658,7 +658,7 @@ def algebra_from_dict(data: dict, name: str = "") -> SuperAlgebra:
             raise ValidationError(f"structure row ({i},{j},{k}) appears twice")
         col[k] = read_rational((num, den), f"structure row ({i},{j},{k}) value")
     full = {
-        (i, j): products.get((i, j), {})
+        (i, j): {k: c for k, c in products.get((i, j), {}).items() if c}  # zero rows store nothing
         for i in range(len(labels))
         for j in range(len(labels))
     }

@@ -13,7 +13,7 @@ calls them, so they live with the tests.
 import functools
 
 from supertower.errors import InternalInconsistencyError, ValidationError
-from supertower.frobenius import LEFT, _differences, _transposed_products
+from supertower.frobenius import _differences, _multiplication
 from supertower.grothendieck import (
     G_SIDE,
     K_SIDE,
@@ -142,7 +142,7 @@ def check_form_invariance(alg: SuperAlgebra, gram: Mat) -> None:
     transposed left multiplications.  Raises on the first failing triple.
     """
     rows = gram.transpose()  # rows.cols[t] == {k: (e_t, e_k)}
-    left = _transposed_products(alg, LEFT)
+    left = [_multiplication(alg, j) for j in range(alg.dim)]
     for i in range(alg.dim):
         row_i = rows.cols.get(i, {})
         for j in range(alg.dim):

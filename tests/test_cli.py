@@ -391,6 +391,14 @@ def _without(data, key):
     ({"algebra": dict(CLIFFORD_ALGEBRA, structure=[*CLIFFORD_ALGEBRA["structure"], [1, 1, 0, 5, 1]]),
       "frobenius": CLIFFORD_FROBENIUS},
      "structure row (1,1,0) appears twice"),
+    # a zero row stores nothing, but it still is a row: after a nonzero one, and before one
+    ({"algebra": dict(CLIFFORD_ALGEBRA, structure=[*CLIFFORD_ALGEBRA["structure"], [0, 1, 1, 0, 1]]),
+      "frobenius": CLIFFORD_FROBENIUS},
+     "structure row (0,1,1) appears twice"),
+    ({"algebra": dict(CLIFFORD_ALGEBRA, structure=[*CLIFFORD_ALGEBRA["structure"], [1, 1, 1, 0, 1],
+                                                   [1, 1, 1, 2, 1]]),
+      "frobenius": CLIFFORD_FROBENIUS},
+     "structure row (1,1,1) appears twice"),
     ({"algebra": dict(CLIFFORD_ALGEBRA, unit=[[1, 0], [0, 1]]), "frobenius": CLIFFORD_FROBENIUS},
      "unit entry 0 must be [num, den] with integers num and den != 0"),
     # a misspelt field is an error, not a field left out; labels are a list
@@ -411,7 +419,8 @@ def _without(data, key):
         "delta-word", "structure-float-index", "generators-float", "degree-string",
         "label-none", "trace-too-long", "unit-too-long", "delta-float", "delta-digit-string",
         "sigma-bool", "unit-bool", "unit-three-fields", "trace-bool", "trace-three-fields",
-        "structure-bool-value", "structure-twice", "unit-zero-den", "top-unknown-field",
+        "structure-bool-value", "structure-twice", "structure-zero-twice",
+        "structure-zero-then-nonzero", "unit-zero-den", "top-unknown-field",
         "algebra-unknown-field", "frobenius-unknown-field", "labels-string", "labels-object",
         "name-not-string"])
 def test_malformed_base_file_is_usage_error(spec, message, tmp_path, capsys):
@@ -420,6 +429,24 @@ def test_malformed_base_file_is_usage_error(spec, message, tmp_path, capsys):
     desc = json.dumps({"wreath": {"base": str(path), "n_max": 2}})
     assert main(["verify", desc, "--suites", "axioms"]) == 64
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_zero_structure_row_stores_nothing(tmp_path, capsys):
+    # [0, 1, 0, 0, 1] says "1 c has 0 times 1": a stored zero would reach the
+    # kernels, which assume sparse vectors without zeros
+    path = tmp_path / "base.json"
+    spec = {"algebra": CLIFFORD_ALGEBRA, "frobenius": CLIFFORD_FROBENIUS}
+    zero_row = dict(CLIFFORD_ALGEBRA, structure=[*CLIFFORD_ALGEBRA["structure"], [0, 1, 0, 0, 1]])
+    alg = algebra_from_dict(zero_row)
+    assert alg.basis_product(0, 1) == {1: 1}
+    assert all(c for col in alg.struct_consts().values() for c in col.values())
+    desc = json.dumps({"wreath": {"base": str(path), "n_max": 3}})
+    reports = []
+    for algebra in (CLIFFORD_ALGEBRA, zero_row):
+        path.write_text(json.dumps(dict(spec, algebra=algebra)))
+        assert main(["verify", desc, "--format", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_unreadable_base_file_is_usage_error(tmp_path, capsys):

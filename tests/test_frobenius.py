@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from supertower.cli import RunConfig, build_tower
+from supertower.cli import RunConfig, _suite_frobenius, build_tower
 from supertower.errors import CocycleError, InternalInconsistencyError, ValidationError
 from supertower.frobenius import (
     FrobeniusStructure,
@@ -17,7 +17,14 @@ from supertower.frobenius import (
     tensor_nakayama_matrix,
 )
 from supertower.linalg import Mat, solve
-from supertower.superalgebra import Degree
+from supertower.superalgebra import (
+    AlgebraHom,
+    Degree,
+    algebra_from_dict,
+    read_rational,
+    validate_algebra,
+    validate_automorphism,
+)
 from supertower.towers import (
     SignedPermBasis,
     WreathBasis,
@@ -226,10 +233,63 @@ class TestDualIso:
             gram.add_entry(i, j, Fraction(rng.choice([-1, 1, 2])))
             tampered = FrobeniusStructure(alg, frob.trace, frob.delta, frob.sigma,
                                           gram, frob.nakayama)
-            violations = check_dual_iso(tampered).violations
+            rep = check_dual_iso(tampered)
+            violations = rep.violations
             assert [v for v in violations if v[0] == "degree zero"] == [("degree zero", (j, i))]
             assert violations[0] == ("degree zero", (j, i))
-            assert violations == dense_dual_iso(tampered)
+            oracle = dense_dual_iso(tampered)
+            assert rep.ok == (oracle == [])
+            assert violations == leading_dual_iso(tampered, oracle)
+
+    def test_odd_length_columns_negated_fail_both_records(self):
+        # psi with the columns of odd-length w negated is still an automorphism,
+        # but neither the closed form nor the twisted right action accepts it
+        cfg = RunConfig(descriptor={"nilcoxeter": {"n_max": 4, "d": 1, "eps": 1}},
+                        suites=["frobenius"])
+        tower = build_tower(cfg)
+        frob, basis = tower.frobenius[3], tower.bases[3]
+        odd = {i for i, w in enumerate(basis.perms) if basis.lengths[w] & 1}
+        psi = Mat(frob.nakayama.nrows, frob.nakayama.ncols,
+                  {j: {i: -c for i, c in col.items()} if j in odd else col
+                   for j, col in frob.nakayama.cols.items()})
+        assert validate_automorphism(frob.algebra, psi).ok
+        tower.frobenius[3] = FrobeniusStructure(frob.algebra, frob.trace, frob.delta, frob.sigma,
+                                                frob.gram, psi)
+        failed = [(r.check, r.indices) for r in _suite_frobenius(tower, None, cfg) if not r.passed]
+        assert failed == [("nakayama-closed-form", (3,)), ("dual-bimodule-identification", (3,))]
+        violations = check_dual_iso(tower.frobenius[3]).violations
+        assert violations[0] == ("nakayama compatibility", (0, 1, 3))
+        assert violations[0] == dense_dual_iso(tower.frobenius[3])[0]
+
+    @pytest.mark.parametrize("family,n", [("nilcoxeter", 3), ("nilcoxeter", 4), ("sergeev", 2)])
+    def test_doubled_generator_column_fails(self, family, n):
+        frob = _fresh_structure(family, n)
+        alg = frob.algebra
+        for g in alg.generating_set():
+            psi = Mat(frob.nakayama.nrows, frob.nakayama.ncols, frob.nakayama.cols)
+            psi.cols[g] = {i: 2 * c for i, c in psi.cols[g].items()}
+            tampered = FrobeniusStructure(alg, frob.trace, frob.delta, frob.sigma, frob.gram, psi)
+            rep = check_dual_iso(tampered)
+            assert not rep.ok
+            assert any(kind == "nakayama compatibility" and where[1] == g
+                       for kind, where in rep.violations)
+            assert rep.violations == leading_dual_iso(tampered, dense_dual_iso(tampered))
+
+    @pytest.mark.parametrize("family,n", [("sergeev", 3), ("nilcoxeter", 5)])
+    def test_work_is_leading_factors_times_dim(self, family, n):
+        # pins work, not time: a return to all basis pairs reads dim^2 products
+        frob = _fresh_structure(family, n)
+        alg = frob.algebra
+        reads = []
+        product = alg.basis_product
+
+        def counted(i, j):
+            reads.append((i, j))
+            return product(i, j)
+
+        alg.basis_product = counted
+        assert check_dual_iso(frob).ok
+        assert 0 < len(reads) <= 6 * len(alg.leading_factors()) * alg.dim < alg.dim ** 2
 
 
 # -- dense oracles for the row-sparse audits --------------------------------------
@@ -294,6 +354,23 @@ def dense_dual_iso(frob):
                 if val != twisted.get(x, Fraction(0)):
                     bad.append(("nakayama compatibility", (b, a, x)))
     return bad
+
+
+def psi_violations(frob):
+    """What ``check_dual_iso`` adds after the identities: ``psi`` as an algebra map."""
+    alg = frob.algebra
+    psi = AlgebraHom(alg, alg, [frob.nakayama.col(j) for j in range(alg.dim)]).validate()
+    return [(f"nakayama {kind}", where) for kind, where in psi.violations]
+
+
+def leading_dual_iso(frob, oracle):
+    """The all-pairs oracle's violations at leading factors, then ``psi``'s own."""
+    leading = set(frob.algebra.leading_factors())
+    kept = [(kind, where) for kind, where in oracle
+            if kind == "degree zero"
+            or (kind == "left module map" and where[0] in leading)
+            or (kind == "nakayama compatibility" and where[1] in leading)]
+    return kept + psi_violations(frob)
 
 
 def _invariance_outcome(audit, alg, gram):
@@ -362,9 +439,35 @@ class TestSparseAuditsMatchDenseOracles:
             assert sparse == _invariance_outcome(dense_form_invariance, frob.algebra, frob.gram)
             # the invariance audit reads the form and the products, not the nakayama map
             assert (sparse is None) == (kind == "nakayama")
-            violations = check_dual_iso(frob).violations
-            assert violations == dense_dual_iso(frob)
-            assert violations
+            rep, oracle = check_dual_iso(frob), dense_dual_iso(frob)
+            if kind == "product":
+                # a shifted structure constant can break the associativity the
+                # leading-factor rule rests on; then validate_algebra says so
+                assert not validate_algebra(frob.algebra).ok or rep.ok == (oracle == [])
+                continue
+            assert rep.ok == (oracle == []) and oracle
+            assert rep.violations == leading_dual_iso(frob, oracle)
+
+    @pytest.mark.parametrize("kind", ["none", "gram", "nakayama"])
+    def test_generator_free_base_leads_with_every_element(self, kind):
+        # no declared generators: every basis element is leading, so the
+        # check is the all-pairs oracle, plus psi's own violations
+        data = {k: v for k, v in EXTERIOR_BASE["algebra"].items() if k != "generators"}
+        alg = algebra_from_dict(data, name="exterior")
+        trace = {i: read_rational(p, "trace") for i, p in enumerate(EXTERIOR_BASE["frobenius"]["trace"])}
+        frob = check_frobenius(alg, trace, 2, 0)
+        assert alg.leading_factors() == list(range(alg.dim))
+        for seed in range(4):
+            rng = random.Random(f"exterior{kind}{seed}")
+            gram, psi = frob.gram, frob.nakayama
+            if kind == "gram":
+                gram = _corrupt_entry(gram, rng)
+            elif kind == "nakayama":
+                psi = _corrupt_entry(psi, rng)
+            tampered = FrobeniusStructure(alg, frob.trace, frob.delta, frob.sigma, gram, psi)
+            oracle = dense_dual_iso(tampered)
+            assert (oracle == []) == (kind == "none")
+            assert check_dual_iso(tampered).violations == oracle + psi_violations(tampered)
 
 
 @pytest.mark.parametrize("desc", [
