@@ -21,6 +21,9 @@ from .ground import FULL, GroundElem
 from .linalg import Eliminator, Mat, SignedQuotient, Vec, block_ranks, exact, rank_of_rows, vec_axpy
 from .values import Frozen, Record
 
+SignedEntry = tuple[int | Fraction, int] | None  # (c, k) for c e_k, or None for zero
+_UNFILLED = object()  # a signed-table key not filled yet
+
 
 class Degree(Frozen):
     """An (integer, parity) bidegree: immutable, equal and hashed by value."""
@@ -36,12 +39,20 @@ class Degree(Frozen):
 
 
 class SuperAlgebra:
-    """A finite-dimensional bigraded superalgebra with sparse products.
+    """A finite-dimensional bigraded superalgebra with one lazy product table.
 
-    ``products`` maps a basis pair ``(i, j)`` to the sparse expansion of
-    ``e_i e_j``; pairs may be filled lazily through ``product_fn`` so that
-    large algebras never materialize a full multiplication table unless
-    something actually walks all of it.
+    The table maps a basis pair ``(i, j)`` to ``e_i e_j`` and is filled
+    through ``product_fn`` on first use, so that large algebras never
+    materialize a full multiplication table unless something actually walks
+    all of it.  It has one of two forms:
+
+    * the dict table: the sparse expansion of ``e_i e_j``;
+    * the signed table (``signed``), for a monomial algebra, one whose basis
+      products have at most one term: ``(c, k)`` with ``e_i e_j == c e_k``
+      and ``c`` a nonzero rational, or None when the product vanishes.
+      ``signed_product`` reads it by index.
+
+    ``basis_product`` returns the dict expansion in either form.
     """
 
     def __init__(
@@ -49,18 +60,20 @@ class SuperAlgebra:
         labels: Sequence[str],
         degrees: Sequence[Degree],
         unit: Vec,
-        products: dict[tuple[int, int], Vec] | None = None,
-        product_fn: Callable[[int, int], Vec] | None = None,
+        products: dict[tuple[int, int], Vec] | dict[tuple[int, int], SignedEntry] | None = None,
+        product_fn: Callable[[int, int], Vec] | Callable[[int, int], SignedEntry] | None = None,
         generators: Sequence[int] | None = None,
         name: str = "",
+        signed: bool = False,
     ):
         if len(labels) != len(degrees):
             raise ValueError(f"{len(labels)} labels but {len(degrees)} degrees")
         self.labels = list(labels)
         self.degrees = list(degrees)
         self.unit = {i: exact(c) for i, c in unit.items() if c}
-        self._products: dict[tuple[int, int], Vec] = dict(products or {})
+        self._products: dict = dict(products or {})
         self._product_fn = product_fn
+        self.signed = signed
         self.generators = list(generators) if generators is not None else None
         self.name = name or f"algebra(dim={len(labels)})"
 
@@ -68,7 +81,18 @@ class SuperAlgebra:
     def dim(self) -> int:
         return len(self.labels)
 
+    def signed_product(self, i: int, j: int) -> SignedEntry:
+        """The entry of ``e_i e_j`` in a signed table: ``(c, k)``, or None for zero."""
+        key = (i, j)
+        got = self._products.get(key, _UNFILLED)
+        if got is _UNFILLED:
+            got = self._products[key] = self._product_fn(i, j) if self._product_fn else None
+        return got
+
     def basis_product(self, i: int, j: int) -> Vec:
+        if self.signed:
+            got = self.signed_product(i, j)
+            return {got[1]: got[0]} if got else {}
         key = (i, j)
         got = self._products.get(key)
         if got is None:
@@ -102,11 +126,8 @@ class SuperAlgebra:
         return sorted(set(self.generating_set()) | set(self.unit))
 
     def struct_consts(self) -> dict[tuple[int, int], Vec]:
-        """Force and return the full structure-constant table."""
-        for i in range(self.dim):
-            for j in range(self.dim):
-                self.basis_product(i, j)
-        return self._products
+        """Force the full table and return it in dict form, one entry per basis pair."""
+        return {(i, j): self.basis_product(i, j) for i in range(self.dim) for j in range(self.dim)}
 
     def __repr__(self) -> str:
         return f"SuperAlgebra({self.name}, dim={self.dim})"
@@ -189,16 +210,25 @@ def kron(u: Vec, v: Vec, dim_v: int, sign: int = 1) -> Vec:
 
 
 def tensor_algebra(a: SuperAlgebra, b: SuperAlgebra) -> SuperAlgebra:
-    """The super tensor product; products carry the Koszul sign."""
+    """The super tensor product; products carry the Koszul sign.
+
+    Two signed tables give a signed table: an entry is the Koszul sign times
+    the two factors' entries.
+    """
     dim_b = b.dim
     labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
     degrees = [da + db for da in a.degrees for db in b.degrees]
+    signed = a.signed and b.signed
 
-    def product(x: int, y: int) -> Vec:
+    def product(x: int, y: int) -> Vec | SignedEntry:
         ia, ib = divmod(x, dim_b)
         ja, jb = divmod(y, dim_b)
         sign = -1 if (b.degrees[ib].par and a.degrees[ja].par) else 1
-        return kron(a.basis_product(ia, ja), b.basis_product(ib, jb), dim_b, sign)
+        if not signed:
+            return kron(a.basis_product(ia, ja), b.basis_product(ib, jb), dim_b, sign)
+        left = a.signed_product(ia, ja)
+        right = left and b.signed_product(ib, jb)
+        return right and (sign * left[0] * right[0], left[1] * dim_b + right[1])
 
     unit = kron(a.unit, b.unit, dim_b)
     # the slot generators g (x) 1 and 1 (x) h are basis vectors only when
@@ -210,7 +240,7 @@ def tensor_algebra(a: SuperAlgebra, b: SuperAlgebra) -> SuperAlgebra:
             [ua * dim_b + g for g in b.generating_set() if g != ub]
     return SuperAlgebra(
         labels, degrees, unit, product_fn=product, generators=gens,
-        name=f"{a.name}(x){b.name}",
+        name=f"{a.name}(x){b.name}", signed=signed,
     )
 
 
@@ -248,13 +278,30 @@ class AlgebraHom:
                     bad.append(("degree preservation", (i, k)))
         if self.unit_image() != self.target.unit:
             bad.append(("unit preservation", ()))
-        # one-entry products and images are read by index; images are made
-        # zero-free, so every compared vector is zero-free as vec_axpy leaves it
+        # one-entry images are read by index; images are made zero-free, so
+        # every compared vector is zero-free as vec_axpy leaves it
         images = [{t: x for t, x in v.items() if x} for v in self.images]
         one = [next(iter(v.items())) if len(v) == 1 else None for v in images]
-        for a in self.source.leading_factors():
-            for b in range(self.source.dim):
-                prod = self.source.basis_product(a, b)
+        src, tgt = self.source, self.target
+        if src.signed and tgt.signed and all(one):
+            # every product and image has one term: compare (coefficient, index)
+            # pairs of signed-table entries, None for zero
+            src_product, tgt_product = src.signed_product, tgt.signed_product
+            for a in src.leading_factors():
+                i, x = one[a]
+                for b, (j, y) in enumerate(one):
+                    lhs = src_product(a, b)
+                    if lhs:
+                        t, z = one[lhs[1]]
+                        lhs = (lhs[0] * z, t)
+                    rhs = tgt_product(i, j)
+                    if lhs != (rhs and (x * y * rhs[0], rhs[1])):
+                        bad.append(("multiplicativity", (a, b)))
+            return ValidationReport(self.name, bad)
+        # otherwise products go through dicts, one-entry ones read by index too
+        for a in src.leading_factors():
+            for b in range(src.dim):
+                prod = src.basis_product(a, b)
                 lhs = {}
                 if len(prod) > 1:
                     lhs = self.apply_vec(prod)
@@ -265,9 +312,9 @@ class AlgebraHom:
                             {t: c * x for t, x in images[k].items()}
                 if one[a] and one[b]:
                     (i, x), (j, y) = one[a], one[b]
-                    rhs = {t: x * y * z for t, z in self.target.basis_product(i, j).items() if z}
+                    rhs = {t: x * y * z for t, z in tgt.basis_product(i, j).items() if z}
                 else:
-                    rhs = self.target.product_vec(images[a], images[b])
+                    rhs = tgt.product_vec(images[a], images[b])
                 if lhs != rhs:
                     bad.append(("multiplicativity", (a, b)))
         return ValidationReport(self.name, bad)

@@ -116,7 +116,7 @@ def identity_hom(alg: SuperAlgebra) -> AlgebraHom:
 
 def dict_path_violations(phi: AlgebraHom) -> list[tuple[str, tuple]]:
     """``AlgebraHom.validate`` with every product formed through dicts: the
-    oracle of its one-entry index reads."""
+    oracle of its signed-table reads and its one-entry index reads."""
     bad: list[tuple[str, tuple]] = []
     for i in range(phi.source.dim):
         di = phi.source.degrees[i]

@@ -21,6 +21,7 @@ from supertower.superalgebra import (
     AlgebraHom,
     Degree,
     algebra_from_dict,
+    algebra_to_dict,
     read_rational,
     validate_algebra,
     validate_automorphism,
@@ -255,8 +256,11 @@ class TestDualIso:
         assert validate_automorphism(frob.algebra, psi).ok
         tower.frobenius[3] = FrobeniusStructure(frob.algebra, frob.trace, frob.delta, frob.sigma,
                                                 frob.gram, psi)
-        failed = [(r.check, r.indices) for r in _suite_frobenius(tower, None, cfg) if not r.passed]
-        assert failed == [("nakayama-closed-form", (3,)), ("dual-bimodule-identification", (3,))]
+        bad = [r for r in _suite_frobenius(tower, None, cfg) if not r.passed]
+        assert [(r.check, r.indices) for r in bad] == [("nakayama-closed-form", (3,)),
+                                                       ("dual-bimodule-identification", (3,))]
+        # u_1 has odd length; the closed form sends it to u_2
+        assert bad[0].detail == "first differing column 1: computed {2: -1}, closed form {2: 1}"
         violations = check_dual_iso(tower.frobenius[3]).violations
         assert violations[0] == ("nakayama compatibility", (0, 1, 3))
         assert violations[0] == dense_dual_iso(tower.frobenius[3])[0]
@@ -399,14 +403,27 @@ def _corrupt_entry(mat, rng):
     return out
 
 
-def _corrupt_product(alg, rng):
-    """Shift one structure constant of ``e_i e_j`` in place, after filling the table."""
+def _corrupt_product(frob, rng):
+    """``frob`` with one structure constant of ``e_i e_j`` shifted, and whether
+    the shift was made in place in the signed table.
+
+    A product left with at most one term is rewritten in the signed table of
+    the built level; a second term needs the dict table, so that shift is
+    made on a dict-table copy of the level, with the same form.
+    """
+    alg = frob.algebra
     alg.struct_consts()
     i, j = rng.randrange(alg.dim), rng.randrange(alg.dim)
     prod = dict(alg.basis_product(i, j))
     t = rng.randrange(alg.dim)
     prod[t] = prod.get(t, Fraction(0)) + rng.choice([-1, 1, 2])
-    alg._products[(i, j)] = {k: c for k, c in prod.items() if c}
+    prod = {k: c for k, c in prod.items() if c}
+    if len(prod) <= 1:
+        alg._products[(i, j)] = next(((c, k) for k, c in prod.items()), None)
+        return frob, True
+    copy = algebra_from_dict(algebra_to_dict(alg), name=alg.name)
+    copy._products[(i, j)] = prod
+    return FrobeniusStructure(copy, frob.trace, frob.delta, frob.sigma, frob.gram, frob.nakayama), False
 
 
 STRUCTURES = [("nilcoxeter", n) for n in (1, 2, 3, 4)] + [("sergeev", n) for n in (1, 2, 3)]
@@ -424,6 +441,7 @@ class TestSparseAuditsMatchDenseOracles:
     @pytest.mark.parametrize("kind", CORRUPTIONS)
     @pytest.mark.parametrize("family,n", [("nilcoxeter", 3), ("nilcoxeter", 4), ("sergeev", 2)])
     def test_seeded_corruptions(self, family, n, kind):
+        in_place = []
         for seed in range(6):
             rng = random.Random(f"{family}{n}{kind}{seed}")
             frob = _fresh_structure(family, n)
@@ -434,7 +452,9 @@ class TestSparseAuditsMatchDenseOracles:
                 frob = FrobeniusStructure(frob.algebra, frob.trace, frob.delta, frob.sigma,
                                           frob.gram, _corrupt_entry(frob.nakayama, rng))
             else:
-                _corrupt_product(frob.algebra, rng)
+                assert frob.algebra.signed
+                frob, signed = _corrupt_product(frob, rng)
+                in_place.append(signed)
             sparse = _invariance_outcome(check_form_invariance, frob.algebra, frob.gram)
             assert sparse == _invariance_outcome(dense_form_invariance, frob.algebra, frob.gram)
             # the invariance audit reads the form and the products, not the nakayama map
@@ -447,6 +467,9 @@ class TestSparseAuditsMatchDenseOracles:
                 continue
             assert rep.ok == (oracle == []) and oracle
             assert rep.violations == leading_dual_iso(frob, oracle)
+        if kind == "product" and family == "nilcoxeter":
+            # these seeds shift both tables: the signed one in place, the dict one on a copy
+            assert True in in_place and False in in_place
 
     @pytest.mark.parametrize("kind", ["none", "gram", "nakayama"])
     def test_generator_free_base_leads_with_every_element(self, kind):
@@ -504,8 +527,10 @@ class TestInvarianceMutation:
         gram = nilcoxeter_frobenius(alg, basis).gram
         s1, s2 = (basis.index[apply_s(identity_perm(5), i)] for i in (0, 1))
         alg.struct_consts()
-        # u_1 u_2 is a basis element of length 2, so the Gram matrix does not read it
-        alg._products[(s1, s2)] = {k: -c for k, c in alg.basis_product(s1, s2).items()}
+        # u_1 u_2 is a basis element of length 2, so the Gram matrix does not read it;
+        # its signed-table entry is negated
+        c, k = alg.signed_product(s1, s2)
+        alg._products[(s1, s2)] = (-c, k)
         with pytest.raises(ValidationError, match="form not invariant at triple"):
             check_form_invariance(alg, gram)
         # the solved Nakayama map of the corrupted algebra is not multiplicative

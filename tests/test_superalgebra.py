@@ -834,7 +834,10 @@ class TestGeneratorLedAlgebra:
             table = alg.struct_consts()
             key = rng.choice(sorted(k for k, v in table.items() if v))
             k = rng.choice(sorted(table[key]))
-            table[key] = {**table[key], k: 2 * table[key][k]}
+            # a one-term product: its signed-table entry gets the doubled coefficient
+            c, t = alg.signed_product(*key)
+            assert t == k
+            alg._products[key] = (2 * c, k)
             assert not validate_algebra(alg).ok
             assert _dense_algebra_violations(alg)
 

@@ -17,8 +17,10 @@ from supertower.linalg import Mat, rank_of_rows
 from supertower.reporting import CheckRecord, all_passed
 from supertower.superalgebra import (
     AlgebraHom,
+    Degree,
     SuperAlgebra,
     algebra_from_dict,
+    algebra_to_dict,
     generated_dim,
     graded_dim,
     regular_module,
@@ -75,6 +77,24 @@ WREATH_BASES = {
     "clifford": lambda: clifford_base().algebra,
     "exterior": lambda: algebra_from_dict(EXTERIOR_BASE["algebra"], name="exterior"),
 }
+
+
+def _count_fills(monkeypatch) -> list:
+    """The list that every product-table fill of an algebra made from now on appends to."""
+    fills = []
+    init = SuperAlgebra.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        fill = self._product_fn
+        if fill is not None:
+            def counted_fill(i, j):
+                fills.append((i, j))
+                return fill(i, j)
+            self._product_fn = counted_fill
+
+    monkeypatch.setattr(SuperAlgebra, "__init__", counted)
+    return fills
 
 
 def canonical_word(a):
@@ -237,21 +257,22 @@ class TestWreathBuild:
     def test_sergeev4_build_fill_count(self, monkeypatch):
         # the Gram loop reads one partner per row and the closure reads the
         # permutation rows, so a widened partner screen shows up here
-        fills = []
-        init = SuperAlgebra.__init__
-
-        def counted(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            fill = self._product_fn
-            if fill is not None:
-                def counted_fill(i, j):
-                    fills.append((i, j))
-                    return fill(i, j)
-                self._product_fn = counted_fill
-
-        monkeypatch.setattr(SuperAlgebra, "__init__", counted)
+        fills = _count_fills(monkeypatch)
         build_wreath_tower(clifford_base(), 4)
         assert len(fills) <= 4036
+
+    @pytest.mark.parametrize("build,count", [
+        (lambda: build_wreath_tower(clifford_base(), 4), 3976),
+        (lambda: build_nilcoxeter_tower(5, 1, 1), 1087),
+    ], ids=["sergeev4", "nilcoxeter5"])
+    def test_tower_axioms_fill_count(self, monkeypatch, build, count):
+        # the product fills of TA2 and TA3 on a freshly built tower: the pair
+        # algebras' tables and the level entries that rho and the coset rows read
+        fills = _count_fills(monkeypatch)
+        tower = build()
+        fills.clear()
+        assert all_passed(check_tower_axioms(tower))
+        assert len(fills) == count
 
     def test_wreath_algebra_validates(self, sergeev3):
         assert validate_algebra(sergeev3.level(2)).ok
@@ -459,6 +480,8 @@ class TestTowerChecks:
             assert check_nakayama_closed_form(nc4_11, lv).passed
         for lv in range(4):
             assert check_nakayama_closed_form(sergeev3, lv).passed
+        # a passing record carries no detail
+        assert check_nakayama_closed_form(nc4_11, 3).detail == ""
 
     def test_step_hom_validates(self, nc4_11):
         for n in (1, 2, 3):
@@ -469,24 +492,25 @@ class TestTowerChecks:
             nc4_11.level(5)
 
 
+def _multiterm_base():
+    """A commutative even base whose basis products have two terms: x*x = x + 1."""
+    base = SuperAlgebra(
+        labels=["1", "x"],
+        degrees=[Degree(0, 0), Degree(0, 0)],
+        unit={0: Fraction(1)},
+        products={
+            (0, 0): {0: Fraction(1)}, (0, 1): {1: Fraction(1)},
+            (1, 0): {1: Fraction(1)}, (1, 1): {0: Fraction(1), 1: Fraction(1)},
+        },
+        generators=[1],
+    )
+    return check_frobenius(base, {1: Fraction(1)}, 0, 0)
+
+
 class TestGenericWreathBase:
     def test_multiterm_base_products(self):
-        # a commutative even base whose basis products have two terms:
-        # x*x = x + 1; checks the generic tensor-product expansion paths
-        from supertower.frobenius import check_frobenius
-        from supertower.superalgebra import Degree, SuperAlgebra
-        base = SuperAlgebra(
-            labels=["1", "x"],
-            degrees=[Degree(0, 0), Degree(0, 0)],
-            unit={0: Fraction(1)},
-            products={
-                (0, 0): {0: Fraction(1)}, (0, 1): {1: Fraction(1)},
-                (1, 0): {1: Fraction(1)}, (1, 1): {0: Fraction(1), 1: Fraction(1)},
-            },
-            generators=[1],
-        )
-        frob = check_frobenius(base, {1: Fraction(1)}, 0, 0)
-        tower = build_wreath_tower(frob, 2)
+        # checks the generic tensor-product expansion paths
+        tower = build_wreath_tower(_multiterm_base(), 2)
         assert tower.level(2).dim == 8
         assert validate_algebra(tower.level(2)).ok
         recs = check_tower_axioms(tower)
@@ -495,6 +519,26 @@ class TestGenericWreathBase:
             assert all_passed(check_S2_dimensions(tower, n, m, k, l))
         assert all_passed(check_wr_commutation(tower, 1, 1, 1, 1, 0))
         assert check_nakayama_closed_form(tower, 2).passed
+
+    def test_multiterm_base_takes_the_dict_path(self, monkeypatch):
+        # a spy on the signed reads: over the x*x = x + 1 base, which keeps
+        # dict tables at every level and pair, only the ground field's signed
+        # table is read; over Clifford the levels' tables are read too
+        reads = []
+        signed_product = SuperAlgebra.signed_product
+
+        def spy(self, i, j):
+            reads.append(self.name)
+            return signed_product(self, i, j)
+
+        monkeypatch.setattr(SuperAlgebra, "signed_product", spy)
+        for frob, signed in ((_multiterm_base(), False), (clifford_base(), True)):
+            reads.clear()
+            tower = build_wreath_tower(frob, 3)
+            assert all_passed(check_tower_axioms(tower))
+            levels = tower.algebras[1:] + list(tower._pair_algebras.values())
+            assert {alg.signed for alg in levels} == {signed}
+            assert bool(set(reads) - {"ground-field"}) == signed
 
 
 # -- the per-family basis objects against the index logic they replaced --------
@@ -785,6 +829,17 @@ def _swap(phi, t, u):
     return AlgebraHom(phi.source, phi.target, images)
 
 
+def _negated_entry(phi, a, b):
+    """``phi`` on a signed-table copy of its source whose entry of ``e_a e_b`` is negated."""
+    src = phi.source
+    table = {(i, j): src.signed_product(i, j) for i in range(src.dim) for j in range(src.dim)}
+    c, k = table[(a, b)]
+    table[(a, b)] = (-c, k)
+    negated = SuperAlgebra(src.labels, src.degrees, src.unit, products=table,
+                           generators=src.generators, name=f"{src.name}-", signed=True)
+    return AlgebraHom(negated, phi.target, phi.images)
+
+
 def _changed_constant(phi, a, b, k):
     """``phi`` on a copy of its source whose ``e_a e_b`` has its ``e_k`` coefficient doubled."""
     src = phi.source
@@ -793,6 +848,45 @@ def _changed_constant(phi, a, b, k):
     changed = SuperAlgebra(src.labels, src.degrees, src.unit, products=products,
                            generators=src.generators, name=f"{src.name}*")
     return AlgebraHom(changed, phi.target, phi.images)
+
+
+def _dict_table_copy(alg):
+    return algebra_from_dict(algebra_to_dict(alg), name=f"{alg.name}[dict]")
+
+
+def _assert_entries_match(signed, dict_table):
+    """Every signed entry of ``signed`` is the dict product of ``dict_table``."""
+    assert signed.signed and not dict_table.signed
+    assert signed.dim == dict_table.dim
+    for i in range(signed.dim):
+        for j in range(signed.dim):
+            got = signed.signed_product(i, j)
+            assert ({got[1]: got[0]} if got else {}) == dict_table.basis_product(i, j), (i, j)
+
+
+class TestSignedTableMatchesDictPath:
+    @pytest.mark.parametrize("d,eps", HOM_TWISTS)
+    def test_nilcoxeter_levels_and_pairs(self, d, eps):
+        # the levels against their dict-table copies, and the Koszul entries
+        # of each pair algebra against the tensor of those copies
+        levels = [trivial_level_algebra()] + [build_nilcoxeter(n, d, eps)[0] for n in range(1, 6)]
+        copies = [_dict_table_copy(alg) for alg in levels]
+        for n, alg in enumerate(levels):
+            _assert_entries_match(alg, copies[n])
+            for m in range(1, 6 - n):
+                _assert_entries_match(tensor_algebra(alg, levels[m]), tensor_algebra(copies[n], copies[m]))
+
+    def test_sergeev_levels_and_pairs(self):
+        # the same levels built over the signed Clifford table and over its
+        # dict-table copy, whose tensor powers and wreath products fill dicts
+        cl = clifford_base()
+        dict_cl = check_frobenius(_dict_table_copy(cl.algebra), cl.trace, cl.delta, cl.sigma)
+        signed_tower, dict_tower = build_wreath_tower(cl, 3), build_wreath_tower(dict_cl, 3)
+        _assert_entries_match(signed_tower.level(0), _dict_table_copy(dict_tower.level(0)))
+        for n in range(1, 4):
+            _assert_entries_match(signed_tower.level(n), dict_tower.level(n))
+            for m in range(1, 4 - n):
+                _assert_entries_match(signed_tower.pair_algebra(n, m), dict_tower.pair_algebra(n, m))
 
 
 class TestIndexReadsMatchDictPath:
@@ -819,12 +913,27 @@ class TestIndexReadsMatchDictPath:
             a = rng.choice([g for g in leading if g not in src.unit])
             b = rng.choice([b for b in range(src.dim) if src.basis_product(a, b)])
             k = rng.choice(sorted(src.basis_product(a, b)))
-            for bad in (_flip_sign(phi, t), _swap(phi, t, u), _changed_constant(phi, a, b, k)):
+            for bad in (_flip_sign(phi, t), _swap(phi, t, u), _changed_constant(phi, a, b, k),
+                        _negated_entry(phi, a, b)):
                 got = bad.validate().violations
                 assert got, phi.name
                 assert got == dict_path_violations(bad), phi.name
                 checked += 1
-        assert checked >= 24
+        assert checked >= 32
+
+    @pytest.mark.parametrize("name", [f"nc5_{d}{eps}" for d, eps in HOM_TWISTS] + ["sergeev3"])
+    def test_tower_maps_take_the_signed_path(self, name, hom_towers, monkeypatch):
+        # every map of these towers has one-term images between signed
+        # tables, so validate reads signed entries and forms no dict product
+        def refused(*args):
+            raise AssertionError("dict product on the signed path")
+
+        maps = list(_every_map(hom_towers[name]))
+        assert all(phi.source.signed and phi.target.signed for phi in maps)
+        monkeypatch.setattr(SuperAlgebra, "basis_product", refused)
+        monkeypatch.setattr(SuperAlgebra, "product_vec", refused)
+        for phi in maps:
+            assert phi.validate().ok, phi.name
 
     def test_stored_zero_structure_constant(self):
         # x x = 0 xy stored explicitly: the one-entry reads must drop the zero
@@ -987,12 +1096,72 @@ class TestCorruptedTowerData:
         idx = tower.shift_basis_index(n - r, g, r, n + m)
         prod = alg.basis_product(uw, idx)
         assert prod
-        alg._products[(uw, idx)] = {t: -c for t, c in prod.items()}
+        c, t = alg.signed_product(uw, idx)
+        alg._products[(uw, idx)] = (-c, t)
         (rec,) = check_wr_commutation(tower, *args)
         assert rec == CheckRecord(
             "crossing-commutation", args, False, lhs=f"{count} generator tuples",
             rhs="crossing relation with predicted sign", detail=f"first failing tuple {first}",
         )
+
+
+    def test_ground_level_of_dimension_two_fails_ta1(self):
+        # the trivial splittings read A_0 as the ground field, so TA1 is the one record
+        tower = build_nilcoxeter_tower(2, 1, 1, frobenius_cap=0)
+        tower.algebras[0] = clifford_base().algebra
+        assert [r.to_dict() for r in check_tower_axioms(tower)] == [CheckRecord(
+            "TA1-ground-level", (), False, lhs="2", rhs="1").to_dict()]
+
+    def test_shifted_level_shift_fails_biadditivity(self):
+        # raising the level-2 shift breaks the difference at every pair that
+        # reads it once: (1, 1) through A_2, (1, 2) and (2, 1) through A_2 alone
+        tower = build_nilcoxeter_tower(3, 1, 1, frobenius_cap=0)
+        assert all_passed(check_tower_axioms(tower))
+        z, par = tower.shifts[2]
+        tower.shifts[2] = (z + 1, par)
+        bad = failures(check_tower_axioms(tower))
+        assert [(r.check, r.indices, r.lhs, r.rhs) for r in bad] == [
+            ("shift-biadditivity", (1, 1), "(2,1)", "(1,1)"),
+            ("shift-biadditivity", (1, 2), "(1,0)", "(2,0)"),
+            ("shift-biadditivity", (2, 1), "(1,0)", "(2,0)"),
+        ]
+
+    def test_negated_signed_entry_fails_ta2(self):
+        # u_1 times the unit of A_2 negated in the signed table: the sources
+        # A_1 (x) A_2, A_2 (x) A_1 and A_2 (x) A_2 read it and their targets do
+        # not, so (1, 2) is the first failing pair.  The trivial splittings read
+        # it on both sides and pass
+        tower = build_nilcoxeter_tower(4, 1, 1, frobenius_cap=0)
+        alg = tower.level(2)
+        g, (u,) = alg.generators[0], alg.unit
+        c, k = alg.signed_product(g, u)
+        alg._products[(g, u)] = (-c, k)
+        bad = failures(check_tower_axioms(tower))
+        assert [(r.check, r.indices) for r in bad] == [
+            ("TA2-external-multiplication", (1, 2)), ("TA2-external-multiplication", (2, 1)),
+            ("TA2-external-multiplication", (2, 2))]
+        for rec in bad:
+            rho = tower.rho(*rec.indices)
+            assert rho.source.signed and rho.target.signed
+            violations = rho.validate().violations
+            assert violations == dict_path_violations(rho)
+            assert rec.detail == str(violations[:3])
+        assert bad[0].detail == "[('multiplicativity', (1, 0))]"
+
+    def test_zeroed_signed_entry_fails_ta3(self):
+        # the unit times u_1 set to zero in A_2: the left coset rows of (1, 1)
+        # are 1 and u_1, and the second vanishes.  TA2 still passes: rho(0, 2)
+        # sends u_1 to zero, which the nilCoxeter relations allow
+        tower = build_nilcoxeter_tower(2, 1, 1, frobenius_cap=0)
+        alg = tower.level(2)
+        g, (u,) = alg.generators[0], alg.unit
+        alg._products[(u, g)] = None
+        bad = failures(check_tower_axioms(tower))
+        assert [(r.check, r.indices, r.lhs, r.rhs) for r in bad] == [
+            ("TA3-left-freeness", (1, 1), "rank 1", "dim 2")]
+        # the dict-path rank of the same rows
+        (image,) = tower.rho(1, 1).images
+        assert rank_of_rows(alg.product_vec(image, {uw: 1}) for uw in (u, g)) == 1
 
 
 class TestCollapsedRing:
