@@ -52,7 +52,9 @@ class SuperAlgebra:
       and ``c`` a nonzero rational, or None when the product vanishes.
       ``signed_product`` reads it by index.
 
-    ``basis_product`` returns the dict expansion in either form.
+    A table known whole takes its form from its data: ``algebra_from_dict``
+    loads a base file as a signed table when every product has at most one
+    term.  ``basis_product`` returns the dict expansion in either form.
     """
 
     def __init__(
@@ -278,10 +280,9 @@ class AlgebraHom:
                     bad.append(("degree preservation", (i, k)))
         if self.unit_image() != self.target.unit:
             bad.append(("unit preservation", ()))
-        # one-entry images are read by index; images are made zero-free, so
-        # every compared vector is zero-free as vec_axpy leaves it
-        images = [{t: x for t, x in v.items() if x} for v in self.images]
-        one = [next(iter(v.items())) if len(v) == 1 else None for v in images]
+        # images are made zero-free, so that a one-term image reads by index
+        one = [next(iter(v.items())) if len(v) == 1 else None
+               for v in ({t: x for t, x in v.items() if x} for v in self.images)]
         src, tgt = self.source, self.target
         if src.signed and tgt.signed and all(one):
             # every product and image has one term: compare (coefficient, index)
@@ -298,24 +299,10 @@ class AlgebraHom:
                     if lhs != (rhs and (x * y * rhs[0], rhs[1])):
                         bad.append(("multiplicativity", (a, b)))
             return ValidationReport(self.name, bad)
-        # otherwise products go through dicts, one-entry ones read by index too
         for a in src.leading_factors():
             for b in range(src.dim):
-                prod = src.basis_product(a, b)
-                lhs = {}
-                if len(prod) > 1:
-                    lhs = self.apply_vec(prod)
-                elif prod:
-                    ((k, c),) = prod.items()
-                    if c:
-                        lhs = {one[k][0]: c * one[k][1]} if one[k] else \
-                            {t: c * x for t, x in images[k].items()}
-                if one[a] and one[b]:
-                    (i, x), (j, y) = one[a], one[b]
-                    rhs = {t: x * y * z for t, z in tgt.basis_product(i, j).items() if z}
-                else:
-                    rhs = tgt.product_vec(images[a], images[b])
-                if lhs != rhs:
+                lhs = self.apply_vec(src.basis_product(a, b))
+                if lhs != tgt.product_vec(self.images[a], self.images[b]):
                     bad.append(("multiplicativity", (a, b)))
         return ValidationReport(self.name, bad)
 
@@ -679,6 +666,8 @@ def read_rational(pair, what: str) -> int | Fraction:
 
 
 def algebra_from_dict(data: dict, name: str = "") -> SuperAlgebra:
+    """The algebra of the on-disk format: a signed table when every basis
+    product has at most one term, a dict table otherwise."""
     labels = data["labels"]
     if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
         raise ValidationError("labels must be a list of strings")
@@ -714,7 +703,10 @@ def algebra_from_dict(data: dict, name: str = "") -> SuperAlgebra:
         raise ValidationError(f"generators {generators} must be integers")
     if generators is not None and not all(0 <= g < len(labels) for g in generators):
         raise ValidationError(f"generators {generators} out of range")
+    signed = all(len(col) <= 1 for col in full.values())
+    if signed:
+        full = {key: next(((c, k) for k, c in col.items()), None) for key, col in full.items()}
     return SuperAlgebra(
         labels, degrees, unit, products=full,
-        generators=generators, name=name or "loaded",
+        generators=generators, name=name or "loaded", signed=signed,
     )

@@ -3,7 +3,7 @@
 Module shifts, the action of an algebra element on a module vector, the
 all-pairs module validator, induction by row reduction alone, Hom by
 elimination of every generator constraint, the form-invariance audit that associativity implies, the identity
-hom, the algebra-map check without index reads, the matrix sum, scale, product and zero test, the permutation list,
+hom, the dict-table copy of an algebra, the algebra-map check without index reads, the matrix sum, scale, product and zero test, the permutation list,
 the value scan behind ``apply_s``, the nilCoxeter straightening, the wreath sign rules, the Cartan map, the
 unmemoised smash product and Fock action and a failure filter, plus the
 exterior-superalgebra and Z/3 base files.  No ``verify``, ``weyl`` or ``build`` run
@@ -110,13 +110,20 @@ def apply_s_by_values(a: Perm, i: int) -> Perm:
     return tuple(i + 1 if v == i else i if v == i + 1 else v for v in a)
 
 
+def dict_table_copy(alg: SuperAlgebra) -> SuperAlgebra:
+    """``alg`` with its whole product table stored as a dict table, whichever
+    form ``alg`` keeps: the oracle of every signed table."""
+    return SuperAlgebra(alg.labels, alg.degrees, alg.unit, products=alg.struct_consts(),
+                        generators=alg.generators, name=alg.name)
+
+
 def identity_hom(alg: SuperAlgebra) -> AlgebraHom:
     return AlgebraHom(alg, alg, [{i: 1} for i in range(alg.dim)], name=f"id({alg.name})")
 
 
 def dict_path_violations(phi: AlgebraHom) -> list[tuple[str, tuple]]:
     """``AlgebraHom.validate`` with every product formed through dicts: the
-    oracle of its signed-table reads and its one-entry index reads."""
+    oracle of its signed-table reads."""
     bad: list[tuple[str, tuple]] = []
     for i in range(phi.source.dim):
         di = phi.source.degrees[i]

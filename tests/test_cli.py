@@ -28,7 +28,7 @@ from supertower.errors import ValidationError
 from supertower.superalgebra import algebra_from_dict, algebra_to_dict
 from supertower.towers import clifford_base
 
-from support import EXTERIOR_BASE
+from support import EXTERIOR_BASE, Z3_BASE, dict_table_copy
 
 NC2 = '{"nilcoxeter": {"n_max": 2, "d": 1, "eps": 0}}'
 NC3 = '{"nilcoxeter": {"n_max": 3, "d": 1, "eps": 1}}'
@@ -235,6 +235,29 @@ def test_exterior_base_level_three_verifies(tmp_path, capsys):
     desc = json.dumps({"wreath": {"base": str(path), "n_max": 3}})
     assert main(["verify", desc, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"] == {"pass": 116, "fail": 0, "total": 116}
+
+
+@pytest.mark.parametrize("base", [EXTERIOR_BASE, Z3_BASE], ids=["exterior", "z3"])
+def test_base_file_report_matches_dict_table_load(base, tmp_path, capsys, monkeypatch):
+    # a base file with one-term products loads as a signed table; loaded as
+    # a dict table instead, the tower over it gives the same report
+    import supertower.cli as cli
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base))
+    args = ["verify", json.dumps({"wreath": {"base": str(path), "n_max": 3}}), "--format", "json"]
+    assert main(args) == 0
+    signed = capsys.readouterr().out
+    loaded = []
+
+    def dict_load(data, name=""):
+        alg = algebra_from_dict(data, name)
+        loaded.append(alg.signed)
+        return dict_table_copy(alg)
+
+    monkeypatch.setattr(cli, "algebra_from_dict", dict_load)
+    assert main(args) == 0
+    assert loaded == [True]
+    assert capsys.readouterr().out == signed
 
 
 def test_zero_divisor_twist_verifies(capsys):

@@ -21,7 +21,6 @@ from supertower.superalgebra import (
     AlgebraHom,
     Degree,
     algebra_from_dict,
-    algebra_to_dict,
     read_rational,
     validate_algebra,
     validate_automorphism,
@@ -41,7 +40,7 @@ from supertower.towers import (
     wreath_nakayama_closed_form,
 )
 
-from support import EXTERIOR_BASE, Z3_BASE, all_perms, check_form_invariance, entry
+from support import EXTERIOR_BASE, Z3_BASE, all_perms, check_form_invariance, dict_table_copy, entry
 
 
 @pytest.fixture(scope="module")
@@ -421,7 +420,7 @@ def _corrupt_product(frob, rng):
     if len(prod) <= 1:
         alg._products[(i, j)] = next(((c, k) for k, c in prod.items()), None)
         return frob, True
-    copy = algebra_from_dict(algebra_to_dict(alg), name=alg.name)
+    copy = dict_table_copy(alg)
     copy._products[(i, j)] = prod
     return FrobeniusStructure(copy, frob.trace, frob.delta, frob.sigma, frob.gram, frob.nakayama), False
 

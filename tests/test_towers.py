@@ -60,9 +60,11 @@ from supertower.towers import (
 
 from support import (
     EXTERIOR_BASE,
+    Z3_BASE,
     all_perms,
     apply_s_by_values,
     dict_path_violations,
+    dict_table_copy,
     failures,
     straightened_product,
     superperm_apply,
@@ -351,14 +353,20 @@ class TestWreathBuild:
             build_wreath(cl, WreathBasis(cl.algebra, 4))
 
 
+def _base_file_frobenius(spec, name):
+    """The Frobenius base that a base file describes."""
+    alg = algebra_from_dict(spec["algebra"], name=name)
+    frob = spec["frobenius"]
+    trace = {i: Fraction(*pair) for i, pair in enumerate(frob["trace"]) if pair[0]}
+    return check_frobenius(alg, trace, frob["delta"], frob["sigma"])
+
+
 def _generator_free_exterior():
     """The exterior base, its ``generators`` field left out."""
     data = {k: v for k, v in EXTERIOR_BASE["algebra"].items() if k != "generators"}
-    alg = algebra_from_dict(data, name="exterior")
-    assert alg.generators is None
-    frob = EXTERIOR_BASE["frobenius"]
-    trace = {i: Fraction(*pair) for i, pair in enumerate(frob["trace"]) if pair[0]}
-    return check_frobenius(alg, trace, frob["delta"], frob["sigma"])
+    base = _base_file_frobenius({"algebra": data, "frobenius": EXTERIOR_BASE["frobenius"]}, "exterior")
+    assert base.algebra.generators is None
+    return base
 
 
 class TestSlotGenerators:
@@ -521,9 +529,10 @@ class TestGenericWreathBase:
         assert check_nakayama_closed_form(tower, 2).passed
 
     def test_multiterm_base_takes_the_dict_path(self, monkeypatch):
-        # a spy on the signed reads: over the x*x = x + 1 base, which keeps
-        # dict tables at every level and pair, only the ground field's signed
-        # table is read; over Clifford the levels' tables are read too
+        # a spy on the signed reads: over the x*x = x + 1 base, built or
+        # loaded from its base file, which keeps dict tables at every level
+        # and pair, only the ground field's signed table is read; over
+        # Clifford the levels' tables are read too
         reads = []
         signed_product = SuperAlgebra.signed_product
 
@@ -531,8 +540,10 @@ class TestGenericWreathBase:
             reads.append(self.name)
             return signed_product(self, i, j)
 
+        multiterm = _multiterm_base()
+        loaded = check_frobenius(algebra_from_dict(algebra_to_dict(multiterm.algebra)), multiterm.trace, 0, 0)
         monkeypatch.setattr(SuperAlgebra, "signed_product", spy)
-        for frob, signed in ((_multiterm_base(), False), (clifford_base(), True)):
+        for frob, signed in ((multiterm, False), (loaded, False), (clifford_base(), True)):
             reads.clear()
             tower = build_wreath_tower(frob, 3)
             assert all_passed(check_tower_axioms(tower))
@@ -792,7 +803,7 @@ class TestGeneratorLedValidation:
                     assert generated_dim(pair) == pair.dim
 
 
-# -- the one-entry index reads of AlgebraHom.validate against the dict path ------------
+# -- the signed-entry reads of AlgebraHom.validate against the dict path ---------------
 
 
 HOM_TWISTS = [(1, 0), (1, 1), (0, 1), (2, 1)]
@@ -802,6 +813,7 @@ HOM_TWISTS = [(1, 0), (1, 1), (0, 1), (2, 1)]
 def hom_towers():
     towers = {f"nc5_{d}{eps}": build_nilcoxeter_tower(5, d, eps) for d, eps in HOM_TWISTS}
     towers["sergeev3"] = build_wreath_tower(clifford_base(), 3)
+    towers["exterior3"] = build_wreath_tower(_base_file_frobenius(EXTERIOR_BASE, "exterior"), 3)
     return towers
 
 
@@ -850,10 +862,6 @@ def _changed_constant(phi, a, b, k):
     return AlgebraHom(changed, phi.target, phi.images)
 
 
-def _dict_table_copy(alg):
-    return algebra_from_dict(algebra_to_dict(alg), name=f"{alg.name}[dict]")
-
-
 def _assert_entries_match(signed, dict_table):
     """Every signed entry of ``signed`` is the dict product of ``dict_table``."""
     assert signed.signed and not dict_table.signed
@@ -864,13 +872,25 @@ def _assert_entries_match(signed, dict_table):
             assert ({got[1]: got[0]} if got else {}) == dict_table.basis_product(i, j), (i, j)
 
 
+def _assert_wreath_entries_match(frob):
+    """Levels 0 to 3 and their pair algebras over the signed base ``frob``
+    against those over its dict-table copy."""
+    dict_frob = check_frobenius(dict_table_copy(frob.algebra), frob.trace, frob.delta, frob.sigma)
+    signed_tower, dict_tower = build_wreath_tower(frob, 3), build_wreath_tower(dict_frob, 3)
+    _assert_entries_match(signed_tower.level(0), dict_table_copy(dict_tower.level(0)))
+    for n in range(1, 4):
+        _assert_entries_match(signed_tower.level(n), dict_tower.level(n))
+        for m in range(1, 4 - n):
+            _assert_entries_match(signed_tower.pair_algebra(n, m), dict_tower.pair_algebra(n, m))
+
+
 class TestSignedTableMatchesDictPath:
     @pytest.mark.parametrize("d,eps", HOM_TWISTS)
     def test_nilcoxeter_levels_and_pairs(self, d, eps):
         # the levels against their dict-table copies, and the Koszul entries
         # of each pair algebra against the tensor of those copies
         levels = [trivial_level_algebra()] + [build_nilcoxeter(n, d, eps)[0] for n in range(1, 6)]
-        copies = [_dict_table_copy(alg) for alg in levels]
+        copies = [dict_table_copy(alg) for alg in levels]
         for n, alg in enumerate(levels):
             _assert_entries_match(alg, copies[n])
             for m in range(1, 6 - n):
@@ -879,14 +899,14 @@ class TestSignedTableMatchesDictPath:
     def test_sergeev_levels_and_pairs(self):
         # the same levels built over the signed Clifford table and over its
         # dict-table copy, whose tensor powers and wreath products fill dicts
-        cl = clifford_base()
-        dict_cl = check_frobenius(_dict_table_copy(cl.algebra), cl.trace, cl.delta, cl.sigma)
-        signed_tower, dict_tower = build_wreath_tower(cl, 3), build_wreath_tower(dict_cl, 3)
-        _assert_entries_match(signed_tower.level(0), _dict_table_copy(dict_tower.level(0)))
-        for n in range(1, 4):
-            _assert_entries_match(signed_tower.level(n), dict_tower.level(n))
-            for m in range(1, 4 - n):
-                _assert_entries_match(signed_tower.pair_algebra(n, m), dict_tower.pair_algebra(n, m))
+        _assert_wreath_entries_match(clifford_base())
+
+    @pytest.mark.parametrize("base", ["exterior", "z3"])
+    def test_base_file_levels_and_pairs(self, base):
+        # base files whose products have one term load as signed tables
+        frob = _base_file_frobenius({"exterior": EXTERIOR_BASE, "z3": Z3_BASE}[base], base)
+        assert frob.algebra.signed
+        _assert_wreath_entries_match(frob)
 
 
 class TestIndexReadsMatchDictPath:
@@ -921,7 +941,7 @@ class TestIndexReadsMatchDictPath:
                 checked += 1
         assert checked >= 32
 
-    @pytest.mark.parametrize("name", [f"nc5_{d}{eps}" for d, eps in HOM_TWISTS] + ["sergeev3"])
+    @pytest.mark.parametrize("name", [f"nc5_{d}{eps}" for d, eps in HOM_TWISTS] + ["sergeev3", "exterior3"])
     def test_tower_maps_take_the_signed_path(self, name, hom_towers, monkeypatch):
         # every map of these towers has one-term images between signed
         # tables, so validate reads signed entries and forms no dict product
@@ -936,11 +956,11 @@ class TestIndexReadsMatchDictPath:
             assert phi.validate().ok, phi.name
 
     def test_stored_zero_structure_constant(self):
-        # x x = 0 xy stored explicitly: the one-entry reads must drop the zero
-        # on whichever side it appears, as vec_axpy does.  A base file's zero
-        # row stores nothing, so the zero is planted in the table
+        # x x = 0 xy stored explicitly: the dict path must drop the zero on
+        # whichever side it appears, as vec_axpy does.  A base file's zero
+        # row stores nothing, so the zero is planted in a dict-table copy
         plain = algebra_from_dict(EXTERIOR_BASE["algebra"], name="exterior")
-        zeroed = algebra_from_dict(EXTERIOR_BASE["algebra"], name="exterior0")
+        zeroed = dict_table_copy(algebra_from_dict(EXTERIOR_BASE["algebra"], name="exterior0"))
         zeroed._products[(1, 1)] = {3: 0}
         assert zeroed.basis_product(1, 1) == {3: 0}
         ident = [{i: 1} for i in range(4)]
@@ -1148,17 +1168,33 @@ class TestCorruptedTowerData:
             assert rec.detail == str(violations[:3])
         assert bad[0].detail == "[('multiplicativity', (1, 0))]"
 
+    def test_trivial_splitting_that_kills_a_generator_fails_ta2(self):
+        # rho(0, 2) and rho(2, 0) sending u_1 to zero stay unital
+        # homomorphisms (u_1 u_1 = 0), and TA3 skips trivial splittings, so
+        # only injectivity catches them
+        tower = build_nilcoxeter_tower(3, 1, 1, frobenius_cap=0)
+        for n, m in ((0, 2), (2, 0)):
+            assert tower.rho(n, m).images[1]
+            tower.rho(n, m).images[1] = {}
+        records = check_tower_axioms(tower)
+        assert len(records) == 31
+        assert [(r.check, r.indices, r.detail) for r in failures(records)] == [
+            ("TA2-external-multiplication", (0, 2), "[('injectivity', ())]"),
+            ("TA2-external-multiplication", (2, 0), "[('injectivity', ())]")]
+
     def test_zeroed_signed_entry_fails_ta3(self):
         # the unit times u_1 set to zero in A_2: the left coset rows of (1, 1)
-        # are 1 and u_1, and the second vanishes.  TA2 still passes: rho(0, 2)
-        # sends u_1 to zero, which the nilCoxeter relations allow
+        # are 1 and u_1, and the second vanishes.  rho(0, 2) sends u_1 to
+        # zero, which the nilCoxeter relations allow, so TA2 fails on
+        # injectivity alone
         tower = build_nilcoxeter_tower(2, 1, 1, frobenius_cap=0)
         alg = tower.level(2)
         g, (u,) = alg.generators[0], alg.unit
         alg._products[(u, g)] = None
         bad = failures(check_tower_axioms(tower))
-        assert [(r.check, r.indices, r.lhs, r.rhs) for r in bad] == [
-            ("TA3-left-freeness", (1, 1), "rank 1", "dim 2")]
+        assert [(r.check, r.indices, r.lhs, r.rhs, r.detail) for r in bad] == [
+            ("TA2-external-multiplication", (0, 2), "", "", "[('injectivity', ())]"),
+            ("TA3-left-freeness", (1, 1), "rank 1", "dim 2", "")]
         # the dict-path rank of the same rows
         (image,) = tower.rho(1, 1).images
         assert rank_of_rows(alg.product_vec(image, {uw: 1}) for uw in (u, g)) == 1
